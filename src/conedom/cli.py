@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .cones import Comparability, Cone, relate
+from .cones import Cone, relate
 from .dominance import (
     Decomposition,
     DominationCertificate,
@@ -32,7 +32,7 @@ from .sets import (
     FinitePointSet,
     Polyhedron,
     convex_hull,
-    is_antichain,
+    first_comparable_pair,
     is_chain,
     first_incomparable_pair,
     materialize,
@@ -139,19 +139,12 @@ def _cmd_antichain_check(args) -> int:
     scene = _load_scene(args.scene)
     pts = _as_points(scene, args.set)
     cone = _resolve_cone(scene, args.cone, pts.dimension if len(pts) else 0)
-    verdict = is_antichain(pts, cone)
-    payload: dict[str, Any] = {"antichain": verdict}
-    if not verdict:
-        for i in range(len(pts.points)):
-            for j in range(i + 1, len(pts.points)):
-                a, b = pts.points[i], pts.points[j]
-                if relate(cone, a, b) is not Comparability.INCOMPARABLE:
-                    payload["comparable_pair"] = [fmt_vec(a), fmt_vec(b)]
-                    break
-            if "comparable_pair" in payload:
-                break
+    pair = first_comparable_pair(pts, cone)
+    payload: dict[str, Any] = {"antichain": pair is None}
+    if pair is not None:
+        payload["comparable_pair"] = [fmt_vec(pair[0]), fmt_vec(pair[1])]
     _emit(payload)
-    return 0 if verdict else 1
+    return 0 if pair is None else 1
 
 
 def _certificate_payload(cert: DominationCertificate) -> dict[str, Any]:

@@ -3,9 +3,19 @@
 A `Cone` is the set of nonnegative combinations of its generators with
 positive total mass, together with the origin iff `contains_zero` is set.
 That set is always a convex cone; with no generators and no flag it is the
-empty set. Membership is decided exactly: a cached Gaussian elimination of
-the generator matrix settles most queries outright, and a small exact LP
+empty set. Membership is decided exactly: a Gaussian elimination of the
+generator matrix, built once per cone on first use (`Cone.span_solver`),
+settles most queries outright, and a small exact LP
 (`conedom.linalg.lp_solve`) covers the rest and supplies certificates.
+
+Cones with linearly independent generators, and at least one of them, also
+get an order map from that elimination: `order_coordinates` sends each
+point to integer coordinates once, after which "y - x lies in the cone" is
+a componentwise comparison (`coordinates_above`). `relate` uses it, and so
+do chain and antichain checks, Pareto optima and the domination matrix in
+`conedom.sets` and `conedom.dominance`. Every other cone (dependent
+generators, a zero generator, no generators) answers those questions pair
+by pair through `cone_contains`, with the LP as its fallback.
 """
 
 from __future__ import annotations
@@ -13,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .linalg import (
     ONE,
@@ -56,6 +68,12 @@ class Cone:
     def build(cls, dimension: int, generators, contains_zero: bool) -> "Cone":
         return cls(dimension, tuple(fvec(g) for g in generators), bool(contains_zero))
 
+    @cached_property
+    def span_solver(self) -> "_SpanSolver":
+        """Elimination data of the generator matrix, built on first use and
+        freed with the cone."""
+        return _SpanSolver(self.dimension, self.generators)
+
 
 @dataclass(frozen=True)
 class ConeMembership:
@@ -71,6 +89,12 @@ class ConeMembership:
     member: bool
     coefficients: tuple[Fraction, ...] | None = None
     functional: Vec | None = None
+
+
+def _integer_multiple(v: Vec) -> tuple[int, ...]:
+    """v times the lcm of its denominators: integer entries, same signs."""
+    m = lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (m // c.denominator) for c in v)
 
 
 class _SpanSolver:
@@ -108,6 +132,7 @@ class _SpanSolver:
         self.unique = r == k
         self.elim = [tuple(row[k:]) for row in rows]
         self.left_null = self.elim[r:]
+        self.integer_elim = [_integer_multiple(e) for e in self.elim]
 
     def solve_unique(self, v: Vec) -> tuple[Fraction, ...] | None:
         """Unique coefficients with G mu = v, or None when v is off-span.
@@ -132,9 +157,50 @@ class _SpanSolver:
         return None
 
 
-@lru_cache(maxsize=None)
-def _span_solver(dimension: int, generators: tuple[Vec, ...]) -> _SpanSolver:
-    return _SpanSolver(dimension, generators)
+class OrderCoordinates(NamedTuple):
+    """Integer image E.p of a point under the elimination matrix E, scaled.
+
+    `generator` holds the first rank rows: on the generators' span these are
+    the generator coefficients. `off_span` holds the left-null rows, which
+    vanish exactly on the span.
+    """
+
+    generator: tuple[int, ...]
+    off_span: tuple[int, ...]
+
+
+def order_coordinates(cone: Cone, points: Sequence[Vec]) -> list[OrderCoordinates] | None:
+    """Order coordinates of each point, or None unless the cone has linearly
+    independent generators and at least one of them.
+
+    All points are scaled by one common lcm of their denominators, so the
+    coordinates of y - x are the coordinates of y minus those of x, up to a
+    positive factor that keeps every sign.
+    """
+    solver = cone.span_solver
+    if not cone.generators or not solver.unique:
+        return None
+    for p in points:
+        if len(p) != cone.dimension:
+            raise ValueError("vector dimension does not match the cone")
+    scale = lcm(*(c.denominator for p in points for c in p))
+    rank = solver.rank
+    out = []
+    for p in points:
+        q = [c.numerator * (scale // c.denominator) for c in p]
+        w = tuple(sum(a * b for a, b in zip(row, q)) for row in solver.integer_elim)
+        out.append(OrderCoordinates(w[:rank], w[rank:]))
+    return out
+
+
+def coordinates_above(a: OrderCoordinates, b: OrderCoordinates) -> bool:
+    """Whether y - x lies in the cone, for distinct points x and y with order
+    coordinates a and b (from one `order_coordinates` call).
+
+    y - x is then nonzero, so it lies in the cone exactly when it is in the
+    generators' span with nonnegative generator coefficients.
+    """
+    return a.off_span == b.off_span and all(p <= q for p, q in zip(a.generator, b.generator))
 
 
 def _membership_lp(cone: Cone, v: Vec, need_unit_mass: bool) -> LinearProgram:
@@ -174,7 +240,7 @@ def cone_membership(cone: Cone, v: Vec) -> ConeMembership:
         return _solve_membership(cone, v, unit_mass=True)
     if not cone.generators:
         return ConeMembership(False, functional=vneg(v))
-    solver = _span_solver(cone.dimension, cone.generators)
+    solver = cone.span_solver
     f = solver.off_span_functional(v)
     if f is not None:
         return ConeMembership(False, functional=f)
@@ -195,13 +261,12 @@ def cone_contains(cone: Cone, v: Vec) -> bool:
             return True
         if not cone.generators:
             return False
-        solver = _span_solver(cone.dimension, cone.generators)
-        if solver.unique:
+        if cone.span_solver.unique:
             return False  # independent generators only combine to zero trivially
         return _solve_membership(cone, v, unit_mass=True).member
     if not cone.generators:
         return False
-    solver = _span_solver(cone.dimension, cone.generators)
+    solver = cone.span_solver
     if solver.off_span_functional(v) is not None:
         return False
     if solver.unique:
@@ -217,7 +282,7 @@ def is_pointed(cone: Cone) -> bool:
     with -v iff some nonzero generator's negation lies in the hull, so one
     membership query per generator decides pointedness.
     """
-    probe = Cone(cone.dimension, cone.generators, True)
+    probe = k_closure(cone)
     for g in cone.generators:
         if is_zero_vec(g):
             continue
@@ -227,10 +292,22 @@ def is_pointed(cone: Cone) -> bool:
 
 
 def relate(cone: Cone, x: Vec, y: Vec) -> Comparability:
-    """Position of y relative to x in the cone order: y - x in C and/or -C."""
-    d = tuple(b - a for a, b in zip(x, y, strict=True))
-    up = cone_contains(cone, d)
-    down = cone_contains(cone, vneg(d))
+    """Position of y relative to x in the cone order: y - x in C and/or -C.
+
+    With order coordinates, one elimination of x and y decides both: the
+    zero difference is in C exactly when the origin is admitted, and any
+    other one by `coordinates_above`.
+    """
+    coords = order_coordinates(cone, (x, y))
+    if coords is None:
+        d = tuple(b - a for a, b in zip(x, y, strict=True))
+        up = cone_contains(cone, d)
+        down = cone_contains(cone, vneg(d))
+    elif coords[0] == coords[1]:  # E is invertible, so x == y
+        up = down = cone.contains_zero
+    else:
+        up = coordinates_above(coords[0], coords[1])
+        down = coordinates_above(coords[1], coords[0])
     if up and down:
         return Comparability.BOTH
     if up:
@@ -240,9 +317,22 @@ def relate(cone: Cone, x: Vec, y: Vec) -> Comparability:
     return Comparability.INCOMPARABLE
 
 
+def with_origin(cone: Cone, contains_zero: bool) -> Cone:
+    """The cone with the same generators and the given origin flag.
+
+    The result shares the span solver of `cone`, which depends on the
+    generators alone.
+    """
+    if cone.contains_zero == contains_zero:
+        return cone
+    out = Cone(cone.dimension, cone.generators, contains_zero)
+    vars(out)["span_solver"] = cone.span_solver  # fills the cached_property
+    return out
+
+
 def k_closure(cone: Cone) -> Cone:
     """Convex hull of the cone together with the origin: same generators, origin admitted."""
-    return Cone(cone.dimension, cone.generators, True)
+    return with_origin(cone, True)
 
 
 def negate(cone: Cone) -> Cone:

@@ -15,7 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import Comparability, Cone, cone_contains, is_pointed, k_closure, negate, relate
+from .cones import (
+    Comparability,
+    Cone,
+    cone_contains,
+    coordinates_above,
+    is_pointed,
+    k_closure,
+    negate,
+    order_coordinates,
+    relate,
+    with_origin,
+)
 from .linalg import (
     ONE,
     REL_EQ,
@@ -242,8 +253,9 @@ def dominating_element(y: Vec, d: DecomposableSet) -> DominationCertificate:
 
 def dominated_element(y: Vec, d: DecomposableSet) -> DominationCertificate:
     """Mirror construction: a materialized point x with y - x in the closed cone."""
+    flipped_cone = negate(d.cone)
     flipped = DecomposableSet(
-        tuple(ChainSet(s.base, negate(s.cone)) for s in d.summands)
+        tuple(ChainSet(s.base, flipped_cone) for s in d.summands)
     )
     cert = dominating_element(y, flipped)
     return DominationCertificate(
@@ -257,23 +269,33 @@ def dominated_element(y: Vec, d: DecomposableSet) -> DominationCertificate:
 
 
 def pareto_optima_finite(s: FinitePointSet, cone: Cone) -> FinitePointSet:
-    """Points of S not dominated by any other point of S, by enumeration.
+    """Points of S not dominated by any other point of S, in input order.
 
     A point loses when some other point sits at it plus a cone vector;
     the origin never disqualifies anything because only other points are
     examined.
+
+    With order coordinates (independent generators), this is the maxima of
+    vectors problem (Kung, Luccio & Preparata 1975) solved by a sorted
+    sweep. The sum of generator coordinates strictly increases along
+    domination, so points are visited by that sum, descending, and a point
+    is kept unless a point kept before it dominates it. Independent
+    generators make the order antisymmetric, and it is transitive, so every
+    dominated point is dominated by a kept one with a larger sum. Other
+    cones compare every pair with `cone_contains`.
     """
     pts = s.points
-    keep = []
-    for y in pts:
-        dominated = False
-        for t in pts:
-            if t != y and cone_contains(cone, vsub(t, y)):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(y)
-    return FinitePointSet(tuple(keep))
+    coords = order_coordinates(cone, pts)
+    if coords is None:
+        keep = [
+            y for y in pts if not any(t != y and cone_contains(cone, vsub(t, y)) for t in pts)
+        ]
+        return FinitePointSet(tuple(keep))
+    kept: list[int] = []
+    for i in sorted(range(len(pts)), key=lambda i: -sum(coords[i].generator)):
+        if not any(coordinates_above(coords[i], coords[k]) for k in kept):
+            kept.append(i)
+    return FinitePointSet(tuple(pts[i] for i in sorted(kept)))
 
 
 def is_pareto_in_hull(y: Vec, d: DecomposableSet) -> bool:
@@ -337,14 +359,28 @@ class EquivalenceReport:
         return all(c is True or c is None for c in checks)
 
 
+def _domination_matrix(pts: FinitePointSet, cone: Cone) -> tuple[tuple[bool, ...], ...]:
+    """Entry [t][s]: whether point t minus point s lies in the cone."""
+    coords = order_coordinates(cone, pts.points)
+    if coords is None:
+        return tuple(
+            tuple(cone_contains(cone, vsub(t, s)) for s in pts.points) for t in pts.points
+        )
+    diagonal = cone_contains(cone, vzero(cone.dimension))
+    return tuple(
+        tuple(diagonal if i == j else coordinates_above(cs, ct) for j, cs in enumerate(coords))
+        for i, ct in enumerate(coords)
+    )
+
+
 def check_equivalences(d: DecomposableSet) -> EquivalenceReport:
     from .maximals import FiniteRelation, maximals  # local import to avoid a cycle
 
     cone = d.cone
     pts = materialize(d)
     optima = pareto_optima_finite(pts, cone)
-    with_zero = Cone(cone.dimension, cone.generators, True)
-    without_zero = Cone(cone.dimension, cone.generators, False)
+    with_zero = with_origin(cone, True)
+    without_zero = with_origin(cone, False)
     toggle = (
         pareto_optima_finite(pts, with_zero).sorted_points()
         == pareto_optima_finite(pts, without_zero).sorted_points()
@@ -353,9 +389,7 @@ def check_equivalences(d: DecomposableSet) -> EquivalenceReport:
     maximals_eq: bool | None = None
     if is_pointed(cone):
         hull_eq = all((p in optima.points) == is_pareto_in_hull(p, d) for p in pts)
-        related = tuple(
-            tuple(cone_contains(cone, vsub(t, s)) for s in pts.points) for t in pts.points
-        )
+        related = _domination_matrix(pts, cone)
         relation = FiniteRelation(pts, related)
         maximals_eq = maximals(relation, pts).sorted_points() == optima.sorted_points()
     return EquivalenceReport(

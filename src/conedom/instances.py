@@ -57,23 +57,6 @@ def rand_direction(rng: Rng, dimension: int) -> Vec:
     return tuple(rand_positive_frac(rng) for _ in range(dimension))
 
 
-def _independent(rows: list[Vec]) -> bool:
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c] / m[rank][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank == len(m)
-
-
 @dataclass(frozen=True)
 class ConeDraw:
     cone: Cone
@@ -94,19 +77,9 @@ def rand_pointed_cone(rng: Rng, dimension: int, contains_zero: bool) -> ConeDraw
             if s < 0:
                 g = tuple(-c for c in g)
             gens.append(g)
-        if _independent(gens):
-            return ConeDraw(Cone(dimension, tuple(gens), contains_zero), guard)
-
-
-def orthantish_cone(rng: Rng, dimension: int, contains_zero: bool) -> ConeDraw:
-    """Wide simplicial cone: perturbed coordinate axes (diagonally dominant)."""
-    gens = []
-    for d in range(dimension):
-        g = [Fraction(rng.randint(0, 1), 3) for _ in range(dimension)]
-        g[d] = Fraction(rng.randint(2, 4))
-        gens.append(tuple(g))
-    guard = tuple(ONE for _ in range(dimension))
-    return ConeDraw(Cone(dimension, tuple(gens), contains_zero), guard)
+        cone = Cone(dimension, tuple(gens), contains_zero)
+        if cone.span_solver.unique:
+            return ConeDraw(cone, guard)
 
 
 def rand_convex_coefficients(rng: Rng, k: int, strict: bool = False) -> tuple[Fraction, ...]:

@@ -33,7 +33,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)

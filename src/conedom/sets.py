@@ -15,7 +15,15 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .cones import Comparability, Cone, cone_contains, k_closure, relate
+from .cones import (
+    Comparability,
+    Cone,
+    cone_contains,
+    coordinates_above,
+    k_closure,
+    order_coordinates,
+    relate,
+)
 from .linalg import (
     Vec,
     fvec,
@@ -66,13 +74,34 @@ class FinitePointSet:
         return p in self.points
 
 
-def first_incomparable_pair(s: FinitePointSet, cone: Cone) -> tuple[Vec, Vec] | None:
+def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, Vec] | None:
+    """First pair (points i < j, scanned by i, then j) whose comparability
+    in the cone order is `comparable`.
+
+    With order coordinates each point is eliminated once and every pair is
+    a sign check; otherwise every pair goes through `relate`.
+    """
     pts = s.points
+    coords = order_coordinates(cone, pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if relate(cone, pts[i], pts[j]) is Comparability.INCOMPARABLE:
+            if coords is None:
+                hit = relate(cone, pts[i], pts[j]) is not Comparability.INCOMPARABLE
+            else:
+                hit = coordinates_above(coords[i], coords[j]) or coordinates_above(coords[j], coords[i])
+            if hit == comparable:
                 return pts[i], pts[j]
     return None
+
+
+def first_incomparable_pair(s: FinitePointSet, cone: Cone) -> tuple[Vec, Vec] | None:
+    """First pair of points that the cone order leaves incomparable."""
+    return _first_pair(s, cone, comparable=False)
+
+
+def first_comparable_pair(s: FinitePointSet, cone: Cone) -> tuple[Vec, Vec] | None:
+    """First pair of distinct points that the cone order compares."""
+    return _first_pair(s, cone, comparable=True)
 
 
 def is_chain(s: FinitePointSet, cone: Cone) -> bool:
@@ -82,12 +111,7 @@ def is_chain(s: FinitePointSet, cone: Cone) -> bool:
 
 def is_antichain(s: FinitePointSet, cone: Cone) -> bool:
     """No two distinct points comparable in the cone order."""
-    pts = s.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if relate(cone, pts[i], pts[j]) is not Comparability.INCOMPARABLE:
-                return False
-    return True
+    return first_comparable_pair(s, cone) is None
 
 
 @dataclass(frozen=True)

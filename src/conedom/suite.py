@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .cones import Comparability, Cone, cone_contains, cone_membership, k_closure, negate, relate
+from .cones import (
+    Comparability,
+    Cone,
+    cone_contains,
+    cone_membership,
+    k_closure,
+    negate,
+    relate,
+    with_origin,
+)
 from .dominance import (
     check_equivalences,
     dominating_element,
@@ -532,7 +541,7 @@ def run_structural_family(seed: int, count: int) -> FamilyReport:
         c1 = rand_cone_member(rng, closed, strict=False)
         c2 = rand_cone_member(rng, closed, strict=False)
         ok = cone_contains(closed, vadd(c1, c2))
-        strict_cone = Cone(dim, draw.cone.generators, False)
+        strict_cone = with_origin(draw.cone, False)
         s1 = rand_cone_member(rng, strict_cone, strict=True)
         s2 = rand_cone_member(rng, strict_cone, strict=True)
         total = vadd(s1, s2)

@@ -171,7 +171,8 @@ class TestCliCommands:
     def test_antichain_check(self, capsys, scene_file):
         code, out, _ = run(capsys, "antichain-check", "--scene", scene_file, "--set", "P", "--cone", "orthant")
         assert code == 1
-        assert payload(out)["antichain"] is False
+        # The first comparable pair in (i, j) scan order: (0,0) below (2,0).
+        assert payload(out) == {"antichain": False, "comparable_pair": [["0", "0"], ["2", "0"]]}
 
     def test_dominate_with_verification(self, capsys, scene_file):
         code, out, _ = run(
