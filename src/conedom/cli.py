@@ -1,7 +1,8 @@
 """Command-line front end: scene files in, JSON verdicts and certificates out.
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict (or a
-failed post-verification), 2 for usage problems including scene errors.
+failed post-verification), 2 for usage problems including scene errors,
+3 for an internal failure (a solver pivot limit or an invalid certificate).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .dominance import (
     dominating_element,
     pareto_optima_finite,
     validate_certificate,
+    validate_outside_hull,
 )
 from .linalg import Vec, vdot
 from .maximals import UTILITIES, check_convexification_invariance, demand, orthant_cone
@@ -181,13 +183,24 @@ def _cmd_dominate(args) -> int:
     try:
         cert = find(point, dset)
     except OutsideHullError as exc:
-        _emit(
-            {
-                "outside_hull": True,
-                "functional": fmt_vec(exc.functional),
-                "offsets": [fmt(c) for c in exc.offsets],
-            }
-        )
+        refutation: dict[str, Any] = {
+            "outside_hull": True,
+            "functional": fmt_vec(exc.functional),
+            "offsets": [fmt(c) for c in exc.offsets],
+        }
+        issues: list[str] = []
+        if args.verify:
+            reread = json.loads(json.dumps(refutation))
+            issues = validate_outside_hull(
+                point,
+                tuple(Fraction(c) for c in reread["functional"]),
+                tuple(Fraction(c) for c in reread["offsets"]),
+                dset,
+            )
+            refutation["verified"] = not issues
+        _emit(refutation)
+        if issues:
+            print(f"verification failed: {issues[0]}", file=sys.stderr)
         return 1
     payload = _certificate_payload(cert)
     if args.verify:
@@ -457,3 +470,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3

@@ -37,6 +37,7 @@ from .linalg import (
     is_zero_vec,
     lp_solve,
     vadd,
+    vdot,
     vscale,
     vsub,
     vzero,
@@ -91,6 +92,22 @@ class DominationCertificate:
     summand_witnesses: tuple[Vec, ...]
     decomposition: Decomposition
     direction: str = "witness_dominates"
+
+
+def validate_outside_hull(
+    target: Vec, functional: Vec, offsets: Sequence[Fraction], d: DecomposableSet
+) -> list[str]:
+    """Re-check an outside-hull refutation (see OutsideHullError); empty list means valid."""
+    if len(functional) != d.dimension or len(offsets) != len(d.summands):
+        return ["refutation does not match the set's dimension and summands"]
+    errs = [
+        f"summand {s} has a point p with functional.p + offset < 0"
+        for s, (summand, c) in enumerate(zip(d.summands, offsets))
+        if any(vdot(functional, p) + c < 0 for p in summand.base.points)
+    ]
+    if vdot(functional, target) + sum(offsets, ZERO) >= 0:
+        errs.append("functional.target + sum(offsets) is not negative")
+    return errs
 
 
 def validate_certificate(cert: DominationCertificate, d: DecomposableSet) -> list[str]:

@@ -1,10 +1,16 @@
 """Exact rational vectors and a small certified simplex kernel.
 
-Everything here computes over `fractions.Fraction`; no floating point is
-used anywhere in the package. The solver returns certificates (primal
-witness, dual vector, Farkas vector or improving ray) that can be
-re-checked with plain dot products, and `check_certificates` does exactly
-that re-check.
+Programs come in, and answers and certificates go out, as
+`fractions.Fraction`; no floating point is used anywhere in the package.
+Inside, the simplex scales the program to integers and pivots on Python
+`int`s without fractions (Edmonds 1967; Bareiss 1968): every tableau and
+cost row holds integers over one shared positive basis determinant, so
+each entry is the exact rational a `Fraction` tableau would hold, and
+results are converted to `Fraction` only where they are written out. The
+solver returns certificates (primal witness, dual vector, Farkas vector or
+improving ray) that can be re-checked with plain dot products, and
+`check_certificates` does exactly that re-check, in `Fraction` arithmetic
+of its own.
 
 Certificate conventions, for a program over variables x (each either
 nonnegative or free) with constraint rows (a_i, rel_i, b_i):
@@ -31,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -186,30 +193,30 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     slack_base = n_var
     art_base = n_var + n_slack
 
+    # Every constraint row is scaled by one common denominator `scale` and
+    # the objective by its own `obj_scale`. A per-row scale would weight the
+    # phase-1 artificials differently and change Bland's choices; a common
+    # one only rescales slack and artificial columns, which moves no sign
+    # and no ratio-test winner.
+    scale = lcm(*(c.denominator for coeffs, _, b in lp.constraints for c in (*coeffs, b)))
+    obj_scale = lcm(*(c.denominator for c in lp.objective))
+
     # First pass: equality rows with slack columns, right-hand sides >= 0.
-    body: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    body: list[list[int]] = []
+    rhs: list[int] = []
     flip: list[int] = []
-    slack_info: list[tuple[int, Fraction] | None] = []
+    slack_info: list[tuple[int, int] | None] = []
     si = 0
     for coeffs, rel, b in lp.constraints:
-        row = [coeffs[j] * s for (j, s) in var_cols]
-        scol: int | None = None
-        scoeff = ZERO
-        if rel != REL_EQ:
-            scol = slack_base + si
-            si += 1
-            scoeff = ONE if rel == REL_LE else -ONE
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-            scoeff = -scoeff
-            flip.append(-1)
+        f = -1 if b < 0 else 1
+        flip.append(f)
+        body.append([f * s * coeffs[j].numerator * (scale // coeffs[j].denominator) for j, s in var_cols])
+        rhs.append(f * b.numerator * (scale // b.denominator))
+        if rel == REL_EQ:
+            slack_info.append(None)
         else:
-            flip.append(1)
-        body.append(row)
-        rhs.append(b)
-        slack_info.append(None if scol is None else (scol, scoeff))
+            slack_info.append((slack_base + si, f if rel == REL_LE else -f))
+            si += 1
 
     # Second pass: initial basis; rows without a +1 slack get an artificial.
     basis: list[int] = []
@@ -228,27 +235,32 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             basis.append(col)
             reader.append(col)
 
+    # Fraction-free tableau (Edmonds 1967; Bareiss 1968): every row,
+    # including both cost rows, holds integers over one shared positive
+    # basis determinant `det`; the exact tableau is `row / det`.
     width = art_base + n_art + 1  # +1 for the right-hand side cell
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i in range(m):
-        row = body[i] + [ZERO] * (n_slack + n_art) + [rhs[i]]
+        row = body[i] + [0] * (n_slack + n_art) + [rhs[i]]
         info = slack_info[i]
         if info is not None:
             row[info[0]] = info[1]
         acol = art_of_row[i]
         if acol is not None:
-            row[acol] = ONE
+            row[acol] = 1
         tableau.append(row)
+    det = 1
 
     # Cost rows, maintained by the same row operations as the tableau.
-    cost1 = [ZERO] * width
+    cost1 = [0] * width
     for i in range(m):
         acol = art_of_row[i]
         if acol is not None:
-            cost1[acol] = ONE
-    cost2 = [ZERO] * width
+            cost1[acol] = 1
+    cost2 = [0] * width
     for k, (j, s) in enumerate(var_cols):
-        cost2[k] = sign * lp.objective[j] * s
+        c = lp.objective[j]
+        cost2[k] = sign * s * c.numerator * (obj_scale // c.denominator)
 
     # Reduce cost1 against the artificial basics so basic columns read zero.
     for i in range(m):
@@ -256,37 +268,36 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             row = tableau[i]
             for k in range(width):
                 cost1[k] -= row[k]
+    costs = (cost1, cost2)
 
     pivots = 0
 
     def pivot(r: int, j: int) -> None:
-        nonlocal pivots
+        # M'[i] = (p*M[i] - M[i][j]*M[r]) / det with det' = p, divisions
+        # exact by Sylvester's identity. A negative pivot (only when driving
+        # out an artificial) negates every row so that det stays positive.
+        nonlocal pivots, det
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError("simplex pivot limit exceeded")
         prow = tableau[r]
-        piv = prow[j]
-        inv = ONE / piv
-        for k in range(width):
-            if prow[k]:
-                prow[k] *= inv
-        for other in tableau:
-            if other is prow:
+        p = prow[j]
+        d = det
+        if p < 0:
+            p = -p
+            prow[:] = [-y for y in prow]
+        for row in (*tableau, *costs):
+            if row is prow:
                 continue
-            f = other[j]
+            f = row[j]
             if f:
-                for k in range(width):
-                    if prow[k]:
-                        other[k] -= f * prow[k]
-        for cost in (cost1, cost2):
-            f = cost[j]
-            if f:
-                for k in range(width):
-                    if prow[k]:
-                        cost[k] -= f * prow[k]
+                row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                row[:] = [p * x // d for x in row]
+        det = p
         basis[r] = j
 
-    def run_phase(cost: list[Fraction], allowed: int) -> int | None:
+    def run_phase(cost: list[int], allowed: int) -> int | None:
         """Bland's rule loop; returns entering column when unbounded, else None."""
         while True:
             enter = -1
@@ -297,36 +308,32 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             if enter < 0:
                 return None
             leave = -1
-            best: Fraction | None = None
+            best_rhs = best_a = 0
             for r in range(len(tableau)):
                 a = tableau[r][enter]
                 if a > 0:
-                    ratio = tableau[r][width - 1] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                        best = ratio
+                    # rhs_r / a < best_rhs / best_a, cross-multiplied.
+                    key = tableau[r][width - 1] * best_a - best_rhs * a
+                    if leave < 0 or key < 0 or (key == 0 and basis[r] < basis[leave]):
+                        best_rhs = tableau[r][width - 1]
+                        best_a = a
                         leave = r
             if leave < 0:
                 return enter
             pivot(leave, enter)
 
-    def read_multipliers(cost: list[Fraction], art_cost: Fraction) -> list[Fraction]:
-        # Every original row keeps a unit column (its slack or artificial);
-        # the multiplier is that column's objective cost minus its reduced
-        # cost. Slacks cost zero in both phases; artificials cost one in
-        # phase 1 and zero in phase 2.
-        return [
-            (art_cost if rcol >= art_base else ZERO) - cost[rcol]
-            for rcol in reader
-        ]
-
     if n_art > 0:
         unb = run_phase(cost1, art_base)
         if unb is not None:  # phase-1 objective is bounded below by zero
             raise RuntimeError("phase-1 simplex reported unbounded")
-        value1 = sum((tableau[r][width - 1] for r in range(len(tableau)) if basis[r] >= art_base), ZERO)
-        if value1 > 0:
-            yhat = read_multipliers(cost1, ONE)
-            farkas = tuple(-flip[i] * yhat[i] for i in range(m))
+        if sum(tableau[r][width - 1] for r in range(len(tableau)) if basis[r] >= art_base) > 0:
+            # Every original row keeps a unit column (its slack or
+            # artificial); the multiplier is that column's objective cost
+            # minus its reduced cost. Artificials cost one in phase 1.
+            farkas = tuple(
+                Fraction(-flip[i] * ((det if rcol >= art_base else 0) - cost1[rcol]), det)
+                for i, rcol in enumerate(reader)
+            )
             return LpResult(status=LpStatus.INFEASIBLE, farkas=farkas)
         # Feasible: drive remaining artificials out, drop redundant rows.
         drop: list[int] = []
@@ -344,32 +351,41 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     unb = run_phase(cost2, art_base)
 
     def witness_point() -> Vec:
-        values = [ZERO] * lp.num_vars
+        values = [0] * lp.num_vars
         for r, col in enumerate(basis):
             if col < n_var:
                 j, s = var_cols[col]
                 values[j] += s * tableau[r][width - 1]
-        return tuple(values)
+        return tuple(Fraction(v, det) for v in values)
 
     if unb is not None:
-        dhat = {unb: ONE}
+        # One unit of a slack column is 1/scale of a unit of the original
+        # slack, so a ray entered by a slack is scaled back up.
+        unit = scale if unb >= n_var else 1
+        ray = [0] * lp.num_vars
+        if unb < n_var:
+            j, s = var_cols[unb]
+            ray[j] += s * det
         for r, col in enumerate(basis):
-            coeff = tableau[r][unb]
-            if coeff:
-                dhat[col] = -coeff
-        ray = [ZERO] * lp.num_vars
-        for col, val in dhat.items():
             if col < n_var:
                 j, s = var_cols[col]
-                ray[j] += s * val
-        return LpResult(status=LpStatus.UNBOUNDED, witness=witness_point(), ray=tuple(ray))
+                ray[j] -= s * tableau[r][unb] * unit
+        return LpResult(
+            status=LpStatus.UNBOUNDED,
+            witness=witness_point(),
+            ray=tuple(Fraction(v, det) for v in ray),
+        )
 
-    witness = witness_point()
-    value = vdot(lp.objective, witness)
-    yhat = read_multipliers(cost2, ZERO)
-    dual_sign = -1 if lp.maximize else 1
-    dual = tuple(dual_sign * flip[i] * yhat[i] for i in range(m))
-    return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness, dual=dual)
+    # The right-hand cell of cost2 is minus the scaled internal objective;
+    # the multipliers are phase-2 costs (zero on slacks and artificials)
+    # minus reduced costs, rescaled from the scaled rows and objective back
+    # to the program as given.
+    value = Fraction(-sign * cost2[width - 1], det * obj_scale)
+    dual = tuple(
+        Fraction(sign * flip[i] * -cost2[rcol] * scale, det * obj_scale)
+        for i, rcol in enumerate(reader)
+    )
+    return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)
 
 
 def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:

@@ -1,6 +1,19 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block."""
+"""Shared pytest plumbing: the acceptance-criteria summary block and the
+hypothesis profile.
+
+With the `CI` environment variable set (GitHub Actions sets it), property
+tests draw their examples from a fixed seed, so a failure repeats on every
+re-run; local runs keep exploring random examples.
+"""
+
+import os
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ACCEPTANCE_LINES: list[str] = []
 

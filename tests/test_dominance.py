@@ -20,6 +20,7 @@ from conedom.dominance import (
     dominating_element_chain,
     is_pareto_in_hull,
     pareto_optima_finite,
+    validate_outside_hull,
     validate_certificate,
 )
 from conedom.instances import (
@@ -109,6 +110,11 @@ class TestDecomposeInHulls:
         for c, summand in zip(offsets, d.summands):
             assert all(vdot(f, p) + c >= 0 for p in summand.base.points)
         assert vdot(f, (F(5), F(0))) + sum(offsets, ZERO) < 0
+        assert validate_outside_hull((F(5), F(0)), f, offsets, d) == []
+        lowered = tuple(c - 1 for c in offsets)
+        assert "summand 0" in validate_outside_hull((F(5), F(0)), f, lowered, d)[0]
+        assert validate_outside_hull((F(1), F(1)), f, offsets, d) != []
+        assert validate_outside_hull((F(5), F(0)), f, offsets + (ZERO,), d) != []
 
 
 class TestDominatingElement:

@@ -3,10 +3,15 @@
 Every frozen optimum below comes with its hand oracle in a comment:
 for bounded two-variable programs that is full vertex enumeration, for
 infeasibility a contradiction witness, for hulls an explicit convex
-combination or an explicit separating functional.
+combination or an explicit separating functional. Two broader oracles
+follow: a golden corpus of exact results (`tests/make_lp_corpus.py`) and
+a brute-force vertex enumeration that does not depend on the pivot rule.
 """
 
+import json
 from fractions import Fraction as F
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +30,9 @@ from conedom.linalg import (
 )
 
 fractions3 = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_rationals = st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3))
+
+LP_CORPUS = Path(__file__).parent / "data" / "lp_corpus.json"
 
 
 class TestLpSolve:
@@ -144,6 +152,129 @@ class TestLpSolve:
         assert res.status is not LpStatus.INFEASIBLE
         if res.status is LpStatus.OPTIMAL:
             assert res.value >= vdot(tuple(objective), x0)
+
+
+def _stored_result(stored: dict) -> LpResult:
+    def vec(v):
+        return None if v is None else tuple(F(c) for c in v)
+
+    return LpResult(
+        status=LpStatus(stored["status"]),
+        value=None if stored["value"] is None else F(stored["value"]),
+        witness=vec(stored["witness"]),
+        dual=vec(stored["dual"]),
+        farkas=vec(stored["farkas"]),
+        ray=vec(stored["ray"]),
+    )
+
+
+class TestGoldenCorpus:
+    def test_kernel_reproduces_every_stored_result(self):
+        entries = json.loads(LP_CORPUS.read_text(encoding="utf-8"))["programs"]
+        assert len(entries) >= 300
+        assert {e["result"]["status"] for e in entries} == {s.value for s in LpStatus}
+        mismatches = []
+        for entry in entries:
+            prog = entry["program"]
+            lp = LinearProgram.build(
+                prog["objective"], prog["maximize"], [tuple(r) for r in prog["constraints"]], prog["nonneg"]
+            )
+            res = lp_solve(lp)
+            if res != _stored_result(entry["result"]):
+                mismatches.append(entry["label"])
+            numbers = [res.value] + [
+                c for v in (res.witness, res.dual, res.farkas, res.ray) if v is not None for c in v
+            ]
+            # A raw int compares equal to its Fraction, so check the type too.
+            assert all(type(c) is F for c in numbers if c is not None), entry["label"]
+        assert mismatches == []
+
+
+def _solve_square(rows: list[tuple[F, ...]], rhs: list[F]) -> tuple[F, ...] | None:
+    """The unique solution of a square system by exact elimination, or None if singular."""
+    n = len(rows)
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return tuple(m[r][n] / m[r][r] for r in range(n))
+
+
+def _vertices(n: int, rows: list[tuple[tuple[F, ...], str, F]]) -> set[tuple[F, ...]]:
+    """Vertices of {x >= 0 satisfying rows}: feasible points where n independent constraints are tight."""
+    planes = [(a, b) for a, _, b in rows]
+    planes += [(tuple(F(int(k == j)) for k in range(n)), ZERO) for j in range(n)]
+    found = set()
+    for tight in combinations(planes, n):
+        x = _solve_square([a for a, _ in tight], [b for _, b in tight])
+        if x is None or any(c < 0 for c in x):
+            continue
+        if all(
+            (vdot(a, x) <= b) if rel == "<=" else (vdot(a, x) >= b) if rel == ">=" else vdot(a, x) == b
+            for a, rel, b in rows
+        ):
+            found.add(x)
+    return found
+
+
+def _brute_force(objective, maximize, rows):
+    """Status and optimal value by enumeration, independent of any pivot rule.
+
+    With x >= 0 the feasible region is pointed, so it is empty exactly when
+    it has no vertex. Its recession cone {d >= 0 : a.d rel 0} is pointed
+    too; the vertices of its slice sum(d) = 1 are its extreme rays, and the
+    objective is unbounded exactly when one of them improves it.
+    """
+    n = len(objective)
+    vertices = _vertices(n, rows)
+    if not vertices:
+        return LpStatus.INFEASIBLE, None
+    recession = [(a, rel, ZERO) for a, rel, _ in rows] + [((F(1),) * n, "=", F(1))]
+    gains = [vdot(objective, d) for d in _vertices(n, recession)]
+    if any(g > 0 if maximize else g < 0 for g in gains):
+        return LpStatus.UNBOUNDED, None
+    values = [vdot(objective, x) for x in vertices]
+    return LpStatus.OPTIMAL, max(values) if maximize else min(values)
+
+
+class TestBruteForceCrossCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=3),
+        maximize=st.booleans(),
+    )
+    def test_status_and_value_match_enumeration(self, data, n, m, maximize):
+        rows = [
+            (
+                tuple(data.draw(small_rationals) for _ in range(n)),
+                data.draw(st.sampled_from(["<=", "=", ">="])),
+                data.draw(small_rationals),
+            )
+            for _ in range(m)
+        ]
+        objective = tuple(data.draw(small_rationals) for _ in range(n))
+        res = lp_solve(LinearProgram.build(objective, maximize, rows))
+        status, value = _brute_force(objective, maximize, rows)
+        assert res.status is status
+        assert res.value == value
+
+    def test_enumeration_on_each_status(self):
+        # Hand checks of the oracle itself: x + y <= 4, x <= 2 peaks at (2, 2);
+        # x + y <= -1 is empty; y <= 1 lets x run away.
+        assert _brute_force((F(3), F(2)), True, [((F(1), F(1)), "<=", F(4)), ((F(1), F(0)), "<=", F(2))]) == (
+            LpStatus.OPTIMAL,
+            10,
+        )
+        assert _brute_force((F(0), F(0)), True, [((F(1), F(1)), "<=", F(-1))]) == (LpStatus.INFEASIBLE, None)
+        assert _brute_force((F(1), F(0)), True, [((F(0), F(1)), "<=", F(1))]) == (LpStatus.UNBOUNDED, None)
 
 
 TRIANGLE = ((F(0), F(0)), (F(2), F(0)), (F(0), F(2)))

@@ -9,7 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from conedom import cli, dominance
 from conedom.cli import main
+from conedom.dominance import OutsideHullError
 from conedom.cones import Cone
 from conedom.maximals import GridDomain, PriceSystem
 from conedom.scene import Scene, SceneError, parse_scene, serialize_scene
@@ -197,6 +199,30 @@ class TestCliCommands:
         doc = payload(out)
         assert doc["outside_hull"] is True
         assert "functional" in doc
+        assert "verified" not in doc
+
+    def test_dominate_outside_hull_verified(self, capsys, scene_file):
+        code, out, err = run(
+            capsys, "dominate", "--scene", scene_file, "--set", "Y",
+            "--point", "9,0", "--verify",
+        )
+        assert code == 1 and err == ""
+        doc = payload(out)
+        assert doc["outside_hull"] is True and doc["verified"] is True
+
+    def test_dominate_forged_refutation_fails_verification(self, capsys, scene_file, monkeypatch):
+        # A zero functional with zero offsets cuts nothing off: f.y + sum(c) = 0.
+        def forged(point, dset):
+            raise OutsideHullError(point, (F(0), F(0)), (F(0), F(0)))
+
+        monkeypatch.setattr(cli, "dominating_element", forged)
+        code, out, err = run(
+            capsys, "dominate", "--scene", scene_file, "--set", "Y",
+            "--point", "9,0", "--verify",
+        )
+        assert code == 1
+        assert payload(out)["verified"] is False
+        assert err.startswith("verification failed: ")
 
     def test_pareto(self, capsys, scene_file):
         code, out, _ = run(capsys, "pareto", "--scene", scene_file, "--set", "P", "--cone", "orthant")
@@ -293,3 +319,15 @@ class TestCliErrors:
         )
         assert code == 2
         assert "unknown utility" in err
+
+    def test_internal_failure_exits_3_without_a_traceback(self, capsys, scene_file, monkeypatch):
+        def exhausted(lp):
+            raise RuntimeError("simplex pivot limit exceeded")
+
+        monkeypatch.setattr(dominance, "lp_solve", exhausted)
+        code, out, err = run(
+            capsys, "dominate", "--scene", scene_file, "--set", "Y", "--point", "1,3/2"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: simplex pivot limit exceeded\n"
