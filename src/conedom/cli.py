@@ -39,7 +39,7 @@ from .sets import (
     first_incomparable_pair,
     materialize,
 )
-from .separation import hulls_disjoint, proper_separator, strict_separator
+from .separation import hulls_disjoint, proper_separator, strict_separator, validate_common_point
 from .suite import DEFAULT_COUNTS, run_suite
 
 
@@ -272,7 +272,15 @@ def _cmd_hulls_disjoint(args) -> int:
                 return 1
         _emit(payload)
         return 0
-    _emit({"disjoint": False, "common_point": fmt_vec(res.common_point)})
+    payload = {"disjoint": False, "common_point": fmt_vec(res.common_point)}
+    issues: list[str] = []
+    if args.verify:
+        reread = json.loads(json.dumps(payload))
+        issues = validate_common_point(tuple(Fraction(c) for c in reread["common_point"]), x_poly, y_set)
+        payload["verified"] = not issues
+    _emit(payload)
+    if issues:
+        print(f"verification failed: {issues[0]}", file=sys.stderr)
     return 1
 
 

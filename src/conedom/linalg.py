@@ -9,8 +9,9 @@ each entry is the exact rational a `Fraction` tableau would hold, and
 results are converted to `Fraction` only where they are written out. The
 solver returns certificates (primal witness, dual vector, Farkas vector or
 improving ray) that can be re-checked with plain dot products, and
-`check_certificates` does exactly that re-check, in `Fraction` arithmetic
-of its own.
+`check_certificates` does exactly that re-check, in integer arithmetic of
+its own, over denominators it clears itself, never reading the solver's
+tableau.
 
 Certificate conventions, for a program over variables x (each either
 nonnegative or free) with constraint rows (a_i, rel_i, b_i):
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -388,89 +390,121 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)
 
 
+def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integer vector L*v and its positive scale L, the lcm of v's denominators."""
+    scale = lcm(*(x.denominator for x in v))
+    return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _holds(lhs: int, rel: str, rhs: int) -> bool:
+    return lhs <= rhs if rel == REL_LE else lhs >= rhs if rel == REL_GE else lhs == rhs
+
+
 def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
     """Re-check a solver result against the documented conventions.
 
     Returns a list of violation messages; an empty list means every
-    certificate verifies exactly.
+    certificate verifies exactly. A malformed program raises ValueError.
     """
+    lp.validate()
     errs: list[str] = []
     m = len(lp.constraints)
+    n = lp.num_vars
+    # Rows are scaled by one common denominator d_rows, the objective by its
+    # own l_obj and each certificate vector by its own lcm. Every scale is
+    # positive, so signs survive and each check is an integer dot product;
+    # comparisons against b, c or the value cross-multiply the scales back in.
+    # The solver's own scaled tableau is never read.
+    d_rows = lcm(*(x.denominator for coeffs, _, b in lp.constraints for x in (*coeffs, b)))
+    rows = [[x.numerator * (d_rows // x.denominator) for x in coeffs] for coeffs, _, _ in lp.constraints]
+    rhs = [b.numerator * (d_rows // b.denominator) for _, _, b in lp.constraints]
+    rels = [rel for _, rel, _ in lp.constraints]
+    obj, l_obj = _scaled(lp.objective)
 
-    def check_point(x: Vec, label: str) -> None:
-        if len(x) != lp.num_vars:
+    def check_point(x: Vec, label: str) -> tuple[list[int], int] | None:
+        if len(x) != n:
             errs.append(f"{label} has wrong length")
-            return
-        for j in range(lp.num_vars):
-            if lp.nonneg[j] and x[j] < 0:
+            return None
+        xs, scale = _scaled(x)
+        for j in range(n):
+            if lp.nonneg[j] and xs[j] < 0:
                 errs.append(f"{label}[{j}] violates nonnegativity")
-        for i, (coeffs, rel, b) in enumerate(lp.constraints):
-            lhs = vdot(coeffs, x)
-            ok = lhs <= b if rel == REL_LE else lhs >= b if rel == REL_GE else lhs == b
-            if not ok:
+        for i in range(m):
+            if not _holds(_idot(rows[i], xs), rels[i], rhs[i] * scale):
                 errs.append(f"{label} violates constraint {i}")
+        return xs, scale
 
-    def check_row_signs(y: Vec, le_sign: int, label: str) -> None:
-        for i, (_, rel, _) in enumerate(lp.constraints):
-            if rel == REL_LE and le_sign * y[i] < 0:
+    def check_row_signs(ys: list[int], le_sign: int, label: str) -> None:
+        for i, rel in enumerate(rels):
+            if rel == REL_LE and le_sign * ys[i] < 0:
                 errs.append(f"{label}[{i}] has the wrong sign for a <= row")
-            if rel == REL_GE and le_sign * y[i] > 0:
+            if rel == REL_GE and le_sign * ys[i] > 0:
                 errs.append(f"{label}[{i}] has the wrong sign for a >= row")
 
-    def combo(y: Vec, j: int) -> Fraction:
-        return sum((y[i] * lp.constraints[i][0][j] for i in range(m)), ZERO)
+    def combo(ys: list[int]) -> list[int]:
+        # y^T A accumulated row by row; most multipliers are zero.
+        total = [0] * n
+        for yi, row in zip(ys, rows):
+            if yi:
+                total = [t + yi * a for t, a in zip(total, row)]
+        return total
 
     if result.status is LpStatus.OPTIMAL:
         if result.witness is None or result.dual is None or result.value is None:
             return ["optimal result is missing witness, dual or value"]
-        check_point(result.witness, "witness")
-        if vdot(lp.objective, result.witness) != result.value:
-            errs.append("objective value does not match the witness")
-        y = result.dual
-        if len(y) != m:
+        value = result.value
+        point = check_point(result.witness, "witness")
+        if point is not None:
+            xs, l_x = point
+            if _idot(obj, xs) * value.denominator != value.numerator * l_obj * l_x:
+                errs.append("objective value does not match the witness")
+        if len(result.dual) != m:
             return errs + ["dual has wrong length"]
-        check_row_signs(y, +1 if lp.maximize else -1, "dual")
-        for j in range(lp.num_vars):
-            s = combo(y, j)
-            c = lp.objective[j]
+        ys, l_y = _scaled(result.dual)
+        check_row_signs(ys, +1 if lp.maximize else -1, "dual")
+        s = combo(ys)
+        for j in range(n):
+            lhs, c = s[j] * l_obj, obj[j] * d_rows * l_y
             if lp.nonneg[j]:
-                ok = s >= c if lp.maximize else s <= c
+                ok = lhs >= c if lp.maximize else lhs <= c
             else:
-                ok = s == c
+                ok = lhs == c
             if not ok:
                 errs.append(f"dual combination fails on variable {j}")
-        yb = sum((y[i] * lp.constraints[i][2] for i in range(m)), ZERO)
-        if yb != result.value:
+        if _idot(ys, rhs) * value.denominator != value.numerator * d_rows * l_y:
             errs.append("dual value does not equal the primal value")
     elif result.status is LpStatus.INFEASIBLE:
-        y = result.farkas
-        if y is None or len(y) != m:
+        if result.farkas is None or len(result.farkas) != m:
             return ["infeasible result is missing a Farkas vector"]
-        check_row_signs(y, +1, "farkas")
-        for j in range(lp.num_vars):
-            s = combo(y, j)
+        ys, _ = _scaled(result.farkas)
+        check_row_signs(ys, +1, "farkas")
+        s = combo(ys)
+        for j in range(n):
             if lp.nonneg[j]:
-                if s < 0:
+                if s[j] < 0:
                     errs.append(f"farkas combination is negative on variable {j}")
-            elif s != 0:
+            elif s[j] != 0:
                 errs.append(f"farkas combination is nonzero on free variable {j}")
-        yb = sum((y[i] * lp.constraints[i][2] for i in range(m)), ZERO)
-        if yb >= 0:
+        if _idot(ys, rhs) >= 0:
             errs.append("farkas vector does not refute the right-hand side")
     elif result.status is LpStatus.UNBOUNDED:
         if result.witness is None or result.ray is None:
             return ["unbounded result is missing witness or ray"]
         check_point(result.witness, "witness")
-        d = result.ray
-        for j in range(lp.num_vars):
-            if lp.nonneg[j] and d[j] < 0:
+        if len(result.ray) != n:
+            return errs + ["ray has wrong length"]
+        ds, _ = _scaled(result.ray)
+        for j in range(n):
+            if lp.nonneg[j] and ds[j] < 0:
                 errs.append(f"ray[{j}] violates nonnegativity")
-        for i, (coeffs, rel, _) in enumerate(lp.constraints):
-            slope = vdot(coeffs, d)
-            ok = slope <= 0 if rel == REL_LE else slope >= 0 if rel == REL_GE else slope == 0
-            if not ok:
+        for i in range(m):
+            if not _holds(_idot(rows[i], ds), rels[i], 0):
                 errs.append(f"ray escapes constraint {i}")
-        gain = vdot(lp.objective, d)
+        gain = _idot(obj, ds)
         if (gain <= 0) if lp.maximize else (gain >= 0):
             errs.append("ray does not improve the objective")
     return errs

@@ -24,10 +24,12 @@ from .linalg import (
     LpResult,
     LpStatus,
     Vec,
+    hull_membership,
     lp_solve,
     vadd,
     vdot,
     vscale,
+    vzero,
 )
 from .sets import DecomposableSet, FinitePointSet, Polyhedron, in_relative_interior, materialize
 
@@ -139,6 +141,31 @@ def hulls_disjoint(x: Polyhedron, y: DecomposableSet | FinitePointSet) -> Disjoi
     # d + sum(c_b) < 0 giving the strict ordering.
     y_bound = -sum(block_offsets, ZERO)
     return DisjointnessResult(True, functional=f, x_bound=x_offset, y_bound=y_bound)
+
+
+def validate_common_point(point: Vec, x: Polyhedron, y: DecomposableSet | FinitePointSet) -> list[str]:
+    """Re-check a common point of X and the hull of the second set; empty list means valid.
+
+    Membership in each hull is decided afresh, and the coefficients found
+    must rebuild the point exactly: all nonnegative, vertex weights summing
+    to one.
+    """
+    if len(point) != x.dimension:
+        return ["common point does not match the sets' dimension"]
+    y_points = materialize(y).points if isinstance(y, DecomposableSet) else y.points
+    errs: list[str] = []
+    for side, vertices, rays in (("first", x.vertices.points, x.rays), ("second", y_points, ())):
+        hm = hull_membership(point, vertices, rays)
+        if not hm.member:
+            errs.append(f"common point is outside the {side} hull")
+            continue
+        lam, mu = hm.vertex_coefficients, hm.ray_coefficients
+        rebuilt = vzero(len(point))
+        for c, v in zip((*lam, *mu), (*vertices, *rays)):
+            rebuilt = vadd(rebuilt, vscale(c, v))
+        if any(c < 0 for c in (*lam, *mu)) or sum(lam, ZERO) != 1 or rebuilt != point:
+            errs.append(f"{side} hull coefficients do not rebuild the common point")
+    return errs
 
 
 def _scale_to_integers(f: Vec, extras: Sequence[Fraction]) -> tuple[Vec, list[Fraction]]:

@@ -9,6 +9,8 @@ a brute-force vertex enumeration that does not depend on the pivot rule.
 """
 
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -18,9 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedom.linalg import (
+    REL_GE,
+    REL_LE,
     LinearProgram,
     LpResult,
     LpStatus,
+    Vec,
     ZERO,
     check_certificates,
     hull_membership,
@@ -126,6 +131,31 @@ class TestLpSolve:
         )
         assert check_certificates(lp, forged) != []
 
+    def test_optimal_witness_of_wrong_length_is_reported(self):
+        lp = LinearProgram.build([1], True, [([1], "<=", 5)])
+        res = lp_solve(lp)
+        for witness in ((F(5), F(0)), ()):
+            forged = LpResult(status=LpStatus.OPTIMAL, value=res.value, witness=witness, dual=res.dual)
+            assert check_certificates(lp, forged) == ["witness has wrong length"]
+            assert reference_check_certificates(lp, forged) == ["witness has wrong length"]
+
+    def test_unbounded_ray_of_wrong_length_is_reported(self):
+        lp = LinearProgram.build([1, 0], True, [([0, 1], "<=", 1)])
+        res = lp_solve(lp)
+        for ray in ((F(1),), (F(1), F(0), F(0))):
+            forged = LpResult(status=LpStatus.UNBOUNDED, witness=res.witness, ray=ray)
+            assert check_certificates(lp, forged) == ["ray has wrong length"]
+            assert reference_check_certificates(lp, forged) == ["ray has wrong length"]
+
+    def test_malformed_program_is_refused_not_half_read(self):
+        # Integer dot products stop at the shorter vector, so a row with an
+        # extra coefficient must be refused before any product is taken.
+        lp = LinearProgram.build([1], True, [([1], "<=", 5)])
+        res = lp_solve(lp)
+        wide = LinearProgram(1, lp.objective, True, (((F(1), F(7)), "<=", F(5)),), (True,))
+        with pytest.raises(ValueError):
+            check_certificates(wide, res)
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -154,6 +184,12 @@ class TestLpSolve:
             assert res.value >= vdot(tuple(objective), x0)
 
 
+def _stored_program(prog: dict) -> LinearProgram:
+    return LinearProgram.build(
+        prog["objective"], prog["maximize"], [tuple(r) for r in prog["constraints"]], prog["nonneg"]
+    )
+
+
 def _stored_result(stored: dict) -> LpResult:
     def vec(v):
         return None if v is None else tuple(F(c) for c in v)
@@ -175,10 +211,7 @@ class TestGoldenCorpus:
         assert {e["result"]["status"] for e in entries} == {s.value for s in LpStatus}
         mismatches = []
         for entry in entries:
-            prog = entry["program"]
-            lp = LinearProgram.build(
-                prog["objective"], prog["maximize"], [tuple(r) for r in prog["constraints"]], prog["nonneg"]
-            )
+            lp = _stored_program(entry["program"])
             res = lp_solve(lp)
             if res != _stored_result(entry["result"]):
                 mismatches.append(entry["label"])
@@ -189,6 +222,153 @@ class TestGoldenCorpus:
             assert all(type(c) is F for c in numbers if c is not None), entry["label"]
         assert mismatches == []
 
+
+def reference_check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
+    """The `Fraction` form of `check_certificates`, kept as its oracle.
+
+    Every product and comparison is taken on the rationals as given, with
+    no common denominators; the messages and their order are those the
+    integer checker must reproduce.
+    """
+    errs: list[str] = []
+    m = len(lp.constraints)
+
+    def check_point(x: Vec, label: str) -> bool:
+        if len(x) != lp.num_vars:
+            errs.append(f"{label} has wrong length")
+            return False
+        for j in range(lp.num_vars):
+            if lp.nonneg[j] and x[j] < 0:
+                errs.append(f"{label}[{j}] violates nonnegativity")
+        for i, (coeffs, rel, b) in enumerate(lp.constraints):
+            lhs = vdot(coeffs, x)
+            ok = lhs <= b if rel == REL_LE else lhs >= b if rel == REL_GE else lhs == b
+            if not ok:
+                errs.append(f"{label} violates constraint {i}")
+        return True
+
+    def check_row_signs(y: Vec, le_sign: int, label: str) -> None:
+        for i, (_, rel, _) in enumerate(lp.constraints):
+            if rel == REL_LE and le_sign * y[i] < 0:
+                errs.append(f"{label}[{i}] has the wrong sign for a <= row")
+            if rel == REL_GE and le_sign * y[i] > 0:
+                errs.append(f"{label}[{i}] has the wrong sign for a >= row")
+
+    def combo(y: Vec, j: int) -> F:
+        return sum((y[i] * lp.constraints[i][0][j] for i in range(m)), ZERO)
+
+    if result.status is LpStatus.OPTIMAL:
+        if result.witness is None or result.dual is None or result.value is None:
+            return ["optimal result is missing witness, dual or value"]
+        if check_point(result.witness, "witness") and vdot(lp.objective, result.witness) != result.value:
+            errs.append("objective value does not match the witness")
+        y = result.dual
+        if len(y) != m:
+            return errs + ["dual has wrong length"]
+        check_row_signs(y, +1 if lp.maximize else -1, "dual")
+        for j in range(lp.num_vars):
+            s = combo(y, j)
+            c = lp.objective[j]
+            if lp.nonneg[j]:
+                ok = s >= c if lp.maximize else s <= c
+            else:
+                ok = s == c
+            if not ok:
+                errs.append(f"dual combination fails on variable {j}")
+        yb = sum((y[i] * lp.constraints[i][2] for i in range(m)), ZERO)
+        if yb != result.value:
+            errs.append("dual value does not equal the primal value")
+    elif result.status is LpStatus.INFEASIBLE:
+        y = result.farkas
+        if y is None or len(y) != m:
+            return ["infeasible result is missing a Farkas vector"]
+        check_row_signs(y, +1, "farkas")
+        for j in range(lp.num_vars):
+            s = combo(y, j)
+            if lp.nonneg[j]:
+                if s < 0:
+                    errs.append(f"farkas combination is negative on variable {j}")
+            elif s != 0:
+                errs.append(f"farkas combination is nonzero on free variable {j}")
+        yb = sum((y[i] * lp.constraints[i][2] for i in range(m)), ZERO)
+        if yb >= 0:
+            errs.append("farkas vector does not refute the right-hand side")
+    elif result.status is LpStatus.UNBOUNDED:
+        if result.witness is None or result.ray is None:
+            return ["unbounded result is missing witness or ray"]
+        check_point(result.witness, "witness")
+        d = result.ray
+        if len(d) != lp.num_vars:
+            return errs + ["ray has wrong length"]
+        for j in range(lp.num_vars):
+            if lp.nonneg[j] and d[j] < 0:
+                errs.append(f"ray[{j}] violates nonnegativity")
+        for i, (coeffs, rel, _) in enumerate(lp.constraints):
+            slope = vdot(coeffs, d)
+            ok = slope <= 0 if rel == REL_LE else slope >= 0 if rel == REL_GE else slope == 0
+            if not ok:
+                errs.append(f"ray escapes constraint {i}")
+        gain = vdot(lp.objective, d)
+        if (gain <= 0) if lp.maximize else (gain >= 0):
+            errs.append("ray does not improve the objective")
+    return errs
+
+
+SHIFTS = (F(1), F(-1), F(1, 3), F(-1, 3), F(1, 10**20))
+VECTOR_FIELDS = ("witness", "dual", "farkas", "ray")
+
+
+def _swap_status(lp: LinearProgram, res: LpResult, rng: random.Random) -> LpResult:
+    """The same vectors under another status, so the check reaches their arithmetic."""
+    n, m = lp.num_vars, len(lp.constraints)
+    status = rng.choice([s for s in LpStatus if s is not res.status])
+    witness = res.witness or (ZERO,) * n
+    multipliers = res.dual or res.farkas or (ZERO,) * m
+    if status is LpStatus.OPTIMAL:
+        return LpResult(status, value=vdot(lp.objective, witness), witness=witness, dual=multipliers)
+    if status is LpStatus.INFEASIBLE:
+        return LpResult(status, farkas=multipliers)
+    return LpResult(status, witness=witness, ray=res.witness or (F(1),) * n)
+
+
+def _tampered(lp: LinearProgram, res: LpResult, rng: random.Random) -> LpResult:
+    fields = [f for f in VECTOR_FIELDS if getattr(res, f)]
+    kind = rng.choice(("entry",) * 6 + ("length", "value", "status"))
+    if kind == "status" or not fields:
+        return _swap_status(lp, res, rng)
+    if kind == "value" and res.value is not None:
+        return replace(res, value=res.value + rng.choice(SHIFTS))
+    field = rng.choice(fields)
+    vec = list(getattr(res, field))
+    if kind == "length":
+        vec = vec[:-1] if rng.random() < 0.5 else vec + [ZERO]
+    else:
+        k = rng.randrange(len(vec))
+        op = rng.randrange(len(SHIFTS) + 1)
+        vec[k] = -vec[k] if op == len(SHIFTS) else vec[k] + SHIFTS[op]
+    return replace(res, **{field: tuple(vec)})
+
+
+class TestCheckerDifferential:
+    def test_integer_checker_matches_the_fraction_reference(self):
+        # Every stored result plus 40 seeded tamperings of it: one entry
+        # shifted by +-1, +-1/3 or 1/10^20 or negated, a length changed, the
+        # value shifted, or the status swapped.
+        entries = json.loads(LP_CORPUS.read_text(encoding="utf-8"))["programs"]
+        rng = random.Random(20261018)
+        mismatches = []
+        total = flagged = 0
+        for entry in entries:
+            lp = _stored_program(entry["program"])
+            stored = _stored_result(entry["result"])
+            for res in [stored] + [_tampered(lp, stored, rng) for _ in range(40)]:
+                expected = reference_check_certificates(lp, res)
+                if check_certificates(lp, res) != expected:
+                    mismatches.append((entry["label"], res))
+                total += 1
+                flagged += bool(expected)
+        assert mismatches == []
+        assert 3 * flagged >= total
 
 def _solve_square(rows: list[tuple[F, ...]], rhs: list[F]) -> tuple[F, ...] | None:
     """The unique solution of a square system by exact elimination, or None if singular."""

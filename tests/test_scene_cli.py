@@ -15,6 +15,7 @@ from conedom.dominance import OutsideHullError
 from conedom.cones import Cone
 from conedom.maximals import GridDomain, PriceSystem
 from conedom.scene import Scene, SceneError, parse_scene, serialize_scene
+from conedom.separation import DisjointnessResult
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron
 
 GOOD_SCENE = """
@@ -245,6 +246,30 @@ class TestCliCommands:
         doc = payload(out)
         assert doc["disjoint"] is True and doc["verified"] is True
         assert F(doc["x_bound"]) < F(doc["y_bound"])
+
+    def test_hulls_disjoint_common_point_verified(self, capsys, tmp_path):
+        doc = json.loads(GOOD_SCENE)
+        doc["sets"]["Z"] = {"type": "polyhedron", "vertices": [["1", "1"]], "rays": [["1", "0"]]}
+        path = tmp_path / "overlap.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for y_set in ("P", "Y"):
+            code, out, err = run(
+                capsys, "hulls-disjoint", "--scene", str(path),
+                "--x-set", "Z", "--y-set", y_set, "--verify",
+            )
+            assert code == 1 and err == ""
+            assert payload(out) == {"disjoint": False, "common_point": ["1", "1"], "verified": True}
+
+    def test_hulls_disjoint_forged_common_point_fails_verification(self, capsys, scene_file, monkeypatch):
+        # (9, 0) lies in neither hull.
+        monkeypatch.setattr(cli, "hulls_disjoint", lambda x, y: DisjointnessResult(False, common_point=(F(9), F(0))))
+        code, out, err = run(
+            capsys, "hulls-disjoint", "--scene", scene_file,
+            "--x-set", "X", "--y-set", "P", "--verify",
+        )
+        assert code == 1
+        assert payload(out)["verified"] is False
+        assert err == "verification failed: common point is outside the first hull\n"
 
     def test_separate_strict_verified(self, capsys, scene_file):
         code, out, _ = run(

@@ -23,6 +23,7 @@ from conedom.separation import (
     proper_separator,
     separator_sign_check,
     strict_separator,
+    validate_common_point,
 )
 from conedom.sets import (
     ChainSet,
@@ -77,6 +78,23 @@ class TestHullsDisjoint:
         res = hulls_disjoint(x, y)
         assert not res.disjoint
         assert res.common_point is not None
+
+    def test_common_point_validator(self):
+        x = Polyhedron.build([(0, 0)], [(1, 0), (0, 1)])
+        y = FinitePointSet.build([(1, 1), (2, 2)])
+        assert validate_common_point(hulls_disjoint(x, y).common_point, x, y) == []
+        assert validate_common_point((F(3), F(3)), x, y) == ["common point is outside the second hull"]
+        assert validate_common_point((F(-1), F(-1)), x, y) == [
+            "common point is outside the first hull",
+            "common point is outside the second hull",
+        ]
+        assert validate_common_point((F(1),), x, y) == ["common point does not match the sets' dimension"]
+        # The second set's hull is that of its materialized sums.
+        chains = DecomposableSet(
+            (ChainSet.build([(0, 0), (1, 1)], ORTHANT), ChainSet.build([(0, 0), (2, 3)], ORTHANT))
+        )
+        assert validate_common_point((F(3), F(4)), x, chains) == []
+        assert validate_common_point((F(3), F(3)), x, chains) == ["common point is outside the second hull"]
 
     def test_dimension_mismatch(self):
         x = Polyhedron.build([(0, 0)])
