@@ -157,7 +157,15 @@ class LpResult:
     ray: Vec | None = None
 
 
+# Work caps. `_MAX_PIVOTS` bounds one simplex run; passing it is a solver
+# failure (`RuntimeError`). A cap on the size of an input is checked before
+# any of the work it bounds and raises `LimitError`: so far the grid size,
+# `maximals._MAX_GRID_POINTS` (4096 points), counted in O(dimension).
 _MAX_PIVOTS = 200_000
+
+
+class LimitError(ValueError):
+    """An input larger than a documented cap, refused before any work."""
 
 
 # Every solve re-checks its own result against the certificate conventions

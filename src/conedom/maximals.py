@@ -1,11 +1,23 @@
 """Finite relations, maximal elements, budget demand and lattice checks.
 
 A relation is stored as a boolean matrix over a finite ground set:
-related[i][j] says point i belongs to the upper set of point j. For total
-preorders the maximal elements of a subset are exactly the points related
-to every member of the subset; for arbitrary relations the definitional
-test is used. Convexification replaces each upper set by its convex hull
-and keeps the membership queries exact.
+related[i][j] says point i belongs to the upper set of point j, and a
+point's row and column are read from a point-to-position dict. A utility
+induces a total preorder through integer ranks: the distinct values are
+sorted once and each is mapped to its position, so the matrix is built and
+checked from `int` comparisons that agree exactly with the values'. For
+total preorders the maximal elements of a subset are exactly the points
+related to every member of the subset; for arbitrary relations the
+definitional test is used. Convexification replaces each upper set by its
+convex hull. The upper sets of a total preorder are nested, so only the
+smallest upper set among the subset's members, that of a top element, is
+convexified, with one exact membership program per point below the top.
+
+The convexification-invariance check builds its grid once and evaluates
+the utility once per grid point; the preorder, the budget and the
+nonsatiation verdict are all read from that one value table. A grid counts
+its points in O(dimension) and refuses to build more than
+`_MAX_GRID_POINTS` of them (`LimitError`).
 """
 
 from __future__ import annotations
@@ -13,13 +25,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .cones import Comparability, Cone, relate
-from .linalg import ZERO, Vec, frac, fvec, hull_membership, vadd, vdot, vscale
+from .linalg import ZERO, LimitError, Vec, frac, fvec, hull_membership, vadd, vdot, vscale
 from .sets import FinitePointSet, is_antichain, is_grid_antichain_convex
 
 Utility = Callable[[Vec], Fraction]
+
+# Largest grid `GridDomain.points` builds. The invariance check stores a
+# k-by-k relation matrix over the grid, so this bounds its memory (about
+# 134 MB at the cap); the demand grids of the tests, suite, benchmark and
+# README have at most 81 points.
+_MAX_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -34,10 +54,14 @@ class FiniteRelation:
         if len(self.related) != k or any(len(row) != k for row in self.related):
             raise ValueError("relation matrix shape does not match the ground set")
 
+    @cached_property
+    def _position(self) -> dict[Vec, int]:
+        return {p: i for i, p in enumerate(self.ground.points)}
+
     def index(self, p: Vec) -> int:
         try:
-            return self.ground.points.index(p)
-        except ValueError:
+            return self._position[p]
+        except (KeyError, TypeError):
             raise ValueError(f"point {p} is not in the ground set") from None
 
     def holds(self, p: Vec, q: Vec) -> bool:
@@ -47,6 +71,25 @@ class FiniteRelation:
     def upper_set(self, q: Vec) -> tuple[Vec, ...]:
         col = self.index(q)
         return tuple(p for i, p in enumerate(self.ground.points) if self.related[i][col])
+
+
+def _ranks(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """Each value's position among the sorted distinct values.
+
+    Scaled by the lcm of their denominators the rational values become
+    integers in the same order, so rank[i] >= rank[j] exactly when
+    values[i] >= values[j].
+    """
+    scale = lcm(*(v.denominator for v in values))
+    keys = [v.numerator * (scale // v.denominator) for v in values]
+    level = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return tuple(map(level.__getitem__, keys))
+
+
+def _rank_matrix(ranks: tuple[int, ...]) -> tuple[tuple[bool, ...], ...]:
+    """related[i][j] = ranks[i] >= ranks[j]; points of one rank share a row."""
+    rows = {r: tuple(map(r.__ge__, ranks)) for r in set(ranks)}
+    return tuple(map(rows.__getitem__, ranks))
 
 
 @dataclass(frozen=True)
@@ -60,14 +103,12 @@ class TotalPreorder(FiniteRelation):
         k = len(self.ground)
         if self.utility_values is not None:
             # A matrix consistent with a utility ordering is automatically
-            # total and transitive, so an O(k^2) consistency pass suffices.
-            vals = self.utility_values
-            if len(vals) != k:
+            # total and transitive, so an O(k^2) consistency pass suffices;
+            # it compares every entry with the order of the values' ranks.
+            if len(self.utility_values) != k:
                 raise ValueError("utility value count does not match the ground set")
-            for i in range(k):
-                for j in range(k):
-                    if self.related[i][j] != (vals[i] >= vals[j]):
-                        raise ValueError("relation matrix disagrees with its utility")
+            if tuple(map(tuple, self.related)) != _rank_matrix(_ranks(self.utility_values)):
+                raise ValueError("relation matrix disagrees with its utility")
             return
         for i in range(k):
             for j in range(k):
@@ -79,11 +120,13 @@ class TotalPreorder(FiniteRelation):
 
     @classmethod
     def from_utility(cls, ground: FinitePointSet, utility: Utility) -> "TotalPreorder":
-        values = tuple(utility(p) for p in ground.points)
-        related = tuple(
-            tuple(values[i] >= values[j] for j in range(len(values))) for i in range(len(values))
-        )
-        return cls(ground, related, values)
+        return cls._from_values(ground, tuple(map(utility, ground.points)))
+
+    @classmethod
+    def _from_values(
+        cls, ground: FinitePointSet, values: tuple[Fraction, ...]
+    ) -> "TotalPreorder":
+        return cls(ground, _rank_matrix(_ranks(values)), values)
 
 
 def maximals(relation: FiniteRelation, subset: FinitePointSet) -> FinitePointSet:
@@ -110,28 +153,24 @@ def maximals(relation: FiniteRelation, subset: FinitePointSet) -> FinitePointSet
 def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> FinitePointSet:
     """Maximals after replacing each upper set with its convex hull.
 
-    m survives iff it lies in the hull of every member's upper set; being
-    related outright short-circuits the membership program. When the
-    preorder carries utility values, members are screened against the
-    highest levels first so non-survivors fail fast.
+    m survives iff it lies in the hull of every member's upper set. The
+    upper sets of a total preorder are nested: let s* be a top element of
+    the subset (the first one in subset order; totality and transitivity
+    make it related to every member). Then s* ≽ s gives U(s*) ⊆ U(s) for
+    every member s, so m survives iff m ≽ s* (it is then related to every
+    member, and no hull is needed) or m lies in conv(U(s*)). One membership
+    program per point below the top decides it.
     """
-    order = list(subset.points)
-    if relation.utility_values is not None:
-        order.sort(key=lambda s: relation.utility_values[relation.index(s)], reverse=True)
-    keep = []
-    for m in subset.points:
-        mi = relation.index(m)
-        ok = True
-        for s in order:
-            si = relation.index(s)
-            if relation.related[mi][si]:
-                continue
-            upper = relation.upper_set(s)
-            if not upper or not hull_membership(m, upper).member:
-                ok = False
-                break
-        if ok:
-            keep.append(m)
+    rel = relation.related
+    idx = [relation.index(p) for p in subset.points]
+    if not idx:
+        return FinitePointSet(())
+    top = idx[0]
+    for i in idx[1:]:
+        if not rel[top][i]:
+            top = i
+    upper = relation.upper_set(relation.ground.points[top])
+    keep = (m for i, m in zip(idx, subset.points) if rel[i][top] or hull_membership(m, upper).member)
     return FinitePointSet(tuple(keep))
 
 
@@ -175,20 +214,28 @@ class GridDomain:
     def dimension(self) -> int:
         return len(self.box)
 
-    def axis_values(self, d: int) -> tuple[Fraction, ...]:
+    def _axis_steps(self, d: int) -> tuple[int, int]:
+        """First and last k with k * step on axis d, from floor divisions."""
         lo, hi = self.box[d]
-        lo = max(lo, ZERO)
-        start = lo / self.step
-        k = start.numerator // start.denominator
-        if k * self.step < lo:
-            k += 1
-        out = []
-        while k * self.step <= hi:
-            out.append(k * self.step)
-            k += 1
-        return tuple(out)
+        return -(-max(lo, ZERO) // self.step), hi // self.step
+
+    @property
+    def point_count(self) -> int:
+        """Number of grid points, counted in O(dimension) without building any."""
+        spans = map(self._axis_steps, range(self.dimension))
+        return prod(max(0, last - first + 1) for first, last in spans)
+
+    def axis_values(self, d: int) -> tuple[Fraction, ...]:
+        first, last = self._axis_steps(d)
+        return tuple(k * self.step for k in range(first, last + 1))
 
     def points(self) -> FinitePointSet:
+        """All grid points in lexicographic order; `LimitError` above the cap."""
+        count = self.point_count
+        if count > _MAX_GRID_POINTS:
+            raise LimitError(f"grid has {count} points, more than the limit of {_MAX_GRID_POINTS}")
+        if count == 0:  # an empty axis: leave the others, however long, unbuilt
+            return FinitePointSet(())
         axes = [self.axis_values(d) for d in range(self.dimension)]
         return FinitePointSet(tuple(itertools.product(*axes)))
 
@@ -236,10 +283,13 @@ UTILITIES: dict[str, Utility] = {
 
 def budget_set(grid: GridDomain, prices: PriceSystem) -> FinitePointSet:
     """Grid points affordable at the prices: price . x <= wealth, exactly."""
+    return _budget(grid, grid.points(), prices)
+
+
+def _budget(grid: GridDomain, ground: FinitePointSet, prices: PriceSystem) -> FinitePointSet:
     if len(prices.price) != grid.dimension:
         raise ValueError("price dimension does not match the grid")
-    keep = tuple(p for p in grid.points() if vdot(prices.price, p) <= prices.wealth)
-    return FinitePointSet(keep)
+    return FinitePointSet(tuple(p for p in ground if vdot(prices.price, p) <= prices.wealth))
 
 
 def demand(utility: Utility, grid: GridDomain, prices: PriceSystem) -> FinitePointSet:
@@ -265,24 +315,33 @@ def check_local_nonsatiation(utility: Utility, grid: GridDomain) -> Nonsatiation
     Points on an upper box face are exempt: their improving neighbors may
     be truncated by the box, so they are reported rather than failed.
     """
+    points = grid.points().points
+    return _nonsatiation(grid, points, tuple(map(utility, points)))
+
+
+def _nonsatiation(
+    grid: GridDomain, points: tuple[Vec, ...], values: Sequence[Fraction]
+) -> NonsatiationReport:
+    """The report from the utility's value at every point of `grid.points()`.
+
+    Neighbors are looked up in the value table by position. The points run
+    through the axis indices k in lexicographic order, so p ± step·e_d sits
+    stride_d places from p, and it is in the grid exactly when k_d ± 1 is an
+    index of axis d. p is on an upper face exactly when some k_d is its
+    axis's last index ((k_d + 1)·step passes hi); off the upper faces
+    p + step·e_d is always in the grid and p - step·e_d is when k_d > 0.
+    """
+    sizes = [last - first + 1 for first, last in map(grid._axis_steps, range(grid.dimension))]
+    strides = [prod(sizes[d + 1 :]) for d in range(len(sizes))]
     violators = []
     exempt = []
-    for p in grid.points():
-        if grid.upper_face(p):
-            exempt.append(p)
+    for i, ks in enumerate(itertools.product(*map(range, sizes))):
+        if any(k == n - 1 for k, n in zip(ks, sizes)):
+            exempt.append(points[i])
             continue
-        up = utility(p)
-        improved = False
-        for d in range(grid.dimension):
-            for delta in (grid.step, -grid.step):
-                q = tuple(c + delta if i == d else c for i, c in enumerate(p))
-                if q in grid and utility(q) > up:
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            violators.append(p)
+        up = values[i]
+        if not any(values[i + s] > up or (k > 0 and values[i - s] > up) for k, s in zip(ks, strides)):
+            violators.append(points[i])
     return NonsatiationReport(not violators, tuple(violators), tuple(exempt))
 
 
@@ -306,13 +365,16 @@ class InvarianceReport:
 def check_convexification_invariance(
     utility: Utility, grid: GridDomain, prices: PriceSystem
 ) -> InvarianceReport:
-    """Maximals versus convexified maximals of the utility preorder on a budget."""
+    """Maximals versus convexified maximals of the utility preorder on a budget.
+
+    One pass over the grid: the utility is evaluated once per point, and
+    the preorder, the budget and the nonsatiation verdict are read from
+    that value table.
+    """
     ground = grid.points()
-    relation = TotalPreorder.from_utility(ground, utility)
-    budget = budget_set(grid, prices)
-    if len(budget) == 0:
-        empty = FinitePointSet(())
-        return InvarianceReport(empty, empty, empty, True, check_local_nonsatiation(utility, grid).satisfied)
+    values = tuple(map(utility, ground.points))
+    relation = TotalPreorder._from_values(ground, values)
+    budget = _budget(grid, ground, prices)
     mset = maximals(relation, budget)
     cset = convexified_maximals(relation, budget)
     return InvarianceReport(
@@ -320,7 +382,7 @@ def check_convexification_invariance(
         maximals_set=mset,
         convexified_set=cset,
         equal=mset.sorted_points() == cset.sorted_points(),
-        nonsatiated=check_local_nonsatiation(utility, grid).satisfied,
+        nonsatiated=_nonsatiation(grid, ground.points, values).satisfied,
     )
 
 
@@ -385,13 +447,11 @@ def check_maximizer_convexity(
         return False
     pts = dset.points
     member = set(pts)
+    others = [q for q in grid.points() if q not in member]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            for q in grid.points():
-                if q in member:
-                    continue
-                if _on_segment(pts[i], pts[j], q):
-                    return False
+            if any(_on_segment(pts[i], pts[j], q) for q in others):
+                return False
     return True
 
 

@@ -3,18 +3,27 @@
 Frozen utility values are recomputed in comments; every demand or
 maximal-set expectation is either derived by an inline brute-force
 enumeration or written out as a one-line hand computation.
+
+`reference_from_utility`, `reference_convexified_maximals` and
+`reference_check_local_nonsatiation` keep the earlier direct
+implementations (a `Fraction` comparison per matrix entry, a hull program
+for every member's upper set, a fresh utility call per neighbor); the
+differential tests compare the package against them.
 """
 
+import importlib
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from conedom.cones import Cone
-from conedom.linalg import ZERO, vdot
+from conedom.linalg import ZERO, LimitError, hull_membership, vdot
 from conedom.maximals import (
     FiniteRelation,
     GridDomain,
+    NonsatiationReport,
     PriceSystem,
     TotalPreorder,
     UTILITIES,
@@ -35,9 +44,100 @@ from conedom.maximals import (
 )
 from conedom.sets import FinitePointSet
 
+# The package re-exports the function `maximals` under the module's name.
+maximals_module = importlib.import_module("conedom.maximals")
+
 
 def unit_grid(high: int) -> GridDomain:
     return GridDomain(F(1), ((F(0), F(high)), (F(0), F(high))))
+
+
+def square_grid(step: F, high: int) -> GridDomain:
+    return GridDomain(step, ((F(0), F(high)), (F(0), F(high))))
+
+
+def reference_from_utility(ground, utility) -> TotalPreorder:
+    values = tuple(utility(p) for p in ground.points)
+    related = tuple(
+        tuple(values[i] >= values[j] for j in range(len(values))) for i in range(len(values))
+    )
+    return TotalPreorder(ground, related, values)
+
+
+def reference_convexified_maximals(relation, subset, hull=hull_membership):
+    order = list(subset.points)
+    if relation.utility_values is not None:
+        order.sort(key=lambda s: relation.utility_values[relation.index(s)], reverse=True)
+    keep = []
+    for m in subset.points:
+        mi = relation.index(m)
+        ok = True
+        for s in order:
+            si = relation.index(s)
+            if relation.related[mi][si]:
+                continue
+            upper = relation.upper_set(s)
+            if not upper or not hull(m, upper).member:
+                ok = False
+                break
+        if ok:
+            keep.append(m)
+    return FinitePointSet(tuple(keep))
+
+
+def reference_check_local_nonsatiation(utility, grid) -> NonsatiationReport:
+    violators = []
+    exempt = []
+    for p in grid.points():
+        if grid.upper_face(p):
+            exempt.append(p)
+            continue
+        up = utility(p)
+        improved = False
+        for d in range(grid.dimension):
+            for delta in (grid.step, -grid.step):
+                q = tuple(c + delta if i == d else c for i, c in enumerate(p))
+                if q in grid and utility(q) > up:
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            violators.append(p)
+    return NonsatiationReport(not violators, tuple(violators), tuple(exempt))
+
+
+def reference_axis_values(grid: GridDomain, d: int) -> tuple:
+    lo, hi = grid.box[d]
+    lo = max(lo, ZERO)
+    start = lo / grid.step
+    k = start.numerator // start.denominator
+    if k * grid.step < lo:
+        k += 1
+    out = []
+    while k * grid.step <= hi:
+        out.append(k * grid.step)
+        k += 1
+    return tuple(out)
+
+
+def recording_hull(calls):
+    def hull(m, upper):
+        calls.append((m, upper))
+        return hull_membership(m, upper)
+
+    return hull
+
+
+def random_preorder_case(rng):
+    """A ground set with tied utility values and a random subset of it."""
+    pts = FinitePointSet.build(
+        [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(1, 9))]
+    )
+    pool = [F(k, rng.randint(1, 3)) for k in range(rng.randint(1, 4))]
+    values = {p: rng.choice(pool) for p in pts.points}
+    subset = FinitePointSet(tuple(p for p in pts.points if rng.random() < 0.6))
+    return pts, values, subset
 
 
 class TestRelations:
@@ -78,6 +178,26 @@ class TestRelations:
                 ((True, True), (False, True)),
                 utility_values=(F(0), F(1)),  # says 1 is better; matrix disagrees
             )
+
+    def test_one_flipped_entry_is_rejected(self):
+        ground = FinitePointSet.build([(0,), (1,), (2,), (3,)])
+        values = {(F(0),): F(2), (F(1),): F(1, 2), (F(2),): F(2), (F(3),): F(-1)}
+        good = TotalPreorder.from_utility(ground, values.__getitem__)
+        for i in range(4):
+            for j in range(4):
+                rows = [list(row) for row in good.related]
+                rows[i][j] = not rows[i][j]
+                with pytest.raises(ValueError, match="relation matrix disagrees with its utility"):
+                    TotalPreorder(ground, tuple(map(tuple, rows)), good.utility_values)
+
+    def test_index_reads_every_ground_point(self):
+        ground = FinitePointSet.build([(2, 1), (0, 0), (1, 3)])
+        rel = FiniteRelation(ground, ((True,) * 3,) * 3)
+        assert [rel.index(p) for p in ground.points] == [0, 1, 2]
+        with pytest.raises(ValueError, match="not in the ground set"):
+            rel.index((F(1), F(1)))
+        with pytest.raises(ValueError, match="not in the ground set"):
+            rel.index([F(2), F(1)])  # unhashable, and not a ground point
 
     def test_from_utility_matches_value_comparison(self):
         ground = FinitePointSet.build([(0,), (1,), (2,)])
@@ -138,6 +258,119 @@ class TestMaximals:
             )
 
 
+class TestAgainstReferences:
+    def test_random_utility_preorders_with_ties(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            pts, values, subset = random_preorder_case(rng)
+            pre = TotalPreorder.from_utility(pts, values.__getitem__)
+            ref = reference_from_utility(pts, values.__getitem__)
+            assert pre.related == ref.related
+            assert pre.utility_values == ref.utility_values
+            assert convexified_maximals(pre, subset).points == (
+                reference_convexified_maximals(ref, subset).points
+            )
+
+    def test_raw_matrices_without_utility_values(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            pts, values, subset = random_preorder_case(rng)
+            raw = TotalPreorder(pts, reference_from_utility(pts, values.__getitem__).related)
+            assert raw.utility_values is None
+            assert convexified_maximals(raw, subset).points == (
+                reference_convexified_maximals(raw, subset).points
+            )
+
+    def test_same_hull_programs_as_the_first_ones_of_the_reference(self, monkeypatch):
+        # For a utility preorder both screen each point against the first top
+        # element of the subset first, with the same upper set in the same
+        # order; the reference may go on to further, redundant programs.
+        rng = random.Random(61)
+        for _ in range(100):
+            pts, values, subset = random_preorder_case(rng)
+            pre = TotalPreorder.from_utility(pts, values.__getitem__)
+            ref_calls: list = []
+            reference_convexified_maximals(pre, subset, recording_hull(ref_calls))
+            firsts = []  # the reference's programs come grouped by point
+            for m, upper in ref_calls:
+                if not firsts or firsts[-1][0] != m:
+                    firsts.append((m, upper))
+            calls: list = []
+            monkeypatch.setattr(maximals_module, "hull_membership", recording_hull(calls))
+            convexified_maximals(pre, subset)
+            monkeypatch.undo()
+            assert calls == firsts
+
+    def test_edge_subsets(self):
+        # The ground's top level is (0,2) and (2,0) at value 4; the subset
+        # below misses it, so its own top level is (1,1) at value 2.
+        ground = FinitePointSet.build([(0, 2), (1, 1), (2, 0), (0, 0), (1, 0)])
+        values = dict(zip(ground.points, (F(4), F(2), F(4), F(0), F(2))))
+        pre = TotalPreorder.from_utility(ground, values.__getitem__)
+        ref = reference_from_utility(ground, values.__getitem__)
+        raw = TotalPreorder(ground, ref.related)
+        below_top = FinitePointSet.build([(0, 0), (1, 1), (1, 0)])
+        cases = [below_top, FinitePointSet(()), ground]
+        cases += [FinitePointSet((p,)) for p in ground.points]
+        for subset in cases:
+            for relation in (pre, raw):
+                got = convexified_maximals(relation, subset)
+                assert got.points == reference_convexified_maximals(relation, subset).points
+        assert convexified_maximals(pre, below_top).points == ((F(1), F(1)), (F(1), F(0)))
+        assert convexified_maximals(pre, FinitePointSet(())).points == ()
+
+    def test_nonsatiation_on_random_boxes(self):
+        # Boxes with positive, negative and off-lattice bounds in one to
+        # three dimensions, with tied utility tables as well as the
+        # dimension-free built-in utilities.
+        rng = random.Random(71)
+        for _ in range(120):
+            step = F(rng.randint(1, 3), rng.randint(1, 3))
+            box = []
+            for _ in range(rng.randint(1, 3)):
+                lo = F(rng.randint(-3, 4), rng.randint(1, 2))
+                box.append((lo, lo + F(rng.randint(0, 6), rng.randint(1, 2))))
+            grid = GridDomain(step, tuple(box))
+            table = {p: F(rng.randint(0, 3)) for p in grid.points()}
+            for utility in (table.__getitem__, linear_utility, min_utility):
+                assert check_local_nonsatiation(utility, grid) == (
+                    reference_check_local_nonsatiation(utility, grid)
+                )
+
+    def test_unknown_subset_point_raises(self):
+        ground = FinitePointSet.build([(0,), (1,)])
+        pre = TotalPreorder.from_utility(ground, lambda p: p[0])
+        with pytest.raises(ValueError, match="not in the ground set"):
+            convexified_maximals(pre, FinitePointSet.build([(0,), (7,)]))
+
+    @pytest.mark.parametrize("name", sorted(UTILITIES))
+    def test_grid_instances(self, name):
+        utility = UTILITIES[name]
+        for step in (F(1), F(1, 2)):
+            for high in (2, 3, 4):
+                grid = square_grid(step, high)
+                ground = grid.points()
+                ref = reference_from_utility(ground, utility)
+                pre = TotalPreorder.from_utility(ground, utility)
+                assert pre.related == ref.related
+                nonsatiation = reference_check_local_nonsatiation(utility, grid)
+                assert check_local_nonsatiation(utility, grid) == nonsatiation
+                for price, wealth in (((1, 1), 0), ((1, 1), 2), ((1, 2), 3), ((3, 1), 5), ((1, 1), 9)):
+                    prices = PriceSystem.build(price, wealth)
+                    budget = FinitePointSet(
+                        tuple(p for p in ground if vdot(prices.price, p) <= prices.wealth)
+                    )
+                    rep = check_convexification_invariance(utility, grid, prices)
+                    assert rep.budget.points == budget.points
+                    assert rep.maximals_set.points == maximals(ref, budget).points
+                    cset = reference_convexified_maximals(ref, budget)
+                    assert rep.convexified_set.points == cset.points
+                    assert rep.equal == (
+                        maximals(ref, budget).sorted_points() == cset.sorted_points()
+                    )
+                    assert rep.nonsatiated == nonsatiation.satisfied
+
+
 class TestGridDomain:
     def test_points_and_membership(self):
         grid = GridDomain(F(1, 2), ((F(0), F(1)), (F(0), F(1))))
@@ -160,6 +393,47 @@ class TestGridDomain:
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError):
             GridDomain(F(0), ((F(0), F(1)),))
+
+    def test_count_and_axes_match_the_enumeration(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            step = F(rng.randint(1, 5), rng.randint(1, 4))
+            box = []
+            for _ in range(rng.randint(1, 3)):
+                lo = F(rng.randint(-6, 6), rng.randint(1, 3))
+                box.append((lo, lo + F(rng.randint(0, 12), rng.randint(1, 3))))
+            grid = GridDomain(step, tuple(box))
+            count = 1
+            for d in range(grid.dimension):
+                assert grid.axis_values(d) == reference_axis_values(grid, d)
+                count *= len(reference_axis_values(grid, d))
+            assert grid.point_count == count
+            if count <= maximals_module._MAX_GRID_POINTS:
+                assert len(grid.points()) == count
+            else:
+                with pytest.raises(LimitError):
+                    grid.points()
+
+    def test_huge_grid_is_refused_before_it_is_built(self):
+        grid = GridDomain.build(F(1, 1000), [(0, 10**6), (0, 10**6)])
+        assert grid.point_count == (10**9 + 1) ** 2
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="more than the limit"):
+            grid.points()
+        with pytest.raises(LimitError):
+            check_convexification_invariance(linear_utility, grid, PriceSystem.build((1, 1), 1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_empty_axis_makes_an_empty_grid_at_once(self):
+        # The second axis lies below zero, so no point is built at all,
+        # however long the first axis is.
+        grid = GridDomain.build(F(1, 1000), [(0, 10**6), (-3, -1)])
+        assert grid.point_count == 0
+        assert grid.points().points == ()
+
+    def test_largest_grid_in_use_is_far_below_the_cap(self):
+        assert len(square_grid(F(1, 2), 4).points()) == 81
+        assert maximals_module._MAX_GRID_POINTS >= 50 * 81
 
 
 class TestUtilities:
@@ -254,6 +528,25 @@ class TestNonsatiation:
 
 
 class TestConvexificationInvariance:
+    def test_utility_is_evaluated_once_per_grid_point(self):
+        for grid in (unit_grid(3), square_grid(F(1, 2), 2)):
+            seen = []
+
+            def counting(x):
+                seen.append(x)
+                return ratio_utility(x)
+
+            rep = check_convexification_invariance(counting, grid, PriceSystem.build((1, 1), 2))
+            assert rep.equal
+            assert sorted(seen) == sorted(grid.points().points)
+
+    def test_empty_budget(self):
+        grid = GridDomain(F(1), ((F(1), F(3)), (F(1), F(3))))
+        rep = check_convexification_invariance(linear_utility, grid, PriceSystem.build((1, 1), 1))
+        assert rep.budget.points == rep.maximals_set.points == rep.convexified_set.points == ()
+        assert rep.equal
+        assert rep.nonsatiated
+
     def test_showcase_instance(self):
         grid = unit_grid(4)
         price = PriceSystem.build((1, 1), 2)
@@ -321,6 +614,37 @@ class TestMaximizerConvexity:
             (F(2), F(0)),
         )
         assert not check_maximizer_convexity(spread, grid, price, orthant_cone(2), 2)
+
+    def test_comparable_pair_with_a_gap_fails_the_segment_scan(self):
+        # (x1-1)^2 - x2 is 1 at (0,0) and (2,0) and at most 0 elsewhere in
+        # the budget. The two demand points are orthant-comparable, so the
+        # antichain check passes them; the segment scan finds (1,0).
+        def valley(x):
+            return (x[0] - 1) ** 2 - x[1]
+
+        grid = unit_grid(2)
+        price = PriceSystem.build((1, 1), 2)
+        assert demand(valley, grid, price).sorted_points() == ((F(0), F(0)), (F(2), F(0)))
+        assert not check_maximizer_convexity(valley, grid, price, orthant_cone(2), 2)
+
+    def test_grid_is_built_once_however_many_pairs(self, monkeypatch):
+        # Tied linear demand on the line x1 + x2 = 2: 3 points on the unit
+        # grid, 5 on the half grid, so 3 and 10 pairs to scan.
+        built = []
+        original = GridDomain.points
+
+        def counting_points(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(GridDomain, "points", counting_points)
+        price = PriceSystem.build((1, 1), 2)
+        counts = []
+        for grid in (unit_grid(2), square_grid(F(1, 2), 2)):
+            built.clear()
+            assert check_maximizer_convexity(linear_utility, grid, price, orthant_cone(2), 2)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 class TestQuasiconcavity:

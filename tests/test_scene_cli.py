@@ -5,6 +5,7 @@ payloads; exactness is checked by re-reading emitted rationals.
 """
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -344,6 +345,29 @@ class TestCliErrors:
         )
         assert code == 2
         assert "unknown utility" in err
+
+    @pytest.mark.parametrize("command", ["demand", "demand-invariance"])
+    def test_huge_grid_is_a_usage_error_at_once(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "dimension": 2,
+                    "prices": {"p": {"price": ["1", "1"], "wealth": "2"}},
+                    "grids": {"g": {"step": "1/1000", "box": [["0", "1000000"], ["0", "1000000"]]}},
+                }
+            ),
+            encoding="utf-8",
+        )
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, command, "--scene", str(path), "--grid", "g", "--price", "p", "--utility", "linear"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: grid has ") and "more than the limit" in err
 
     def test_internal_failure_exits_3_without_a_traceback(self, capsys, scene_file, monkeypatch):
         def exhausted(lp):
