@@ -25,7 +25,7 @@ from .dominance import (
     validate_certificate,
     validate_outside_hull,
 )
-from .linalg import Vec, vdot
+from .linalg import Vec, hull_membership, vdot
 from .maximals import UTILITIES, check_convexification_invariance, demand, orthant_cone
 from .scene import Scene, SceneError, fmt, fmt_vec, parse_scene
 from .sets import (
@@ -319,7 +319,8 @@ def _cmd_separate(args) -> int:
             ok = ok and result.inf_y >= result.sup_x
             if result.witness_pair is not None:
                 wx, wy = result.witness_pair
-                ok = ok and vdot(f, wx) < vdot(f, wy)
+                ok = ok and vdot(f, wx) < vdot(f, wy) and wy in y_points
+                ok = ok and hull_membership(wx, x_poly.vertices.points, x_poly.rays).member
         payload["verified"] = ok
         if not ok:
             _emit(payload)

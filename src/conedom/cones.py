@@ -203,6 +203,17 @@ def coordinates_above(a: OrderCoordinates, b: OrderCoordinates) -> bool:
     return a.off_span == b.off_span and all(p <= q for p, q in zip(a.generator, b.generator))
 
 
+def is_comparable(
+    cone: Cone, points: Sequence[Vec], coords: list[OrderCoordinates] | None, i: int, j: int
+) -> bool:
+    """Whether the distinct points i and j of `points` are comparable in the
+    cone order. `coords` is `order_coordinates(cone, points)`; where that is
+    None the pair goes through `relate`."""
+    if coords is None:
+        return relate(cone, points[i], points[j]) is not Comparability.INCOMPARABLE
+    return coordinates_above(coords[i], coords[j]) or coordinates_above(coords[j], coords[i])
+
+
 def _membership_lp(cone: Cone, v: Vec, need_unit_mass: bool) -> LinearProgram:
     k = len(cone.generators)
     rows: list[tuple[list[Fraction], str, Fraction]] = []

@@ -1,18 +1,21 @@
 """Dominating elements, Pareto optima and their hull equivalences.
 
 The central construction: every convex combination y of a chain is
-dominated, inside the chain itself, by one of the chain's points. The
-recursion peels off the first coefficient; comparability of the first
-point with the point returned for the tail decides which of the two
-survives. Incomparability is impossible for a valid chain and is reported
-as corrupted input. Sums of chains reduce to the chain case summand by
-summand after one decomposition program over all coefficient blocks.
+dominated, inside the chain itself, by one of the chain's points. That
+point is the top of the combination's support in the cone order: every
+support point lies below it, so each term's difference to it is a cone
+vector, and the cone is convex, so the weighted sum of those differences,
+z - y, is one too. One scan of the support finds the top. Sums of chains
+reduce to the chain case summand by summand after one decomposition
+program over all coefficient blocks. Certificates are re-checked in
+integers: each block over its own lcm against the summand's integer view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .cones import (
@@ -110,28 +113,59 @@ def validate_outside_hull(
     return errs
 
 
+def _integer_block(block: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """A coefficient block times the lcm of its denominators: (lcm, ints)."""
+    scale = lcm(*(c.denominator for c in block))
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in block)
+
+
+def _reproduces(
+    target: Vec, blocks: Sequence[tuple[int, tuple[int, ...]]], summands: Sequence[FinitePointSet]
+) -> bool:
+    """Whether the blocks' combinations of the summands' points sum to the target.
+
+    Block (L, a) from `_integer_block` over a summand with `integer_view`
+    (D, P) stands for sum_i a_i P_i / (L D). The running sum is an integer
+    vector over one integer denominator, cross-multiplied with the target.
+    """
+    num, den = [0] * len(target), 1
+    for (scale, ints), summand in zip(blocks, summands, strict=True):
+        view = summand.integer_view
+        if len(view.points[0]) != len(target):
+            return False
+        part = [0] * len(target)
+        for a, p in zip(ints, view.points, strict=True):
+            if a:
+                part = [x + a * c for x, c in zip(part, p)]
+        part_den = scale * view.scale
+        num = [x * part_den + y * den for x, y in zip(num, part)]
+        den *= part_den
+    return all(x * t.denominator == t.numerator * den for x, t in zip(num, target))
+
+
 def validate_certificate(cert: DominationCertificate, d: DecomposableSet) -> list[str]:
-    """Re-check every arithmetic claim of a certificate; empty list means valid."""
+    """Re-check every arithmetic claim of a certificate; empty list means valid.
+
+    The blocks and the target are checked in integers (`_reproduces`).
+    """
     errs: list[str] = []
-    kc = k_closure(d.cone)
     blocks = cert.decomposition.blocks
     if len(blocks) != len(d.summands):
         return ["decomposition block count does not match the summands"]
+    scaled = []
     for s, (block, summand) in enumerate(zip(blocks, d.summands)):
         if len(block) != len(summand.base):
             errs.append(f"block {s} length mismatch")
             continue
-        if any(c < 0 for c in block):
+        scale, ints = _integer_block(block)
+        if any(a < 0 for a in ints):
             errs.append(f"block {s} has a negative coefficient")
-        if sum(block) != 1:
+        if sum(ints) != scale:
             errs.append(f"block {s} does not sum to one")
+        scaled.append((scale, ints))
     if errs:
         return errs
-    parts = cert.decomposition.summand_points(d)
-    total = parts[0]
-    for p in parts[1:]:
-        total = vadd(total, p)
-    if total != cert.target:
+    if not _reproduces(cert.target, scaled, [summand.base for summand in d.summands]):
         errs.append("decomposition does not reproduce the target")
     if len(cert.summand_witnesses) != len(d.summands):
         errs.append("per-summand witness count mismatch")
@@ -151,7 +185,7 @@ def validate_certificate(cert: DominationCertificate, d: DecomposableSet) -> lis
     )
     if expected != cert.cone_vector:
         errs.append("cone vector does not match witness minus target")
-    if not cone_contains(kc, cert.cone_vector):
+    if not cone_contains(k_closure(d.cone), cert.cone_vector):
         errs.append("cone vector is outside the closed cone")
     return errs
 
@@ -166,42 +200,53 @@ def dominating_element_chain(
 
     `cone` must admit the origin (finitely generated cones here are always
     convex). Coefficients align with the chain's point list, must be
-    nonnegative, sum to one and reproduce y exactly.
+    nonnegative, sum to one and reproduce y exactly; these checks run in
+    integers. z is the top of the coefficients' support (`_support_top`).
     """
     pts = chain.base.points
     if len(coefficients) != len(pts):
         raise ValueError("coefficient count does not match the chain")
     if not cone.contains_zero:
         raise ValueError("the dominance cone must contain the origin")
-    coeffs = list(coefficients)
-    if any(c < 0 for c in coeffs):
+    scale, ints = _integer_block(coefficients)
+    if any(a < 0 for a in ints):
         raise ValueError("coefficients must be nonnegative")
-    if sum(coeffs) != 1:
+    if sum(ints) != scale:
         raise ValueError("coefficients must sum to one")
-    combo = vzero(len(y))
-    for c, p in zip(coeffs, pts):
-        combo = vadd(combo, vscale(c, p))
-    if combo != y:
+    if not _reproduces(y, [(scale, ints)], [chain.base]):
         raise ValueError("coefficients do not reproduce the target point")
-    support = [(p, c) for p, c in zip(pts, coeffs) if c > 0]
-    z = _dominate_support(support, cone)
+    z = _support_top(chain, coefficients, cone)
     return z, vsub(z, y)
 
 
-def _dominate_support(support: list[tuple[Vec, Fraction]], cone: Cone) -> Vec:
-    # Peel the first listed point; the tail is renormalized and recursed.
+def _support_top(chain: ChainSet, coefficients: Sequence[Fraction], cone: Cone) -> Vec:
+    """The top, in the order of `cone` (which admits the origin), of the chain
+    points with a positive coefficient.
+
+    One scan from the last support point back; a point replaces the best so
+    far only when strictly above it, so among tied tops the last listed
+    wins. Order coordinates depend on the generators alone, so the chain's
+    cached ones serve any cone with its generators. An incomparable pair
+    (the points are no chain under `cone`) raises ValueError.
+    """
+    pts = chain.base.points
+    support = [i for i, c in enumerate(coefficients) if c > 0]
+    best = support[-1]
     if len(support) == 1:
-        return support[0][0]
-    y1, a1 = support[0]
-    rest_mass = 1 - a1
-    tail = [(p, c / rest_mass) for p, c in support[1:]]
-    z0 = _dominate_support(tail, cone)
-    comp = relate(cone, y1, z0)
-    if comp in (Comparability.UP, Comparability.BOTH):
-        return z0
-    if comp is Comparability.DOWN:
-        return y1
-    raise ValueError(f"chain points {y1} and {z0} are incomparable; corrupted chain input")
+        return pts[best]
+    coords = chain.coordinates if cone.generators == chain.cone.generators else order_coordinates(cone, pts)
+    for i in reversed(support[:-1]):
+        if coords is None:
+            comp = relate(cone, pts[i], pts[best])
+            above, below = comp in (Comparability.UP, Comparability.BOTH), comp is Comparability.DOWN
+        else:  # distinct points: never tied under order coordinates
+            above = coordinates_above(coords[i], coords[best])
+            below = not above and coordinates_above(coords[best], coords[i])
+        if below:
+            best = i
+        elif not above:
+            raise ValueError(f"points {pts[i]} and {pts[best]} are incomparable under the cone")
+    return pts[best]
 
 
 def decompose_in_hulls(y: Vec, d: DecomposableSet) -> Decomposition:
@@ -246,16 +291,16 @@ def decompose_in_hulls(y: Vec, d: DecomposableSet) -> Decomposition:
 def dominating_element(y: Vec, d: DecomposableSet) -> DominationCertificate:
     """A point of the materialized set dominating y within the closed cone.
 
-    Decomposes y across the summand hulls, runs the chain construction per
-    summand under the origin-closed cone, and sums the chain points.
+    Decomposes y across the summand hulls and sums the top of each block's
+    support (`_support_top`) under the origin-closed cone. The
+    decomposition program's certificate check already holds the blocks to
+    nonnegativity, unit sums and the target, so no summand point is formed.
     """
     decomposition = decompose_in_hulls(y, d)
     kc = k_closure(d.cone)
-    parts = decomposition.summand_points(d)
-    witnesses = []
-    for block, summand, part in zip(decomposition.blocks, d.summands, parts):
-        z, _ = dominating_element_chain(part, block, summand, kc)
-        witnesses.append(z)
+    witnesses = [
+        _support_top(summand, block, kc) for block, summand in zip(decomposition.blocks, d.summands)
+    ]
     witness = witnesses[0]
     for w in witnesses[1:]:
         witness = vadd(witness, w)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import Comparability, Cone, relate
+from .cones import Cone, is_comparable, order_coordinates
 from .linalg import ONE, ZERO, Vec, vadd, vdot, vscale
 from .sets import (
     ChainSet,
@@ -96,15 +96,14 @@ def rand_chain(rng: Rng, draw: ConeDraw, size: int, pool_factor: int = 8) -> Cha
     dimension = draw.cone.dimension
     pool = [rand_point(rng, dimension) for _ in range(pool_factor * size)]
     pool.sort(key=lambda p: vdot(draw.guard, p))
-    kept: list[Vec] = []
-    for p in pool:
+    coords = order_coordinates(draw.cone, pool)
+    kept: list[int] = []
+    for i, p in enumerate(pool):
         if len(kept) == size:
             break
-        if p in kept:
-            continue
-        if all(relate(draw.cone, q, p) is not Comparability.INCOMPARABLE for q in kept):
-            kept.append(p)
-    return ChainSet(FinitePointSet(tuple(kept)), draw.cone)
+        if all(p != pool[k] and is_comparable(draw.cone, pool, coords, k, i) for k in kept):
+            kept.append(i)
+    return ChainSet(FinitePointSet(tuple(pool[k] for k in kept)), draw.cone)
 
 
 def rand_decomposable(

@@ -287,9 +287,26 @@ def budget_set(grid: GridDomain, prices: PriceSystem) -> FinitePointSet:
 
 
 def _budget(grid: GridDomain, ground: FinitePointSet, prices: PriceSystem) -> FinitePointSet:
+    """The points of `ground`, which is `grid.points()`, that are affordable.
+
+    Each point is step·k for its axis indices k (in the order the points
+    run). With m the lcm of the price denominators, price·(step·k) <= wealth
+    exactly when the integer (m·price)·k is at most wealth·m/step, and so at
+    most that bound's floor: one `int` dot product per point.
+    """
     if len(prices.price) != grid.dimension:
         raise ValueError("price dimension does not match the grid")
-    return FinitePointSet(tuple(p for p in ground if vdot(prices.price, p) <= prices.wealth))
+    m = lcm(*(c.denominator for c in prices.price))
+    weights = [c.numerator * (m // c.denominator) for c in prices.price]
+    bound = prices.wealth * m // grid.step
+    indices = itertools.product(*(range(a, b + 1) for a, b in map(grid._axis_steps, range(grid.dimension))))
+    return FinitePointSet(
+        tuple(
+            p
+            for p, ks in zip(ground.points, indices, strict=True)
+            if sum(w * k for w, k in zip(weights, ks)) <= bound
+        )
+    )
 
 
 def demand(utility: Utility, grid: GridDomain, prices: PriceSystem) -> FinitePointSet:

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cones import (
-    Comparability,
     Cone,
+    OrderCoordinates,
     cone_contains,
-    coordinates_above,
+    is_comparable,
     k_closure,
     order_coordinates,
-    relate,
 )
 from .linalg import (
     Vec,
@@ -33,6 +33,14 @@ from .linalg import (
     vadd,
     vscale,
 )
+
+
+class IntegerPoints(NamedTuple):
+    """Points times one common scale: `points[i]` is `scale` times point i,
+    in `int`s, and `scale` is the lcm of every coordinate's denominator."""
+
+    scale: int
+    points: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,14 @@ class FinitePointSet:
     def __contains__(self, p: Vec) -> bool:
         return p in self.points
 
+    @cached_property
+    def integer_view(self) -> IntegerPoints:
+        """The points over one common denominator, built on first use."""
+        scale = lcm(*(c.denominator for p in self.points for c in p))
+        return IntegerPoints(
+            scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in self.points)
+        )
+
 
 def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, Vec] | None:
     """First pair (points i < j, scanned by i, then j) whose comparability
@@ -85,11 +101,7 @@ def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, V
     coords = order_coordinates(cone, pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if coords is None:
-                hit = relate(cone, pts[i], pts[j]) is not Comparability.INCOMPARABLE
-            else:
-                hit = coordinates_above(coords[i], coords[j]) or coordinates_above(coords[j], coords[i])
-            if hit == comparable:
+            if is_comparable(cone, pts, coords, i, j) == comparable:
                 return pts[i], pts[j]
     return None
 
@@ -133,6 +145,12 @@ class ChainSet:
     @classmethod
     def build(cls, points: Iterable[Sequence[object]], cone: Cone) -> "ChainSet":
         return cls(FinitePointSet.build(points), cone)
+
+    @cached_property
+    def coordinates(self) -> list[OrderCoordinates] | None:
+        """Order coordinates of the points under the chain's own cone (None
+        where `order_coordinates` gives none), built on first use."""
+        return order_coordinates(self.cone, self.base.points)
 
 
 @dataclass(frozen=True)
@@ -294,9 +312,10 @@ def is_grid_antichain_convex(
         return True
     pitch = step if step is not None else _lattice_unit(s)
     pts = s.points
+    coords = order_coordinates(cone, pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if relate(cone, pts[i], pts[j]) is not Comparability.INCOMPARABLE:
+            if is_comparable(cone, pts, coords, i, j):
                 continue
             for k in range(1, denominator):
                 lam = Fraction(k, denominator)

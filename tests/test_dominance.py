@@ -1,17 +1,24 @@
 """Dominating elements, hull decomposition, and finite optima.
 
-The chain-recursion cases are frozen from hand runs written out in the
-comments; randomized sections re-validate every certificate by direct
-arithmetic and compare optima against brute-force enumeration.
+The chain cases are frozen from hand runs written out in the comments;
+randomized sections re-validate every certificate by direct arithmetic
+and compare optima against brute-force enumeration. The support-top scan
+and the integer certificate check are compared with the `Fraction`
+recursion and validator they replaced, kept here as references.
 """
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conedom.cones import Cone, cone_contains, k_closure
+from conedom.cones import Comparability, Cone, cone_contains, k_closure, relate
 from conedom.dominance import (
+    Decomposition,
     OutsideHullError,
     check_equivalences,
     decompose_in_hulls,
@@ -29,10 +36,129 @@ from conedom.instances import (
     rand_pointed_cone,
     rand_point,
 )
-from conedom.linalg import ZERO, vdot, vsub
+from conedom.linalg import ZERO, vadd, vdot, vscale, vsub, vzero
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, materialize
 
 ORTHANT = Cone.build(2, [[1, 0], [0, 1]], True)
+
+
+def reference_dominate_support(support, cone):
+    """The recursion that found the chain point before the support-top scan.
+
+    It peels the first listed point of `support` ((point, coefficient)
+    pairs), recurses on the renormalized tail and keeps the tail's point
+    when the first relates Up or Both to it.
+    """
+    if len(support) == 1:
+        return support[0][0]
+    y1, a1 = support[0]
+    rest_mass = 1 - a1
+    tail = [(p, c / rest_mass) for p, c in support[1:]]
+    z0 = reference_dominate_support(tail, cone)
+    comp = relate(cone, y1, z0)
+    if comp in (Comparability.UP, Comparability.BOTH):
+        return z0
+    if comp is Comparability.DOWN:
+        return y1
+    raise ValueError(f"chain points {y1} and {z0} are incomparable; corrupted chain input")
+
+
+def reference_validate_certificate(cert, d):
+    """The `Fraction` form of `validate_certificate`, kept as its oracle:
+    the same messages in the same order, from sums and products taken on
+    the rationals as given."""
+    errs = []
+    kc = k_closure(d.cone)
+    blocks = cert.decomposition.blocks
+    if len(blocks) != len(d.summands):
+        return ["decomposition block count does not match the summands"]
+    for s, (block, summand) in enumerate(zip(blocks, d.summands)):
+        if len(block) != len(summand.base):
+            errs.append(f"block {s} length mismatch")
+            continue
+        if any(c < 0 for c in block):
+            errs.append(f"block {s} has a negative coefficient")
+        if sum(block) != 1:
+            errs.append(f"block {s} does not sum to one")
+    if errs:
+        return errs
+    total = vzero(d.dimension)
+    for block, summand in zip(blocks, d.summands):
+        for c, p in zip(block, summand.base.points):
+            total = vadd(total, vscale(c, p))
+    if total != cert.target:
+        errs.append("decomposition does not reproduce the target")
+    if len(cert.summand_witnesses) != len(d.summands):
+        errs.append("per-summand witness count mismatch")
+        return errs
+    for s, (w, summand) in enumerate(zip(cert.summand_witnesses, d.summands)):
+        if w not in summand.base:
+            errs.append(f"summand witness {s} is not a point of summand {s}")
+    acc = cert.summand_witnesses[0]
+    for w in cert.summand_witnesses[1:]:
+        acc = vadd(acc, w)
+    if acc != cert.witness:
+        errs.append("witness is not the sum of the per-summand points")
+    expected = (
+        vsub(cert.witness, cert.target)
+        if cert.direction == "witness_dominates"
+        else vsub(cert.target, cert.witness)
+    )
+    if expected != cert.cone_vector:
+        errs.append("cone vector does not match witness minus target")
+    if not cone_contains(kc, cert.cone_vector):
+        errs.append("cone vector is outside the closed cone")
+    return errs
+
+
+# One cone list per kind. Every kind but "simplicial" answers order
+# questions pair by pair through `relate`, except the independent
+# rank-deficient cone, whose order coordinates have an off-span part.
+CONE_KINDS = {
+    "simplicial": [
+        Cone.build(2, [[1, 0], [0, 1]], True),
+        Cone.build(2, [[2, 1], [-1, 3]], False),
+        Cone.build(3, [[1, 0, 0], [1, 1, 0], [0, 1, 2]], True),
+    ],
+    "nonsimplicial": [
+        Cone.build(2, [[1, 0], [1, 1], [0, 1]], True),
+        Cone.build(3, [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]], False),
+    ],
+    "nonpointed": [
+        Cone.build(2, [[1, 0], [-1, 0], [0, 1]], True),  # a half-plane: every set is a chain
+        Cone.build(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], False),
+    ],
+    "rank_deficient": [
+        Cone.build(3, [[1, 0, 0], [1, 1, 0]], True),  # independent, rank 2 of 3
+        Cone.build(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], False),  # dependent, rank 2 of 3
+        Cone.build(2, [[1, 1], [-1, -1]], True),  # a line
+    ],
+    "zero_generator": [
+        Cone.build(2, [[1, 0], [0, 0], [0, 1]], False),
+    ],
+}
+ALL_CONES = [cone for cones in CONE_KINDS.values() for cone in cones]
+
+
+def _chain_points(rng, cone, size):
+    """Up to `size` distinct points, each the last plus a random member of the
+    closed cone (so a chain under it), listed in a shuffled order."""
+    p = tuple(F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(cone.dimension))
+    pts = [p]
+    for _ in range(size - 1):
+        for g in cone.generators:
+            p = vadd(p, vscale(F(rng.randint(0, 2), rng.choice((1, 2, 3))), g))
+        pts.append(p)
+    pts = list(dict.fromkeys(pts))
+    rng.shuffle(pts)
+    return pts
+
+
+def _coefficients(rng, k):
+    weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(k)]
+    if not any(weights):
+        weights[rng.randrange(k)] = 1
+    return tuple(F(w, sum(weights)) for w in weights)
 
 
 class TestChainConstruction:
@@ -76,6 +202,11 @@ class TestChainConstruction:
         with pytest.raises(ValueError, match="reproduce"):
             dominating_element_chain((F(0), F(1)), (F(1, 2), F(1, 2)), chain, ORTHANT)
 
+    def test_rejects_a_target_of_another_dimension(self):
+        chain = ChainSet.build([(0, 0), (1, 1)], ORTHANT)
+        with pytest.raises(ValueError, match="reproduce"):
+            dominating_element_chain((F(1, 2),), (F(1, 2), F(1, 2)), chain, ORTHANT)
+
     def test_rejects_cone_without_the_origin(self):
         strict = Cone.build(2, [[1, 0], [0, 1]], False)
         chain = ChainSet.build([(0, 0), (1, 1)], strict)
@@ -83,6 +214,186 @@ class TestChainConstruction:
             dominating_element_chain(
                 (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)), chain, strict
             )
+
+
+class TestSupportTopAgainstTheRecursion:
+    def _compare(self, chain, cone, rng, rounds=6):
+        pts = chain.base.points
+        for _ in range(rounds):
+            coeffs = _coefficients(rng, len(pts))
+            y = vzero(len(pts[0]))
+            for c, p in zip(coeffs, pts):
+                y = vadd(y, vscale(c, p))
+            support = [(p, c) for p, c in zip(pts, coeffs) if c > 0]
+            try:
+                expected = reference_dominate_support(support, cone)
+            except ValueError:
+                with pytest.raises(ValueError, match="incomparable"):
+                    dominating_element_chain(y, coeffs, chain, cone)
+                continue
+            z, c = dominating_element_chain(y, coeffs, chain, cone)
+            assert z == expected
+            assert c == vsub(z, y)
+
+    @pytest.mark.parametrize("kind", sorted(CONE_KINDS))
+    def test_every_cone_kind(self, kind):
+        rng = random.Random(f"support-top/{kind}")
+        for cone in CONE_KINDS[kind]:
+            for _ in range(25):
+                chain = ChainSet.build(_chain_points(rng, cone, rng.randint(1, 6)), cone)
+                self._compare(chain, k_closure(cone), rng)
+
+    def test_tied_top_points_resolve_to_the_last_listed(self):
+        # Under the half-plane y >= 0 the points of one height are tied
+        # (Both); (2,1), (5,1) and (3,1) share the top height.
+        half_plane = CONE_KINDS["nonpointed"][0]
+        chain = ChainSet.build([(0, 0), (2, 1), (1, 0), (5, 1), (3, 1)], half_plane)
+        coeffs = (F(1, 5),) * 5
+        y = (F(11, 5), F(3, 5))
+        z, _ = dominating_element_chain(y, coeffs, chain, half_plane)
+        assert z == (F(3), F(1))
+        support = list(zip(chain.base.points, coeffs))
+        assert reference_dominate_support(support, half_plane) == z
+        # Without the last point the last listed tie is (5,1).
+        z, _ = dominating_element_chain(
+            (F(2), F(1, 2)), (F(1, 4),) * 4 + (F(0),), chain, half_plane
+        )
+        assert z == (F(5), F(1))
+
+    def test_a_passed_cone_other_than_the_chains_own(self):
+        # The chain is built under one cone and queried under another, under
+        # which its points may be no chain: results and errors must agree.
+        rng = random.Random("support-top/other-cone")
+        raised = 0
+        for _ in range(200):
+            own, other = rng.sample(ALL_CONES, 2)
+            if own.dimension != other.dimension:
+                continue
+            chain = ChainSet.build(_chain_points(rng, own, rng.randint(2, 6)), own)
+            self._compare(chain, k_closure(other), rng, rounds=3)
+            n = len(chain.base)
+            try:
+                reference_dominate_support([(p, F(1, n)) for p in chain.base.points], k_closure(other))
+            except ValueError:
+                raised += 1
+        assert raised > 0
+
+    def test_incomparable_points_under_the_passed_cone_raise(self):
+        chain = ChainSet.build([(0, 0), (1, 0), (0, 1)], CONE_KINDS["nonpointed"][0])
+        with pytest.raises(ValueError, match="incomparable"):
+            dominating_element_chain((F(1, 2), F(1, 2)), (F(0), F(1, 2), F(1, 2)), chain, ORTHANT)
+
+
+def _tampered(cert, d, rng):
+    """One field of a certificate changed: a vector entry shifted or negated,
+    a length changed, a summand witness swapped for another point of its
+    summand, a block entry moved between coefficients, a block dropped, or
+    the direction flipped."""
+    field = rng.choice(
+        ("target", "witness", "cone_vector", "summand_witnesses", "blocks", "direction")
+    )
+    kind = rng.choice(("shift", "shift", "negate", "length"))
+    shift = rng.choice((F(1), F(-1), F(1, 3), F(1, 10**20)))
+
+    def bent(vec):
+        vec = list(vec)
+        if kind == "length":
+            return tuple(vec[:-1] if rng.random() < 0.5 else vec + [ZERO])
+        k = rng.randrange(len(vec))
+        vec[k] = -vec[k] if kind == "negate" else vec[k] + shift
+        return tuple(vec)
+
+    if field == "direction":
+        flipped = "witness_dominated" if cert.direction == "witness_dominates" else "witness_dominates"
+        return replace(cert, direction=flipped)
+    if field in ("target", "witness", "cone_vector"):
+        return replace(cert, **{field: bent(getattr(cert, field))})
+    if field == "summand_witnesses":
+        ws = list(cert.summand_witnesses)
+        s = rng.randrange(len(ws))
+        if kind == "length":
+            ws = ws[:-1] if rng.random() < 0.5 else ws + [ws[0]]
+        elif kind == "negate":
+            ws[s] = rng.choice(d.summands[s].base.points)
+        else:
+            ws[s] = bent(ws[s])
+        return replace(cert, summand_witnesses=tuple(ws))
+    blocks = list(cert.decomposition.blocks)
+    s = rng.randrange(len(blocks))
+    if kind == "length" and rng.random() < 0.3:
+        blocks = blocks[:-1] if len(blocks) > 1 else blocks + blocks
+    elif kind == "negate" and len(blocks[s]) > 1:
+        # Move mass between two coefficients: the sum stays one.
+        block = list(blocks[s])
+        i, j = rng.sample(range(len(block)), 2)
+        block[i], block[j] = block[i] + shift, block[j] - shift
+        blocks[s] = tuple(block)
+    else:
+        blocks[s] = bent(blocks[s])
+    return replace(cert, decomposition=Decomposition(tuple(blocks)))
+
+
+def _outcome(validate, cert, d):
+    """The message list, or the error raised on a vector of the wrong length."""
+    try:
+        return validate(cert, d)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestValidatorAgainstTheFractionReference:
+    def _sets(self, rng):
+        for kind in sorted(CONE_KINDS):
+            for cone in CONE_KINDS[kind]:
+                for _ in range(4):
+                    chains = tuple(
+                        ChainSet.build(_chain_points(rng, cone, rng.randint(1, 5)), cone)
+                        for _ in range(rng.randint(1, 3))
+                    )
+                    yield DecomposableSet(chains)
+        for _ in range(20):
+            yield rand_decomposable(rng, rand_pointed_cone(rng, rng.choice((2, 3)), True), 2, 4)
+
+    def test_messages_match_on_valid_and_tampered_certificates(self):
+        rng = random.Random(20261018)
+        total = flagged = 0
+        mismatches = []
+        for d in self._sets(rng):
+            y = rand_hull_point(rng, d)
+            for find in (dominating_element, dominated_element):
+                cert = find(y, d)
+                assert validate_certificate(cert, d) == [] == reference_validate_certificate(cert, d)
+                for _ in range(25):
+                    bad = _tampered(cert, d, rng)
+                    expected = _outcome(reference_validate_certificate, bad, d)
+                    if _outcome(validate_certificate, bad, d) != expected:
+                        mismatches.append((d, bad))
+                    total += 1
+                    flagged += expected != []
+        assert mismatches == []
+        assert 2 * flagged >= total
+
+    def test_every_message_is_reached(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for d in self._sets(rng):
+            cert = dominating_element(rand_hull_point(rng, d), d)
+            for _ in range(25):
+                messages = _outcome(validate_certificate, _tampered(cert, d, rng), d)
+                if messages is not ValueError:
+                    seen.update(re.sub(r"\d+", "s", m) for m in messages)
+        assert seen == {
+            "decomposition block count does not match the summands",
+            "block s length mismatch",
+            "block s has a negative coefficient",
+            "block s does not sum to one",
+            "decomposition does not reproduce the target",
+            "per-summand witness count mismatch",
+            "summand witness s is not a point of summand s",
+            "witness is not the sum of the per-summand points",
+            "cone vector does not match witness minus target",
+            "cone vector is outside the closed cone",
+        }
 
 
 class TestDecomposeInHulls:
@@ -136,6 +447,38 @@ class TestDominatingElement:
         assert cert.witness in materialize(d).points
         assert cone_contains(k_closure(ORTHANT), vsub(cert.target, cert.witness))
         assert cert.direction == "witness_dominated"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dominated_element_on_random_sets(self, data):
+        # Chains are walks along the closed cone, so they are chains under
+        # any cone kind; each is listed in a drawn order.
+        kind = data.draw(st.sampled_from(("simplicial", "nonsimplicial", "nonpointed")))
+        cone = data.draw(st.sampled_from(CONE_KINDS[kind]))
+        start = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+        step = st.fractions(min_value=0, max_value=2, max_denominator=3)
+        chains = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            p = tuple(data.draw(start) for _ in range(cone.dimension))
+            pts = [p]
+            for _ in range(data.draw(st.integers(0, 4))):
+                for g in cone.generators:
+                    p = vadd(p, vscale(data.draw(step), g))
+                pts.append(p)
+            chains.append(ChainSet.build(data.draw(st.permutations(pts)), cone))
+        d = DecomposableSet(tuple(chains))
+        y = vzero(cone.dimension)
+        for chain in chains:
+            weights = [data.draw(st.integers(0, 5)) for _ in chain.base.points]
+            if not any(weights):
+                weights[0] = 1
+            for w, p in zip(weights, chain.base.points):
+                y = vadd(y, vscale(F(w, sum(weights)), p))
+        cert = dominated_element(y, d)
+        assert validate_certificate(cert, d) == []
+        assert reference_validate_certificate(cert, d) == []
+        assert cert.direction == "witness_dominated"
+        assert cert.witness in materialize(d).points
 
     def test_random_instances_round_trip(self):
         rng = random.Random(101)

@@ -8,10 +8,11 @@ are disjoint) get their own direct tests here.
 import random
 from fractions import Fraction as F
 
-from conedom.cones import cone_contains, is_pointed, k_closure
+from conedom.cones import Comparability, Cone, cone_contains, is_pointed, k_closure, relate
 from conedom.instances import (
     DENOMINATORS,
     NUMERATORS,
+    ConeDraw,
     rand_bounded_disjoint_pair,
     rand_chain,
     rand_cone_member,
@@ -20,13 +21,14 @@ from conedom.instances import (
     rand_disjoint_pair,
     rand_frac,
     rand_hull_point,
+    rand_point,
     rand_pointed_cone,
     rand_relative_interior_point,
     rand_upward_polyhedron,
 )
 from conedom.linalg import hull_membership, vdot
 from conedom.separation import hulls_disjoint
-from conedom.sets import in_relative_interior, is_chain, materialize
+from conedom.sets import ChainSet, FinitePointSet, in_relative_interior, is_chain, materialize
 
 
 def test_rand_frac_respects_the_pinned_distribution():
@@ -69,6 +71,37 @@ def test_rand_chain_is_a_chain():
         chain = rand_chain(rng, draw, rng.randint(1, 6))
         assert is_chain(chain.base, chain.cone)
         assert 1 <= len(chain.base) <= 6
+
+
+def reference_rand_chain(rng, draw, size, pool_factor=8):
+    """`rand_chain` as it was before order coordinates: one `relate` per pair."""
+    pool = [rand_point(rng, draw.cone.dimension) for _ in range(pool_factor * size)]
+    pool.sort(key=lambda p: vdot(draw.guard, p))
+    kept = []
+    for p in pool:
+        if len(kept) == size:
+            break
+        if p in kept:
+            continue
+        if all(relate(draw.cone, q, p) is not Comparability.INCOMPARABLE for q in kept):
+            kept.append(p)
+    return ChainSet(FinitePointSet(tuple(kept)), draw.cone)
+
+
+def test_rand_chain_matches_the_pairwise_reference_and_its_random_stream():
+    # Simplicial draws take the order-coordinate path; cones with an extra
+    # generator take the `relate` path. Both must keep the same points and
+    # leave the generator in the same state.
+    rng = random.Random(5)
+    for _ in range(60):
+        draw = rand_pointed_cone(rng, rng.choice((2, 3)), rng.random() < 0.5)
+        if rng.random() < 0.3:
+            extra = tuple(sum(g[i] for g in draw.cone.generators) for i in range(draw.cone.dimension))
+            draw = ConeDraw(Cone(draw.cone.dimension, draw.cone.generators + (extra,), True), draw.guard)
+        size, seed = rng.randint(1, 6), rng.random()
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert rand_chain(ours, draw, size) == reference_rand_chain(theirs, draw, size)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_rand_decomposable_shares_one_cone():

@@ -470,6 +470,35 @@ class TestBudgetAndDemand:
         }
         assert set(budget_set(grid, price).points) == expected
 
+    def test_integer_pricing_matches_the_fraction_filter(self):
+        # Rational prices, steps and wealth, boxes with negative and
+        # off-lattice bounds; wealth often sits exactly on a grid point's cost.
+        rng = random.Random(53)
+        cases = set()
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            step = F(rng.randint(1, 3), rng.randint(1, 3))
+            box = []
+            for _ in range(dim):
+                lo = F(rng.randint(-3, 3), rng.randint(1, 2))
+                box.append((lo, lo + F(rng.randint(0, 8), rng.randint(1, 3))))
+            grid = GridDomain(step, tuple(box))
+            prices = PriceSystem(
+                tuple(F(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(dim)),
+                F(rng.randint(0, 20), rng.randint(1, 6)),
+            )
+            expected = tuple(p for p in grid.points() if vdot(prices.price, p) <= prices.wealth)
+            budget = budget_set(grid, prices)
+            assert budget.points == expected
+            assert check_convexification_invariance(linear_utility, grid, prices).budget == budget
+            cases.add(
+                "no grid" if not expected and not grid.point_count
+                else "nothing affordable" if not expected
+                else "all affordable" if len(expected) == grid.point_count
+                else "some affordable"
+            )
+        assert len(cases) == 4
+
     def test_price_system_validation(self):
         with pytest.raises(ValueError):
             PriceSystem.build((0, 1), 2)  # prices must be strictly positive

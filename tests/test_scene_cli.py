@@ -16,7 +16,7 @@ from conedom.dominance import OutsideHullError
 from conedom.cones import Cone
 from conedom.maximals import GridDomain, PriceSystem
 from conedom.scene import Scene, SceneError, parse_scene, serialize_scene
-from conedom.separation import DisjointnessResult
+from conedom.separation import DisjointnessResult, SeparationResult
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron
 
 GOOD_SCENE = """
@@ -281,6 +281,28 @@ class TestCliCommands:
         doc = payload(out)
         assert doc["kind"] == "strictly_separated"
         assert F(doc["inf_y"]) - F(doc["sup_x"]) >= 1
+
+    @pytest.mark.parametrize(
+        "pair, code, verified",
+        [
+            (((F(3), F(3)), (F(0), F(0))), 0, True),  # (3,3) is X's vertex, (0,0) = (0,0) + (0,0) in Y
+            (((F(4), F(0)), (F(0), F(0))), 1, False),  # (4,0) is below X
+            (((F(3), F(3)), (F(1, 4), F(0))), 1, False),  # (1/4,0) is no point of Y
+        ],
+    )
+    def test_separate_proper_checks_the_witness_pair(self, capsys, scene_file, monkeypatch, pair, code, verified):
+        # f = (-1, 0) is a valid proper separator of X and Y: f <= 0 on X's
+        # rays, sup over X is -3 and inf over Y is -5/2. Every pair above has
+        # f(wx) < f(wy), so only the pair's membership can fail it.
+        forged = SeparationResult((F(-1), F(0)), F(-3), F(-5, 2), "properly_separated", witness_pair=pair)
+        monkeypatch.setattr(cli, "proper_separator", lambda x, y, cone: forged)
+        got, out, err = run(
+            capsys, "separate", "--scene", scene_file, "--kind", "proper",
+            "--x-set", "X", "--y-set", "Y", "--verify",
+        )
+        assert got == code
+        assert payload(out)["verified"] is verified
+        assert ("verification failed" in err) is not verified
 
     def test_demand_and_invariance(self, capsys, scene_file):
         code, out, _ = run(

@@ -7,10 +7,11 @@ randomly generated instances with exact arithmetic.
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from conedom.cones import Comparability, Cone, k_closure, relate
+from conedom.cones import Comparability, Cone, k_closure, order_coordinates, relate
 from conedom.instances import rand_chain, rand_point, rand_pointed_cone
 from conedom.linalg import vadd
 from conedom.sets import (
@@ -280,3 +281,61 @@ class TestGridAntichainConvex:
         s = FinitePointSet.build([(0, 0)])
         with pytest.raises(ValueError):
             is_grid_antichain_convex(s, ORTHANT, 0)
+
+    def test_matches_the_pairwise_reference(self):
+        # Simplicial cones compare pairs by order coordinates, the others
+        # through `relate`; the verdicts must be those of `relate` alone.
+        rng = random.Random(41)
+        cones = [ORTHANT, Cone.build(2, [[1, 0], [1, 1], [0, 1]], True), Cone.build(2, [[1, 0], [-1, 0]], True)]
+        verdicts = set()
+        for _ in range(150):
+            cone = rng.choice(cones + [rand_pointed_cone(rng, 2, True).cone])
+            s = FinitePointSet.build(
+                [(F(rng.randint(0, 3)), F(rng.randint(0, 3))) for _ in range(rng.randint(1, 6))]
+            )
+            denominator = rng.randint(2, 4)
+            got = is_grid_antichain_convex(s, cone, denominator)
+            assert got == reference_grid_antichain_convex(s, cone, denominator)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def reference_grid_antichain_convex(s, cone, denominator):
+    """`is_grid_antichain_convex` with one `relate` per pair and the inferred pitch."""
+    if len(s) <= 1:
+        return True
+    pitch = F(1, lcm(*(c.denominator for p in s.points for c in p)))
+    pts = s.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if relate(cone, pts[i], pts[j]) is not Comparability.INCOMPARABLE:
+                continue
+            for k in range(1, denominator):
+                lam = F(k, denominator)
+                z = tuple(lam * a + (1 - lam) * b for a, b in zip(pts[i], pts[j]))
+                if all((c / pitch).denominator == 1 for c in z) and z not in pts:
+                    return False
+    return True
+
+
+class TestCachedViews:
+    def test_integer_view_expands_back_to_the_points(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            dim = rng.randint(1, 4)
+            s = FinitePointSet.build([rand_point(rng, dim) for _ in range(rng.randint(1, 6))])
+            view = s.integer_view
+            assert all(type(c) is int for p in view.points for c in p)
+            assert tuple(tuple(F(c, view.scale) for c in p) for p in view.points) == s.points
+            assert view.scale == lcm(*(c.denominator for p in s.points for c in p))
+            assert s.integer_view is view  # built once
+
+    def test_chain_coordinates_are_those_of_its_own_cone(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            draw = rand_pointed_cone(rng, rng.choice((2, 3)), True)
+            chain = rand_chain(rng, draw, rng.randint(1, 6))
+            assert chain.coordinates == order_coordinates(chain.cone, chain.base.points)
+            assert chain.coordinates is chain.coordinates
+        line = Cone.build(2, [[1, 0], [-1, 0]], True)
+        assert ChainSet.build([(0, 0), (1, 0)], line).coordinates is None
