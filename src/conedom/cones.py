@@ -5,8 +5,9 @@ positive total mass, together with the origin iff `contains_zero` is set.
 That set is always a convex cone; with no generators and no flag it is the
 empty set. Membership is decided exactly: a Gaussian elimination of the
 generator matrix, built once per cone on first use (`Cone.span_solver`),
-settles most queries outright, and a small exact LP
-(`conedom.linalg.lp_solve`) covers the rest and supplies certificates.
+settles most queries outright (`cone_contains` reads it in integers), and
+a small exact LP (`conedom.linalg.lp_solve`) covers the rest and supplies
+certificates.
 
 Cones with linearly independent generators, and at least one of them, also
 get an order map from that elimination: `order_coordinates` sends each
@@ -24,20 +25,21 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .linalg import (
     ONE,
-    REL_EQ,
     ZERO,
-    LinearProgram,
+    IntegerPoints,
     LpStatus,
     Vec,
     fvec,
+    hull_program,
+    integer_multiple,
+    integer_points,
     is_zero_vec,
     lp_solve,
-    vdot,
     vneg,
 )
 
@@ -74,6 +76,11 @@ class Cone:
         freed with the cone."""
         return _SpanSolver(self.dimension, self.generators)
 
+    @cached_property
+    def generator_view(self) -> IntegerPoints:
+        """The generators over one common denominator, built on first use."""
+        return integer_points(self.generators)
+
 
 @dataclass(frozen=True)
 class ConeMembership:
@@ -91,18 +98,14 @@ class ConeMembership:
     functional: Vec | None = None
 
 
-def _integer_multiple(v: Vec) -> tuple[int, ...]:
-    """v times the lcm of its denominators: integer entries, same signs."""
-    m = lcm(*(c.denominator for c in v))
-    return tuple(c.numerator * (m // c.denominator) for c in v)
-
-
 class _SpanSolver:
     """Reduced row echelon data for a fixed generator matrix.
 
-    Solves G mu = v directly when the generators are linearly independent
-    and always detects vectors outside the column span, handing back a
-    left-nullspace row as a separating functional.
+    Its elimination matrix E, applied to a vector in integers (`image`),
+    tells whether the vector lies in the generators' span (the left-null
+    rows of E vanish) and, for linearly independent generators, gives its
+    unique generator coefficients (the first rank rows); a nonzero
+    left-null row is a separating functional.
     """
 
     def __init__(self, dimension: int, generators: tuple[Vec, ...]):
@@ -131,30 +134,13 @@ class _SpanSolver:
         self.pivots = pivots
         self.unique = r == k
         self.elim = [tuple(row[k:]) for row in rows]
-        self.left_null = self.elim[r:]
-        self.integer_elim = [_integer_multiple(e) for e in self.elim]
+        # Each row of E times its own positive lcm, which it keeps as its scale.
+        self.row_scales, self.integer_elim = zip(*(integer_multiple(e) for e in self.elim))
 
-    def solve_unique(self, v: Vec) -> tuple[Fraction, ...] | None:
-        """Unique coefficients with G mu = v, or None when v is off-span.
-
-        Only valid when `unique` (full column rank).
-        """
-        w = [vdot(e, v) for e in self.elim]
-        for i in range(self.rank, len(w)):
-            if w[i] != 0:
-                return None
-        mu = [ZERO] * len(self.pivots)
-        for row, col in self.pivots:
-            mu[col] = w[row]
-        return tuple(mu)
-
-    def off_span_functional(self, v: Vec) -> Vec | None:
-        """A row f with f.G = 0 and f.v < 0, or None when v is in the span."""
-        for e in self.left_null:
-            val = vdot(e, v)
-            if val != 0:
-                return e if val < 0 else vneg(e)
-        return None
+    def image(self, q: Sequence[int]) -> tuple[int, ...]:
+        """E.q for an integer vector q, with each row of E scaled by its own
+        positive lcm: the signs of E.v for any positive multiple v of q."""
+        return tuple(sum(map(mul, row, q)) for row in self.integer_elim)
 
 
 class OrderCoordinates(NamedTuple):
@@ -183,12 +169,10 @@ def order_coordinates(cone: Cone, points: Sequence[Vec]) -> list[OrderCoordinate
     for p in points:
         if len(p) != cone.dimension:
             raise ValueError("vector dimension does not match the cone")
-    scale = lcm(*(c.denominator for p in points for c in p))
     rank = solver.rank
     out = []
-    for p in points:
-        q = [c.numerator * (scale // c.denominator) for c in p]
-        w = tuple(sum(a * b for a, b in zip(row, q)) for row in solver.integer_elim)
+    for q in integer_points(points).points:
+        w = solver.image(q)
         out.append(OrderCoordinates(w[:rank], w[rank:]))
     return out
 
@@ -214,18 +198,10 @@ def is_comparable(
     return coordinates_above(coords[i], coords[j]) or coordinates_above(coords[j], coords[i])
 
 
-def _membership_lp(cone: Cone, v: Vec, need_unit_mass: bool) -> LinearProgram:
-    k = len(cone.generators)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for d in range(cone.dimension):
-        rows.append(([g[d] for g in cone.generators], REL_EQ, v[d]))
-    if need_unit_mass:
-        rows.append(([ONE] * k, REL_EQ, ONE))
-    return LinearProgram.build([ZERO] * k, True, rows)
-
-
 def _solve_membership(cone: Cone, v: Vec, unit_mass: bool) -> ConeMembership:
-    res = lp_solve(_membership_lp(cone, v, unit_mass))
+    """The generator weights as one block summing to one (`unit_mass`) or as rays."""
+    generators = (1, cone.generator_view)
+    res = lp_solve(hull_program(v, [generators]) if unit_mass else hull_program(v, [], generators))
     if res.status is LpStatus.OPTIMAL:
         return ConeMembership(True, coefficients=res.witness)
     f = res.farkas[: cone.dimension]
@@ -252,19 +228,29 @@ def cone_membership(cone: Cone, v: Vec) -> ConeMembership:
     if not cone.generators:
         return ConeMembership(False, functional=vneg(v))
     solver = cone.span_solver
-    f = solver.off_span_functional(v)
-    if f is not None:
-        return ConeMembership(False, functional=f)
-    if solver.unique:
-        mu = solver.solve_unique(v)
-        if mu is not None and all(c >= 0 for c in mu):
-            return ConeMembership(True, coefficients=mu)
-        return _solve_membership(cone, v, unit_mass=False)
+    scale, q = integer_multiple(v)
+    w = solver.image(q)
+    off = next((i for i in range(solver.rank, len(w)) if w[i]), None)
+    if off is not None:
+        e = solver.elim[off]
+        return ConeMembership(False, functional=e if w[off] < 0 else vneg(e))
+    if solver.unique and all(c >= 0 for c in w[: solver.rank]):
+        mu = [ZERO] * len(cone.generators)
+        for row, col in solver.pivots:  # E_row . v, with both scales divided out
+            mu[col] = Fraction(w[row], solver.row_scales[row] * scale)
+        return ConeMembership(True, coefficients=tuple(mu))
     return _solve_membership(cone, v, unit_mass=False)
 
 
 def cone_contains(cone: Cone, v: Vec) -> bool:
-    """Membership verdict only; skips certificate crafting on rejection."""
+    """Membership verdict only; skips certificate crafting on rejection.
+
+    A nonzero v is read in integers through the elimination (`image` of v
+    times the lcm of its denominators): off the span when an off-span row
+    is nonzero, and for independent generators a member exactly when every
+    generator coordinate is nonnegative. Dependent generators fall back to
+    the LP.
+    """
     if len(v) != cone.dimension:
         raise ValueError("vector dimension does not match the cone")
     if is_zero_vec(v):
@@ -278,11 +264,11 @@ def cone_contains(cone: Cone, v: Vec) -> bool:
     if not cone.generators:
         return False
     solver = cone.span_solver
-    if solver.off_span_functional(v) is not None:
+    w = solver.image(integer_multiple(v)[1])
+    if any(w[solver.rank :]):
         return False
     if solver.unique:
-        mu = solver.solve_unique(v)
-        return mu is not None and all(c >= 0 for c in mu)
+        return all(c >= 0 for c in w[: solver.rank])
     return _solve_membership(cone, v, unit_mass=False).member
 
 

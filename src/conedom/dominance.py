@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .cones import (
@@ -31,17 +30,16 @@ from .cones import (
     with_origin,
 )
 from .linalg import (
-    ONE,
-    REL_EQ,
     ZERO,
-    LinearProgram,
+    IntegerPoints,
     LpStatus,
     Vec,
-    is_zero_vec,
+    hull_program,
+    integer_multiple,
     lp_solve,
     vadd,
+    vcombination,
     vdot,
-    vscale,
     vsub,
     vzero,
 )
@@ -70,13 +68,10 @@ class Decomposition:
     blocks: tuple[tuple[Fraction, ...], ...]
 
     def summand_points(self, d: DecomposableSet) -> tuple[Vec, ...]:
-        out = []
-        for block, summand in zip(self.blocks, d.summands, strict=True):
-            acc = vzero(d.dimension)
-            for c, p in zip(block, summand.base.points, strict=True):
-                acc = vadd(acc, vscale(c, p))
-            out.append(acc)
-        return tuple(out)
+        return tuple(
+            vcombination(block, summand.base.points, d.dimension)
+            for block, summand in zip(self.blocks, d.summands, strict=True)
+        )
 
 
 @dataclass(frozen=True)
@@ -113,18 +108,12 @@ def validate_outside_hull(
     return errs
 
 
-def _integer_block(block: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """A coefficient block times the lcm of its denominators: (lcm, ints)."""
-    scale = lcm(*(c.denominator for c in block))
-    return scale, tuple(c.numerator * (scale // c.denominator) for c in block)
-
-
 def _reproduces(
     target: Vec, blocks: Sequence[tuple[int, tuple[int, ...]]], summands: Sequence[FinitePointSet]
 ) -> bool:
     """Whether the blocks' combinations of the summands' points sum to the target.
 
-    Block (L, a) from `_integer_block` over a summand with `integer_view`
+    Block (L, a) from `integer_multiple` over a summand with `integer_view`
     (D, P) stands for sum_i a_i P_i / (L D). The running sum is an integer
     vector over one integer denominator, cross-multiplied with the target.
     """
@@ -157,7 +146,7 @@ def validate_certificate(cert: DominationCertificate, d: DecomposableSet) -> lis
         if len(block) != len(summand.base):
             errs.append(f"block {s} length mismatch")
             continue
-        scale, ints = _integer_block(block)
+        scale, ints = integer_multiple(block)
         if any(a < 0 for a in ints):
             errs.append(f"block {s} has a negative coefficient")
         if sum(ints) != scale:
@@ -208,7 +197,7 @@ def dominating_element_chain(
         raise ValueError("coefficient count does not match the chain")
     if not cone.contains_zero:
         raise ValueError("the dominance cone must contain the origin")
-    scale, ints = _integer_block(coefficients)
+    scale, ints = integer_multiple(coefficients)
     if any(a < 0 for a in ints):
         raise ValueError("coefficients must be nonnegative")
     if sum(ints) != scale:
@@ -249,6 +238,11 @@ def _support_top(chain: ChainSet, coefficients: Sequence[Fraction], cone: Cone) 
     return pts[best]
 
 
+def _summand_blocks(d: DecomposableSet) -> list[tuple[int, IntegerPoints]]:
+    """One block per summand, its points' integer view with sign +1."""
+    return [(1, s.base.integer_view) for s in d.summands]
+
+
 def decompose_in_hulls(y: Vec, d: DecomposableSet) -> Decomposition:
     """Split y into per-summand hull combinations via one coefficient program.
 
@@ -258,22 +252,7 @@ def decompose_in_hulls(y: Vec, d: DecomposableSet) -> Decomposition:
     n = d.dimension
     if len(y) != n:
         raise ValueError("point dimension does not match the set")
-    sizes = [len(s.base) for s in d.summands]
-    cols = sum(sizes)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for dim in range(n):
-        row: list[Fraction] = []
-        for s in d.summands:
-            row.extend(p[dim] for p in s.base.points)
-        rows.append((row, REL_EQ, y[dim]))
-    offset = 0
-    for size in sizes:
-        row = [ZERO] * cols
-        for k in range(size):
-            row[offset + k] = ONE
-        rows.append((row, REL_EQ, ONE))
-        offset += size
-    res = lp_solve(LinearProgram.build([ZERO] * cols, True, rows))
+    res = lp_solve(hull_program(y, _summand_blocks(d)))
     if res.status is LpStatus.INFEASIBLE:
         f = res.farkas[:n]
         offsets = res.farkas[n:]
@@ -282,9 +261,9 @@ def decompose_in_hulls(y: Vec, d: DecomposableSet) -> Decomposition:
         raise RuntimeError("decomposition program cannot be unbounded")
     blocks = []
     offset = 0
-    for size in sizes:
-        blocks.append(tuple(res.witness[offset : offset + size]))
-        offset += size
+    for s in d.summands:
+        blocks.append(tuple(res.witness[offset : offset + len(s.base)]))
+        offset += len(s.base)
     return Decomposition(tuple(blocks))
 
 
@@ -371,28 +350,13 @@ def is_pareto_in_hull(y: Vec, d: DecomposableSet) -> bool:
     cone = d.cone
     if not is_pointed(cone):
         raise ValueError("hull optimality requires a pointed cone")
-    gens = [g for g in cone.generators if not is_zero_vec(g)]
     n = d.dimension
     if len(y) != n:
         raise ValueError("point dimension does not match the set")
-    sizes = [len(s.base) for s in d.summands]
-    cols = sum(sizes) + len(gens)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for dim in range(n):
-        row: list[Fraction] = []
-        for s in d.summands:
-            row.extend(p[dim] for p in s.base.points)
-        row.extend(-g[dim] for g in gens)
-        rows.append((row, REL_EQ, y[dim]))
-    offset = 0
-    for size in sizes:
-        row = [ZERO] * cols
-        for k in range(size):
-            row[offset + k] = ONE
-        rows.append((row, REL_EQ, ONE))
-        offset += size
-    objective = [ZERO] * sum(sizes) + [ONE] * len(gens)
-    res = lp_solve(LinearProgram.build(objective, True, rows))
+    # Zero generators clear no denominator, so dropping them keeps the scale.
+    view = cone.generator_view
+    gens = IntegerPoints(view.scale, tuple(g for g in view.points if any(g)))
+    res = lp_solve(hull_program(y, _summand_blocks(d), (-1, gens), maximize_rays=True))
     if res.status is LpStatus.INFEASIBLE:
         raise OutsideHullError(y, res.farkas[:n], tuple(res.farkas[n:]))
     if res.status is not LpStatus.OPTIMAL:

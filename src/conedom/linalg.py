@@ -1,8 +1,13 @@
 """Exact rational vectors and a small certified simplex kernel.
 
-Programs come in, and answers and certificates go out, as
-`fractions.Fraction`; no floating point is used anywhere in the package.
-Inside, the simplex scales the program to integers and pivots on Python
+Answers and certificates go out as `fractions.Fraction`; no floating point
+is used anywhere in the package. A program carries one integer form: its
+rows times one common positive scale, the lcm of every denominator in
+them (`LinearProgram.scale`). `LinearProgram.build` computes that form
+once from rationals, and `hull_program` writes it directly from cached
+integer views of the point sets (`IntegerPoints`) for every program of
+the "points in a sum of hulls" shape. Both the simplex and
+`check_certificates` read that one form. The simplex pivots on Python
 `int`s without fractions (Edmonds 1967; Bareiss 1968): every tableau and
 cost row holds integers over one shared positive basis determinant, so
 each entry is the exact rational a `Fraction` tableau would hold, and
@@ -10,8 +15,8 @@ results are converted to `Fraction` only where they are written out. The
 solver returns certificates (primal witness, dual vector, Farkas vector or
 improving ray) that can be re-checked with plain dot products, and
 `check_certificates` does exactly that re-check, in integer arithmetic of
-its own, over denominators it clears itself, never reading the solver's
-tableau.
+its own, over the program's integer form and denominators of the
+certificates it clears itself, never reading the solver's tableau.
 
 Certificate conventions, for a program over variables x (each either
 nonnegative or free) with constraint rows (a_i, rel_i, b_i):
@@ -38,9 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -96,6 +102,34 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
+def vcombination(coefficients: Iterable[Fraction], vectors: Iterable[Vec], dimension: int) -> Vec:
+    """The sum of c * v over paired coefficients and vectors."""
+    acc = [ZERO] * dimension
+    for c, v in zip(coefficients, vectors, strict=True):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, v)]
+    return tuple(acc)
+
+
+def integer_multiple(v: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(L, L*v) for L the lcm of v's denominators: integer entries, same signs."""
+    scale = lcm(*(x.denominator for x in v))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in v)
+
+
+class IntegerPoints(NamedTuple):
+    """Points times one common scale: `points[i]` is `scale` times point i,
+    in `int`s, and `scale` is the lcm of every coordinate's denominator."""
+
+    scale: int
+    points: tuple[tuple[int, ...], ...]
+
+
+def integer_points(points: Sequence[Vec]) -> IntegerPoints:
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return IntegerPoints(scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points))
+
+
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -104,13 +138,22 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max (or min) objective . x subject to rows (a, rel, b); x_j >= 0 where flagged."""
+    """max (or min) objective . x subject to rows (a, rel, b); x_j >= 0 where flagged.
+
+    The rows are held in one integer form: `rows[i]` is (a_i, rel_i, b_i)
+    with a_i and b_i times `scale`, in `int`s. The solver and the checker
+    read this form, and the objective's (`integer_objective`, built on
+    first use); `constraints` is the same rows as `Fraction`s. `build`
+    and `hull_program` set `scale` to the lcm of every denominator in the
+    rows, the one scale whose certificates the package pins.
+    """
 
     num_vars: int
     objective: Vec
     maximize: bool
-    constraints: tuple[tuple[Vec, str, Fraction], ...]
+    rows: tuple[tuple[tuple[int, ...], str, int], ...]
     nonneg: tuple[bool, ...]
+    scale: int = 1
 
     @classmethod
     def build(
@@ -122,9 +165,22 @@ class LinearProgram:
     ) -> "LinearProgram":
         obj = fvec(objective)
         n = len(obj)
-        rows = tuple((fvec(a), rel, frac(b)) for a, rel, b in constraints)
+        given = [(fvec(a), rel, frac(b)) for a, rel, b in constraints]
+        view = integer_points([(*a, b) for a, _, b in given])  # each row with its b last
+        rows = tuple((p[:-1], rel, p[-1]) for p, (_, rel, _) in zip(view.points, given))
         mask = tuple(bool(v) for v in nonneg) if nonneg is not None else (True,) * n
-        return cls(n, obj, maximize, rows, mask)
+        return cls(n, obj, maximize, rows, mask, view.scale)
+
+    @cached_property
+    def constraints(self) -> tuple[tuple[Vec, str, Fraction], ...]:
+        """The rows as `Fraction`s, (a, rel, b), derived on first access."""
+        s = self.scale
+        return tuple((tuple(Fraction(c, s) for c in a), rel, Fraction(b, s)) for a, rel, b in self.rows)
+
+    @cached_property
+    def integer_objective(self) -> tuple[int, tuple[int, ...]]:
+        """The objective over the lcm of its own denominators (`integer_multiple`)."""
+        return integer_multiple(self.objective)
 
     def validate(self) -> None:
         if self.num_vars < 1:
@@ -133,7 +189,9 @@ class LinearProgram:
             raise ValueError("objective length does not match variable count")
         if len(self.nonneg) != self.num_vars:
             raise ValueError("nonneg mask length does not match variable count")
-        for i, (coeffs, rel, _) in enumerate(self.constraints):
+        if self.scale < 1:
+            raise ValueError("the row scale must be a positive integer")
+        for i, (coeffs, rel, _) in enumerate(self.rows):
             if len(coeffs) != self.num_vars:
                 raise ValueError(f"constraint {i} has {len(coeffs)} coefficients, expected {self.num_vars}")
             if rel not in _RELATIONS:
@@ -186,7 +244,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
 
 def _lp_solve_core(lp: LinearProgram) -> LpResult:
     lp.validate()
-    m = len(lp.constraints)
+    m = len(lp.rows)
 
     # Internal columns: a nonnegative variable maps to one column, a free
     # variable to a positive and a negative column.
@@ -199,17 +257,17 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
 
     sign = -1 if lp.maximize else 1  # internally always minimize sign * objective
 
-    n_slack = sum(1 for _, rel, _ in lp.constraints if rel != REL_EQ)
+    n_slack = sum(1 for _, rel, _ in lp.rows if rel != REL_EQ)
     slack_base = n_var
     art_base = n_var + n_slack
 
-    # Every constraint row is scaled by one common denominator `scale` and
-    # the objective by its own `obj_scale`. A per-row scale would weight the
-    # phase-1 artificials differently and change Bland's choices; a common
-    # one only rescales slack and artificial columns, which moves no sign
-    # and no ratio-test winner.
-    scale = lcm(*(c.denominator for coeffs, _, b in lp.constraints for c in (*coeffs, b)))
-    obj_scale = lcm(*(c.denominator for c in lp.objective))
+    # The rows come scaled by one common denominator `scale` (the program's
+    # integer form) and the objective is scaled by its own `obj_scale`. A
+    # per-row scale would weight the phase-1 artificials differently and
+    # change Bland's choices; a common one only rescales slack and
+    # artificial columns, which moves no sign and no ratio-test winner.
+    scale = lp.scale
+    obj_scale, obj = lp.integer_objective
 
     # First pass: equality rows with slack columns, right-hand sides >= 0.
     body: list[list[int]] = []
@@ -217,11 +275,11 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     flip: list[int] = []
     slack_info: list[tuple[int, int] | None] = []
     si = 0
-    for coeffs, rel, b in lp.constraints:
+    for coeffs, rel, b in lp.rows:
         f = -1 if b < 0 else 1
         flip.append(f)
-        body.append([f * s * coeffs[j].numerator * (scale // coeffs[j].denominator) for j, s in var_cols])
-        rhs.append(f * b.numerator * (scale // b.denominator))
+        body.append([f * s * coeffs[j] for j, s in var_cols])
+        rhs.append(f * b)
         if rel == REL_EQ:
             slack_info.append(None)
         else:
@@ -269,8 +327,7 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             cost1[acol] = 1
     cost2 = [0] * width
     for k, (j, s) in enumerate(var_cols):
-        c = lp.objective[j]
-        cost2[k] = sign * s * c.numerator * (obj_scale // c.denominator)
+        cost2[k] = sign * s * obj[j]
 
     # Reduce cost1 against the artificial basics so basic columns read zero.
     for i in range(m):
@@ -398,12 +455,6 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)
 
 
-def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integer vector L*v and its positive scale L, the lcm of v's denominators."""
-    scale = lcm(*(x.denominator for x in v))
-    return [x.numerator * (scale // x.denominator) for x in v], scale
-
-
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
@@ -420,24 +471,24 @@ def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
     """
     lp.validate()
     errs: list[str] = []
-    m = len(lp.constraints)
+    m = len(lp.rows)
     n = lp.num_vars
-    # Rows are scaled by one common denominator d_rows, the objective by its
-    # own l_obj and each certificate vector by its own lcm. Every scale is
-    # positive, so signs survive and each check is an integer dot product;
-    # comparisons against b, c or the value cross-multiply the scales back in.
-    # The solver's own scaled tableau is never read.
-    d_rows = lcm(*(x.denominator for coeffs, _, b in lp.constraints for x in (*coeffs, b)))
-    rows = [[x.numerator * (d_rows // x.denominator) for x in coeffs] for coeffs, _, _ in lp.constraints]
-    rhs = [b.numerator * (d_rows // b.denominator) for _, _, b in lp.constraints]
-    rels = [rel for _, rel, _ in lp.constraints]
-    obj, l_obj = _scaled(lp.objective)
+    # The rows are the program's integer form over its scale d_rows; the
+    # objective is scaled by its own l_obj and each certificate vector by
+    # its own lcm. Every scale is positive, so signs survive and each check
+    # is an integer dot product; comparisons against b, c or the value
+    # cross-multiply the scales back in. The solver's tableau is never read.
+    d_rows = lp.scale
+    rows = [coeffs for coeffs, _, _ in lp.rows]
+    rhs = [b for _, _, b in lp.rows]
+    rels = [rel for _, rel, _ in lp.rows]
+    l_obj, obj = lp.integer_objective
 
-    def check_point(x: Vec, label: str) -> tuple[list[int], int] | None:
+    def check_point(x: Vec, label: str) -> tuple[tuple[int, ...], int] | None:
         if len(x) != n:
             errs.append(f"{label} has wrong length")
             return None
-        xs, scale = _scaled(x)
+        scale, xs = integer_multiple(x)
         for j in range(n):
             if lp.nonneg[j] and xs[j] < 0:
                 errs.append(f"{label}[{j}] violates nonnegativity")
@@ -446,14 +497,14 @@ def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
                 errs.append(f"{label} violates constraint {i}")
         return xs, scale
 
-    def check_row_signs(ys: list[int], le_sign: int, label: str) -> None:
+    def check_row_signs(ys: Sequence[int], le_sign: int, label: str) -> None:
         for i, rel in enumerate(rels):
             if rel == REL_LE and le_sign * ys[i] < 0:
                 errs.append(f"{label}[{i}] has the wrong sign for a <= row")
             if rel == REL_GE and le_sign * ys[i] > 0:
                 errs.append(f"{label}[{i}] has the wrong sign for a >= row")
 
-    def combo(ys: list[int]) -> list[int]:
+    def combo(ys: Sequence[int]) -> list[int]:
         # y^T A accumulated row by row; most multipliers are zero.
         total = [0] * n
         for yi, row in zip(ys, rows):
@@ -472,7 +523,7 @@ def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
                 errs.append("objective value does not match the witness")
         if len(result.dual) != m:
             return errs + ["dual has wrong length"]
-        ys, l_y = _scaled(result.dual)
+        l_y, ys = integer_multiple(result.dual)
         check_row_signs(ys, +1 if lp.maximize else -1, "dual")
         s = combo(ys)
         for j in range(n):
@@ -488,7 +539,7 @@ def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
     elif result.status is LpStatus.INFEASIBLE:
         if result.farkas is None or len(result.farkas) != m:
             return ["infeasible result is missing a Farkas vector"]
-        ys, _ = _scaled(result.farkas)
+        _, ys = integer_multiple(result.farkas)
         check_row_signs(ys, +1, "farkas")
         s = combo(ys)
         for j in range(n):
@@ -505,7 +556,7 @@ def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
         check_point(result.witness, "witness")
         if len(result.ray) != n:
             return errs + ["ray has wrong length"]
-        ds, _ = _scaled(result.ray)
+        _, ds = integer_multiple(result.ray)
         for j in range(n):
             if lp.nonneg[j] and ds[j] < 0:
                 errs.append(f"ray[{j}] violates nonnegativity")
@@ -536,60 +587,99 @@ class HullMembership:
     offset: Fraction | None = None
 
 
-def _hull_lp(point: Vec, vertices: Sequence[Vec], rays: Sequence[Vec]) -> LinearProgram:
-    n = len(point)
-    nv, nr = len(vertices), len(rays)
-    cols = nv + nr
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for d in range(n):
-        rows.append(([v[d] for v in vertices] + [r[d] for r in rays], REL_EQ, point[d]))
-    rows.append(([ONE] * nv + [ZERO] * nr, REL_EQ, ONE))
-    return LinearProgram.build([ZERO] * cols, True, rows)
+def hull_program(
+    target: Vec,
+    blocks: Sequence[tuple[int, IntegerPoints]],
+    rays: tuple[int, IntegerPoints] | None = None,
+    *,
+    maximize_rays: bool = False,
+    bound: bool = False,
+) -> LinearProgram:
+    """target = sum of signed points and rays with nonnegative weights, where
+    each block's weights sum to one, as a program in integer form.
+
+    Columns: each (sign, view) block's points, then the (sign, view) rays,
+    then, with `bound`, a common lower bound t on every weight (each weight
+    written as t plus a slack, so t's column is each row's sum). Rows: one
+    per coordinate, equal to the target, then one per block. The objective,
+    maximized, is zero, the total ray weight (`maximize_rays`) or t
+    (`bound`). Rows are written over the lcm of the views' scales and the
+    target's denominators, which is the lcm of every denominator in them.
+    """
+    groups = [*blocks, rays] if rays is not None else blocks
+    scale = lcm(*(view.scale for _, view in groups), *(c.denominator for c in target))
+    columns = [(sign * (scale // view.scale), view.points) for sign, view in groups]
+    rows = []
+    for d, t in enumerate(target):
+        coeffs = [p[d] * m for m, points in columns for p in points]
+        if bound:
+            coeffs.append(sum(coeffs))
+        rows.append((tuple(coeffs), REL_EQ, t.numerator * (scale // t.denominator)))
+    width = sum(len(points) for _, points in columns) + bound
+    offset = 0
+    for _, view in blocks:
+        size = len(view.points)
+        coeffs = [0] * width
+        coeffs[offset : offset + size] = [scale] * size
+        if bound:
+            coeffs[-1] = size * scale
+        rows.append((tuple(coeffs), REL_EQ, scale))
+        offset += size
+    objective = [ZERO] * width
+    if bound:
+        objective[-1] = ONE
+    elif maximize_rays:
+        objective[offset:] = [ONE] * (width - offset)
+    return LinearProgram(width, tuple(objective), True, tuple(rows), (True,) * width, scale)
 
 
-def hull_membership(point: Vec, vertices: Sequence[Vec], rays: Sequence[Vec] = ()) -> HullMembership:
-    """Exact membership of `point` in conv(vertices) + cone(rays)."""
-    if not vertices:
+def _hull_views(point: Vec, *given: Sequence[Vec] | IntegerPoints) -> list[IntegerPoints]:
+    """Integer views of the vertices and the rays (built here unless given
+    as views), checked against the point's dimension."""
+    views = [p if isinstance(p, IntegerPoints) else integer_points(p) for p in given]
+    if not views[0].points:
         raise ValueError("hull membership needs at least one vertex")
-    n = len(point)
-    for v in vertices:
-        if len(v) != n:
-            raise ValueError("vertex dimension mismatch")
-    for r in rays:
-        if len(r) != n:
-            raise ValueError("ray dimension mismatch")
-    res = lp_solve(_hull_lp(point, vertices, rays))
+    for kind, view in zip(("vertex", "ray"), views):
+        if any(len(p) != len(point) for p in view.points):
+            raise ValueError(f"{kind} dimension mismatch")
+    return views
+
+
+def hull_membership(
+    point: Vec, vertices: Sequence[Vec] | IntegerPoints, rays: Sequence[Vec] | IntegerPoints = ()
+) -> HullMembership:
+    """Exact membership of `point` in conv(vertices) + cone(rays).
+
+    Vertices and rays come as vectors or as their integer view (such as
+    `FinitePointSet.integer_view`), which is then read as it is.
+    """
+    vs, rs = _hull_views(point, vertices, rays)
+    res = lp_solve(hull_program(point, [(1, vs)], (1, rs)))
     if res.status is LpStatus.OPTIMAL:
-        nv = len(vertices)
+        nv = len(vs.points)
         lam = res.witness[:nv]
         mu = res.witness[nv:]
         return HullMembership(True, vertex_coefficients=lam, ray_coefficients=mu)
     if res.status is LpStatus.INFEASIBLE:
+        n = len(point)
         f = res.farkas[:n]
         g = res.farkas[n]
         return HullMembership(False, functional=f, offset=g)
     raise RuntimeError("hull membership program cannot be unbounded")
 
 
-def relative_interior_membership(point: Vec, vertices: Sequence[Vec], rays: Sequence[Vec] = ()) -> bool:
+def relative_interior_membership(
+    point: Vec, vertices: Sequence[Vec] | IntegerPoints, rays: Sequence[Vec] | IntegerPoints = ()
+) -> bool:
     """Exact test for `point` in the relative interior of conv(vertices) + cone(rays).
 
     A point is in the relative interior iff it admits a representation with
     every vertex coefficient and every ray coefficient strictly positive;
-    the program below maximizes a common lower bound t on all coefficients.
+    the program maximizes a common lower bound t on all coefficients.
+    Vertices and rays come as in `hull_membership`.
     """
-    if not vertices:
-        raise ValueError("relative interior membership needs at least one vertex")
-    n = len(point)
-    nv, nr = len(vertices), len(rays)
-    cols = nv + nr + 1  # slack coefficients plus the common bound t
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for d in range(n):
-        tcol = sum((v[d] for v in vertices), ZERO) + sum((r[d] for r in rays), ZERO)
-        rows.append(([v[d] for v in vertices] + [r[d] for r in rays] + [tcol], REL_EQ, point[d]))
-    rows.append(([ONE] * nv + [ZERO] * nr + [Fraction(nv)], REL_EQ, ONE))
-    objective = [ZERO] * (nv + nr) + [ONE]
-    res = lp_solve(LinearProgram.build(objective, True, rows))
+    vs, rs = _hull_views(point, vertices, rays)
+    res = lp_solve(hull_program(point, [(1, vs)], (1, rs), bound=True))
     if res.status is LpStatus.INFEASIBLE:
         return False
     if res.status is LpStatus.OPTIMAL:

@@ -16,17 +16,21 @@ from typing import Sequence
 from .cones import Cone
 from .linalg import (
     ONE,
-    REL_EQ,
     REL_GE,
     REL_LE,
     ZERO,
+    IntegerPoints,
     LinearProgram,
     LpResult,
     LpStatus,
     Vec,
+    fvec,
     hull_membership,
+    hull_program,
+    integer_multiple,
     lp_solve,
     vadd,
+    vcombination,
     vdot,
     vscale,
     vzero,
@@ -67,68 +71,26 @@ class SeparationResult:
     witness_pair: tuple[Vec, Vec] | None = None
 
 
-def _blocks_of(y: DecomposableSet | FinitePointSet) -> list[tuple[Vec, ...]]:
-    if isinstance(y, DecomposableSet):
-        return [s.base.points for s in y.summands]
-    return [tuple(y.points)]
+def hulls_disjoint(x: Polyhedron, y: DecomposableSet | FinitePointSet) -> DisjointnessResult:
+    """Exact disjointness of X and the hull of the materialized second set.
 
-
-def _common_point_lp(x: Polyhedron, blocks: Sequence[tuple[Vec, ...]]) -> LinearProgram:
-    """Feasibility of one point lying in X and in the sum of block hulls.
-
+    One feasibility program asks for a point of X in the sum of the block
+    hulls (the summands of a decomposable set, else the whole set).
     Columns: block coefficients, then X vertex coefficients, then X ray
     coefficients. Rows: coordinates match, each block sums to one, the X
     vertex coefficients sum to one.
     """
+    blocks = [s.base for s in y.summands] if isinstance(y, DecomposableSet) else [y]
     n = x.dimension
-    xv, xr = x.vertices.points, x.rays
-    cols = sum(len(b) for b in blocks) + len(xv) + len(xr)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for d in range(n):
-        row: list[Fraction] = []
-        for b in blocks:
-            row.extend(p[d] for p in b)
-        row.extend(-v[d] for v in xv)
-        row.extend(-r[d] for r in xr)
-        rows.append((row, REL_EQ, ZERO))
-    offset = 0
-    for b in blocks:
-        row = [ZERO] * cols
-        for k in range(len(b)):
-            row[offset + k] = ONE
-        rows.append((row, REL_EQ, ONE))
-        offset += len(b)
-    row = [ZERO] * cols
-    for k in range(len(xv)):
-        row[offset + k] = ONE
-    rows.append((row, REL_EQ, ONE))
-    return LinearProgram.build([ZERO] * cols, True, rows)
-
-
-def hulls_disjoint(x: Polyhedron, y: DecomposableSet | FinitePointSet) -> DisjointnessResult:
-    """Exact disjointness of X and the hull of the materialized second set."""
-    blocks = _blocks_of(y)
-    n = x.dimension
-    for b in blocks:
-        for p in b:
-            if len(p) != n:
-                raise ValueError("dimension mismatch between the two sets")
-    res = lp_solve(_common_point_lp(x, blocks))
+    if any(len(p) != n for b in blocks for p in b.points):
+        raise ValueError("dimension mismatch between the two sets")
+    groups = [(1, b.integer_view) for b in blocks] + [(-1, x.vertices.integer_view)]
+    res = lp_solve(hull_program(vzero(n), groups, (-1, x.ray_view)))
     if res.status is LpStatus.OPTIMAL:
         # Rebuild the common point from the X-side coefficients.
-        xv, xr = x.vertices.points, x.rays
         offset = sum(len(b) for b in blocks)
-        point = [ZERO] * n
-        for k, v in enumerate(xv):
-            c = res.witness[offset + k]
-            if c:
-                point = [a + c * vi for a, vi in zip(point, v)]
-        offset += len(xv)
-        for k, r in enumerate(xr):
-            c = res.witness[offset + k]
-            if c:
-                point = [a + c * ri for a, ri in zip(point, r)]
-        return DisjointnessResult(False, common_point=tuple(point))
+        point = vcombination(res.witness[offset:], (*x.vertices.points, *x.rays), n)
+        return DisjointnessResult(False, common_point=point)
     if res.status is not LpStatus.INFEASIBLE:
         raise RuntimeError("common point program cannot be unbounded")
     # Farkas rows: n coordinate rows give the functional, then one offset
@@ -160,20 +122,35 @@ def validate_common_point(point: Vec, x: Polyhedron, y: DecomposableSet | Finite
             errs.append(f"common point is outside the {side} hull")
             continue
         lam, mu = hm.vertex_coefficients, hm.ray_coefficients
-        rebuilt = vzero(len(point))
-        for c, v in zip((*lam, *mu), (*vertices, *rays)):
-            rebuilt = vadd(rebuilt, vscale(c, v))
+        rebuilt = vcombination((*lam, *mu), (*vertices, *rays), len(point))
         if any(c < 0 for c in (*lam, *mu)) or sum(lam, ZERO) != 1 or rebuilt != point:
             errs.append(f"{side} hull coefficients do not rebuild the common point")
     return errs
 
 
-def _scale_to_integers(f: Vec, extras: Sequence[Fraction]) -> tuple[Vec, list[Fraction]]:
-    denom = 1
-    for c in list(f) + list(extras):
-        denom = lcm(denom, c.denominator)
-    scale = Fraction(denom)
-    return vscale(scale, f), [scale * e for e in extras]
+def _at_scale(view: IntegerPoints, scale: int) -> list[tuple[int, ...]]:
+    """The view's points over `scale`, a multiple of the view's own scale."""
+    m = scale // view.scale
+    return [tuple(c * m for c in p) for p in view.points]
+
+
+def _functional_rows(x: Polyhedron, y: FinitePointSet, y_col: int) -> tuple[int, list]:
+    """Rows f.v <= a on X's vertices, f.r <= 0 on X's rays and f.w >= the
+    variable at `y_col` on the points of y, over the variables f (columns
+    0..n-1), a (column n) and one more (column n + 1). Returns their scale,
+    the lcm of every denominator in them, and the rows in integer form.
+    """
+    n = x.dimension
+    groups = ((x.vertices.integer_view, REL_LE, n), (x.ray_view, REL_LE, None), (y.integer_view, REL_GE, y_col))
+    scale = lcm(*(view.scale for view, _, _ in groups))
+    rows = []
+    for view, rel, col in groups:
+        for p in _at_scale(view, scale):
+            coeffs = [*p, 0, 0]
+            if col is not None:
+                coeffs[col] = -scale
+            rows.append((tuple(coeffs), rel, 0))
+    return scale, rows
 
 
 def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
@@ -194,20 +171,13 @@ def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
     # Variables: f (free, n), a (free), b (free); f.v <= a on X vertices,
     # f.r <= 0 on X rays, f.w >= b on Y vertices, b - a >= 1.
     cols = n + 2
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for v in x.vertices:
-        rows.append((list(v) + [-ONE, ZERO], REL_LE, ZERO))
-    for r in x.rays:
-        rows.append((list(r) + [ZERO, ZERO], REL_LE, ZERO))
-    for w in y.vertices:
-        rows.append((list(w) + [ZERO, -ONE], REL_GE, ZERO))
-    rows.append(([ZERO] * n + [-ONE, ONE], REL_GE, ONE))
-    lp = LinearProgram.build([ZERO] * cols, True, rows, nonneg=[False] * cols)
+    scale, rows = _functional_rows(x, y.vertices, n + 1)
+    rows.append(((0,) * n + (-scale, scale), REL_GE, scale))
+    lp = LinearProgram(cols, (ZERO,) * cols, True, tuple(rows), (False,) * cols, scale)
     res = lp_solve(lp)
     if res.status is not LpStatus.OPTIMAL:
         raise RuntimeError("strict separation program infeasible despite disjoint polyhedra")
-    f = res.witness[:n]
-    f_int, _ = _scale_to_integers(f, [])
+    f_int = fvec(integer_multiple(res.witness[:n])[1])
     sup_x = max(vdot(f_int, v) for v in x.vertices)
     inf_y = min(vdot(f_int, w) for w in y.vertices)
     if inf_y - sup_x < 1:
@@ -227,43 +197,36 @@ def proper_separator(x: Polyhedron, y: DecomposableSet, cone: Cone) -> Separatio
 
     if not is_upward(x, cone):
         raise ValueError("proper separation here requires an upward first set")
-    pts = materialize(y).points
+    y_set = materialize(y)
+    pts = y_set.points
     for p in pts:
         if in_relative_interior(x, p):
             raise ValueError(f"point {p} of the second set lies in the relative interior of the first")
     n = x.dimension
     xv, xr = x.vertices.points, x.rays
 
-    def weak_rows(cols: int) -> list[tuple[list[Fraction], str, Fraction]]:
-        rows: list[tuple[list[Fraction], str, Fraction]] = []
-        for v in xv:
-            rows.append((list(v) + [-ONE] + [ZERO] * (cols - n - 1), REL_LE, ZERO))
-        for r in xr:
-            rows.append((list(r) + [ZERO] * (cols - n), REL_LE, ZERO))
-        for p in pts:
-            rows.append((list(p) + [-ONE] + [ZERO] * (cols - n - 1), REL_GE, ZERO))
-        return rows
-
-    # Columns: f (free, n), a (free), g (nonneg gap, capped at one).
+    # Columns: f (free, n), a (free), g (nonneg gap, capped at one). Every
+    # candidate shares the rows f.v <= a, f.r <= 0, f.p >= a and g <= 1 and
+    # adds one strict row "its difference . f >= g".
     cols = n + 2
-    nonneg = [False] * (n + 1) + [True]
-    objective = [ZERO] * (n + 1) + [ONE]
-    gap_cap: tuple[list[Fraction], str, Fraction] = ([ZERO] * (n + 1) + [ONE], REL_LE, ONE)
+    scale, weak = _functional_rows(x, y_set, n)
+    gap_cap = ((0,) * (n + 1) + (scale,), REL_LE, scale)
+    nonneg = (False,) * (n + 1) + (True,)
+    objective = (ZERO,) * (n + 1) + (ONE,)
 
-    def solve(extra: tuple[list[Fraction], str, Fraction]) -> LpResult | None:
-        rows = weak_rows(cols) + [extra, gap_cap]
-        res = lp_solve(LinearProgram.build(objective, True, rows, nonneg=nonneg))
+    def solve(difference: Sequence[int]) -> LpResult | None:
+        rows = (*weak, ((*difference, 0, -scale), REL_GE, 0), gap_cap)
+        res = lp_solve(LinearProgram(cols, objective, True, rows, nonneg, scale))
         if res.status is LpStatus.OPTIMAL and res.value > 0:
             return res
         return None
 
-    for p in pts:
-        for v in xv:
-            strict_row = ([pi - vi for pi, vi in zip(p, v)] + [ZERO, -ONE], REL_GE, ZERO)
-            res = solve(strict_row)
+    vs = _at_scale(x.vertices.integer_view, scale)
+    for p, pi in zip(pts, _at_scale(y_set.integer_view, scale)):
+        for v, vi in zip(xv, vs):
+            res = solve([a - b for a, b in zip(pi, vi)])
             if res is not None:
-                f = res.witness[:n]
-                f_int, _ = _scale_to_integers(f, [])
+                f_int = fvec(integer_multiple(res.witness[:n])[1])
                 sup_x = max(vdot(f_int, w) for w in xv)
                 inf_y = min(vdot(f_int, q) for q in pts)
                 return SeparationResult(
@@ -273,12 +236,10 @@ def proper_separator(x: Polyhedron, y: DecomposableSet, cone: Cone) -> Separatio
                     kind="properly_separated",
                     witness_pair=(v, p),
                 )
-    for r in xr:
-        strict_row = ([-ri for ri in r] + [ZERO, -ONE], REL_GE, ZERO)
-        res = solve(strict_row)
+    for r, ri in zip(xr, _at_scale(x.ray_view, scale)):
+        res = solve([-c for c in ri])
         if res is not None:
-            f = res.witness[:n]
-            f_int, _ = _scale_to_integers(f, [])
+            f_int = fvec(integer_multiple(res.witness[:n])[1])
             sup_x = max(vdot(f_int, w) for w in xv)
             inf_y = min(vdot(f_int, q) for q in pts)
             # Walk far enough along the ray that the pair is strict.

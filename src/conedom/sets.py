@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .cones import (
     Cone,
@@ -25,22 +24,16 @@ from .cones import (
     order_coordinates,
 )
 from .linalg import (
+    IntegerPoints,
     Vec,
     fvec,
     hull_membership,
+    integer_points,
     is_zero_vec,
     relative_interior_membership,
     vadd,
     vscale,
 )
-
-
-class IntegerPoints(NamedTuple):
-    """Points times one common scale: `points[i]` is `scale` times point i,
-    in `int`s, and `scale` is the lcm of every coordinate's denominator."""
-
-    scale: int
-    points: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,10 +77,7 @@ class FinitePointSet:
     @cached_property
     def integer_view(self) -> IntegerPoints:
         """The points over one common denominator, built on first use."""
-        scale = lcm(*(c.denominator for p in self.points for c in p))
-        return IntegerPoints(
-            scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in self.points)
-        )
+        return integer_points(self.points)
 
 
 def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, Vec] | None:
@@ -211,13 +201,18 @@ class Polyhedron:
     def dimension(self) -> int:
         return self.vertices.dimension
 
+    @cached_property
+    def ray_view(self) -> IntegerPoints:
+        """The rays over one common denominator, built on first use."""
+        return integer_points(self.rays)
+
 
 def poly_contains(p: Polyhedron, point: Vec) -> bool:
-    return hull_membership(point, p.vertices.points, p.rays).member
+    return hull_membership(point, p.vertices.integer_view, p.ray_view).member
 
 
 def in_relative_interior(p: Polyhedron, point: Vec) -> bool:
-    return relative_interior_membership(point, p.vertices.points, p.rays)
+    return relative_interior_membership(point, p.vertices.integer_view, p.ray_view)
 
 
 def convex_hull(s: FinitePointSet) -> Polyhedron:
@@ -285,12 +280,9 @@ def poly_equal(p: Polyhedron, q: Polyhedron) -> bool:
 
 def _lattice_unit(s: FinitePointSet) -> Fraction:
     """Grid pitch inferred from the coordinates: one over the lcm of all
-    coordinate denominators. Integral data yields the unit lattice."""
-    denominator = 1
-    for p in s.points:
-        for c in p:
-            denominator = lcm(denominator, c.denominator)
-    return Fraction(1, denominator)
+    coordinate denominators (the integer view's scale). Integral data
+    yields the unit lattice."""
+    return Fraction(1, s.integer_view.scale)
 
 
 def is_grid_antichain_convex(

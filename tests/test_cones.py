@@ -13,15 +13,17 @@ import pytest
 from conedom.cones import (
     Comparability,
     Cone,
+    ConeMembership,
     cone_contains,
     cone_membership,
     is_pointed,
     k_closure,
     negate,
     relate,
+    with_origin,
 )
 from conedom.instances import rand_cone_member, rand_point, rand_pointed_cone
-from conedom.linalg import ZERO, vadd, vdot, vsub
+from conedom.linalg import ZERO, is_zero_vec, vadd, vdot, vsub
 
 ORTHANT = Cone.build(2, [[1, 0], [0, 1]], True)
 ORTHANT_NO_ZERO = Cone.build(2, [[1, 0], [0, 1]], False)
@@ -192,3 +194,106 @@ class TestClosureAndNegation:
             total = vadd(a, b)
             assert total != (F(0), F(0))
             assert cone_contains(draw.cone, total)
+
+
+def reference_off_span_functional(cone, v):
+    """The former `_SpanSolver.off_span_functional`, in `Fraction`s."""
+    solver = cone.span_solver
+    for e in solver.elim[solver.rank :]:
+        val = vdot(e, v)
+        if val != 0:
+            return e if val < 0 else tuple(-c for c in e)
+    return None
+
+
+def reference_solve_unique(cone, v):
+    """The former `_SpanSolver.solve_unique`, in `Fraction`s."""
+    solver = cone.span_solver
+    w = [vdot(e, v) for e in solver.elim]
+    if any(w[solver.rank :]):
+        return None
+    mu = [ZERO] * len(solver.pivots)
+    for row, col in solver.pivots:
+        mu[col] = w[row]
+    return tuple(mu)
+
+
+def reference_cone_membership(cone, v):
+    """The former `cone_membership` for a nonzero v over some generator."""
+    f = reference_off_span_functional(cone, v)
+    if f is not None:
+        return ConeMembership(False, functional=f)
+    if cone.span_solver.unique:
+        mu = reference_solve_unique(cone, v)
+        if mu is not None and all(c >= 0 for c in mu):
+            return ConeMembership(True, coefficients=mu)
+    return cone_membership(cone, v)  # the LP, unchanged
+
+
+def reference_cone_contains(cone, v):
+    """The former `cone_contains`: the same decision tree with the span
+    verdicts taken in `Fraction`s."""
+    if len(v) != cone.dimension:
+        raise ValueError("vector dimension does not match the cone")
+    if is_zero_vec(v):
+        if cone.contains_zero or any(is_zero_vec(g) for g in cone.generators):
+            return True
+        if not cone.generators:
+            return False
+        if cone.span_solver.unique:
+            return False
+        return cone_membership(cone, v).member
+    if not cone.generators:
+        return False
+    if reference_off_span_functional(cone, v) is not None:
+        return False
+    if cone.span_solver.unique:
+        mu = reference_solve_unique(cone, v)
+        return mu is not None and all(c >= 0 for c in mu)
+    return cone_membership(cone, v).member
+
+
+def _cone_kinds(rng, dim, contains_zero):
+    """One cone of every kind: pointed (simplicial and not), not pointed,
+    rank-deficient with independent and with dependent generators, with a
+    zero generator, and with no generators."""
+    draw = rand_pointed_cone(rng, dim, contains_zero)
+    gens = draw.cone.generators
+    zero = tuple(F(0) for _ in range(dim))
+    return {
+        "simplicial": gens,
+        "nonsimplicial_pointed": gens + (vadd(vadd(gens[0], gens[1]), draw.guard),),
+        "not_pointed": gens + (tuple(-c for c in gens[0]),),
+        "rank_deficient": gens[:-1],
+        "rank_deficient_dependent": gens[:-1] + (tuple(2 * c for c in gens[0]),),
+        "zero_generator": gens + (zero,),
+        "no_generators": (),
+    }
+
+
+class TestIntegerVerdictAgainstTheFractionPath:
+    def test_every_cone_kind_with_the_origin_toggled(self):
+        # Probes: random points (some with numerators near 10^20), members,
+        # their negations, generators, off-span shifts and the origin.
+        rng = random.Random(20261018)
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            dim = rng.choice((2, 3))
+            for name, gens in _cone_kinds(rng, dim, True).items():
+                for flag in (True, False):
+                    cone = with_origin(Cone(dim, gens, True), flag)
+                    probes = [rand_point(rng, dim) for _ in range(4)]
+                    probes.append(tuple(F(10**20 + rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(dim)))
+                    probes.append(tuple(F(0) for _ in range(dim)))
+                    probes += list(gens)
+                    if gens:
+                        member = rand_cone_member(rng, Cone(dim, gens, True), strict=False)
+                        probes += [member, tuple(-c for c in member), vadd(member, rand_point(rng, dim))]
+                    for v in probes:
+                        expected = reference_cone_contains(cone, v)
+                        assert cone_contains(cone, v) == expected, (name, flag, v)
+                        seen[expected] += 1
+                        if gens and any(v):
+                            # The certificate, span functional or coefficients, is unchanged too.
+                            assert cone_membership(cone, v) == reference_cone_membership(cone, v), (name, v)
+        assert min(seen.values()) > 500

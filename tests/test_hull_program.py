@@ -1,0 +1,394 @@
+"""The hull-program builder and the separation rows against the builders
+they replaced.
+
+Each `reference_*` function below is one of the package's former inline
+builders: it writes its program in `Fraction`s through
+`LinearProgram.build`. The programs the package now writes in integer
+form (`linalg.hull_program`, `separation._functional_rows`) are recorded
+at `lp_solve` and must equal the reference field for field, which means
+the same integer rows over the same scale, expand to the same `Fraction`
+rows, and solve to the same result. Draws cover blocks with and without
+rays, targets whose denominators do not divide the views' lcm, negative
+right-hand sides and the free-variable separator rows.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conedom import cones, dominance, linalg, separation
+from conedom.cones import Cone
+from conedom.dominance import OutsideHullError, decompose_in_hulls, is_pareto_in_hull
+from conedom.linalg import (
+    ONE,
+    REL_EQ,
+    REL_GE,
+    REL_LE,
+    ZERO,
+    LinearProgram,
+    hull_membership,
+    integer_points,
+    is_zero_vec,
+    lp_solve,
+    relative_interior_membership,
+)
+from conedom.separation import hulls_disjoint, proper_separator, strict_separator
+from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, materialize, upward_hull
+
+# --- the former builders -------------------------------------------------------
+
+
+def reference_decomposition_lp(y, d):
+    n = d.dimension
+    sizes = [len(s.base) for s in d.summands]
+    cols = sum(sizes)
+    rows = []
+    for dim in range(n):
+        row = []
+        for s in d.summands:
+            row.extend(p[dim] for p in s.base.points)
+        rows.append((row, REL_EQ, y[dim]))
+    offset = 0
+    for size in sizes:
+        row = [ZERO] * cols
+        for k in range(size):
+            row[offset + k] = ONE
+        rows.append((row, REL_EQ, ONE))
+        offset += size
+    return LinearProgram.build([ZERO] * cols, True, rows)
+
+
+def reference_pareto_lp(y, d):
+    gens = [g for g in d.cone.generators if not is_zero_vec(g)]
+    sizes = [len(s.base) for s in d.summands]
+    cols = sum(sizes) + len(gens)
+    rows = []
+    for dim in range(d.dimension):
+        row = []
+        for s in d.summands:
+            row.extend(p[dim] for p in s.base.points)
+        row.extend(-g[dim] for g in gens)
+        rows.append((row, REL_EQ, y[dim]))
+    offset = 0
+    for size in sizes:
+        row = [ZERO] * cols
+        for k in range(size):
+            row[offset + k] = ONE
+        rows.append((row, REL_EQ, ONE))
+        offset += size
+    objective = [ZERO] * sum(sizes) + [ONE] * len(gens)
+    return LinearProgram.build(objective, True, rows)
+
+
+def reference_hull_lp(point, vertices, rays):
+    nv, nr = len(vertices), len(rays)
+    rows = []
+    for d in range(len(point)):
+        rows.append(([v[d] for v in vertices] + [r[d] for r in rays], REL_EQ, point[d]))
+    rows.append(([ONE] * nv + [ZERO] * nr, REL_EQ, ONE))
+    return LinearProgram.build([ZERO] * (nv + nr), True, rows)
+
+
+def reference_relative_interior_lp(point, vertices, rays):
+    nv, nr = len(vertices), len(rays)
+    rows = []
+    for d in range(len(point)):
+        tcol = sum((v[d] for v in vertices), ZERO) + sum((r[d] for r in rays), ZERO)
+        rows.append(([v[d] for v in vertices] + [r[d] for r in rays] + [tcol], REL_EQ, point[d]))
+    rows.append(([ONE] * nv + [ZERO] * nr + [F(nv)], REL_EQ, ONE))
+    return LinearProgram.build([ZERO] * (nv + nr) + [ONE], True, rows)
+
+
+def reference_membership_lp(cone, v, need_unit_mass):
+    k = len(cone.generators)
+    rows = []
+    for d in range(cone.dimension):
+        rows.append(([g[d] for g in cone.generators], REL_EQ, v[d]))
+    if need_unit_mass:
+        rows.append(([ONE] * k, REL_EQ, ONE))
+    return LinearProgram.build([ZERO] * k, True, rows)
+
+
+def reference_common_point_lp(x, blocks):
+    n = x.dimension
+    xv, xr = x.vertices.points, x.rays
+    cols = sum(len(b) for b in blocks) + len(xv) + len(xr)
+    rows = []
+    for d in range(n):
+        row = []
+        for b in blocks:
+            row.extend(p[d] for p in b)
+        row.extend(-v[d] for v in xv)
+        row.extend(-r[d] for r in xr)
+        rows.append((row, REL_EQ, ZERO))
+    offset = 0
+    for b in blocks:
+        row = [ZERO] * cols
+        for k in range(len(b)):
+            row[offset + k] = ONE
+        rows.append((row, REL_EQ, ONE))
+        offset += len(b)
+    row = [ZERO] * cols
+    for k in range(len(xv)):
+        row[offset + k] = ONE
+    rows.append((row, REL_EQ, ONE))
+    return LinearProgram.build([ZERO] * cols, True, rows)
+
+
+def reference_strict_lp(x, y):
+    n = x.dimension
+    cols = n + 2
+    rows = []
+    for v in x.vertices:
+        rows.append((list(v) + [-ONE, ZERO], REL_LE, ZERO))
+    for r in x.rays:
+        rows.append((list(r) + [ZERO, ZERO], REL_LE, ZERO))
+    for w in y.vertices:
+        rows.append((list(w) + [ZERO, -ONE], REL_GE, ZERO))
+    rows.append(([ZERO] * n + [-ONE, ONE], REL_GE, ONE))
+    return LinearProgram.build([ZERO] * cols, True, rows, nonneg=[False] * cols)
+
+
+def reference_proper_lps(x, y):
+    """Every candidate program of `proper_separator`, in scan order."""
+    pts = materialize(y).points
+    n = x.dimension
+    xv, xr = x.vertices.points, x.rays
+    cols = n + 2
+    weak = []
+    for v in xv:
+        weak.append((list(v) + [-ONE] + [ZERO] * (cols - n - 1), REL_LE, ZERO))
+    for r in xr:
+        weak.append((list(r) + [ZERO] * (cols - n), REL_LE, ZERO))
+    for p in pts:
+        weak.append((list(p) + [-ONE] + [ZERO] * (cols - n - 1), REL_GE, ZERO))
+    nonneg = [False] * (n + 1) + [True]
+    objective = [ZERO] * (n + 1) + [ONE]
+    gap_cap = ([ZERO] * (n + 1) + [ONE], REL_LE, ONE)
+    strict = [([pi - vi for pi, vi in zip(p, v)] + [ZERO, -ONE], REL_GE, ZERO) for p in pts for v in xv]
+    strict += [([-ri for ri in r] + [ZERO, -ONE], REL_GE, ZERO) for r in xr]
+    return [LinearProgram.build(objective, True, weak + [row, gap_cap], nonneg=nonneg) for row in strict]
+
+
+# --- recording and comparing ---------------------------------------------------
+
+
+@contextmanager
+def recorded(module):
+    """Rebind `lp_solve` in one module, recording every program it solves."""
+    store = []
+
+    def record(lp):
+        store.append(lp)
+        return lp_solve(lp)
+
+    module.lp_solve = record
+    try:
+        yield store
+    finally:
+        module.lp_solve = lp_solve
+
+
+def assert_same_program(built, reference):
+    assert built.constraints == reference.constraints
+    assert (built.objective, built.maximize, built.nonneg) == (reference.objective, reference.maximize, reference.nonneg)
+    assert built == reference  # the same integer rows over the same scale
+    assert lp_solve(built) == lp_solve(reference)
+
+
+# --- draws ---------------------------------------------------------------------
+
+# Denominators 7 and 11 appear in targets only, so a target's denominators
+# need not divide the lcm of the points' views.
+DENS = (1, 2, 3, 5)
+coordinate = st.builds(F, st.integers(-6, 6), st.sampled_from(DENS))
+target_coordinate = st.builds(F, st.integers(-9, 9), st.sampled_from(DENS + (7, 11)))
+step = st.builds(F, st.integers(0, 4), st.sampled_from(DENS))
+
+
+def points(n, min_size=1, max_size=4):
+    return st.lists(st.tuples(*[coordinate] * n), min_size=min_size, max_size=max_size, unique=True)
+
+
+def targets(n):
+    return st.tuples(*[target_coordinate] * n)
+
+
+@st.composite
+def pointed_cones(draw, n=2):
+    """Two independent rational generators in the plane, optionally with a
+    zero generator, which `is_pareto_in_hull` must drop."""
+    a = draw(st.tuples(step.filter(bool), coordinate))
+    b = draw(st.tuples(coordinate, step.filter(bool)))
+    assume(a[0] * b[1] - a[1] * b[0] != 0)
+    gens = [a, b] + ([(ZERO, ZERO)] if draw(st.booleans()) else [])
+    return Cone.build(n, gens, draw(st.booleans()))
+
+
+@st.composite
+def chains(draw, cone):
+    """Cumulative sums of nonnegative generator combinations: a chain."""
+    p = draw(st.tuples(coordinate, coordinate))
+    pts = [p]
+    for _ in range(draw(st.integers(0, 3))):
+        weights = [draw(step) for _ in cone.generators]
+        p = tuple(c + sum((w * g[d] for w, g in zip(weights, cone.generators)), ZERO) for d, c in enumerate(p))
+        pts.append(p)
+    return ChainSet.build(pts, cone)
+
+
+@st.composite
+def decomposables(draw):
+    cone = draw(pointed_cones())
+    return DecomposableSet(tuple(draw(chains(cone)) for _ in range(draw(st.integers(1, 3)))))
+
+
+@st.composite
+def polyhedra(draw, n=2, rays=None):
+    vertices = draw(points(n))
+    has_rays = draw(st.booleans()) if rays is None else rays
+    ray_list = draw(points(n, 1, 2)) if has_rays else []
+    return Polyhedron.build(vertices, [r for r in ray_list if any(r)])
+
+
+# --- the hull-shaped programs ----------------------------------------------------
+
+
+class TestHullProgramAgainstTheFormerBuilders:
+    @settings(max_examples=80, deadline=None)
+    @given(d=decomposables(), data=st.data())
+    def test_decomposition(self, d, data):
+        y = data.draw(targets(d.dimension))
+        with recorded(dominance) as store:
+            try:
+                decompose_in_hulls(y, d)
+            except OutsideHullError:
+                pass
+        (built,) = store
+        assert_same_program(built, reference_decomposition_lp(y, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=decomposables(), data=st.data())
+    def test_pareto_in_hull(self, d, data):
+        y = data.draw(targets(d.dimension))
+        with recorded(dominance) as store:
+            try:
+                is_pareto_in_hull(y, d)
+            except OutsideHullError:
+                pass
+        (built,) = store
+        assert_same_program(built, reference_pareto_lp(y, d))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), with_rays=st.booleans())
+    def test_hull_and_relative_interior(self, data, n, with_rays):
+        vertices = tuple(data.draw(points(n)))
+        rays = tuple(data.draw(points(n, 1, 2))) if with_rays else ()
+        point = data.draw(targets(n))
+        with recorded(linalg) as store:
+            hull_membership(point, vertices, rays)
+            relative_interior_membership(point, vertices, rays)
+            # Views given by the caller are read as they are.
+            hull_membership(point, integer_points(vertices), integer_points(rays))
+            relative_interior_membership(point, integer_points(vertices), integer_points(rays))
+        hull, interior, hull_from_views, interior_from_views = store
+        assert_same_program(hull, reference_hull_lp(point, vertices, rays))
+        assert_same_program(interior, reference_relative_interior_lp(point, vertices, rays))
+        assert hull_from_views == hull and interior_from_views == interior
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), unit_mass=st.booleans())
+    def test_cone_membership(self, data, n, unit_mass):
+        cone = Cone.build(n, data.draw(points(n, 1, 4)), data.draw(st.booleans()))
+        v = data.draw(targets(n))
+        with recorded(cones) as store:
+            cones._solve_membership(cone, v, unit_mass)
+        (built,) = store
+        assert_same_program(built, reference_membership_lp(cone, v, unit_mass))
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=polyhedra(), data=st.data())
+    def test_common_point(self, x, data):
+        if data.draw(st.booleans()):
+            y = data.draw(decomposables())
+            blocks = [s.base.points for s in y.summands]
+        else:
+            y = FinitePointSet.build(data.draw(points(2)))
+            blocks = [y.points]
+        with recorded(separation) as store:
+            hulls_disjoint(x, y)
+        (built,) = store
+        assert_same_program(built, reference_common_point_lp(x, blocks))
+
+    def test_decomposition_outside_the_hull_gives_the_same_refutation(self):
+        orthant = Cone.build(2, [(1, 0), (0, 1)], True)
+        d = DecomposableSet((ChainSet.build([(0, 0), ("1/2", 1)], orthant), ChainSet.build([(0, 0), (1, "1/3")], orthant)))
+        y = (F(-3, 7), F(5, 11))  # negative right-hand side, denominators 7 and 11
+        built = linalg.hull_program(y, [(1, s.base.integer_view) for s in d.summands])
+        assert built.scale == 2 * 3 * 7 * 11
+        assert_same_program(built, reference_decomposition_lp(y, d))
+        with pytest.raises(OutsideHullError):
+            decompose_in_hulls(y, d)
+
+
+# --- the separation rows ---------------------------------------------------------
+
+
+@st.composite
+def strictly_apart(draw):
+    """X in the closed negative quadrant (rays included), Y a bounded set in
+    the open positive one: always disjoint, so the strict program runs."""
+    neg = st.builds(F, st.integers(-6, 0), st.sampled_from(DENS))
+    pos = st.builds(F, st.integers(1, 6), st.sampled_from(DENS))
+    xv = draw(st.lists(st.tuples(neg, neg), min_size=1, max_size=3, unique=True))
+    xr = draw(st.lists(st.tuples(neg, neg).filter(any), max_size=2, unique=True))
+    yv = draw(st.lists(st.tuples(pos, pos), min_size=1, max_size=3, unique=True))
+    return Polyhedron.build(xv, xr), Polyhedron.build(yv)
+
+
+class TestSeparationRowsAgainstTheFormerBuilders:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=strictly_apart())
+    def test_strict_separator(self, pair):
+        x, y = pair
+        with recorded(separation) as store:
+            strict_separator(x, y)
+        common, strict = store
+        assert_same_program(common, reference_common_point_lp(x, [y.vertices.points]))
+        assert_same_program(strict, reference_strict_lp(x, y))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_proper_separator(self, data):
+        # X is the orthant sweep of a few points, Y a chain at or below
+        # X's lowest corner, so no point of Y lies in ri(X).
+        orthant = Cone.build(2, [(1, 0), (0, 1)], True)
+        base = data.draw(points(2))
+        x = upward_hull(FinitePointSet.build(base), orthant)
+        corner = tuple(min(p[d] for p in base) for d in range(2))
+        low = data.draw(st.lists(st.tuples(step, step), min_size=1, max_size=3))
+        chain = [tuple(c - s for c, s in zip(corner, shift)) for shift in low]
+        chain.sort(key=lambda p: (p[0] + p[1], p))
+        assume(all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(chain, chain[1:])))
+        y = DecomposableSet((ChainSet.build(chain, orthant),))
+        with recorded(separation) as store:
+            proper_separator(x, y, orthant)
+        assert store
+        for built, reference in zip(store, reference_proper_lps(x, y)):
+            assert_same_program(built, reference)
+
+    def test_proper_separator_along_a_ray(self):
+        # The vertex candidates have no positive gap here, so the scan
+        # reaches the ray candidates.
+        orthant = Cone.build(2, [(1, 0), (0, 1)], True)
+        x = Polyhedron.build([(0, 0)], [(1, 0), (0, 1)])
+        y = DecomposableSet((ChainSet.build([(0, 0)], orthant),))
+        with recorded(separation) as store:
+            res = proper_separator(x, y, orthant)
+        references = reference_proper_lps(x, y)
+        assert len(store) > 1 and res.witness_pair[0] != (F(0), F(0))
+        for built, reference in zip(store, references):
+            assert_same_program(built, reference)

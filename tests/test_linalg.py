@@ -13,6 +13,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from conedom.linalg import (
     ZERO,
     check_certificates,
     hull_membership,
+    integer_points,
     lp_solve,
     relative_interior_membership,
     vdot,
@@ -221,6 +223,61 @@ class TestGoldenCorpus:
             # A raw int compares equal to its Fraction, so check the type too.
             assert all(type(c) is F for c in numbers if c is not None), entry["label"]
         assert mismatches == []
+
+    def test_integer_form_expands_back_to_every_stored_program(self):
+        # The solver and the checker both read the integer form, so a
+        # scaling slip would hit both; expand it back by hand instead.
+        entries = json.loads(LP_CORPUS.read_text(encoding="utf-8"))["programs"]
+        for entry in entries:
+            stored = [([F(c) for c in a], rel, F(b)) for a, rel, b in entry["program"]["constraints"]]
+            lp = _stored_program(entry["program"])
+            assert lp.scale == lcm(*(c.denominator for a, _, b in stored for c in (*a, b))), entry["label"]
+            assert len(lp.rows) == len(stored)
+            for (a, rel, b), (ints, int_rel, int_b) in zip(stored, lp.rows):
+                assert int_rel == rel
+                assert all(type(c) is int for c in (*ints, int_b))
+                assert [F(c, lp.scale) for c in ints] == a and F(int_b, lp.scale) == b, entry["label"]
+            assert lp.constraints == tuple((tuple(a), rel, b) for a, rel, b in stored)
+
+
+class TestTamperGuard:
+    """A program's integer form belongs to its rows: a rebuilt or replaced
+    program never reads the form, or a cached view, of another one."""
+
+    def test_replaced_rows_bring_their_own_views(self):
+        lp = LinearProgram.build([1, 1], True, [([1, "1/2"], "<=", 2), ([1, 0], "<=", 1)])
+        res = lp_solve(lp)
+        assert lp.constraints[0][0] == (F(1), F(1, 2))  # fills the cached view
+        assert lp.integer_objective == (1, (1, 1))
+        other = LinearProgram.build([2, 1], True, [([1, "1/3"], "<=", 2), ([1, 0], "<=", 1)])
+        tampered = replace(lp, rows=other.rows, scale=other.scale, objective=other.objective)
+        assert tampered == other
+        assert tampered.constraints == other.constraints != lp.constraints
+        assert tampered.integer_objective == (1, (2, 1))
+        assert lp_solve(tampered) == lp_solve(other) != res
+        # The old certificate does not pass for the new rows.
+        assert check_certificates(tampered, res) != []
+        assert check_certificates(lp, res) == []
+
+    def test_a_scale_that_does_not_match_its_rows_is_read_as_given(self):
+        # Halving the scale doubles every rational in the program; the
+        # checker reads the new form and flags the old certificate.
+        lp = LinearProgram.build([1], True, [([1], "<=", 4)])
+        res = lp_solve(lp)
+        doubled = replace(lp, rows=(((2,), "<=", 8),), scale=2)
+        assert doubled.constraints == lp.constraints
+        assert lp_solve(doubled).value == 4
+        halved = replace(lp, rows=(((1,), "<=", 8),))
+        assert halved.constraints == (((F(1),), "<=", F(8)),)
+        assert check_certificates(halved, res) != []
+        with pytest.raises(ValueError):
+            lp_solve(replace(lp, scale=0))
+
+    def test_rebuilding_from_the_fraction_view_gives_the_same_program(self):
+        lp = LinearProgram.build(["1/2", -3], False, [(["2/3", 1], ">=", "-5/7"), ([1, -1], "=", 0)], [True, False])
+        again = LinearProgram.build(lp.objective, lp.maximize, lp.constraints, lp.nonneg)
+        assert again == lp and again.rows == (((14, 21), ">=", -15), ((21, -21), "=", 0))
+        assert again.scale == 21
 
 
 def reference_check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
@@ -497,6 +554,15 @@ class TestHullMembership:
     def test_empty_vertices_rejected(self):
         with pytest.raises(ValueError):
             hull_membership((F(0),), ())
+
+    def test_dimension_mismatch_is_refused_for_vectors_and_views(self):
+        point, short, ray = (F(1), F(1)), ((F(0),),), ((F(1), F(0), F(0)),)
+        for entry in (hull_membership, relative_interior_membership):
+            for convert in (tuple, integer_points):
+                with pytest.raises(ValueError, match="vertex dimension"):
+                    entry(point, convert(short))
+                with pytest.raises(ValueError, match="ray dimension"):
+                    entry(point, convert(TRIANGLE), convert(ray))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), k=st.integers(min_value=1, max_value=4))

@@ -57,11 +57,11 @@ class TestHullsDisjoint:
 
     def test_overlap_returns_a_common_point(self):
         x = Polyhedron.build([(0, 0)], [(1, 0), (0, 1)])
-        y = FinitePointSet.build([(1, 1), (2, 2)])
-        res = hulls_disjoint(x, y)
-        assert not res.disjoint
-        assert poly_contains(x, res.common_point)
-        assert hull_membership(res.common_point, y.points).member
+        for y in (FinitePointSet.build([(1, 1), (2, 2)]), FinitePointSet.build([(2, 3)])):
+            res = hulls_disjoint(x, y)
+            assert not res.disjoint
+            assert poly_contains(x, res.common_point)
+            assert hull_membership(res.common_point, y.points).member
 
     def test_decomposable_second_set(self):
         x = Polyhedron.build([(10, 10)], [(1, 0), (0, 1)])
