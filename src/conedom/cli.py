@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from .cones import Cone, relate
 from .dominance import (
@@ -25,7 +27,7 @@ from .dominance import (
     validate_certificate,
     validate_outside_hull,
 )
-from .linalg import Vec, hull_membership, vdot
+from .linalg import Vec
 from .maximals import UTILITIES, check_convexification_invariance, demand, orthant_cone
 from .scene import Scene, SceneError, fmt, fmt_vec, parse_scene
 from .sets import (
@@ -35,11 +37,18 @@ from .sets import (
     Polyhedron,
     convex_hull,
     first_comparable_pair,
-    is_chain,
     first_incomparable_pair,
     materialize,
 )
-from .separation import hulls_disjoint, proper_separator, strict_separator, validate_common_point
+from .separation import (
+    DisjointnessResult,
+    SeparationResult,
+    hulls_disjoint,
+    proper_separator,
+    strict_separator,
+    validate_disjointness,
+    validate_separation,
+)
 from .suite import DEFAULT_COUNTS, run_suite
 
 
@@ -112,6 +121,47 @@ def _emit(payload: dict[str, Any]) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _shown(value: Any) -> Any:
+    """A result field as the payload shows it: rationals as strings, vectors
+    and blocks as arrays, flags and labels as they are."""
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, Decomposition):
+        return _shown(value.blocks)
+    return fmt(value) if isinstance(value, Fraction) else [_shown(v) for v in value]
+
+
+def _payload(result: Any) -> dict[str, Any]:
+    """The fields of a result dataclass that are set, as the payload shows them."""
+    return {f.name: _shown(getattr(result, f.name)) for f in fields(result) if getattr(result, f.name) is not None}
+
+
+def _rationals(value: str | list) -> Fraction | tuple:
+    return Fraction(value) if isinstance(value, str) else tuple(_rationals(v) for v in value)
+
+
+def _reread(payload: dict[str, Any]) -> dict[str, Any]:
+    """The payload as a reader of the emitted JSON gets it back: rational
+    strings as `Fraction`s and arrays as tuples; flags and the labels
+    `direction` and `kind` as they are."""
+    doc = json.loads(json.dumps(payload))
+    return {k: v if isinstance(v, bool) or k in ("direction", "kind") else _rationals(v) for k, v in doc.items()}
+
+
+def _report(payload: dict[str, Any], verify: bool, validate: Callable[[dict[str, Any]], list[str]], code: int) -> int:
+    """Emit the payload and return `code`. With `verify`, `validate` first
+    re-checks the payload as re-read from its JSON (`_reread`) and sets
+    `verified`; a failed check prints its first message and returns 1."""
+    issues = validate(_reread(payload)) if verify else []
+    if verify:
+        payload["verified"] = not issues
+    _emit(payload)
+    if issues:
+        print(f"verification failed: {issues[0]}", file=sys.stderr)
+        return 1
+    return code
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -125,54 +175,17 @@ def _cmd_relate(args) -> int:
     return 0
 
 
-def _cmd_chain_check(args) -> int:
+def _cmd_pair_check(args, find, verdict: str, pair_key: str) -> int:
+    """`chain-check` and `antichain-check`: the verdict, else the first pair `find` reports against it."""
     scene = _load_scene(args.scene)
     pts = _as_points(scene, args.set)
     cone = _resolve_cone(scene, args.cone, pts.dimension if len(pts) else 0)
-    pair = first_incomparable_pair(pts, cone)
-    payload: dict[str, Any] = {"chain": pair is None}
+    pair = find(pts, cone)
+    payload: dict[str, Any] = {verdict: pair is None}
     if pair is not None:
-        payload["incomparable_pair"] = [fmt_vec(pair[0]), fmt_vec(pair[1])]
+        payload[pair_key] = [fmt_vec(pair[0]), fmt_vec(pair[1])]
     _emit(payload)
     return 0 if pair is None else 1
-
-
-def _cmd_antichain_check(args) -> int:
-    scene = _load_scene(args.scene)
-    pts = _as_points(scene, args.set)
-    cone = _resolve_cone(scene, args.cone, pts.dimension if len(pts) else 0)
-    pair = first_comparable_pair(pts, cone)
-    payload: dict[str, Any] = {"antichain": pair is None}
-    if pair is not None:
-        payload["comparable_pair"] = [fmt_vec(pair[0]), fmt_vec(pair[1])]
-    _emit(payload)
-    return 0 if pair is None else 1
-
-
-def _certificate_payload(cert: DominationCertificate) -> dict[str, Any]:
-    return {
-        "target": fmt_vec(cert.target),
-        "witness": fmt_vec(cert.witness),
-        "cone_vector": fmt_vec(cert.cone_vector),
-        "direction": cert.direction,
-        "summand_witnesses": [fmt_vec(w) for w in cert.summand_witnesses],
-        "decomposition": [[fmt(c) for c in block] for block in cert.decomposition.blocks],
-    }
-
-
-def _certificate_from_payload(payload: dict[str, Any]) -> DominationCertificate:
-    return DominationCertificate(
-        target=tuple(Fraction(c) for c in payload["target"]),
-        witness=tuple(Fraction(c) for c in payload["witness"]),
-        cone_vector=tuple(Fraction(c) for c in payload["cone_vector"]),
-        summand_witnesses=tuple(
-            tuple(Fraction(c) for c in w) for w in payload["summand_witnesses"]
-        ),
-        decomposition=Decomposition(
-            tuple(tuple(Fraction(c) for c in block) for block in payload["decomposition"])
-        ),
-        direction=payload["direction"],
-    )
 
 
 def _cmd_dominate(args) -> int:
@@ -183,36 +196,16 @@ def _cmd_dominate(args) -> int:
     try:
         cert = find(point, dset)
     except OutsideHullError as exc:
-        refutation: dict[str, Any] = {
-            "outside_hull": True,
-            "functional": fmt_vec(exc.functional),
-            "offsets": [fmt(c) for c in exc.offsets],
-        }
-        issues: list[str] = []
-        if args.verify:
-            reread = json.loads(json.dumps(refutation))
-            issues = validate_outside_hull(
-                point,
-                tuple(Fraction(c) for c in reread["functional"]),
-                tuple(Fraction(c) for c in reread["offsets"]),
-                dset,
-            )
-            refutation["verified"] = not issues
-        _emit(refutation)
-        if issues:
-            print(f"verification failed: {issues[0]}", file=sys.stderr)
-        return 1
-    payload = _certificate_payload(cert)
-    if args.verify:
-        reread = _certificate_from_payload(json.loads(json.dumps(payload)))
-        issues = validate_certificate(reread, dset)
-        payload["verified"] = not issues
-        if issues:
-            _emit(payload)
-            print(f"verification failed: {issues[0]}", file=sys.stderr)
-            return 1
-    _emit(payload)
-    return 0
+        refutation = {"outside_hull": True, "functional": _shown(exc.functional), "offsets": _shown(exc.offsets)}
+        return _report(
+            refutation, args.verify, lambda d: validate_outside_hull(point, d["functional"], d["offsets"], dset), 1
+        )
+
+    def validate(doc: dict[str, Any]) -> list[str]:
+        doc["decomposition"] = Decomposition(doc["decomposition"])
+        return validate_certificate(DominationCertificate(**doc), dset)
+
+    return _report(_payload(cert), args.verify, validate, 0)
 
 
 def _cmd_pareto(args) -> int:
@@ -248,86 +241,27 @@ def _cmd_hulls_disjoint(args) -> int:
         raise UsageError("the second set must be points, a chain, or a sum")
     y_set = y_raw if isinstance(y_raw, (DecomposableSet, FinitePointSet)) else y_raw.base
     res = hulls_disjoint(x_poly, y_set)
-    if res.disjoint:
-        payload = {
-            "disjoint": True,
-            "functional": fmt_vec(res.functional),
-            "x_bound": fmt(res.x_bound),
-            "y_bound": fmt(res.y_bound),
-        }
-        if args.verify:
-            pts = (
-                materialize(y_set) if isinstance(y_set, DecomposableSet) else y_set
-            )
-            ok = (
-                all(vdot(res.functional, v) <= res.x_bound for v in x_poly.vertices.points)
-                and all(vdot(res.functional, r) <= 0 for r in x_poly.rays)
-                and all(vdot(res.functional, p) >= res.y_bound for p in pts.points)
-                and res.x_bound < res.y_bound
-            )
-            payload["verified"] = ok
-            if not ok:
-                _emit(payload)
-                print("verification failed: certificate arithmetic", file=sys.stderr)
-                return 1
-        _emit(payload)
-        return 0
-    payload = {"disjoint": False, "common_point": fmt_vec(res.common_point)}
-    issues: list[str] = []
-    if args.verify:
-        reread = json.loads(json.dumps(payload))
-        issues = validate_common_point(tuple(Fraction(c) for c in reread["common_point"]), x_poly, y_set)
-        payload["verified"] = not issues
-    _emit(payload)
-    if issues:
-        print(f"verification failed: {issues[0]}", file=sys.stderr)
-    return 1
+    return _report(
+        _payload(res),
+        args.verify,
+        lambda doc: validate_disjointness(DisjointnessResult(**doc), x_poly, y_set),
+        0 if res.disjoint else 1,
+    )
 
 
 def _cmd_separate(args) -> int:
     scene = _load_scene(args.scene)
     x_poly = _as_polyhedron(scene, args.x_set)
     if args.kind == "strict":
-        y_poly = _as_polyhedron(scene, args.y_set)
-        result = strict_separator(x_poly, y_poly)
-        y_points = y_poly.vertices.points
+        y_set: Polyhedron | DecomposableSet = _as_polyhedron(scene, args.y_set)
+        result = strict_separator(x_poly, y_set)
     else:
         y_set = _as_decomposable(scene, args.y_set)
         cone = _resolve_cone(scene, args.cone, x_poly.vertices.dimension)
         result = proper_separator(x_poly, y_set, cone)
-        y_points = materialize(y_set).points
-    payload: dict[str, Any] = {
-        "kind": result.kind,
-        "functional": fmt_vec(result.functional),
-        "sup_x": fmt(result.sup_x),
-        "inf_y": fmt(result.inf_y),
-    }
-    if result.witness_pair is not None:
-        payload["witness_pair"] = [
-            fmt_vec(result.witness_pair[0]),
-            fmt_vec(result.witness_pair[1]),
-        ]
-    if args.verify:
-        f = result.functional
-        sup_x = max(vdot(f, v) for v in x_poly.vertices.points)
-        ok = all(vdot(f, r) <= 0 for r in x_poly.rays) and sup_x == result.sup_x
-        inf_y = min(vdot(f, w) for w in y_points)
-        ok = ok and inf_y == result.inf_y
-        if args.kind == "strict":
-            ok = ok and result.inf_y - result.sup_x >= 1
-        else:
-            ok = ok and result.inf_y >= result.sup_x
-            if result.witness_pair is not None:
-                wx, wy = result.witness_pair
-                ok = ok and vdot(f, wx) < vdot(f, wy) and wy in y_points
-                ok = ok and hull_membership(wx, x_poly.vertices.points, x_poly.rays).member
-        payload["verified"] = ok
-        if not ok:
-            _emit(payload)
-            print("verification failed: separation arithmetic", file=sys.stderr)
-            return 1
-    _emit(payload)
-    return 0
+    return _report(
+        _payload(result), args.verify, lambda doc: validate_separation(SeparationResult(**doc), x_poly, y_set), 0
+    )
 
 
 def _grid_price_utility(args, scene: Scene):
@@ -390,74 +324,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name: str, handler, text: str, *required: str):
+        p = sub.add_parser(name, help=text)
         p.set_defaults(handler=handler)
+        for option in required:
+            p.add_argument(option, required=True)
         return p
 
-    p = add("relate", _cmd_relate, help="classify two points under a cone order")
+    p = add("relate", _cmd_relate, "classify two points under a cone order")
     p.add_argument("--scene")
     p.add_argument("--cone", required=True)
     p.add_argument("--from", dest="origin", required=True, metavar="VEC")
     p.add_argument("--to", dest="target", required=True, metavar="VEC")
 
-    p = add("chain-check", _cmd_chain_check, help="is the set totally ordered?")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--cone", required=True)
+    for name, find, verdict, pair_key, text in (
+        ("chain-check", first_incomparable_pair, "chain", "incomparable_pair", "is the set totally ordered?"),
+        ("antichain-check", first_comparable_pair, "antichain", "comparable_pair", "is the set pairwise incomparable?"),
+    ):
+        handler = partial(_cmd_pair_check, find=find, verdict=verdict, pair_key=pair_key)
+        add(name, handler, text, "--scene", "--set", "--cone")
 
-    p = add("antichain-check", _cmd_antichain_check, help="is the set pairwise incomparable?")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--cone", required=True)
-
-    p = add("dominate", _cmd_dominate, help="find a dominating point with a certificate")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--set", required=True)
+    p = add("dominate", _cmd_dominate, "find a dominating point with a certificate", "--scene", "--set")
     p.add_argument("--point", required=True, metavar="VEC")
     p.add_argument("--direction", choices=("dominates", "dominated"), default="dominates")
     p.add_argument("--verify", action="store_true")
 
-    p = add("pareto", _cmd_pareto, help="enumerate cone-undominated points")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--cone", required=True)
+    add("pareto", _cmd_pareto, "enumerate cone-undominated points", "--scene", "--set", "--cone")
+    add("equiv", _cmd_equiv, "optima equivalence report for a sum of chains", "--scene", "--set")
 
-    p = add("equiv", _cmd_equiv, help="optima equivalence report for a sum of chains")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--set", required=True)
-
-    p = add("hulls-disjoint", _cmd_hulls_disjoint, help="are the convex hulls disjoint?")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--x-set", required=True)
-    p.add_argument("--y-set", required=True)
+    p = add("hulls-disjoint", _cmd_hulls_disjoint, "are the convex hulls disjoint?", "--scene", "--x-set", "--y-set")
     p.add_argument("--verify", action="store_true")
 
-    p = add("separate", _cmd_separate, help="compute a separating functional")
-    p.add_argument("--scene", required=True)
+    p = add("separate", _cmd_separate, "compute a separating functional", "--scene")
     p.add_argument("--kind", choices=("strict", "proper"), required=True)
     p.add_argument("--x-set", required=True)
     p.add_argument("--y-set", required=True)
     p.add_argument("--cone", default="orthant")
     p.add_argument("--verify", action="store_true")
 
-    p = add("demand", _cmd_demand, help="utility maximizers over a budget set")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--price", required=True)
-    p.add_argument("--utility", required=True)
+    for name, handler, text in (
+        ("demand", _cmd_demand, "utility maximizers over a budget set"),
+        ("demand-invariance", _cmd_demand_invariance, "do maximals survive convexification of the preference?"),
+    ):
+        add(name, handler, text, "--scene", "--grid", "--price", "--utility")
 
-    p = add(
-        "demand-invariance",
-        _cmd_demand_invariance,
-        help="do maximals survive convexification of the preference?",
-    )
-    p.add_argument("--scene", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--price", required=True)
-    p.add_argument("--utility", required=True)
-
-    p = add("suite", _cmd_suite, help="run the deterministic verification families")
+    p = add("suite", _cmd_suite, "run the deterministic verification families")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--instances", type=int, default=None)
 
@@ -469,14 +380,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, SceneError) as exc:
-        if isinstance(exc, SceneError):
-            for line in exc.errors:
-                print(f"scene error: {line}", file=sys.stderr)
-        else:
-            print(f"usage error: {exc}", file=sys.stderr)
+    except SceneError as exc:
+        for line in exc.errors:
+            print(f"scene error: {line}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a UsageError, a LimitError or another refused input
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -7,7 +7,7 @@ empty set. Membership is decided exactly: a Gaussian elimination of the
 generator matrix, built once per cone on first use (`Cone.span_solver`),
 settles most queries outright (`cone_contains` reads it in integers), and
 a small exact LP (`conedom.linalg.lp_solve`) covers the rest and supplies
-certificates.
+certificates, which `validate_membership` re-checks.
 
 Cones with linearly independent generators, and at least one of them, also
 get an order map from that elimination: `order_coordinates` sends each
@@ -40,6 +40,8 @@ from .linalg import (
     integer_points,
     is_zero_vec,
     lp_solve,
+    vcombination,
+    vdot,
     vneg,
 )
 
@@ -240,6 +242,34 @@ def cone_membership(cone: Cone, v: Vec) -> ConeMembership:
             mu[col] = Fraction(w[row], solver.row_scales[row] * scale)
         return ConeMembership(True, coefficients=tuple(mu))
     return _solve_membership(cone, v, unit_mass=False)
+
+
+def validate_membership(cone: Cone, v: Vec, m: ConeMembership) -> list[str]:
+    """Re-check a `cone_membership` verdict on v (see `ConeMembership`);
+    empty list means valid. A non-member verdict without a functional holds
+    only for the empty cone."""
+    cert = m.coefficients if m.member else m.functional
+    if cert is None:
+        return [] if not (m.member or cone.generators or cone.contains_zero) else ["verdict lacks its certificate"]
+    if len(v) != cone.dimension or len(cert) != (len(cone.generators) if m.member else cone.dimension):
+        return ["certificate does not match the cone's dimension"]
+    zero = is_zero_vec(v)
+    if m.member:
+        rebuilt, mass = vcombination(cert, cone.generators, cone.dimension), any(c > 0 for c in cert)
+        checks = [
+            (any(c < 0 for c in cert), "membership coefficients are negative"),
+            (rebuilt != v, "membership coefficients do not reproduce the vector"),
+            (zero and not (cone.contains_zero or mass), "the zero combination stands for an origin the cone excludes"),
+        ]
+    else:
+        values = [vdot(cert, g) for g in cone.generators]
+        positive = all(t > 0 for t in values)
+        checks = [
+            (any(t < 0 for t in values), "refutation functional is negative on a generator"),
+            (not zero and vdot(cert, v) >= 0, "refutation functional fails to separate the vector"),
+            (zero and (cone.contains_zero or not positive), "refutation functional fails to separate the origin"),
+        ]
+    return [message for failed, message in checks if failed]
 
 
 def cone_contains(cone: Cone, v: Vec) -> bool:

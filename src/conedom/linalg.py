@@ -217,9 +217,20 @@ class LpResult:
 
 # Work caps. `_MAX_PIVOTS` bounds one simplex run; passing it is a solver
 # failure (`RuntimeError`). A cap on the size of an input is checked before
-# any of the work it bounds and raises `LimitError`: so far the grid size,
-# `maximals._MAX_GRID_POINTS` (4096 points), counted in O(dimension).
+# any of the work it bounds and raises `LimitError`.
 _MAX_PIVOTS = 200_000
+
+# Largest grid `maximals.GridDomain.points` builds, counted in O(dimension).
+# The invariance check stores a k-by-k relation matrix over the grid, so
+# this bounds its memory (about 134 MB at the cap); the demand grids of the
+# tests, suite, benchmark and README have at most 81 points.
+_MAX_GRID_POINTS = 4096
+
+# Largest sum of chains `sets.materialize` builds, counted as the product of
+# the chain sizes before any point is formed. Measured products: at most 180
+# in the tests and the suite (family 1 can draw 6 x 6 x 6 = 216), 64 in the
+# benchmark (`pareto`) and 6 in the README.
+_MAX_SUM_POINTS = 50_000
 
 
 class LimitError(ValueError):

@@ -30,16 +30,10 @@ from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .cones import Comparability, Cone, relate
-from .linalg import ZERO, LimitError, Vec, frac, fvec, hull_membership, vadd, vdot, vscale
+from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec, hull_membership, vadd, vdot, vscale
 from .sets import FinitePointSet, is_antichain, is_grid_antichain_convex
 
 Utility = Callable[[Vec], Fraction]
-
-# Largest grid `GridDomain.points` builds. The invariance check stores a
-# k-by-k relation matrix over the grid, so this bounds its memory (about
-# 134 MB at the cap); the demand grids of the tests, suite, benchmark and
-# README have at most 81 points.
-_MAX_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)

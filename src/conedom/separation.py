@@ -4,14 +4,18 @@ A separating functional f puts X on the low side: sup f[X] <= inf f[Y].
 Strict separation demands a positive gap; proper separation only demands
 some pair x, y with f(x) < f(y). Functionals are always nonzero; results
 carry exact bounds and, for proper separation, the witnessing pair.
+One validator per result (`validate_common_point`, `validate_disjointness`,
+`validate_separation`) serves the CLI's `--verify`, the suite and the tests.
+conv(Y_1 + ... + Y_k) = conv Y_1 + ... + conv Y_k, so they read Y summand by
+summand and form the sum only to look up a proper witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from typing import Sequence
 
 from .cones import Cone
 from .linalg import (
@@ -21,21 +25,28 @@ from .linalg import (
     ZERO,
     IntegerPoints,
     LinearProgram,
-    LpResult,
     LpStatus,
     Vec,
     fvec,
-    hull_membership,
     hull_program,
     integer_multiple,
+    integer_points,
+    is_zero_vec,
     lp_solve,
     vadd,
     vcombination,
     vdot,
-    vscale,
     vzero,
 )
-from .sets import DecomposableSet, FinitePointSet, Polyhedron, in_relative_interior, materialize
+from .sets import (
+    DecomposableSet,
+    FinitePointSet,
+    Polyhedron,
+    in_relative_interior,
+    is_upward,
+    materialize,
+    poly_contains,
+)
 
 
 @dataclass(frozen=True)
@@ -71,8 +82,30 @@ class SeparationResult:
     witness_pair: tuple[Vec, Vec] | None = None
 
 
+SecondSet = DecomposableSet | FinitePointSet | Polyhedron
+
+
+def _summands(y: SecondSet) -> list[FinitePointSet]:
+    """The finite sets whose hulls sum to the second set's bounded part: a
+    sum's summands, a polyhedron's vertices, else the set itself."""
+    if isinstance(y, DecomposableSet):
+        return [s.base for s in y.summands]
+    return [y.vertices if isinstance(y, Polyhedron) else y]
+
+
+def _bounds(f: Vec, x: Polyhedron, y: SecondSet) -> tuple[Fraction, Fraction]:
+    """f's maximum over X's vertices, and its minimum over Y's points as the
+    sum of its minima over the summands."""
+    sup_x = max(vdot(f, v) for v in x.vertices)
+    return sup_x, sum((min(vdot(f, p) for p in b) for b in _summands(y)), ZERO)
+
+
+def _dimensions_differ(x: Polyhedron, y: SecondSet, *vectors: Vec) -> bool:
+    return any(len(v) != x.dimension for v in (*vectors, *(p for b in _summands(y) for p in b)))
+
+
 def hulls_disjoint(x: Polyhedron, y: DecomposableSet | FinitePointSet) -> DisjointnessResult:
-    """Exact disjointness of X and the hull of the materialized second set.
+    """Exact disjointness of X and the hull of the second set.
 
     One feasibility program asks for a point of X in the sum of the block
     hulls (the summands of a decomposable set, else the whole set).
@@ -80,9 +113,8 @@ def hulls_disjoint(x: Polyhedron, y: DecomposableSet | FinitePointSet) -> Disjoi
     coefficients. Rows: coordinates match, each block sums to one, the X
     vertex coefficients sum to one.
     """
-    blocks = [s.base for s in y.summands] if isinstance(y, DecomposableSet) else [y]
-    n = x.dimension
-    if any(len(p) != n for b in blocks for p in b.points):
+    blocks, n = _summands(y), x.dimension
+    if _dimensions_differ(x, y):
         raise ValueError("dimension mismatch between the two sets")
     groups = [(1, b.integer_view) for b in blocks] + [(-1, x.vertices.integer_view)]
     res = lp_solve(hull_program(vzero(n), groups, (-1, x.ray_view)))
@@ -109,23 +141,86 @@ def validate_common_point(point: Vec, x: Polyhedron, y: DecomposableSet | Finite
     """Re-check a common point of X and the hull of the second set; empty list means valid.
 
     Membership in each hull is decided afresh, and the coefficients found
-    must rebuild the point exactly: all nonnegative, vertex weights summing
-    to one.
+    must rebuild the point exactly: all nonnegative, each block of vertex
+    weights summing to one. The second hull's program has one block per
+    summand, as in `dominance.decompose_in_hulls`.
     """
-    if len(point) != x.dimension:
+    if _dimensions_differ(x, y, point):
         return ["common point does not match the sets' dimension"]
-    y_points = materialize(y).points if isinstance(y, DecomposableSet) else y.points
     errs: list[str] = []
-    for side, vertices, rays in (("first", x.vertices.points, x.rays), ("second", y_points, ())):
-        hm = hull_membership(point, vertices, rays)
-        if not hm.member:
+    for side, blocks, rays in (("first", [x.vertices], x.rays), ("second", _summands(y), ())):
+        res = lp_solve(hull_program(point, [(1, b.integer_view) for b in blocks], (1, integer_points(rays))))
+        if res.status is not LpStatus.OPTIMAL:
             errs.append(f"common point is outside the {side} hull")
             continue
-        lam, mu = hm.vertex_coefficients, hm.ray_coefficients
-        rebuilt = vcombination((*lam, *mu), (*vertices, *rays), len(point))
-        if any(c < 0 for c in (*lam, *mu)) or sum(lam, ZERO) != 1 or rebuilt != point:
+        weights = iter(res.witness)
+        sums = [sum((next(weights) for _ in b.points), ZERO) for b in blocks]
+        rebuilt = vcombination(res.witness, (*(p for b in blocks for p in b.points), *rays), len(point))
+        if any(c < 0 for c in res.witness) or any(t != 1 for t in sums) or rebuilt != point:
             errs.append(f"{side} hull coefficients do not rebuild the common point")
     return errs
+
+
+def validate_disjointness(result: DisjointnessResult, x: Polyhedron, y: DecomposableSet | FinitePointSet) -> list[str]:
+    """Re-check a `hulls_disjoint` verdict; empty list means valid. A joint
+    verdict is its common point (`validate_common_point`); a disjoint one
+    its functional and bounds, with f's minimum over the second set read
+    per summand (`_bounds`)."""
+    f, a, b = result.functional, result.x_bound, result.y_bound
+    if None in ((f, a, b) if result.disjoint else (result.common_point,)):
+        return ["verdict lacks its certificate"]
+    if not result.disjoint:
+        return validate_common_point(result.common_point, x, y)
+    if _dimensions_differ(x, y, f):
+        return ["functional does not match the sets' dimension"]
+    sup_x, inf_y = _bounds(f, x, y)
+    checks = [
+        (sup_x > a, "functional exceeds x_bound on a vertex of the first set"),
+        (any(vdot(f, r) > 0 for r in x.rays), "functional is positive on a ray of the first set"),
+        (inf_y < b, "functional falls below y_bound on the second set"),
+        (a >= b, "x_bound is not below y_bound"),
+    ]
+    return [message for failed, message in checks if failed]
+
+
+def validate_separation(result: SeparationResult, x: Polyhedron, y: SecondSet) -> list[str]:
+    """Re-check a strict or proper separation; empty list means valid.
+
+    Both kinds: a nonzero f, nonpositive on X's rays (nonnegative on a
+    polyhedral Y's), with `sup_x` its maximum over X's vertices and `inf_y`
+    its minimum over Y, read per summand (`_bounds`). Strict: f integer and
+    inf_y - sup_x >= 1. Proper: inf_y >= sup_x and a pair with
+    f(wx) < f(wy), wx in X and wy in Y; only that last test forms a sum.
+    """
+    f, pair = result.functional, result.witness_pair
+    if _dimensions_differ(x, y, f, *(pair or ())):
+        return ["certificate does not match the sets' dimension"]
+    sup_x, inf_y = _bounds(f, x, y)
+    strict, proper = result.kind == "strictly_separated", result.kind == "properly_separated"
+    wx, wy = pair if proper and pair else (None, None)
+    checks = [
+        (is_zero_vec(f), "functional is zero"),
+        (any(vdot(f, r) > 0 for r in x.rays), "functional is positive on a ray of the first set"),
+        (any(vdot(f, r) < 0 for r in getattr(y, "rays", ())), "functional is negative on a ray of the second set"),
+        (sup_x != result.sup_x, "sup_x is not the functional's maximum over the first set"),
+        (inf_y != result.inf_y, "inf_y is not the functional's minimum over the second set"),
+        (strict and any(c.denominator != 1 for c in f), "strict functional is not integer"),
+        (strict and result.inf_y - result.sup_x < 1, "strict gap inf_y - sup_x is below one"),
+        (proper and result.inf_y < result.sup_x, "inf_y is below sup_x"),
+        (proper and not pair, "proper separation has no witness pair"),
+        (wx is not None and vdot(f, wx) >= vdot(f, wy), "witness pair is not strict: f(wx) >= f(wy)"),
+        (wx is not None and not poly_contains(x, wx), "first witness is outside the first set"),
+        (wy is not None and not _holds(y, wy), "second witness is not a point of the second set"),
+        (not (strict or proper), f"unknown separation kind {result.kind!r}"),
+    ]
+    return [message for failed, message in checks if failed]
+
+
+def _holds(y: SecondSet, p: Vec) -> bool:
+    """Whether p is a point of the second set; a sum is materialized."""
+    if isinstance(y, Polyhedron):
+        return poly_contains(y, p)
+    return p in (materialize(y) if isinstance(y, DecomposableSet) else y)
 
 
 def _at_scale(view: IntegerPoints, scale: int) -> list[tuple[int, ...]]:
@@ -162,8 +257,6 @@ def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
     """
     if y.rays:
         raise ValueError("strict separation requires a bounded second set")
-    if x.dimension != y.dimension:
-        raise ValueError("dimension mismatch between the two sets")
     probe = hulls_disjoint(x, y.vertices)
     if not probe.disjoint:
         raise ValueError(f"the sets intersect at {probe.common_point}; nothing separates them")
@@ -178,8 +271,7 @@ def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
     if res.status is not LpStatus.OPTIMAL:
         raise RuntimeError("strict separation program infeasible despite disjoint polyhedra")
     f_int = fvec(integer_multiple(res.witness[:n])[1])
-    sup_x = max(vdot(f_int, v) for v in x.vertices)
-    inf_y = min(vdot(f_int, w) for w in y.vertices)
+    sup_x, inf_y = _bounds(f_int, x, y)
     if inf_y - sup_x < 1:
         raise RuntimeError("scaled separator lost its unit gap")
     return SeparationResult(functional=f_int, sup_x=sup_x, inf_y=inf_y, kind="strictly_separated")
@@ -193,8 +285,6 @@ def proper_separator(x: Polyhedron, y: DecomposableSet, cone: Cone) -> Separatio
     separation program with that candidate's strictness objective is
     solved; the first positive gap wins.
     """
-    from .sets import is_upward
-
     if not is_upward(x, cone):
         raise ValueError("proper separation here requires an upward first set")
     y_set = materialize(y)
@@ -214,48 +304,26 @@ def proper_separator(x: Polyhedron, y: DecomposableSet, cone: Cone) -> Separatio
     nonneg = (False,) * (n + 1) + (True,)
     objective = (ZERO,) * (n + 1) + (ONE,)
 
-    def solve(difference: Sequence[int]) -> LpResult | None:
+    vs = _at_scale(x.vertices.integer_view, scale)
+    vertex_pairs = (
+        ([a - b for a, b in zip(pi, vi)], v, p)
+        for p, pi in zip(pts, _at_scale(y_set.integer_view, scale))
+        for v, vi in zip(xv, vs)
+    )
+    rays = (([-c for c in ri], r, None) for r, ri in zip(xr, _at_scale(x.ray_view, scale)))
+    for difference, v, p in chain(vertex_pairs, rays):
         rows = (*weak, ((*difference, 0, -scale), REL_GE, 0), gap_cap)
         res = lp_solve(LinearProgram(cols, objective, True, rows, nonneg, scale))
-        if res.status is LpStatus.OPTIMAL and res.value > 0:
-            return res
-        return None
-
-    vs = _at_scale(x.vertices.integer_view, scale)
-    for p, pi in zip(pts, _at_scale(y_set.integer_view, scale)):
-        for v, vi in zip(xv, vs):
-            res = solve([a - b for a, b in zip(pi, vi)])
-            if res is not None:
-                f_int = fvec(integer_multiple(res.witness[:n])[1])
-                sup_x = max(vdot(f_int, w) for w in xv)
-                inf_y = min(vdot(f_int, q) for q in pts)
-                return SeparationResult(
-                    functional=f_int,
-                    sup_x=sup_x,
-                    inf_y=inf_y,
-                    kind="properly_separated",
-                    witness_pair=(v, p),
-                )
-    for r, ri in zip(xr, _at_scale(x.ray_view, scale)):
-        res = solve([-c for c in ri])
-        if res is not None:
-            f_int = fvec(integer_multiple(res.witness[:n])[1])
-            sup_x = max(vdot(f_int, w) for w in xv)
-            inf_y = min(vdot(f_int, q) for q in pts)
-            # Walk far enough along the ray that the pair is strict.
-            drop = -vdot(f_int, r)
-            v0, y0 = xv[0], min(pts, key=lambda q: (vdot(f_int, q), q))
-            t = (vdot(f_int, v0) - vdot(f_int, y0)) / drop + 1
-            if t < 1:
-                t = ONE
-            witness_x = vadd(v0, vscale(t, r))
-            return SeparationResult(
-                functional=f_int,
-                sup_x=sup_x,
-                inf_y=inf_y,
-                kind="properly_separated",
-                witness_pair=(witness_x, y0),
-            )
+        if res.status is not LpStatus.OPTIMAL or res.value <= 0:
+            continue
+        f_int = fvec(integer_multiple(res.witness[:n])[1])
+        sup_x, inf_y = _bounds(f_int, x, y)
+        if p is None:
+            # A ray candidate v, with f.v < 0: the pair (v0 + v, p) is strict, since
+            # f(v0 + v) < f(v0) <= a <= f(p) for X's first vertex v0 and Y's lowest point p.
+            v0, p = xv[0], min(pts, key=lambda q: (vdot(f_int, q), q))
+            v = vadd(v0, v)
+        return SeparationResult(f_int, sup_x, inf_y, "properly_separated", witness_pair=(v, p))
     raise RuntimeError("no proper separator found although the hypotheses were verified")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Iterable, Sequence
 
 from .cones import (
@@ -24,7 +25,9 @@ from .cones import (
     order_coordinates,
 )
 from .linalg import (
+    _MAX_SUM_POINTS,
     IntegerPoints,
+    LimitError,
     Vec,
     fvec,
     hull_membership,
@@ -171,7 +174,13 @@ def minkowski_sum(a: FinitePointSet, b: FinitePointSet) -> FinitePointSet:
 
 
 def materialize(d: DecomposableSet) -> FinitePointSet:
-    """All sums picking one point per summand; deduplicated."""
+    """All sums picking one point per summand; deduplicated. `LimitError`
+    when the product of the summand sizes is above `_MAX_SUM_POINTS`."""
+    count = prod(len(s.base) for s in d.summands)
+    if count > _MAX_SUM_POINTS:
+        raise LimitError(
+            f"sum of {len(d.summands)} chains has up to {count} points, more than the limit of {_MAX_SUM_POINTS}"
+        )
     acc = d.summands[0].base
     for s in d.summands[1:]:
         acc = minkowski_sum(acc, s.base)

@@ -2,9 +2,9 @@
 
 Each family mirrors one acceptance criterion: it generates seeded random
 instances, runs the construction under test, and re-checks the result
-against independent brute-force oracles or certificate arithmetic. A
-fixed seed yields a byte-identical report (rationals are serialized as
-strings and nothing time-dependent is recorded).
+against independent brute-force oracles or the library's certificate
+validators. A fixed seed yields a byte-identical report (rationals are
+serialized as strings and nothing time-dependent is recorded).
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from typing import Any, Callable
 
 from .cones import (
     Comparability,
-    Cone,
     cone_contains,
     cone_membership,
     k_closure,
     negate,
     relate,
+    validate_membership,
     with_origin,
 )
 from .dominance import (
@@ -68,7 +68,13 @@ from .sets import (
     materialize,
     poly_contains,
 )
-from .separation import hulls_disjoint, separator_sign_check, strict_separator
+from .separation import (
+    hulls_disjoint,
+    separator_sign_check,
+    strict_separator,
+    validate_disjointness,
+    validate_separation,
+)
 
 DEFAULT_COUNTS = {1: 500, 2: 200, 3: 200, 4: 100, 5: 100, 6: 50, 7: 1000, 8: 200}
 
@@ -107,31 +113,6 @@ class FamilyReport:
 
 def _fmt_vec(v: Vec) -> list[str]:
     return [str(c) for c in v]
-
-
-def _verified_member(cone: Cone, v: Vec) -> bool:
-    """Membership whose certificate is re-checked by direct arithmetic."""
-    m = cone_membership(cone, v)
-    if m.member:
-        assert m.coefficients is not None
-        assert all(c >= 0 for c in m.coefficients)
-        rebuilt = tuple(
-            sum((c * g[i] for c, g in zip(m.coefficients, cone.generators)), ZERO)
-            for i in range(cone.dimension)
-        )
-        assert rebuilt == v, "membership certificate does not reproduce the vector"
-        if not cone.contains_zero:
-            assert any(c > 0 for c in m.coefficients) or v != tuple(
-                ZERO for _ in range(cone.dimension)
-            )
-    elif m.functional is not None:
-        f = m.functional
-        assert all(vdot(f, g) >= 0 for g in cone.generators)
-        if v == tuple(ZERO for _ in range(cone.dimension)):
-            assert all(vdot(f, g) > 0 for g in cone.generators)
-        else:
-            assert vdot(f, v) < 0, "rejection functional fails to separate"
-    return m.member
 
 
 # --- criterion 1: dominating-element soundness -------------------------------
@@ -186,12 +167,17 @@ def run_equivalence_family(seed: int, count: int) -> FamilyReport:
         mat = materialize(d)
         pts = mat.points
         cone = d.cone
-        dominated = set()
-        for y in pts:
-            for s in pts:
-                if s != y and _verified_member(cone, vsub(s, y)):
+        dominated: set = set()
+        issues: list[str] = []
+        for y, s in itertools.product(pts, pts):
+            if s != y and y not in dominated:
+                m = cone_membership(cone, vsub(s, y))
+                issues = issues or validate_membership(cone, vsub(s, y), m)
+                if m.member:
                     dominated.add(y)
-                    break
+        if issues:
+            rep.record(False, f"instance {i}: membership certificate invalid: {issues[0]}")
+            continue
         oracle = tuple(sorted(p for p in pts if p not in dominated))
         if oracle != report.optima.sorted_points():
             rep.record(False, f"instance {i}: oracle optima disagree")
@@ -218,14 +204,7 @@ def run_disjointness_family(seed: int, count: int) -> FamilyReport:
         if not res.disjoint:
             rep.record(False, f"instance {i}: constructed-disjoint pair reported joint")
             continue
-        f = res.functional
-        assert f is not None and res.x_bound is not None and res.y_bound is not None
-        ok = (
-            all(vdot(f, v) <= res.x_bound for v in x_poly.vertices.points)
-            and all(vdot(f, r) <= 0 for r in x_poly.rays)
-            and all(vdot(f, z) >= res.y_bound for z in materialize(y_set).points)
-            and res.x_bound < res.y_bound
-        )
+        ok = not validate_disjointness(res, x_poly, y_set)
         rep.record(ok, f"instance {i}: separation certificate arithmetic failed")
     return rep
 
@@ -241,18 +220,7 @@ def run_strict_separation_family(seed: int, count: int) -> FamilyReport:
             rng, rng.choice((2, 3)), 3, rng.randint(2, 4)
         )
         sep = strict_separator(x_poly, y_poly)
-        f = sep.functional
-        sup_x = max(vdot(f, v) for v in x_poly.vertices.points)
-        inf_y = min(vdot(f, w) for w in y_poly.vertices.points)
-        ok = (
-            all(c.denominator == 1 for c in f)
-            and any(c != 0 for c in f)
-            and all(vdot(f, r) <= 0 for r in x_poly.rays)
-            and sep.sup_x == sup_x
-            and sep.inf_y == inf_y
-            and inf_y - sup_x >= 1
-            and separator_sign_check(f, draw.cone)
-        )
+        ok = not validate_separation(sep, x_poly, y_poly) and separator_sign_check(sep.functional, draw.cone)
         rep.record(ok, f"instance {i}: strict separation checks failed")
     return rep
 

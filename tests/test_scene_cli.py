@@ -304,6 +304,43 @@ class TestCliCommands:
         assert payload(out)["verified"] is verified
         assert ("verification failed" in err) is not verified
 
+    def test_verify_reads_the_emitted_payload(self, capsys, scene_file, monkeypatch):
+        # Every rational is printed as "0": the result in memory is valid, the payload is not.
+        monkeypatch.setattr(cli, "fmt", lambda c: "0")
+        code, out, err = run(
+            capsys, "hulls-disjoint", "--scene", scene_file,
+            "--x-set", "X", "--y-set", "P", "--verify",
+        )
+        assert code == 1
+        doc = payload(out)
+        assert (doc["functional"], doc["x_bound"], doc["y_bound"]) == (["0", "0"], "0", "0")
+        assert doc["verified"] is False
+        assert err == "verification failed: x_bound is not below y_bound\n"
+
+    def test_reread_gives_back_each_result(self):
+        results = [
+            DisjointnessResult(True, functional=(F(-1), F(1, 2)), x_bound=F(-3), y_bound=F(7, 3)),
+            DisjointnessResult(False, common_point=(F(1), F(-2, 3))),
+            SeparationResult((F(-1), F(0)), F(-3), F(-5, 2), "properly_separated", ((F(3), F(3)), (F(0), F(0)))),
+        ]
+
+        def as_json(v):
+            return v if isinstance(v, (bool, str)) else str(v) if isinstance(v, F) else [as_json(c) for c in v]
+
+        for res in results:
+            doc = {k: as_json(v) for k, v in vars(res).items() if v is not None}
+            assert type(res)(**cli._reread(doc)) == res
+
+    def test_separate_failure_names_the_validators_first_message(self, capsys, scene_file, monkeypatch):
+        forged = SeparationResult((F(-1), F(-1)), F(-6), F(1), "strictly_separated")
+        monkeypatch.setattr(cli, "strict_separator", lambda x, y: forged)
+        code, out, err = run(
+            capsys, "separate", "--scene", scene_file, "--kind", "strict",
+            "--x-set", "X", "--y-set", "P", "--verify",
+        )
+        assert code == 1 and payload(out)["verified"] is False
+        assert err == "verification failed: inf_y is not the functional's minimum over the second set\n"
+
     def test_demand_and_invariance(self, capsys, scene_file):
         code, out, _ = run(
             capsys, "demand", "--scene", scene_file, "--grid", "g",
@@ -390,6 +427,32 @@ class TestCliErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("usage error: grid has ") and "more than the limit" in err
+
+    def test_oversize_sum_is_a_usage_error_where_every_point_is_needed(self, capsys, tmp_path):
+        chains = {
+            f"C{s}": {
+                "type": "chain",
+                "points": [[str(i), str(2 * i + s)] for i in range(60)],
+                "cone": "orthant",
+            }
+            for s in range(3)
+        }
+        doc = json.loads(GOOD_SCENE)
+        doc["sets"].update(chains)
+        doc["sets"]["S"] = {"type": "sum", "summands": sorted(chains)}
+        path = tmp_path / "oversize.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pareto", "--scene", str(path), "--set", "S", "--cone", "orthant")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert err == "usage error: sum of 3 chains has up to 216000 points, more than the limit of 50000\n"
+        # Certificates of the same sum are checked summand by summand.
+        code, out, err = run(
+            capsys, "hulls-disjoint", "--scene", str(path), "--x-set", "X", "--y-set", "S", "--verify"
+        )
+        assert code == 1 and err == ""
+        assert payload(out)["verified"] is True
 
     def test_internal_failure_exits_3_without_a_traceback(self, capsys, scene_file, monkeypatch):
         def exhausted(lp):

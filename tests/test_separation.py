@@ -19,6 +19,7 @@ from conedom.instances import (
 )
 from conedom.linalg import hull_membership, vdot
 from conedom.separation import (
+    SeparationResult,
     hulls_disjoint,
     proper_separator,
     separator_sign_check,
@@ -166,6 +167,16 @@ class TestProperSeparator:
         wx, wy = res.witness_pair
         assert vdot(f, wx) < vdot(f, wy)
         assert all(vdot(f, r) <= 0 for r in x.rays)
+
+    def test_ray_candidate_on_a_boundary_edge(self):
+        # Y lies on X's bottom edge, so no (point, vertex) difference is
+        # strict and the ray (0, 1) gives f = (0, -1). Both points of Y tie
+        # at f = 0; the lexicographically least one, (0, 0), is the witness.
+        x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)
+        for order in ([(1, 0), (0, 0)], [(0, 0), (1, 0)]):
+            y = DecomposableSet((ChainSet.build(order, ORTHANT),))
+            res = proper_separator(x, y, ORTHANT)
+            assert res == SeparationResult((F(0), F(-1)), F(0), F(0), "properly_separated", ((F(0), F(1)), (F(0), F(0))))
 
     def test_point_in_the_relative_interior_is_refused(self):
         x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)

@@ -5,7 +5,9 @@ functional) that justifies them; upward/equality laws are re-checked on
 randomly generated instances with exact arithmetic.
 """
 
+import importlib
 import random
+import time
 from fractions import Fraction as F
 from math import lcm
 
@@ -13,7 +15,7 @@ import pytest
 
 from conedom.cones import Comparability, Cone, k_closure, order_coordinates, relate
 from conedom.instances import rand_chain, rand_point, rand_pointed_cone
-from conedom.linalg import vadd
+from conedom.linalg import LimitError, vadd
 from conedom.sets import (
     ChainSet,
     DecomposableSet,
@@ -33,6 +35,8 @@ from conedom.sets import (
     recession_contains,
     upward_hull,
 )
+
+sets_module = importlib.import_module("conedom.sets")
 
 ORTHANT = Cone.build(2, [[1, 0], [0, 1]], True)
 
@@ -105,6 +109,18 @@ class TestMinkowskiAndMaterialize:
         d = DecomposableSet((c1, c2))
         expected = {vadd(p, q) for p in c1.base.points for q in c2.base.points}
         assert set(materialize(d).points) == expected
+
+    def test_sum_above_the_cap_is_refused_before_it_is_built(self):
+        # Three chains of 60 points: up to 216,000 sums.
+        d = DecomposableSet(tuple(ChainSet.build([(i, 2 * i + s) for i in range(60)], ORTHANT) for s in range(3)))
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="sum of 3 chains has up to 216000 points, more than the limit"):
+            materialize(d)
+        assert time.perf_counter() - start < 1.0
+        # The largest sum in use, suite family 1's 6 x 6 x 6, is far below the cap.
+        assert sets_module._MAX_SUM_POINTS >= 200 * 216
+        smaller = DecomposableSet(d.summands[:2])
+        assert len(materialize(smaller)) == len({vadd(p, q) for p in d.summands[0].base for q in d.summands[1].base})
 
     def test_summands_must_share_the_cone(self):
         other = Cone.build(2, [[1, 1]], True)

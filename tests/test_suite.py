@@ -1,7 +1,12 @@
 """Randomized verification families: determinism and small-scale runs."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction as F
 
+from conedom import suite
+from conedom.cones import ConeMembership
+from conedom.separation import hulls_disjoint, strict_separator
 from conedom.suite import (
     CORPUS_SEED,
     DEFAULT_COUNTS,
@@ -76,3 +81,26 @@ class TestInvarianceCorpus:
         for built, pinned in zip(kept, fixture["instances"]):
             for key, value in built.as_dict().items():
                 assert pinned[key] == value
+
+
+class TestFamiliesCheckThroughTheValidators:
+    def test_a_forged_membership_fails_family_2_with_the_validators_message(self, monkeypatch):
+        def forged(cone, v):
+            return ConeMembership(True, coefficients=(F(-1),) * len(cone.generators))
+
+        monkeypatch.setattr(suite, "cone_membership", forged)
+        report = FAMILIES[2](22, 3)
+        assert not report.passed()
+        assert report.failures[0] == "instance 0: membership certificate invalid: membership coefficients are negative"
+
+    def test_a_forged_disjointness_bound_fails_family_3(self, monkeypatch):
+        monkeypatch.setattr(suite, "hulls_disjoint", lambda x, y: replace(hulls_disjoint(x, y), x_bound=F(10**6)))
+        report = FAMILIES[3](33, 3)
+        assert report.passes == 0
+        assert report.failures == [f"instance {i}: separation certificate arithmetic failed" for i in range(3)]
+
+    def test_a_forged_separation_bound_fails_family_4(self, monkeypatch):
+        monkeypatch.setattr(suite, "strict_separator", lambda x, y: replace(strict_separator(x, y), inf_y=F(10**6)))
+        report = FAMILIES[4](44, 3)
+        assert report.passes == 0
+        assert report.failures == [f"instance {i}: strict separation checks failed" for i in range(3)]
