@@ -3,20 +3,21 @@
 A `Cone` is the set of nonnegative combinations of its generators with
 positive total mass, together with the origin iff `contains_zero` is set.
 That set is always a convex cone; with no generators and no flag it is the
-empty set. Membership is decided exactly: a Gaussian elimination of the
-generator matrix, built once per cone on first use (`Cone.span_solver`),
-settles most queries outright (`cone_contains` reads it in integers), and
-a small exact LP (`conedom.linalg.lp_solve`) covers the rest and supplies
-certificates, which `validate_membership` re-checks.
+empty set. Membership is decided exactly by one decision tree
+(`_membership`): a Gaussian elimination of the generator matrix, built
+once per cone on first use (`Cone.span_solver`) and read in integers,
+settles most queries outright, and a small exact LP
+(`conedom.linalg.lp_solve`) covers the rest. `cone_contains` takes its
+verdict alone; `cone_membership` also builds the certificate, which
+`validate_membership` re-checks.
 
-Cones with linearly independent generators, and at least one of them, also
-get an order map from that elimination: `order_coordinates` sends each
-point to integer coordinates once, after which "y - x lies in the cone" is
-a componentwise comparison (`coordinates_above`). `relate` uses it, and so
-do chain and antichain checks, Pareto optima and the domination matrix in
-`conedom.sets` and `conedom.dominance`. Every other cone (dependent
-generators, a zero generator, no generators) answers those questions pair
-by pair through `cone_contains`, with the LP as its fallback.
+`ConeOrder` is the cone order on one list of points. Every pairwise
+question of the other modules (chains and antichains, Pareto optima,
+support tops, the domination matrix, `relate`) goes through it. It is
+the only code that knows whether the cone has integer order coordinates
+(linearly independent generators, and at least one of them), which turn
+each comparison into a componentwise one; every other cone asks
+`cone_contains` pair by pair.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .linalg import (
     ONE,
@@ -43,6 +44,7 @@ from .linalg import (
     vcombination,
     vdot,
     vneg,
+    vsub,
 )
 
 
@@ -145,7 +147,7 @@ class _SpanSolver:
         return tuple(sum(map(mul, row, q)) for row in self.integer_elim)
 
 
-class OrderCoordinates(NamedTuple):
+class _OrderCoordinates(NamedTuple):
     """Integer image E.p of a point under the elimination matrix E, scaled.
 
     `generator` holds the first rank rows: on the generators' span these are
@@ -157,7 +159,7 @@ class OrderCoordinates(NamedTuple):
     off_span: tuple[int, ...]
 
 
-def order_coordinates(cone: Cone, points: Sequence[Vec]) -> list[OrderCoordinates] | None:
+def _order_coordinates(cone: Cone, points: Sequence[Vec]) -> list[_OrderCoordinates] | None:
     """Order coordinates of each point, or None unless the cone has linearly
     independent generators and at least one of them.
 
@@ -175,13 +177,13 @@ def order_coordinates(cone: Cone, points: Sequence[Vec]) -> list[OrderCoordinate
     out = []
     for q in integer_points(points).points:
         w = solver.image(q)
-        out.append(OrderCoordinates(w[:rank], w[rank:]))
+        out.append(_OrderCoordinates(w[:rank], w[rank:]))
     return out
 
 
-def coordinates_above(a: OrderCoordinates, b: OrderCoordinates) -> bool:
+def _coordinates_above(a: _OrderCoordinates, b: _OrderCoordinates) -> bool:
     """Whether y - x lies in the cone, for distinct points x and y with order
-    coordinates a and b (from one `order_coordinates` call).
+    coordinates a and b (from one `_order_coordinates` call).
 
     y - x is then nonzero, so it lies in the cone exactly when it is in the
     generators' span with nonnegative generator coefficients.
@@ -189,15 +191,56 @@ def coordinates_above(a: OrderCoordinates, b: OrderCoordinates) -> bool:
     return a.off_span == b.off_span and all(p <= q for p, q in zip(a.generator, b.generator))
 
 
-def is_comparable(
-    cone: Cone, points: Sequence[Vec], coords: list[OrderCoordinates] | None, i: int, j: int
-) -> bool:
-    """Whether the distinct points i and j of `points` are comparable in the
-    cone order. `coords` is `order_coordinates(cone, points)`; where that is
-    None the pair goes through `relate`."""
-    if coords is None:
-        return relate(cone, points[i], points[j]) is not Comparability.INCOMPARABLE
-    return coordinates_above(coords[i], coords[j]) or coordinates_above(coords[j], coords[i])
+class ConeOrder:
+    """The order of a cone on one list of points, read by position.
+
+    `above(i, j)` says whether point j minus point i lies in the cone, for
+    distinct points i and j. That difference is nonzero, so the verdicts
+    depend on the generators alone, not on the origin flag. A cone with
+    linearly independent generators, and at least one of them, maps every
+    point once to integer order coordinates (`coordinates`), after which
+    each verdict is a componentwise comparison. Every other cone (dependent
+    generators, a zero generator, no generators) has `coordinates` None and
+    asks `cone_contains` pair by pair, with the LP as its fallback.
+    """
+
+    def __init__(self, cone: Cone, points: Sequence[Vec]):
+        self.cone = cone
+        self.points = points
+        self.coordinates = _order_coordinates(cone, points)
+
+    def above(self, i: int, j: int) -> bool:
+        coords = self.coordinates
+        if coords is None:
+            return cone_contains(self.cone, vsub(self.points[j], self.points[i]))
+        return _coordinates_above(coords[i], coords[j])
+
+    def comparable(self, i: int, j: int) -> bool:
+        """Whether point i and point j are ordered one way or the other; the
+        second direction is asked only when the first fails."""
+        return self.above(i, j) or self.above(j, i)
+
+    def maxima(self) -> list[int]:
+        """Positions of the points that no other point lies above, ascending.
+
+        With order coordinates this is the maxima of vectors problem (Kung,
+        Luccio & Preparata 1975), solved by a sorted sweep. The sum of
+        generator coordinates strictly increases along the order, so points
+        are visited by that sum, descending, and a point is kept unless a
+        point kept before it lies above it. Independent generators make the
+        order antisymmetric, and it is transitive, so every point below
+        another lies below a kept one with a larger sum. Other cones compare
+        every pair.
+        """
+        n = len(self.points)
+        coords = self.coordinates
+        if coords is None:
+            return [i for i in range(n) if not any(k != i and self.above(i, k) for k in range(n))]
+        kept: list[int] = []
+        for i in sorted(range(n), key=lambda i: -sum(coords[i].generator)):
+            if not any(_coordinates_above(coords[i], coords[k]) for k in kept):
+                kept.append(i)
+        return sorted(kept)
 
 
 def _solve_membership(cone: Cone, v: Vec, unit_mass: bool) -> ConeMembership:
@@ -210,38 +253,58 @@ def _solve_membership(cone: Cone, v: Vec, unit_mass: bool) -> ConeMembership:
     return ConeMembership(False, functional=f)
 
 
-def cone_membership(cone: Cone, v: Vec) -> ConeMembership:
-    """Exact membership with certificate. See `ConeMembership`."""
+def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]:
+    """The verdict on v and a thunk that builds its certificate.
+
+    The flag, a zero generator or independent generators (which combine to
+    zero only trivially) settle the origin. The elimination, read in
+    integers, refutes a nonzero v off the span (that row of E is the
+    certificate) and decides v on the span of independent generators. The
+    LP decides the rest, the origin as a unit-mass combination and the span
+    of dependent generators. It also certifies refutations on independent
+    generators, but only when the thunk is called.
+    """
     if len(v) != cone.dimension:
         raise ValueError("vector dimension does not match the cone")
-    if is_zero_vec(v):
+    gens = cone.generators
+    zero = is_zero_vec(v)
+    if zero:
         if cone.contains_zero:
-            return ConeMembership(True, coefficients=(ZERO,) * len(cone.generators))
-        for idx, g in enumerate(cone.generators):
-            if is_zero_vec(g):
-                mu = [ZERO] * len(cone.generators)
-                mu[idx] = ONE
-                return ConeMembership(True, coefficients=tuple(mu))
-        if not cone.generators:
-            return ConeMembership(False, functional=None)
-        # Zero with positive mass means zero is a convex combination of
-        # the generators; normalize the mass to one and ask the LP.
-        return _solve_membership(cone, v, unit_mass=True)
-    if not cone.generators:
-        return ConeMembership(False, functional=vneg(v))
-    solver = cone.span_solver
-    scale, q = integer_multiple(v)
-    w = solver.image(q)
-    off = next((i for i in range(solver.rank, len(w)) if w[i]), None)
-    if off is not None:
-        e = solver.elim[off]
-        return ConeMembership(False, functional=e if w[off] < 0 else vneg(e))
-    if solver.unique and all(c >= 0 for c in w[: solver.rank]):
-        mu = [ZERO] * len(cone.generators)
-        for row, col in solver.pivots:  # E_row . v, with both scales divided out
-            mu[col] = Fraction(w[row], solver.row_scales[row] * scale)
-        return ConeMembership(True, coefficients=tuple(mu))
-    return _solve_membership(cone, v, unit_mass=False)
+            return True, lambda: ConeMembership(True, coefficients=(ZERO,) * len(gens))
+        k = next((i for i, g in enumerate(gens) if is_zero_vec(g)), None)
+        if k is not None:  # the zero generator alone, with mass one
+            return True, lambda: ConeMembership(
+                True, coefficients=tuple(ONE if i == k else ZERO for i in range(len(gens)))
+            )
+        if not gens:
+            return False, lambda: ConeMembership(False)
+        if cone.span_solver.unique:
+            return False, lambda: _solve_membership(cone, v, unit_mass=True)
+    elif not gens:
+        return False, lambda: ConeMembership(False, functional=vneg(v))
+    else:
+        solver = cone.span_solver
+        scale, q = integer_multiple(v)
+        w = solver.image(q)
+        for row in range(solver.rank, len(w)):
+            if w[row]:
+                e = solver.elim[row]
+                return False, lambda: ConeMembership(False, functional=e if w[row] < 0 else vneg(e))
+        if solver.unique:
+            # Generator j pivots in row j: its weight is E_j.v, both scales divided out.
+            mu = w[: solver.rank]
+            if all(c >= 0 for c in mu):
+                return True, lambda: ConeMembership(
+                    True, coefficients=tuple(Fraction(c, s * scale) for c, s in zip(mu, solver.row_scales))
+                )
+            return False, lambda: _solve_membership(cone, v, unit_mass=False)
+    m = _solve_membership(cone, v, unit_mass=zero)
+    return m.member, lambda: m
+
+
+def cone_membership(cone: Cone, v: Vec) -> ConeMembership:
+    """Exact membership with certificate. See `ConeMembership` and `_membership`."""
+    return _membership(cone, v)[1]()
 
 
 def validate_membership(cone: Cone, v: Vec, m: ConeMembership) -> list[str]:
@@ -273,33 +336,8 @@ def validate_membership(cone: Cone, v: Vec, m: ConeMembership) -> list[str]:
 
 
 def cone_contains(cone: Cone, v: Vec) -> bool:
-    """Membership verdict only; skips certificate crafting on rejection.
-
-    A nonzero v is read in integers through the elimination (`image` of v
-    times the lcm of its denominators): off the span when an off-span row
-    is nonzero, and for independent generators a member exactly when every
-    generator coordinate is nonnegative. Dependent generators fall back to
-    the LP.
-    """
-    if len(v) != cone.dimension:
-        raise ValueError("vector dimension does not match the cone")
-    if is_zero_vec(v):
-        if cone.contains_zero or any(is_zero_vec(g) for g in cone.generators):
-            return True
-        if not cone.generators:
-            return False
-        if cone.span_solver.unique:
-            return False  # independent generators only combine to zero trivially
-        return _solve_membership(cone, v, unit_mass=True).member
-    if not cone.generators:
-        return False
-    solver = cone.span_solver
-    w = solver.image(integer_multiple(v)[1])
-    if any(w[solver.rank :]):
-        return False
-    if solver.unique:
-        return all(c >= 0 for c in w[: solver.rank])
-    return _solve_membership(cone, v, unit_mass=False).member
+    """Membership verdict only: `_membership` without its certificate."""
+    return _membership(cone, v)[0]
 
 
 def is_pointed(cone: Cone) -> bool:
@@ -321,20 +359,14 @@ def is_pointed(cone: Cone) -> bool:
 def relate(cone: Cone, x: Vec, y: Vec) -> Comparability:
     """Position of y relative to x in the cone order: y - x in C and/or -C.
 
-    With order coordinates, one elimination of x and y decides both: the
-    zero difference is in C exactly when the origin is admitted, and any
-    other one by `coordinates_above`.
+    The zero difference (x == y) is in C exactly when `cone_contains` admits
+    it; any other one is read by `ConeOrder`.
     """
-    coords = order_coordinates(cone, (x, y))
-    if coords is None:
-        d = tuple(b - a for a, b in zip(x, y, strict=True))
-        up = cone_contains(cone, d)
-        down = cone_contains(cone, vneg(d))
-    elif coords[0] == coords[1]:  # E is invertible, so x == y
-        up = down = cone.contains_zero
+    if x == y:
+        up = down = cone_contains(cone, vsub(y, x))
     else:
-        up = coordinates_above(coords[0], coords[1])
-        down = coordinates_above(coords[1], coords[0])
+        order = ConeOrder(cone, (x, y))
+        up, down = order.above(0, 1), order.above(1, 0)
     if up and down:
         return Comparability.BOTH
     if up:

@@ -5,9 +5,10 @@ dominated, inside the chain itself, by one of the chain's points. That
 point is the top of the combination's support in the cone order: every
 support point lies below it, so each term's difference to it is a cone
 vector, and the cone is convex, so the weighted sum of those differences,
-z - y, is one too. One scan of the support finds the top. Sums of chains
-reduce to the chain case summand by summand after one decomposition
-program over all coefficient blocks. Certificates are re-checked in
+z - y, is one too. One scan of the support, asked of the chain's cached
+`ConeOrder`, finds the top; Pareto optima are the maxima of that order.
+Sums of chains reduce to the chain case summand by summand after one
+decomposition program over all coefficient blocks. Certificates are re-checked in
 integers: each block over its own lcm against the summand's integer view.
 """
 
@@ -18,15 +19,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import (
-    Comparability,
     Cone,
+    ConeOrder,
     cone_contains,
-    coordinates_above,
     is_pointed,
     k_closure,
     negate,
-    order_coordinates,
-    relate,
     with_origin,
 )
 from .linalg import (
@@ -214,27 +212,23 @@ def _support_top(chain: ChainSet, coefficients: Sequence[Fraction], cone: Cone) 
 
     One scan from the last support point back; a point replaces the best so
     far only when strictly above it, so among tied tops the last listed
-    wins. Order coordinates depend on the generators alone, so the chain's
-    cached ones serve any cone with its generators. An incomparable pair
-    (the points are no chain under `cone`) raises ValueError.
+    wins. The order of distinct points depends on the generators alone, so
+    the chain's cached `order` serves any cone with its generators. An
+    incomparable pair (the points are no chain under `cone`) raises
+    ValueError.
     """
     pts = chain.base.points
     support = [i for i, c in enumerate(coefficients) if c > 0]
     best = support[-1]
     if len(support) == 1:
         return pts[best]
-    coords = chain.coordinates if cone.generators == chain.cone.generators else order_coordinates(cone, pts)
+    order = chain.order if cone.generators == chain.cone.generators else ConeOrder(cone, pts)
     for i in reversed(support[:-1]):
-        if coords is None:
-            comp = relate(cone, pts[i], pts[best])
-            above, below = comp in (Comparability.UP, Comparability.BOTH), comp is Comparability.DOWN
-        else:  # distinct points: never tied under order coordinates
-            above = coordinates_above(coords[i], coords[best])
-            below = not above and coordinates_above(coords[best], coords[i])
-        if below:
-            best = i
-        elif not above:
+        if order.above(i, best):
+            continue
+        if not order.above(best, i):
             raise ValueError(f"points {pts[i]} and {pts[best]} are incomparable under the cone")
+        best = i
     return pts[best]
 
 
@@ -314,29 +308,9 @@ def pareto_optima_finite(s: FinitePointSet, cone: Cone) -> FinitePointSet:
 
     A point loses when some other point sits at it plus a cone vector;
     the origin never disqualifies anything because only other points are
-    examined.
-
-    With order coordinates (independent generators), this is the maxima of
-    vectors problem (Kung, Luccio & Preparata 1975) solved by a sorted
-    sweep. The sum of generator coordinates strictly increases along
-    domination, so points are visited by that sum, descending, and a point
-    is kept unless a point kept before it dominates it. Independent
-    generators make the order antisymmetric, and it is transitive, so every
-    dominated point is dominated by a kept one with a larger sum. Other
-    cones compare every pair with `cone_contains`.
+    examined. These are the maxima of the cone order (`ConeOrder.maxima`).
     """
-    pts = s.points
-    coords = order_coordinates(cone, pts)
-    if coords is None:
-        keep = [
-            y for y in pts if not any(t != y and cone_contains(cone, vsub(t, y)) for t in pts)
-        ]
-        return FinitePointSet(tuple(keep))
-    kept: list[int] = []
-    for i in sorted(range(len(pts)), key=lambda i: -sum(coords[i].generator)):
-        if not any(coordinates_above(coords[i], coords[k]) for k in kept):
-            kept.append(i)
-    return FinitePointSet(tuple(pts[i] for i in sorted(kept)))
+    return FinitePointSet(tuple(s.points[i] for i in ConeOrder(cone, s.points).maxima()))
 
 
 def is_pareto_in_hull(y: Vec, d: DecomposableSet) -> bool:
@@ -387,16 +361,10 @@ class EquivalenceReport:
 
 def _domination_matrix(pts: FinitePointSet, cone: Cone) -> tuple[tuple[bool, ...], ...]:
     """Entry [t][s]: whether point t minus point s lies in the cone."""
-    coords = order_coordinates(cone, pts.points)
-    if coords is None:
-        return tuple(
-            tuple(cone_contains(cone, vsub(t, s)) for s in pts.points) for t in pts.points
-        )
+    order = ConeOrder(cone, pts.points)
     diagonal = cone_contains(cone, vzero(cone.dimension))
-    return tuple(
-        tuple(diagonal if i == j else coordinates_above(cs, ct) for j, cs in enumerate(coords))
-        for i, ct in enumerate(coords)
-    )
+    n = len(pts)
+    return tuple(tuple(diagonal if t == s else order.above(s, t) for s in range(n)) for t in range(n))
 
 
 def check_equivalences(d: DecomposableSet) -> EquivalenceReport:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import Cone, is_comparable, order_coordinates
+from .cones import Cone, ConeOrder
 from .linalg import ONE, ZERO, Vec, vadd, vdot, vscale
 from .sets import (
     ChainSet,
@@ -96,12 +96,12 @@ def rand_chain(rng: Rng, draw: ConeDraw, size: int, pool_factor: int = 8) -> Cha
     dimension = draw.cone.dimension
     pool = [rand_point(rng, dimension) for _ in range(pool_factor * size)]
     pool.sort(key=lambda p: vdot(draw.guard, p))
-    coords = order_coordinates(draw.cone, pool)
+    order = ConeOrder(draw.cone, pool)
     kept: list[int] = []
     for i, p in enumerate(pool):
         if len(kept) == size:
             break
-        if all(p != pool[k] and is_comparable(draw.cone, pool, coords, k, i) for k in kept):
+        if all(p != pool[k] and order.comparable(k, i) for k in kept):
             kept.append(i)
     return ChainSet(FinitePointSet(tuple(pool[k] for k in kept)), draw.cone)
 

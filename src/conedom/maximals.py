@@ -29,8 +29,9 @@ from functools import cached_property
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
-from .cones import Comparability, Cone, relate
-from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec, hull_membership, vadd, vdot, vscale
+from .cones import Cone, ConeOrder
+from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec, hull_membership, integer_points
+from .linalg import vadd, vdot, vscale
 from .sets import FinitePointSet, is_antichain, is_grid_antichain_convex
 
 Utility = Callable[[Vec], Fraction]
@@ -163,7 +164,7 @@ def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> Fin
     for i in idx[1:]:
         if not rel[top][i]:
             top = i
-    upper = relation.upper_set(relation.ground.points[top])
+    upper = integer_points(relation.upper_set(relation.ground.points[top]))
     keep = (m for i, m in zip(idx, subset.points) if rel[i][top] or hull_membership(m, upper).member)
     return FinitePointSet(tuple(keep))
 
@@ -510,15 +511,17 @@ def check_antichain_quasiconcavity(
     pts = grid.points().points
     if len(pts) < 2:
         return QuasiconcavityReport(True, None)
+    order = ConeOrder(cone, pts)
     checked = 0
     guard = 0
     limit = samples * 50
     while checked < samples and guard < limit:
         guard += 1
-        x = pts[rng.randrange(len(pts))]
-        y = pts[rng.randrange(len(pts))]
-        if x == y or relate(cone, x, y) is not Comparability.INCOMPARABLE:
+        i = rng.randrange(len(pts))
+        j = rng.randrange(len(pts))
+        if i == j or order.comparable(i, j):
             continue
+        x, y = pts[i], pts[j]
         checked += 1
         floor = min(utility(x), utility(y))
         for lam in _MIX_WEIGHTS:

@@ -5,7 +5,9 @@ exactly when it is a chain of the cone order (any incomparable pair would
 demand fractional combinations the finite set cannot hold), so `ChainSet`
 is the canonical finite carrier and `DecomposableSet` a Minkowski sum of
 such chains. `is_grid_antichain_convex` is the explicitly discrete
-surrogate used for lattice checks and is labeled as such.
+surrogate used for lattice checks and is labeled as such. Every pair is
+compared through one `conedom.cones.ConeOrder` per scan; a `ChainSet`
+keeps one for its dominance scans.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ from functools import cached_property
 from math import prod
 from typing import Iterable, Sequence
 
-from .cones import (
-    Cone,
-    OrderCoordinates,
-    cone_contains,
-    is_comparable,
-    k_closure,
-    order_coordinates,
-)
+from .cones import Cone, ConeOrder, cone_contains, k_closure
 from .linalg import (
     _MAX_SUM_POINTS,
     IntegerPoints,
@@ -85,16 +80,12 @@ class FinitePointSet:
 
 def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, Vec] | None:
     """First pair (points i < j, scanned by i, then j) whose comparability
-    in the cone order is `comparable`.
-
-    With order coordinates each point is eliminated once and every pair is
-    a sign check; otherwise every pair goes through `relate`.
-    """
+    in the cone order (`ConeOrder`) is `comparable`."""
     pts = s.points
-    coords = order_coordinates(cone, pts)
+    order = ConeOrder(cone, pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if is_comparable(cone, pts, coords, i, j) == comparable:
+            if order.comparable(i, j) == comparable:
                 return pts[i], pts[j]
     return None
 
@@ -140,10 +131,10 @@ class ChainSet:
         return cls(FinitePointSet.build(points), cone)
 
     @cached_property
-    def coordinates(self) -> list[OrderCoordinates] | None:
-        """Order coordinates of the points under the chain's own cone (None
-        where `order_coordinates` gives none), built on first use."""
-        return order_coordinates(self.cone, self.base.points)
+    def order(self) -> ConeOrder:
+        """The cone order on the chain's points, built once; its verdicts
+        serve any cone with the chain's generators."""
+        return ConeOrder(self.cone, self.base.points)
 
 
 @dataclass(frozen=True)
@@ -313,10 +304,10 @@ def is_grid_antichain_convex(
         return True
     pitch = step if step is not None else _lattice_unit(s)
     pts = s.points
-    coords = order_coordinates(cone, pts)
+    order = ConeOrder(cone, pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if is_comparable(cone, pts, coords, i, j):
+            if order.comparable(i, j):
                 continue
             for k in range(1, denominator):
                 lam = Fraction(k, denominator)

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import conedom.cones
 from conedom.cones import (
     Comparability,
     Cone,
@@ -21,6 +22,7 @@ from conedom.cones import (
     negate,
     relate,
     with_origin,
+    _solve_membership,
 )
 from conedom.instances import rand_cone_member, rand_point, rand_pointed_cone
 from conedom.linalg import ZERO, is_zero_vec, vadd, vdot, vsub
@@ -219,7 +221,20 @@ def reference_solve_unique(cone, v):
 
 
 def reference_cone_membership(cone, v):
-    """The former `cone_membership` for a nonzero v over some generator."""
+    """The former `cone_membership`: its own decision tree, with the span
+    certificates taken in `Fraction`s and the LP called directly."""
+    gens = cone.generators
+    if is_zero_vec(v):
+        if cone.contains_zero:
+            return ConeMembership(True, coefficients=(ZERO,) * len(gens))
+        for idx, g in enumerate(gens):
+            if is_zero_vec(g):
+                return ConeMembership(True, coefficients=tuple(F(1) if i == idx else ZERO for i in range(len(gens))))
+        if not gens:
+            return ConeMembership(False, functional=None)
+        return _solve_membership(cone, v, unit_mass=True)
+    if not gens:
+        return ConeMembership(False, functional=tuple(-c for c in v))
     f = reference_off_span_functional(cone, v)
     if f is not None:
         return ConeMembership(False, functional=f)
@@ -227,7 +242,7 @@ def reference_cone_membership(cone, v):
         mu = reference_solve_unique(cone, v)
         if mu is not None and all(c >= 0 for c in mu):
             return ConeMembership(True, coefficients=mu)
-    return cone_membership(cone, v)  # the LP, unchanged
+    return _solve_membership(cone, v, unit_mass=False)
 
 
 def reference_cone_contains(cone, v):
@@ -242,7 +257,7 @@ def reference_cone_contains(cone, v):
             return False
         if cone.span_solver.unique:
             return False
-        return cone_membership(cone, v).member
+        return _solve_membership(cone, v, unit_mass=True).member
     if not cone.generators:
         return False
     if reference_off_span_functional(cone, v) is not None:
@@ -250,7 +265,7 @@ def reference_cone_contains(cone, v):
     if cone.span_solver.unique:
         mu = reference_solve_unique(cone, v)
         return mu is not None and all(c >= 0 for c in mu)
-    return cone_membership(cone, v).member
+    return _solve_membership(cone, v, unit_mass=False).member
 
 
 def _cone_kinds(rng, dim, contains_zero):
@@ -293,7 +308,33 @@ class TestIntegerVerdictAgainstTheFractionPath:
                         expected = reference_cone_contains(cone, v)
                         assert cone_contains(cone, v) == expected, (name, flag, v)
                         seen[expected] += 1
-                        if gens and any(v):
-                            # The certificate, span functional or coefficients, is unchanged too.
-                            assert cone_membership(cone, v) == reference_cone_membership(cone, v), (name, v)
+                        # The certificate, span functional, coefficients or LP's, is unchanged too.
+                        assert cone_membership(cone, v) == reference_cone_membership(cone, v), (name, flag, v)
         assert min(seen.values()) > 500
+
+    def test_the_verdict_alone_builds_no_certificate(self, monkeypatch):
+        # Wherever the elimination settles the verdict, `cone_contains`
+        # builds no certificate and solves no LP, refutations included.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate was built for a verdict")
+
+        monkeypatch.setattr(conedom.cones, "ConeMembership", refuse)
+        monkeypatch.setattr(conedom.cones, "_solve_membership", refuse)
+        rng = random.Random(20261019)
+        seen = {True: 0, False: 0}
+        for _ in range(30):
+            dim = rng.choice((2, 3))
+            kinds = _cone_kinds(rng, dim, True)
+            for name in ("simplicial", "rank_deficient", "no_generators"):
+                gens = kinds[name]
+                for flag in (True, False):
+                    cone = Cone(dim, gens, flag)
+                    probes = [rand_point(rng, dim) for _ in range(4)] + [tuple(F(0) for _ in range(dim))]
+                    probes += [g for g in gens] + [tuple(-c for c in g) for g in gens]
+                    for v in probes:
+                        expected = reference_cone_contains(cone, v)
+                        assert cone_contains(cone, v) == expected, (name, flag, v)
+                        seen[expected] += 1
+            zero_generator = Cone(dim, kinds["zero_generator"], False)
+            assert cone_contains(zero_generator, tuple(F(0) for _ in range(dim)))
+        assert min(seen.values()) > 100

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import pytest
 
 from conedom.cones import Cone
-from conedom.linalg import ZERO, LimitError, hull_membership, vdot
+from conedom.linalg import ZERO, IntegerPoints, LimitError, hull_membership, vdot
 from conedom.maximals import (
     FiniteRelation,
     GridDomain,
@@ -122,8 +122,14 @@ def reference_axis_values(grid: GridDomain, d: int) -> tuple:
 
 
 def recording_hull(calls):
+    """`hull_membership` that records each program's point and upper set,
+    the set as `Fraction` points also where it comes as an integer view."""
+
     def hull(m, upper):
-        calls.append((m, upper))
+        if isinstance(upper, IntegerPoints):
+            calls.append((m, tuple(tuple(F(c, upper.scale) for c in p) for p in upper.points)))
+        else:
+            calls.append((m, upper))
         return hull_membership(m, upper)
 
     return hull

@@ -14,13 +14,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import conedom.cones
 from conedom.cones import (
     Comparability,
     Cone,
+    ConeOrder,
     cone_contains,
     is_pointed,
     k_closure,
-    order_coordinates,
     relate,
     with_origin,
 )
@@ -171,7 +172,40 @@ def cases(kind, count=6):
 def test_the_order_path_is_taken_exactly_for_independent_generators(kind):
     _, independent = KINDS[kind]
     for cone, pts in cases(kind, 3):
-        assert (order_coordinates(cone, pts.points) is not None) == independent
+        assert (ConeOrder(cone, pts.points).coordinates is not None) == independent
+
+
+def ref_scan_calls(cone, pts):
+    """The vectors an incomparable-pair scan passes to `cone_contains`: for
+    each pair i < j, point j minus point i, and the reverse only when the
+    first is not in the cone; up to the first incomparable pair."""
+    calls = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            up, down = vsub(pts[j], pts[i]), vsub(pts[i], pts[j])
+            if cone_contains(cone, up):
+                calls.append(up)
+            elif cone_contains(cone, down):
+                calls += [up, down]
+            else:
+                return calls + [up, down]
+    return calls
+
+
+@pytest.mark.parametrize("kind", [kind for kind, (_, independent) in KINDS.items() if not independent])
+def test_a_pair_scan_asks_the_second_direction_only_when_the_first_fails(kind, monkeypatch):
+    calls = []
+
+    def counting(cone, v):
+        calls.append(v)
+        return cone_contains(cone, v)
+
+    monkeypatch.setattr(conedom.cones, "cone_contains", counting)
+    for cone, pts in cases(kind):
+        for subset in (pts.points, pts.points[::-1]):
+            calls.clear()
+            first_incomparable_pair(FinitePointSet(subset), cone)
+            assert calls == ref_scan_calls(cone, subset)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -264,6 +298,6 @@ def test_span_solver_lives_on_the_cone_and_is_shared_across_origin_flags():
 def test_order_coordinates_reject_a_wrong_dimension():
     cone = Cone.build(2, [[1, 0], [0, 1]], True)
     with pytest.raises(ValueError):
-        order_coordinates(cone, [(F(1), F(2), F(3))])
+        ConeOrder(cone, [(F(1), F(2), F(3))])
     with pytest.raises(ValueError):
         relate(cone, (F(0), F(0)), (F(1), F(1), F(1)))

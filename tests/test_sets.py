@@ -13,7 +13,7 @@ from math import lcm
 
 import pytest
 
-from conedom.cones import Comparability, Cone, k_closure, order_coordinates, relate
+from conedom.cones import Comparability, Cone, _order_coordinates, k_closure, relate
 from conedom.instances import rand_chain, rand_point, rand_pointed_cone
 from conedom.linalg import LimitError, vadd
 from conedom.sets import (
@@ -351,7 +351,7 @@ class TestCachedViews:
         for _ in range(20):
             draw = rand_pointed_cone(rng, rng.choice((2, 3)), True)
             chain = rand_chain(rng, draw, rng.randint(1, 6))
-            assert chain.coordinates == order_coordinates(chain.cone, chain.base.points)
-            assert chain.coordinates is chain.coordinates
+            assert chain.order.coordinates == _order_coordinates(chain.cone, chain.base.points)
+            assert chain.order is chain.order
         line = Cone.build(2, [[1, 0], [-1, 0]], True)
-        assert ChainSet.build([(0, 0), (1, 0)], line).coordinates is None
+        assert ChainSet.build([(0, 0), (1, 0)], line).order.coordinates is None
