@@ -17,7 +17,10 @@ support tops, the domination matrix, `relate`) goes through it. It is
 the only code that knows whether the cone has integer order coordinates
 (linearly independent generators, and at least one of them), which turn
 each comparison into a componentwise one; every other cone asks
-`cone_contains` pair by pair.
+`cone_contains` pair by pair. Its Pareto maxima come from a sorted sweep
+on any pointed cone with no zero generator: by the order coordinates, or
+else by one integer functional positive on every generator
+(`Cone.positive_functional`, one certified LP per cone).
 """
 
 from __future__ import annotations
@@ -84,6 +87,25 @@ class Cone:
     def generator_view(self) -> IntegerPoints:
         """The generators over one common denominator, built on first use."""
         return integer_points(self.generators)
+
+    @cached_property
+    def positive_functional(self) -> tuple[int, ...] | None:
+        """An integer phi with phi.g > 0 on every generator, built on first use.
+
+        It is the Farkas vector of the unit-mass origin program, re-checked
+        in integers. None when there are no generators or that program is
+        feasible: 0 in conv G, which means a zero generator or a cone that
+        is not pointed.
+        """
+        if not self.generators:
+            return None
+        m = _solve_membership(self, (ZERO,) * self.dimension, unit_mass=True)
+        if m.member:
+            return None
+        _, phi = integer_multiple(m.functional)
+        if not all(sum(map(mul, phi, g)) > 0 for g in self.generator_view.points):
+            raise RuntimeError("the origin program's Farkas vector is not positive on every generator")
+        return phi
 
 
 @dataclass(frozen=True)
@@ -223,22 +245,32 @@ class ConeOrder:
     def maxima(self) -> list[int]:
         """Positions of the points that no other point lies above, ascending.
 
-        With order coordinates this is the maxima of vectors problem (Kung,
-        Luccio & Preparata 1975), solved by a sorted sweep. The sum of
-        generator coordinates strictly increases along the order, so points
-        are visited by that sum, descending, and a point is kept unless a
-        point kept before it lies above it. Independent generators make the
-        order antisymmetric, and it is transitive, so every point below
-        another lies below a kept one with a larger sum. Other cones compare
-        every pair.
+        This is the maxima of vectors problem (Kung, Luccio & Preparata
+        1975), solved by a sorted sweep whenever a key strictly increases
+        along the order: the sum of the order coordinates, or else phi.p for
+        the cone's `positive_functional` phi (y - x in C minus the origin
+        gives phi.(y - x) > 0). Points are visited by that key, descending,
+        and a point is kept unless a point kept before it lies above it. The
+        order is transitive, and antisymmetric on distinct points (a key
+        that rises along it rules out cycles), so every point below another
+        lies below a kept one with a larger key. A cone without either key
+        (a zero generator, no generators, or not pointed) compares every
+        pair.
         """
         n = len(self.points)
         coords = self.coordinates
-        if coords is None:
-            return [i for i in range(n) if not any(k != i and self.above(i, k) for k in range(n))]
+        if coords is not None:
+            key = [sum(c.generator) for c in coords]
+            above = lambda i, k: _coordinates_above(coords[i], coords[k])
+        else:
+            phi = self.cone.positive_functional
+            if phi is None:
+                return [i for i in range(n) if not any(k != i and self.above(i, k) for k in range(n))]
+            key = [sum(map(mul, phi, q)) for q in integer_points(self.points).points]
+            above = self.above
         kept: list[int] = []
-        for i in sorted(range(n), key=lambda i: -sum(coords[i].generator)):
-            if not any(_coordinates_above(coords[i], coords[k]) for k in kept):
+        for i in sorted(range(n), key=lambda i: -key[i]):
+            if not any(above(i, k) for k in kept):
                 kept.append(i)
         return sorted(kept)
 
@@ -380,12 +412,14 @@ def with_origin(cone: Cone, contains_zero: bool) -> Cone:
     """The cone with the same generators and the given origin flag.
 
     The result shares the span solver of `cone`, which depends on the
-    generators alone.
+    generators alone, and its positive functional once `cone` has built it.
     """
     if cone.contains_zero == contains_zero:
         return cone
     out = Cone(cone.dimension, cone.generators, contains_zero)
     vars(out)["span_solver"] = cone.span_solver  # fills the cached_property
+    if "positive_functional" in vars(cone):
+        vars(out)["positive_functional"] = cone.positive_functional
     return out
 
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cones import Cone, ConeOrder
-from .linalg import ONE, ZERO, Vec, vadd, vdot, vscale
+from .linalg import ONE, ZERO, Vec, integer_multiple, integer_points, vadd, vdot, vscale
 from .sets import (
     ChainSet,
     DecomposableSet,
@@ -95,7 +96,10 @@ def rand_chain(rng: Rng, draw: ConeDraw, size: int, pool_factor: int = 8) -> Cha
     """Sort a random pool along the guard, keep a pairwise-comparable subset."""
     dimension = draw.cone.dimension
     pool = [rand_point(rng, dimension) for _ in range(pool_factor * size)]
-    pool.sort(key=lambda p: vdot(draw.guard, p))
+    # guard.p in integers: one positive scale for the guard and one for the pool keep every comparison.
+    _, guard = integer_multiple(draw.guard)
+    keys = [sum(map(mul, guard, q)) for q in integer_points(pool).points]
+    pool = [pool[i] for i in sorted(range(len(pool)), key=keys.__getitem__)]
     order = ConeOrder(draw.cone, pool)
     kept: list[int] = []
     for i, p in enumerate(pool):

@@ -5,8 +5,9 @@ Pareto optima and the domination matrix behind `check_equivalences`) is
 compared on seeded cones of every kind with the same question asked one
 pair at a time through `cone_contains`. Cones with independent generators
 take the order-coordinate path; the others keep the pairwise path, which
-the tests check too. Points include ties in the generator-coordinate sum,
-denominators 1, 2 and 3, and numerators around 10^20.
+the tests check too, and Pareto optima on a pointed one sweep by its
+positive functional. Points include ties in the generator-coordinate sum
+and in that functional, denominators 1, 2 and 3, and numerators around 10^20.
 """
 
 import random
@@ -18,6 +19,7 @@ import conedom.cones
 from conedom.cones import (
     Comparability,
     Cone,
+    ConeMembership,
     ConeOrder,
     cone_contains,
     is_pointed,
@@ -27,7 +29,7 @@ from conedom.cones import (
 )
 from conedom.dominance import _domination_matrix, check_equivalences, is_pareto_in_hull, pareto_optima_finite
 from conedom.instances import rand_cone_member, rand_point, rand_pointed_cone
-from conedom.linalg import vadd, vscale, vsub
+from conedom.linalg import is_zero_vec, vadd, vdot, vscale, vsub
 from conedom.maximals import FiniteRelation, maximals
 from conedom.sets import (
     ChainSet,
@@ -93,6 +95,13 @@ def nonsimplicial_pointed(rng, dim, contains_zero):
     return Cone(dim, draw.cone.generators + (vadd(extra, draw.guard),), contains_zero)
 
 
+def planar_pointed(rng, dim, contains_zero):
+    """Pointed, with three dependent generators in a plane of R^max(dim, 3):
+    points can differ off the span, and on it only the LP decides."""
+    gens = simplicial(rng, max(dim, 3), contains_zero).generators
+    return Cone(len(gens[0]), (gens[0], gens[1], vadd(gens[0], vscale(F(2), gens[1]))), contains_zero)
+
+
 def nonsimplicial_line(rng, dim, contains_zero):
     """Not pointed: holds a generator and its negation."""
     gens = simplicial(rng, dim, contains_zero).generators
@@ -112,6 +121,7 @@ KINDS = {
     "simplicial": (simplicial, True),
     "rank_deficient": (rank_deficient, True),
     "nonsimplicial_pointed": (nonsimplicial_pointed, False),
+    "planar_pointed": (planar_pointed, False),
     "nonsimplicial_not_pointed": (nonsimplicial_line, False),
     "zero_generator": (with_zero_generator, False),
     "no_generators": (no_generators, False),
@@ -136,11 +146,33 @@ def off_span_part(cone, u):
     return out
 
 
+def orthogonal_part(vectors, u):
+    """u minus its orthogonal projection onto the span of `vectors`."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = vsub(v, vscale(vdot(v, b) / vdot(b, b), b))
+        if any(v):
+            basis.append(v)
+    for b in basis:
+        u = vsub(u, vscale(vdot(u, b) / vdot(b, b), b))
+    return u
+
+
+def level_step(phi):
+    """A nonzero w with phi.w = 0, for a nonzero phi of length at least 2."""
+    if phi[0] == phi[1] == 0:
+        return (F(1),) + (F(0),) * (len(phi) - 1)
+    return (F(phi[1]), F(-phi[0])) + (F(0),) * (len(phi) - 2)
+
+
 def rand_points(rng, cone, big):
-    """Up to 11 distinct points: a cone-step chain; ties in the generator
+    """Up to 12 distinct points: a cone-step chain; ties in the generator
     sum (p + g_i - g_j) and in the coordinate sum; shifts that change only
-    the off-span coordinates, one of them on top of a cone step; and
-    unrelated points."""
+    the off-span coordinates, one of them on top of a cone step; on a
+    pointed cone with dependent generators, ties in phi.p for its positive
+    functional phi (incomparable, as phi is positive on the cone minus the
+    origin); and unrelated points."""
     dim = cone.dimension
     p = base_point(rng, dim, big)
     pts = [p]
@@ -154,6 +186,12 @@ def rand_points(rng, cone, big):
     if cone.generators and cone.span_solver.unique:
         w = off_span_part(cone, base_point(rng, dim, False))
         pts.extend((vadd(p, w), vadd(pts[1], w)))
+    elif cone.generators and cone.span_solver.rank < dim:
+        w = orthogonal_part(cone.generators, base_point(rng, dim, False))
+        pts.extend((vadd(p, w), vadd(pts[1], w)))
+    if cone.generators and not cone.span_solver.unique and cone.positive_functional is not None:
+        w = level_step(cone.positive_functional)
+        pts.extend((vadd(p, w), vadd(pts[2], w)))
     pts.append(base_point(rng, dim, big))
     pts.append(vadd(pts[-1], base_point(rng, dim, False)))
     return FinitePointSet.build(pts)
@@ -206,6 +244,58 @@ def test_a_pair_scan_asks_the_second_direction_only_when_the_first_fails(kind, m
             calls.clear()
             first_incomparable_pair(FinitePointSet(subset), cone)
             assert calls == ref_scan_calls(cone, subset)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_positive_functional_exists_exactly_on_pointed_cones_without_a_zero_generator(kind):
+    for cone, _ in cases(kind, 3):
+        phi = cone.positive_functional
+        pointed = bool(cone.generators) and is_pointed(cone) and not any(map(is_zero_vec, cone.generators))
+        without = kind in ("nonsimplicial_not_pointed", "zero_generator", "no_generators")
+        assert (phi is not None) == pointed == (not without)
+        if phi is not None:
+            assert all(vdot(phi, g) > 0 for g in cone.generators)
+        flipped = with_origin(cone, not cone.contains_zero)
+        assert vars(flipped)["positive_functional"] is phi
+
+
+def test_a_functional_not_positive_on_every_generator_is_refused(monkeypatch):
+    cone = Cone.build(2, [[1, 0], [0, 1], [1, 1]], False)
+    refutation = ConeMembership(False, functional=(F(1), F(0)))  # zero on the generator (0, 1)
+    monkeypatch.setattr(conedom.cones, "_solve_membership", lambda *_, **__: refutation)
+    with pytest.raises(RuntimeError):
+        cone.positive_functional
+
+
+@pytest.mark.parametrize("kind", [kind for kind, (_, independent) in KINDS.items() if independent])
+def test_the_positive_functional_is_never_built_for_independent_generators(kind):
+    for cone, pts in cases(kind):
+        ConeOrder(cone, pts.points).maxima()
+        first_incomparable_pair(pts, cone)
+        relate(cone, pts.points[0], pts.points[1])
+        check_equivalences(chain_sum(random.Random(kind), cone, (3, 2)))
+        assert "positive_functional" not in vars(cone)
+
+
+@pytest.mark.parametrize("kind", ["nonsimplicial_pointed", "planar_pointed"])
+def test_maxima_under_a_single_top_ask_one_question_per_other_point(kind, monkeypatch):
+    make, _ = KINDS[kind]
+    rng = random.Random(f"single-top-{kind}")
+    calls = []
+
+    def counting(cone, v):
+        calls.append(v)
+        return cone_contains(cone, v)
+
+    monkeypatch.setattr(conedom.cones, "cone_contains", counting)
+    for t in range(4):
+        cone = make(rng, 2 + t % 3, contains_zero=t % 2 == 0)
+        assert cone.positive_functional is not None
+        pts = materialize(chain_sum(rng, cone, (3, 2, 2))).points
+        top = max(range(len(pts)), key=lambda i: vdot(cone.positive_functional, pts[i]))
+        calls.clear()
+        assert ConeOrder(cone, pts).maxima() == [top]
+        assert len(calls) == len(pts) - 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
