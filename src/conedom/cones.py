@@ -21,6 +21,12 @@ each comparison into a componentwise one; every other cone asks
 on any pointed cone with no zero generator: by the order coordinates, or
 else by one integer functional positive on every generator
 (`Cone.positive_functional`, one certified LP per cone).
+
+`cone_facets` describes the cone of integer generators by integer rows:
+the left-null rows of the same elimination and one normal per facet, found
+among the cofactor vectors of the (rank - 1)-subsets of the generators and
+re-checked against every generator. `Polyhedron.facets` reads its
+polyhedron's relative-interior and containment verdicts from them.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import comb, gcd
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -134,7 +142,7 @@ class _SpanSolver:
     left-null row is a separating functional.
     """
 
-    def __init__(self, dimension: int, generators: tuple[Vec, ...]):
+    def __init__(self, dimension: int, generators: Sequence[Sequence[Fraction | int]]):
         n, k = dimension, len(generators)
         # Augmented elimination on [G | I]: row-reduce the n x k generator
         # matrix while accumulating the elimination matrix E with E G = R.
@@ -167,6 +175,106 @@ class _SpanSolver:
         """E.q for an integer vector q, with each row of E scaled by its own
         positive lcm: the signs of E.v for any positive multiple v of q."""
         return tuple(sum(map(mul, row, q)) for row in self.integer_elim)
+
+
+# `cone_facets` gives up, and its callers keep their LP, when the number of
+# (rank - 1)-subsets of the generators times dimension**3 exceeds this. Each
+# subset costs `dimension` small determinants; timed in dimensions 2-8, that
+# grew as dimension**3. Under the bound a measured build cost at most 9
+# solves of the relative-interior LP (3.2 ms), so a caller who asks about a
+# polyhedron once loses little, and one who asks ten times gains.
+_MAX_FACET_WORK = 2048
+
+
+class Facets(NamedTuple):
+    """Integer rows that describe the cone K of nonnegative combinations of
+    some generators.
+
+    `equations` E (the left-null rows of the generators' elimination) vanish
+    exactly on the generators' span. `normals` H hold one primitive row per
+    facet, inside the span and >= 0 on every generator. So K is the x with
+    Ex = 0 and Hx >= 0, and its relative interior the x with Ex = 0 and
+    Hx > 0.
+    """
+
+    equations: tuple[tuple[int, ...], ...]
+    normals: tuple[tuple[int, ...], ...]
+
+    def contains(self, x: Sequence[int], relative_interior: bool = False) -> bool:
+        """Whether the integer vector x lies in the cone, or in its relative interior."""
+        if any(sum(map(mul, e, x)) for e in self.equations):
+            return False
+        least = 1 if relative_interior else 0
+        return all(sum(map(mul, h, x)) >= least for h in self.normals)
+
+
+def _determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss 1968):
+    every entry stays an integer, and each division is exact."""
+    m = [list(row) for row in rows]
+    n, sign, previous = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def _cross(rows: Sequence[Sequence[int]], dimension: int) -> tuple[int, ...]:
+    """The cofactor vector of dimension - 1 integer rows: orthogonal to each
+    row, and zero exactly when the rows are linearly dependent."""
+    return tuple(
+        (-1) ** j * _determinant([row[:j] + row[j + 1 :] for row in rows]) for j in range(dimension)
+    )
+
+
+def _oriented(h: tuple[int, ...], generators: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """h or -h, divided by the gcd of its entries, whichever is >= 0 on every
+    generator; None when h takes both signs on them."""
+    values = [sum(map(mul, h, g)) for g in generators]
+    if min(values) < 0 < max(values):
+        return None
+    unit = gcd(*h) if min(values) >= 0 else -gcd(*h)
+    return tuple(c // unit for c in h)
+
+
+def cone_facets(dimension: int, generators: Sequence[Sequence[int]]) -> Facets | None:
+    """The equations and facet normals of the cone of integer generators, or
+    None when the candidate subsets would cost more than `_MAX_FACET_WORK`.
+
+    A cone of rank r has each facet spanned by r - 1 independent generators
+    on it, so its normals are found among the (r - 1)-subsets: the cofactor
+    vector of a subset with the equations is orthogonal to both, so it lies
+    in the span and vanishes on the subset, and it is zero exactly when the
+    subset is dependent. Such a row is a facet normal exactly when it is
+    one-signed on the generators. Every kept row is re-checked against every
+    generator before it is returned.
+    """
+    solver = _SpanSolver(dimension, generators)
+    rank = solver.rank
+    equations = tuple(solver.integer_elim[rank:])
+    if rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
+        return None
+    normals = set()
+    for subset in combinations(generators, rank - 1) if rank else ():
+        h = _cross((*subset, *equations), dimension)
+        if any(h) and (oriented := _oriented(h, generators)) is not None:
+            normals.add(oriented)
+    facets = Facets(equations, tuple(sorted(normals)))
+    for e in facets.equations:
+        if any(sum(map(mul, e, g)) for g in generators):
+            raise RuntimeError("an equation row does not vanish on every generator")
+    for h in facets.normals:
+        values = [sum(map(mul, h, g)) for g in generators]
+        if min(values) < 0 or max(values) <= 0:
+            raise RuntimeError("a facet normal is not nonnegative and nonzero on the generators")
+    return facets
 
 
 class _OrderCoordinates(NamedTuple):

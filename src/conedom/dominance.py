@@ -310,7 +310,7 @@ def pareto_optima_finite(s: FinitePointSet, cone: Cone) -> FinitePointSet:
     the origin never disqualifies anything because only other points are
     examined. These are the maxima of the cone order (`ConeOrder.maxima`).
     """
-    return FinitePointSet(tuple(s.points[i] for i in ConeOrder(cone, s.points).maxima()))
+    return FinitePointSet._of_distinct(tuple(s.points[i] for i in ConeOrder(cone, s.points).maxima()))
 
 
 def is_pareto_in_hull(y: Vec, d: DecomposableSet) -> bool:

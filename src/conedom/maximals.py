@@ -142,7 +142,7 @@ def maximals(relation: FiniteRelation, subset: FinitePointSet) -> FinitePointSet
         for i, p in zip(idx, subset.points):
             if all(rel[i][j] for j in idx if rel[j][i]):
                 keep.append(p)
-    return FinitePointSet(tuple(keep))
+    return FinitePointSet._of_distinct(tuple(keep))
 
 
 def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> FinitePointSet:
@@ -166,7 +166,7 @@ def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> Fin
             top = i
     upper = integer_points(relation.upper_set(relation.ground.points[top]))
     keep = (m for i, m in zip(idx, subset.points) if rel[i][top] or hull_membership(m, upper).member)
-    return FinitePointSet(tuple(keep))
+    return FinitePointSet._of_distinct(tuple(keep))
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ class GridDomain:
         if count == 0:  # an empty axis: leave the others, however long, unbuilt
             return FinitePointSet(())
         axes = [self.axis_values(d) for d in range(self.dimension)]
-        return FinitePointSet(tuple(itertools.product(*axes)))
+        return FinitePointSet._of_distinct(tuple(itertools.product(*axes)))
 
     def __contains__(self, p: Vec) -> bool:
         if len(p) != self.dimension:
@@ -295,7 +295,7 @@ def _budget(grid: GridDomain, ground: FinitePointSet, prices: PriceSystem) -> Fi
     weights = [c.numerator * (m // c.denominator) for c in prices.price]
     bound = prices.wealth * m // grid.step
     indices = itertools.product(*(range(a, b + 1) for a, b in map(grid._axis_steps, range(grid.dimension))))
-    return FinitePointSet(
+    return FinitePointSet._of_distinct(
         tuple(
             p
             for p, ks in zip(ground.points, indices, strict=True)
@@ -311,7 +311,7 @@ def demand(utility: Utility, grid: GridDomain, prices: PriceSystem) -> FinitePoi
         return FinitePointSet(())
     values = {p: utility(p) for p in budget.points}
     best = max(values.values())
-    return FinitePointSet(tuple(sorted(p for p, v in values.items() if v == best)))
+    return FinitePointSet._of_distinct(tuple(sorted(p for p, v in values.items() if v == best)))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ is the canonical finite carrier and `DecomposableSet` a Minkowski sum of
 such chains. `is_grid_antichain_convex` is the explicitly discrete
 surrogate used for lattice checks and is labeled as such. Every pair is
 compared through one `conedom.cones.ConeOrder` per scan; a `ChainSet`
-keeps one for its dominance scans.
+keeps one for its dominance scans. A polyhedron's containment and
+relative-interior verdicts are integer dot products with the facets of its
+homogenized cone (`Polyhedron.facets`), built once on first use; above the
+facet routine's candidate cap they stay one LP per point.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 from math import prod
 from typing import Iterable, Sequence
 
-from .cones import Cone, ConeOrder, cone_contains, k_closure
+from .cones import Cone, ConeOrder, Facets, cone_contains, cone_facets, k_closure
 from .linalg import (
     _MAX_SUM_POINTS,
     IntegerPoints,
@@ -26,6 +29,7 @@ from .linalg import (
     Vec,
     fvec,
     hull_membership,
+    integer_multiple,
     integer_points,
     is_zero_vec,
     relative_interior_membership,
@@ -42,17 +46,23 @@ class FinitePointSet:
     points: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        if self.points:
-            n = len(self.points[0])
-            for p in self.points:
-                if len(p) != n:
-                    raise ValueError("point dimension mismatch")
+        _check_dimensions(self.points)
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be deduplicated; use FinitePointSet.build")
 
     @classmethod
     def build(cls, points: Iterable[Sequence[object]]) -> "FinitePointSet":
-        return cls(tuple(dict.fromkeys(fvec(p) for p in points)))
+        distinct = tuple(dict.fromkeys(fvec(p) for p in points))
+        _check_dimensions(distinct)
+        return cls._of_distinct(distinct)
+
+    @classmethod
+    def _of_distinct(cls, points: tuple[Vec, ...]) -> "FinitePointSet":
+        """The set of points already known distinct and of one dimension (as
+        any subset of a set's points is), without hashing them again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "points", points)
+        return out
 
     @property
     def dimension(self) -> int:
@@ -76,6 +86,11 @@ class FinitePointSet:
     def integer_view(self) -> IntegerPoints:
         """The points over one common denominator, built on first use."""
         return integer_points(self.points)
+
+
+def _check_dimensions(points: tuple[Vec, ...]) -> None:
+    if any(len(p) != len(points[0]) for p in points):
+        raise ValueError("point dimension mismatch")
 
 
 def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, Vec] | None:
@@ -206,13 +221,43 @@ class Polyhedron:
         """The rays over one common denominator, built on first use."""
         return integer_points(self.rays)
 
+    @cached_property
+    def facets(self) -> Facets | None:
+        """Equations and facet normals of the homogenized cone, generated by
+        (v, 1) for each vertex and (r, 0) for each ray, built on first use.
+
+        The polyhedron is that cone's slice at last coordinate one, and its
+        relative interior the slice of the cone's relative interior. None
+        when `cone_facets` finds too many candidate subsets.
+        """
+        vs = self.vertices.integer_view
+        generators = [(*v, vs.scale) for v in vs.points] + [(*r, 0) for r in self.ray_view.points]
+        return cone_facets(self.dimension + 1, generators)
+
+
+def _lifted(p: Polyhedron, point: Vec) -> tuple[int, ...]:
+    """(d z, d) for the point z and d the lcm of its denominators."""
+    if len(point) != p.dimension:
+        raise ValueError("point dimension does not match the polyhedron")
+    d, q = integer_multiple(point)
+    return (*q, d)
+
 
 def poly_contains(p: Polyhedron, point: Vec) -> bool:
-    return hull_membership(point, p.vertices.integer_view, p.ray_view).member
+    """Membership read from `Polyhedron.facets`, or a hull LP without them."""
+    facets = p.facets
+    if facets is None:
+        return hull_membership(point, p.vertices.integer_view, p.ray_view).member
+    return facets.contains(_lifted(p, point))
 
 
 def in_relative_interior(p: Polyhedron, point: Vec) -> bool:
-    return relative_interior_membership(point, p.vertices.integer_view, p.ray_view)
+    """Relative-interior membership read from `Polyhedron.facets`, or the
+    relative-interior LP without them."""
+    facets = p.facets
+    if facets is None:
+        return relative_interior_membership(point, p.vertices.integer_view, p.ray_view)
+    return facets.contains(_lifted(p, point), relative_interior=True)
 
 
 def convex_hull(s: FinitePointSet) -> Polyhedron:
@@ -231,7 +276,7 @@ def convex_hull(s: FinitePointSet) -> Polyhedron:
             keep.append(p)
     if not keep:  # all points coincide after deduplication; cannot happen
         raise RuntimeError("hull lost every point")
-    return Polyhedron(FinitePointSet(tuple(keep)), ())
+    return Polyhedron(FinitePointSet._of_distinct(tuple(keep)), ())
 
 
 def recession_contains(p: Polyhedron, direction: Vec) -> bool:

@@ -193,6 +193,14 @@ def package_programs() -> list[tuple[str, LinearProgram]]:
         except OutsideHullError:
             pass
 
+    touching_chain = ChainSet.build([(0, 0), (2, 2)], orthant)
+
+    def relative_interior_fallback():
+        # The programs that decide ri(X) for each point of Y when X's facets
+        # are over the work cap; under it `proper_separator` reads the facets.
+        for q in touching_chain.base.points:
+            relative_interior_membership(q, touching.vertices.integer_view, touching.ray_view)
+
     calls = [
         ("decomposition", lambda: decompose_in_hulls((Fraction(1), Fraction(3, 2)), y)),
         ("decomposition_outside", outside_decomposition),
@@ -203,7 +211,8 @@ def package_programs() -> list[tuple[str, LinearProgram]]:
         ("common_point_disjoint", lambda: hulls_disjoint(x, y)),
         ("common_point_meeting", lambda: hulls_disjoint(p, FinitePointSet.build([(1, 1), (3, 3)]))),
         ("strict_separation", lambda: strict_separator(x, p)),
-        ("proper_separation", lambda: proper_separator(touching, DecomposableSet((ChainSet.build([(0, 0), (2, 2)], orthant),)), orthant)),
+        ("relative_interior_fallback", relative_interior_fallback),
+        ("proper_separation", lambda: proper_separator(touching, DecomposableSet((touching_chain,)), orthant)),
         ("pareto_in_hull", lambda: is_pareto_in_hull((Fraction(2), Fraction(3)), y)),
         ("cone_membership", lambda: cone_membership(fan, (Fraction(-1), Fraction(2)))),
     ]

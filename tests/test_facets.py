@@ -1,0 +1,253 @@
+"""Facet verdicts of polyhedra against the LP path.
+
+`sets.in_relative_interior` and `sets.poly_contains` read a polyhedron's
+cached integer facets (`Polyhedron.facets`). Every verdict here is compared
+with the LP that decided it before (`relative_interior_membership`,
+`hull_membership`) on full-dimensional and lower-dimensional polyhedra,
+degenerate ones (a single vertex, a vertex with one ray, a segment), rays
+that form a line, a whole subspace or the zero vector, and fractional
+vertices and probes. Probes include random points, the vertices, strict
+and boundary combinations, and points just off the affine hull.
+"""
+
+from fractions import Fraction as F
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import conedom.sets
+from conedom import cones
+from conedom.cones import Facets, cone_facets
+from conedom.linalg import hull_membership, relative_interior_membership, vadd, vscale
+from conedom.sets import Polyhedron, in_relative_interior, poly_contains
+
+# --- polyhedra of every kind ----------------------------------------------------
+
+
+def rationals(bound=4):
+    return st.builds(F, st.integers(-bound, bound), st.sampled_from((1, 2, 3)))
+
+
+def vectors(n, bound=4):
+    return st.tuples(*[rationals(bound)] * n)
+
+
+def combos(vectors_, weights):
+    """The weighted sum of the vectors, in the dimension of the first."""
+    out = tuple(F(0) for _ in vectors_[0])
+    for w, v in zip(weights, vectors_):
+        out = vadd(out, vscale(w, v))
+    return out
+
+
+@st.composite
+def full_dimensional(draw):
+    n = draw(st.integers(1, 3))
+    vertices = draw(st.lists(vectors(n), min_size=1, max_size=5))
+    rays = draw(st.lists(vectors(n, 2), max_size=3))
+    return vertices, rays
+
+
+@st.composite
+def planar(draw):
+    """Vertices and rays on a plane through a point of R^3."""
+    origin, u, w = draw(vectors(3)), draw(vectors(3, 2)), draw(vectors(3, 2))
+    small = st.integers(-2, 2)
+    vertices = [vadd(origin, combos((u, w), draw(st.tuples(small, small)))) for _ in range(draw(st.integers(1, 4)))]
+    rays = [combos((u, w), draw(st.tuples(small, small))) for _ in range(draw(st.integers(0, 2)))]
+    return vertices, rays
+
+
+@st.composite
+def degenerate(draw):
+    """A single vertex, a vertex with one ray, a segment, rays forming a
+    line or a whole subspace, or a zero ray among others."""
+    n = draw(st.integers(1, 3))
+    v, u = draw(vectors(n)), draw(vectors(n))
+    r = draw(vectors(n, 2))
+    e = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    zero = tuple(F(0) for _ in range(n))
+    shapes = {
+        "vertex": ([v], []),
+        "vertex_and_ray": ([v], [r]),
+        "segment": ([v, u], []),
+        "line": ([v, u], [r, vscale(F(-1), r)]),
+        "subspace": ([v], e + [vscale(F(-1), d) for d in e[:-1]] + [vscale(F(-1, 2), combos(e, [1] * n))]),
+        "zero_ray": ([v, u], [zero, r]),
+    }
+    return shapes[draw(st.sampled_from(sorted(shapes)))]
+
+
+@st.composite
+def probes(draw, vertices, rays):
+    """Random points; the vertices; combinations with strictly positive or
+    some zero weights, plus ray mass; and such points moved off by a random step."""
+    n = len(vertices[0])
+    out = draw(st.lists(vectors(n, 5), min_size=1, max_size=4)) + list(vertices)
+    weights = st.integers(0, 3)
+    for _ in range(6):
+        lam = draw(st.lists(weights, min_size=len(vertices), max_size=len(vertices)))
+        if not any(lam):
+            lam[0] = 1
+        z = combos(vertices, [F(c, sum(lam)) for c in lam])
+        if rays:
+            z = vadd(z, combos(rays, draw(st.lists(weights, min_size=len(rays), max_size=len(rays)))))
+        out.append(z)
+        out.append(vadd(z, vscale(F(1, draw(st.integers(1, 5))), draw(vectors(n, 1)))))
+    return out
+
+
+def assert_facets_agree_with_the_lp(vertices, rays, points):
+    """The facet verdicts equal the LP's. The work cap is lifted, so that the
+    shapes with many generators (a subspace in R^3) take the facet path too."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cones, "_MAX_FACET_WORK", 10**9)
+        p = Polyhedron.build(vertices, rays)
+        assert p.facets is not None
+    vs, rs = p.vertices.points, p.rays
+    for z in points:
+        assert in_relative_interior(p, z) == relative_interior_membership(z, vs, rs), z
+        assert poly_contains(p, z) == hull_membership(z, vs, rs).member, z
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), shape=full_dimensional())
+def test_full_dimensional_polyhedra_with_and_without_rays(data, shape):
+    vertices, rays = shape
+    assert_facets_agree_with_the_lp(vertices, rays, data.draw(probes(vertices, rays)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), shape=planar())
+def test_polyhedra_on_a_plane_in_three_dimensions(data, shape):
+    vertices, rays = shape
+    assert_facets_agree_with_the_lp(vertices, rays, data.draw(probes(vertices, rays)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), shape=degenerate())
+def test_degenerate_polyhedra(data, shape):
+    vertices, rays = shape
+    assert_facets_agree_with_the_lp(vertices, rays, data.draw(probes(vertices, rays)))
+
+
+# --- the facet path itself ------------------------------------------------------
+
+
+def test_verdicts_under_the_cap_solve_no_lp(monkeypatch):
+    p = Polyhedron.build([(0, 0), (2, 1)], [(1, 0), (0, 1)])
+    probes_ = [(F(1), F(1)), (F(0), F(0)), (F(5, 2), F(0)), (F(-1), F(0)), (F(1, 2), F(1, 4))]
+    expected = [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved under the facet cap")
+
+    monkeypatch.setattr(conedom.sets, "relative_interior_membership", no_lp)
+    monkeypatch.setattr(conedom.sets, "hull_membership", no_lp)
+    assert [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_] == expected
+    assert expected == [(True, True), (False, True), (False, True), (False, False), (True, True)]
+
+
+def test_the_facets_are_built_once_on_first_use():
+    p = Polyhedron.build([(0, 0)], [(1, 0), (0, 1)])
+    assert "facets" not in vars(p)
+    in_relative_interior(p, (F(1), F(1)))
+    facets = p.facets
+    poly_contains(p, (F(1), F(1)))
+    assert p.facets is facets
+    # The quadrant at height t = 1: facets t >= 0, y >= 0 and x >= 0, no equation.
+    assert facets == Facets((), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+
+
+def test_a_lower_dimensional_polyhedron_has_its_equations():
+    # The segment from (0, 0, 1) to (2, 0, 1): its homogenized cone has rank 2 in R^4.
+    p = Polyhedron.build([(0, 0, 1), (2, 0, 1)])
+    assert len(p.facets.equations) == 2 and len(p.facets.normals) == 2
+    assert in_relative_interior(p, (F(1), F(0), F(1)))
+    assert not in_relative_interior(p, (F(1), F(1, 10**9), F(1)))
+    assert not in_relative_interior(p, (F(0), F(0), F(1)))
+    assert poly_contains(p, (F(0), F(0), F(1)))
+
+
+def test_over_the_cap_a_many_vertex_polyhedron_keeps_the_lp(monkeypatch):
+    # Points on the moment curve are all vertices of their hull in R^3; with
+    # one ray, the homogenized cone has m + 1 generators and rank 4 in R^4, so
+    # C(m + 1, 3) candidate subsets of 4**3 work each.
+    m = next(m for m in range(4, 100) if comb(m + 1, 3) * 4**3 > cones._MAX_FACET_WORK)
+    p = Polyhedron.build([(t, t * t, t * t * t) for t in range(m)], [(0, 0, 1)])
+    assert p.facets is None
+    calls = []
+    for name in ("relative_interior_membership", "hull_membership"):
+        original = getattr(conedom.sets, name)
+        monkeypatch.setattr(
+            conedom.sets, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    inside = (F(1), F(2), F(100))
+    on_the_boundary = (F(0), F(0), F(0))
+    outside = (F(1), F(2), F(0))
+    assert [in_relative_interior(p, z) for z in (inside, on_the_boundary, outside)] == [True, False, False]
+    assert [poly_contains(p, z) for z in (inside, on_the_boundary, outside)] == [True, True, False]
+    assert calls == ["relative_interior_membership"] * 3 + ["hull_membership"] * 3
+    # One vertex fewer is at most the cap: the facets are built.
+    assert comb(m, 3) * 4**3 <= cones._MAX_FACET_WORK
+    assert Polyhedron.build([(t, t * t, t * t * t) for t in range(m - 1)], [(0, 0, 1)]).facets is not None
+
+
+def test_the_work_bound_grows_with_the_dimension():
+    # A simplex in R^6 has only 7 candidate subsets, but each costs 7**3 in
+    # the homogenized R^7: over the bound, so its verdicts come from the LP.
+    simplex = Polyhedron.build([tuple(int(i == j) for j in range(6)) for i in range(6)] + [(0,) * 6])
+    assert 7 * 7**3 > cones._MAX_FACET_WORK and simplex.facets is None
+    assert in_relative_interior(simplex, (F(1, 7),) * 6) and not in_relative_interior(simplex, (F(1, 6),) * 6)
+    # Twelve points on a parabola in R^2 have 66 subsets at 3**3 each: under it.
+    parabola = Polyhedron.build([(t, t * t) for t in range(12)])
+    assert comb(12, 2) * 3**3 <= cones._MAX_FACET_WORK and parabola.facets is not None
+
+def test_a_corrupted_normal_raises(monkeypatch):
+    original = cones._oriented
+
+    def flipped(h, generators):
+        out = original(h, generators)
+        return None if out is None else tuple(-c for c in out)
+
+    monkeypatch.setattr(cones, "_oriented", flipped)
+    p = Polyhedron.build([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(RuntimeError, match="facet normal"):
+        in_relative_interior(p, (F(1, 3), F(1, 3)))
+    with pytest.raises(RuntimeError, match="facet normal"):
+        cone_facets(2, [(1, 0), (0, 1)])
+
+
+def test_a_corrupted_equation_raises(monkeypatch):
+    original = cones._SpanSolver
+
+    class Shifted(original):
+        def __init__(self, dimension, generators):
+            super().__init__(dimension, generators)
+            self.integer_elim = tuple(tuple(c + 1 for c in row) for row in self.integer_elim)
+
+    monkeypatch.setattr(cones, "_SpanSolver", Shifted)
+    with pytest.raises(RuntimeError, match="equation"):
+        cone_facets(3, [(1, 0, 0), (0, 1, 0)])
+
+
+def test_cone_facets_of_a_subspace_and_of_no_generators():
+    # The plane z = 0: one equation, no facet; every point of it is interior.
+    plane = cone_facets(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)])
+    assert len(plane.equations) == 1 and plane.normals == ()
+    assert plane.contains((5, -7, 0), relative_interior=True)
+    assert not plane.contains((0, 0, 1))
+    # No generators: the cone is the origin alone.
+    origin = cone_facets(2, [])
+    assert origin.normals == () and origin.contains((0, 0), relative_interior=True)
+    assert not origin.contains((1, 0))
+
+
+def test_a_wrong_dimension_is_refused():
+    p = Polyhedron.build([(0, 0)], [(1, 0)])
+    with pytest.raises(ValueError, match="dimension"):
+        poly_contains(p, (F(1), F(0), F(0)))
+    with pytest.raises(ValueError, match="dimension"):
+        in_relative_interior(p, (F(1),))

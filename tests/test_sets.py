@@ -14,6 +14,7 @@ from math import lcm
 import pytest
 
 from conedom.cones import Comparability, Cone, _order_coordinates, k_closure, relate
+from conedom.dominance import pareto_optima_finite
 from conedom.instances import rand_chain, rand_point, rand_pointed_cone
 from conedom.linalg import LimitError, vadd
 from conedom.sets import (
@@ -49,6 +50,19 @@ class TestFinitePointSet:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FinitePointSet.build([(0, 0), (1, 1, 1)])
+        with pytest.raises(ValueError, match="dimension"):
+            FinitePointSet(((F(0), F(0)), (F(1),)))
+
+    def test_the_constructor_rejects_duplicates(self):
+        with pytest.raises(ValueError, match="deduplicated"):
+            FinitePointSet(((F(0), F(0)), (F(1), F(1)), (F(0), F(0))))
+
+    def test_build_and_subsets_equal_checked_sets(self):
+        s = FinitePointSet.build([(2, 0), (0, 2), (2, 0), (1, 1)])
+        assert s == FinitePointSet(s.points) and s.integer_view == FinitePointSet(s.points).integer_view
+        optima = pareto_optima_finite(s, ORTHANT)
+        assert optima == FinitePointSet(optima.points)
+        assert optima.points == s.points
 
     def test_sorted_points_is_lexicographic(self):
         s = FinitePointSet.build([(2, 0), (0, 2), (1, 1)])
