@@ -257,8 +257,7 @@ def _cmd_separate(args) -> int:
         result = strict_separator(x_poly, y_set)
     else:
         y_set = _as_decomposable(scene, args.y_set)
-        cone = _resolve_cone(scene, args.cone, x_poly.vertices.dimension)
-        result = proper_separator(x_poly, y_set, cone)
+        result = proper_separator(x_poly, y_set)
     return _report(
         _payload(result), args.verify, lambda doc: validate_separation(SeparationResult(**doc), x_poly, y_set), 0
     )
@@ -359,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("strict", "proper"), required=True)
     p.add_argument("--x-set", required=True)
     p.add_argument("--y-set", required=True)
-    p.add_argument("--cone", default="orthant")
     p.add_argument("--verify", action="store_true")
 
     for name, handler, text in (

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
 from math import lcm
 
-from .cones import Cone
+from .cones import Cone, k_closure
+from .dominance import _support_top
 from .linalg import (
     ONE,
     REL_GE,
     REL_LE,
     ZERO,
-    IntegerPoints,
     LinearProgram,
     LpStatus,
     Vec,
@@ -223,25 +223,21 @@ def _holds(y: SecondSet, p: Vec) -> bool:
     return p in (materialize(y) if isinstance(y, DecomposableSet) else y)
 
 
-def _at_scale(view: IntegerPoints, scale: int) -> list[tuple[int, ...]]:
-    """The view's points over `scale`, a multiple of the view's own scale."""
-    m = scale // view.scale
-    return [tuple(c * m for c in p) for p in view.points]
-
-
-def _functional_rows(x: Polyhedron, y: FinitePointSet, y_col: int) -> tuple[int, list]:
-    """Rows f.v <= a on X's vertices, f.r <= 0 on X's rays and f.w >= the
-    variable at `y_col` on the points of y, over the variables f (columns
-    0..n-1), a (column n) and one more (column n + 1). Returns their scale,
-    the lcm of every denominator in them, and the rows in integer form.
+def _functional_rows(x: Polyhedron, summands: list[FinitePointSet], cols: int) -> tuple[int, list]:
+    """Rows f.v <= a on X's vertices, f.r <= 0 on X's rays and f.p >= b_s on
+    the points p of summand s, over `cols` variables: f (columns 0..n-1), a
+    (column n), b_s (column n + 1 + s), then any others. Returns their
+    scale, the lcm of every denominator in them, and the rows in integer form.
     """
     n = x.dimension
-    groups = ((x.vertices.integer_view, REL_LE, n), (x.ray_view, REL_LE, None), (y.integer_view, REL_GE, y_col))
+    groups = [(x.vertices.integer_view, REL_LE, n), (x.ray_view, REL_LE, None)]
+    groups += [(s.integer_view, REL_GE, n + 1 + i) for i, s in enumerate(summands)]
     scale = lcm(*(view.scale for view, _, _ in groups))
     rows = []
     for view, rel, col in groups:
-        for p in _at_scale(view, scale):
-            coeffs = [*p, 0, 0]
+        m = scale // view.scale
+        for p in view.points:
+            coeffs = [c * m for c in p] + [0] * (cols - n)
             if col is not None:
                 coeffs[col] = -scale
             rows.append((tuple(coeffs), rel, 0))
@@ -264,7 +260,7 @@ def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
     # Variables: f (free, n), a (free), b (free); f.v <= a on X vertices,
     # f.r <= 0 on X rays, f.w >= b on Y vertices, b - a >= 1.
     cols = n + 2
-    scale, rows = _functional_rows(x, y.vertices, n + 1)
+    scale, rows = _functional_rows(x, [y.vertices], cols)
     rows.append(((0,) * n + (-scale, scale), REL_GE, scale))
     lp = LinearProgram(cols, (ZERO,) * cols, True, tuple(rows), (False,) * cols, scale)
     res = lp_solve(lp)
@@ -277,54 +273,53 @@ def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
     return SeparationResult(functional=f_int, sup_x=sup_x, inf_y=inf_y, kind="strictly_separated")
 
 
-def proper_separator(x: Polyhedron, y: DecomposableSet, cone: Cone) -> SeparationResult:
-    """Separator with a strict pair for an upward X touching Y only outside ri(X).
+def proper_separator(x: Polyhedron, y: DecomposableSet) -> SeparationResult:
+    """Separator with a strict pair for X upward under the chains' cone C and
+    Y missing ri(X).
 
-    Candidates are scanned deterministically: for each materialized point
-    of Y paired with each vertex of X, then each ray of X, a weak
-    separation program with that candidate's strictness objective is
-    solved; the first positive gap wins.
+    conv Y lies below the sum t of the chains' tops and ri(X) + C lies in
+    ri(X), so conv Y misses ri(X) exactly when t does, and then the two
+    separate properly (Rockafellar 1970, Thm 11.3). One program over f, a,
+    b_s and g: the rows of `_functional_rows`, sum of b_s >= a, and g <= 1
+    and g <= the rows' total slack. Its maximum g is positive.
     """
-    if not is_upward(x, cone):
-        raise ValueError("proper separation here requires an upward first set")
-    y_set = materialize(y)
-    pts = y_set.points
-    for p in pts:
-        if in_relative_interior(x, p):
-            raise ValueError(f"point {p} of the second set lies in the relative interior of the first")
-    n = x.dimension
-    xv, xr = x.vertices.points, x.rays
+    if not is_upward(x, y.cone):
+        raise ValueError("proper separation here requires a first set upward under the chains' cone")
+    kc = k_closure(y.cone)
+    t = reduce(vadd, (_support_top(s, (ONE,) * len(s.base), kc) for s in y.summands))
+    if in_relative_interior(x, t):
+        raise ValueError(f"point {t} of the second set lies in the relative interior of the first")
+    n, summands = x.dimension, _summands(y)
+    cols = n + len(summands) + 2
+    scale, rows = _functional_rows(x, summands, cols)
+    rows.append(((0,) * n + (-scale,) + (scale,) * len(summands) + (0,), REL_GE, 0))
+    # A row's slack is its larger side minus its smaller one; g, the last column, is at most their sum.
+    signed = [a if rel == REL_GE else tuple(-c for c in a) for a, rel, _ in rows]
+    slack = [sum(column) for column in zip(*signed)]
+    slack[-1] = -scale
+    rows += [(tuple(slack), REL_GE, 0), ((0,) * (cols - 1) + (scale,), REL_LE, scale)]
+    objective = (ZERO,) * (cols - 1) + (ONE,)
+    res = lp_solve(LinearProgram(cols, objective, True, tuple(rows), (False,) * (cols - 1) + (True,), scale))
+    if res.status is not LpStatus.OPTIMAL or res.value <= 0:
+        raise RuntimeError("no proper separator found although the hypotheses were verified")
+    f = fvec(integer_multiple(res.witness[:n])[1])
+    sup_x, inf_y = _bounds(f, x, y)
+    return SeparationResult(f, sup_x, inf_y, "properly_separated", witness_pair=_witness_pair(f, x, summands))
 
-    # Columns: f (free, n), a (free), g (nonneg gap, capped at one). Every
-    # candidate shares the rows f.v <= a, f.r <= 0, f.p >= a and g <= 1 and
-    # adds one strict row "its difference . f >= g".
-    cols = n + 2
-    scale, weak = _functional_rows(x, y_set, n)
-    gap_cap = ((0,) * (n + 1) + (scale,), REL_LE, scale)
-    nonneg = (False,) * (n + 1) + (True,)
-    objective = (ZERO,) * (n + 1) + (ONE,)
 
-    vs = _at_scale(x.vertices.integer_view, scale)
-    vertex_pairs = (
-        ([a - b for a, b in zip(pi, vi)], v, p)
-        for p, pi in zip(pts, _at_scale(y_set.integer_view, scale))
-        for v, vi in zip(xv, vs)
-    )
-    rays = (([-c for c in ri], r, None) for r, ri in zip(xr, _at_scale(x.ray_view, scale)))
-    for difference, v, p in chain(vertex_pairs, rays):
-        rows = (*weak, ((*difference, 0, -scale), REL_GE, 0), gap_cap)
-        res = lp_solve(LinearProgram(cols, objective, True, rows, nonneg, scale))
-        if res.status is not LpStatus.OPTIMAL or res.value <= 0:
-            continue
-        f_int = fvec(integer_multiple(res.witness[:n])[1])
-        sup_x, inf_y = _bounds(f_int, x, y)
-        if p is None:
-            # A ray candidate v, with f.v < 0: the pair (v0 + v, p) is strict, since
-            # f(v0 + v) < f(v0) <= a <= f(p) for X's first vertex v0 and Y's lowest point p.
-            v0, p = xv[0], min(pts, key=lambda q: (vdot(f_int, q), q))
-            v = vadd(v0, v)
-        return SeparationResult(f_int, sup_x, inf_y, "properly_separated", witness_pair=(v, p))
-    raise RuntimeError("no proper separator found although the hypotheses were verified")
+def _witness_pair(f: Vec, x: Polyhedron, summands: list[FinitePointSet]) -> tuple[Vec, Vec]:
+    """wx is the f-lowest of X's vertices and v0 + r (v0 X's first vertex, r
+    a ray), wy the sum of each summand's f-lowest point; ties go to the
+    lexicographically least. Were the pair not strict, f would vanish on
+    X's rays, so on the chains' cone (X is upward under it), and be constant
+    on X and on each chain: no row of the program would have slack."""
+    level = lambda p: (vdot(f, p), p)
+    xv = x.vertices.points
+    wx = min((*xv, *(vadd(xv[0], r) for r in x.rays)), key=level)
+    wy = reduce(vadd, (min(s.points, key=level) for s in summands))
+    if vdot(f, wx) >= vdot(f, wy):
+        raise RuntimeError("the separation program's functional has no strict pair")
+    return wx, wy
 
 
 def separator_sign_check(functional: Vec, cone: Cone) -> bool:

@@ -196,8 +196,9 @@ def package_programs() -> list[tuple[str, LinearProgram]]:
     touching_chain = ChainSet.build([(0, 0), (2, 2)], orthant)
 
     def relative_interior_fallback():
-        # The programs that decide ri(X) for each point of Y when X's facets
-        # are over the work cap; under it `proper_separator` reads the facets.
+        # The programs that decide ri(X) for a point of Y when X's facets are
+        # over the work cap. `proper_separator` asks about one point, the sum
+        # t of the chains' tops, and reads the facets under the cap.
         for q in touching_chain.base.points:
             relative_interior_membership(q, touching.vertices.integer_view, touching.ray_view)
 
@@ -212,7 +213,7 @@ def package_programs() -> list[tuple[str, LinearProgram]]:
         ("common_point_meeting", lambda: hulls_disjoint(p, FinitePointSet.build([(1, 1), (3, 3)]))),
         ("strict_separation", lambda: strict_separator(x, p)),
         ("relative_interior_fallback", relative_interior_fallback),
-        ("proper_separation", lambda: proper_separator(touching, DecomposableSet((touching_chain,)), orthant)),
+        ("proper_separation", lambda: proper_separator(touching, DecomposableSet((touching_chain,)))),
         ("pareto_in_hull", lambda: is_pareto_in_hull((Fraction(2), Fraction(3)), y)),
         ("cone_membership", lambda: cone_membership(fan, (Fraction(-1), Fraction(2)))),
     ]

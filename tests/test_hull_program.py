@@ -10,8 +10,15 @@ the same integer rows over the same scale, expand to the same `Fraction`
 rows, and solve to the same result. Draws cover blocks with and without
 rays, targets whose denominators do not divide the views' lcm, negative
 right-hand sides and the free-variable separator rows.
+
+`reference_proper_lp` writes the one proper-separation program the same
+way. The former proper-separation scan, which materialized the sum, stays
+as `reference_proper_lps` and `reference_proper_verdict`: the new
+separator must agree with its verdicts.
 """
 
+import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as F
 
@@ -20,8 +27,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conedom import cones, dominance, linalg, separation
-from conedom.cones import Cone
+from conedom.cones import Cone, k_closure
 from conedom.dominance import OutsideHullError, decompose_in_hulls, is_pareto_in_hull
+from conedom.instances import (
+    rand_cone_member,
+    rand_decomposable,
+    rand_hull_point,
+    rand_pointed_cone,
+    rand_upward_polyhedron,
+)
 from conedom.linalg import (
     ONE,
     REL_EQ,
@@ -29,14 +43,17 @@ from conedom.linalg import (
     REL_LE,
     ZERO,
     LinearProgram,
+    LpStatus,
     hull_membership,
     integer_points,
     is_zero_vec,
     lp_solve,
     relative_interior_membership,
+    vsub,
 )
-from conedom.separation import hulls_disjoint, proper_separator, strict_separator
+from conedom.separation import hulls_disjoint, proper_separator, strict_separator, validate_separation
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, materialize, upward_hull
+from test_validators import STEPS, touching_pair
 
 # --- the former builders -------------------------------------------------------
 
@@ -152,8 +169,31 @@ def reference_strict_lp(x, y):
     return LinearProgram.build([ZERO] * cols, True, rows, nonneg=[False] * cols)
 
 
+def reference_proper_lp(x, y):
+    """The one program of `proper_separator`, over f, a, b_s (one per chain)
+    and g: the weak rows, the sum of b_s >= a, g <= the rows' total slack
+    (written out in closed form) and g <= 1, maximizing g."""
+    n, k = x.dimension, len(y.summands)
+    cols = n + k + 2
+    rows = []
+    for v in x.vertices:
+        rows.append((list(v) + [-ONE] + [ZERO] * (k + 1), REL_LE, ZERO))
+    for r in x.rays:
+        rows.append((list(r) + [ZERO] * (k + 2), REL_LE, ZERO))
+    for s, chain in enumerate(y.summands):
+        for p in chain.base:
+            rows.append((list(p) + [ZERO] + [-ONE if j == s else ZERO for j in range(k)] + [ZERO], REL_GE, ZERO))
+    rows.append(([ZERO] * n + [-ONE] + [ONE] * k + [ZERO], REL_GE, ZERO))
+    points = [p for chain in y.summands for p in chain.base]
+    f_slack = [sum(p[d] for p in points) - sum(v[d] for v in x.vertices) - sum(r[d] for r in x.rays) for d in range(n)]
+    b_slack = [F(1 - len(chain.base)) for chain in y.summands]
+    rows.append((f_slack + [F(len(x.vertices) - 1)] + b_slack + [-ONE], REL_GE, ZERO))
+    rows.append(([ZERO] * (cols - 1) + [ONE], REL_LE, ONE))
+    return LinearProgram.build([ZERO] * (cols - 1) + [ONE], True, rows, nonneg=[False] * (cols - 1) + [True])
+
+
 def reference_proper_lps(x, y):
-    """Every candidate program of `proper_separator`, in scan order."""
+    """Every candidate program of the former `proper_separator` scan, in scan order."""
     pts = materialize(y).points
     n = x.dimension
     xv, xr = x.vertices.points, x.rays
@@ -171,6 +211,16 @@ def reference_proper_lps(x, y):
     strict = [([pi - vi for pi, vi in zip(p, v)] + [ZERO, -ONE], REL_GE, ZERO) for p in pts for v in xv]
     strict += [([-ri for ri in r] + [ZERO, -ONE], REL_GE, ZERO) for r in xr]
     return [LinearProgram.build(objective, True, weak + [row, gap_cap], nonneg=nonneg) for row in strict]
+
+
+def reference_proper_verdict(x, y):
+    """The former `proper_separator`'s verdict: "refused" when a point of the
+    materialized sum lies in ri(X), else "separated" when a candidate of its
+    scan has a positive gap, else "no separator"."""
+    if any(relative_interior_membership(p, x.vertices.points, x.rays) for p in materialize(y).points):
+        return "refused"
+    results = map(lp_solve, reference_proper_lps(x, y))
+    return "separated" if any(r.status is LpStatus.OPTIMAL and r.value > 0 for r in results) else "no separator"
 
 
 # --- recording and comparing ---------------------------------------------------
@@ -363,32 +413,63 @@ class TestSeparationRowsAgainstTheFormerBuilders:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_proper_separator(self, data):
-        # X is the orthant sweep of a few points, Y a chain at or below
-        # X's lowest corner, so no point of Y lies in ri(X).
+        # X is the orthant sweep of a few points, Y a sum of one or two
+        # chains at or below X's lowest corner, so no point of Y lies in ri(X).
         orthant = Cone.build(2, [(1, 0), (0, 1)], True)
         base = data.draw(points(2))
         x = upward_hull(FinitePointSet.build(base), orthant)
         corner = tuple(min(p[d] for p in base) for d in range(2))
-        low = data.draw(st.lists(st.tuples(step, step), min_size=1, max_size=3))
-        chain = [tuple(c - s for c, s in zip(corner, shift)) for shift in low]
-        chain.sort(key=lambda p: (p[0] + p[1], p))
-        assume(all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(chain, chain[1:])))
-        y = DecomposableSet((ChainSet.build(chain, orthant),))
+        chains = []
+        for origin in (corner, (ZERO, ZERO))[: data.draw(st.integers(1, 2))]:
+            low = data.draw(st.lists(st.tuples(step, step), min_size=1, max_size=3))
+            chain = sorted((tuple(c - s for c, s in zip(origin, shift)) for shift in low), key=lambda p: (p[0] + p[1], p))
+            assume(all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(chain, chain[1:])))
+            chains.append(ChainSet.build(chain, orthant))
+        y = DecomposableSet(tuple(chains))
         with recorded(separation) as store:
-            proper_separator(x, y, orthant)
-        assert store
-        for built, reference in zip(store, reference_proper_lps(x, y)):
-            assert_same_program(built, reference)
+            proper_separator(x, y)
+        (built,) = store
+        assert_same_program(built, reference_proper_lp(x, y))
 
     def test_proper_separator_along_a_ray(self):
-        # The vertex candidates have no positive gap here, so the scan
-        # reaches the ray candidates.
+        # No (point, vertex) difference is strict here, only the rays are,
+        # so the first witness is X's vertex moved along a ray.
         orthant = Cone.build(2, [(1, 0), (0, 1)], True)
         x = Polyhedron.build([(0, 0)], [(1, 0), (0, 1)])
         y = DecomposableSet((ChainSet.build([(0, 0)], orthant),))
         with recorded(separation) as store:
-            res = proper_separator(x, y, orthant)
-        references = reference_proper_lps(x, y)
-        assert len(store) > 1 and res.witness_pair[0] != (F(0), F(0))
-        for built, reference in zip(store, references):
-            assert_same_program(built, reference)
+            res = proper_separator(x, y)
+        (built,) = store
+        assert_same_program(built, reference_proper_lp(x, y))
+        assert res.witness_pair[0] != (F(0), F(0))
+
+
+class TestProperSeparatorAgainstTheFormerScan:
+    def test_same_verdicts_and_every_result_validates(self):
+        # Touching pairs (never refused), free draws of an upward X and a sum
+        # of chains under one cone (mostly apart), and free draws whose X
+        # gains a vertex below a point of conv Y (mostly refused).
+        rng = random.Random(1211)
+        verdicts = Counter()
+        for i in range(300):
+            dimension = rng.choice((2, 3))
+            if i % 3 == 0:
+                steps = [rng.choice(STEPS) for _ in range(rng.randint(1, 2))]
+                x, y = touching_pair(rng, dimension, rng.randint(1, 3), steps)
+            else:
+                draw = rand_pointed_cone(rng, dimension, contains_zero=rng.random() < 0.5)
+                x = rand_upward_polyhedron(rng, draw, rng.randint(1, 3))
+                y = rand_decomposable(rng, draw, rng.randint(1, 2), 3)
+            if i % 3 == 2:
+                below = vsub(rand_hull_point(rng, y), rand_cone_member(rng, k_closure(draw.cone), strict=False))
+                x = upward_hull(FinitePointSet.build([*x.vertices, below]), draw.cone)
+            try:
+                res = proper_separator(x, y)
+            except ValueError:
+                verdict = "refused"
+            else:
+                verdict = "separated"
+                assert validate_separation(res, x, y) == []
+            assert verdict == reference_proper_verdict(x, y)
+            verdicts[verdict] += 1
+        assert verdicts["refused"] >= 80 and verdicts["separated"] >= 160, verdicts

@@ -295,7 +295,7 @@ class TestCliCommands:
         # rays, sup over X is -3 and inf over Y is -5/2. Every pair above has
         # f(wx) < f(wy), so only the pair's membership can fail it.
         forged = SeparationResult((F(-1), F(0)), F(-3), F(-5, 2), "properly_separated", witness_pair=pair)
-        monkeypatch.setattr(cli, "proper_separator", lambda x, y, cone: forged)
+        monkeypatch.setattr(cli, "proper_separator", lambda x, y: forged)
         got, out, err = run(
             capsys, "separate", "--scene", scene_file, "--kind", "proper",
             "--x-set", "X", "--y-set", "Y", "--verify",
@@ -303,6 +303,28 @@ class TestCliCommands:
         assert got == code
         assert payload(out)["verified"] is verified
         assert ("verification failed" in err) is not verified
+
+    def test_separate_proper_checks_upwardness_under_the_chains_cone(self, capsys, tmp_path):
+        # X is upward under the orthant but not under the chain's cone((-1, 1)),
+        # and conv Y meets ri(X) at (1/2, 1/2): a usage error, not an internal one.
+        path = tmp_path / "skew.json"
+        path.write_text(
+            '{"dimension": 2,'
+            ' "cones": {"skew": {"generators": [["-1", "1"]], "contains_zero": true}},'
+            ' "sets": {"X": {"type": "polyhedron", "vertices": [["0", "0"]], "rays": [["1", "0"], ["0", "1"]]},'
+            ' "C": {"type": "chain", "points": [["2", "-1"], ["-1", "2"]], "cone": "skew"},'
+            ' "Y": {"type": "sum", "summands": ["C"]}}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "separate", "--scene", str(path), "--kind", "proper", "--x-set", "X", "--y-set", "Y")
+        assert (code, out) == (2, "")
+        assert err == "usage error: proper separation here requires a first set upward under the chains' cone\n"
+
+    def test_separate_takes_no_cone(self, capsys, scene_file):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["separate", "--scene", scene_file, "--kind", "proper", "--x-set", "X", "--y-set", "Y", "--cone", "orthant"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --cone orthant" in capsys.readouterr().err
 
     def test_verify_reads_the_emitted_payload(self, capsys, scene_file, monkeypatch):
         # Every rational is printed as "0": the result in memory is valid, the payload is not.

@@ -11,13 +11,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from conedom import separation
 from conedom.cones import Cone
 from conedom.instances import (
     rand_bounded_disjoint_pair,
     rand_disjoint_pair,
     rand_pointed_cone,
 )
-from conedom.linalg import hull_membership, vdot
+from conedom.linalg import LpResult, LpStatus, hull_membership, lp_solve, vdot
 from conedom.separation import (
     SeparationResult,
     hulls_disjoint,
@@ -158,7 +159,7 @@ class TestProperSeparator:
         # point, so weak separation with one strict pair must exist.
         x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)
         y = DecomposableSet((ChainSet.build([(-2, -2), (0, 0)], ORTHANT),))
-        res = proper_separator(x, y, ORTHANT)
+        res = proper_separator(x, y)
         assert res.kind == "properly_separated"
         f = res.functional
         pts = materialize(y).points
@@ -175,20 +176,64 @@ class TestProperSeparator:
         x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)
         for order in ([(1, 0), (0, 0)], [(0, 0), (1, 0)]):
             y = DecomposableSet((ChainSet.build(order, ORTHANT),))
-            res = proper_separator(x, y, ORTHANT)
+            res = proper_separator(x, y)
             assert res == SeparationResult((F(0), F(-1)), F(0), F(0), "properly_separated", ((F(0), F(1)), (F(0), F(0))))
 
     def test_point_in_the_relative_interior_is_refused(self):
         x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)
         y = DecomposableSet((ChainSet.build([(1, 1)], ORTHANT),))
         with pytest.raises(ValueError, match="relative interior"):
-            proper_separator(x, y, ORTHANT)
+            proper_separator(x, y)
 
     def test_non_upward_first_set_is_refused(self):
         x = Polyhedron.build([(0, 0), (1, 1)])  # bounded, not upward
         y = DecomposableSet((ChainSet.build([(5, 5)], ORTHANT),))
         with pytest.raises(ValueError, match="upward"):
-            proper_separator(x, y, ORTHANT)
+            proper_separator(x, y)
+
+
+    def test_upward_only_under_another_cone_is_refused(self):
+        # X is upward under the orthant, not under the chain's cone((-1, 1)),
+        # and conv Y meets ri(X) at (1/2, 1/2) although neither point of Y does.
+        x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)
+        y = DecomposableSet((ChainSet.build([(2, -1), (-1, 2)], Cone.build(2, [[-1, 1]], True)),))
+        with pytest.raises(ValueError, match="upward"):
+            proper_separator(x, y)
+
+    def test_no_sum_is_formed_and_one_program_is_solved(self, monkeypatch):
+        # Three 40-point chains: 64,000 sum points, above the materialization cap.
+        programs = []
+
+        def refuse(d):
+            raise AssertionError("the sum was materialized")
+
+        def record(lp):
+            programs.append(lp)
+            return lp_solve(lp)
+
+        monkeypatch.setattr(separation, "materialize", refuse)
+        monkeypatch.setattr(separation, "lp_solve", record)
+        x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)
+        y = DecomposableSet(
+            tuple(ChainSet.build([(-a * i, -b * i) for i in range(40)], ORTHANT) for a, b in ((1, 1), (2, 1), (1, 3)))
+        )
+        res = proper_separator(x, y)
+        wx, wy = res.witness_pair
+        assert len(programs) == 1
+        assert vdot(res.functional, wx) < vdot(res.functional, wy)
+
+    def test_self_checks_raise_without_asserts(self, monkeypatch):
+        # Both self-checks must hold under `python -O` too.
+        x = upward_hull(FinitePointSet.build([(0, 0)]), ORTHANT)
+        y = DecomposableSet((ChainSet.build([(-2, -2), (0, 0)], ORTHANT),))
+        zero = (F(0),) * 5  # f, a, b and g all zero: no positive optimum
+        monkeypatch.setattr(separation, "lp_solve", lambda lp: LpResult(LpStatus.OPTIMAL, F(0), zero))
+        with pytest.raises(RuntimeError, match="no proper separator"):
+            proper_separator(x, y)
+        # A positive optimum whose functional is zero has no strict pair.
+        monkeypatch.setattr(separation, "lp_solve", lambda lp: LpResult(LpStatus.OPTIMAL, F(1), zero))
+        with pytest.raises(RuntimeError, match="no strict pair"):
+            proper_separator(x, y)
 
 
 class TestSeparatorSignCheck:

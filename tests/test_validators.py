@@ -141,7 +141,7 @@ def touching_pair(rng, dimension, n_vertices, steps):
     for s, ts in enumerate(steps):
         g = rand_cone_member(rng, k_closure(draw.cone), strict=False)
         chains.append(ChainSet.build([vsub(v if s == 0 else zero, vscale(F(t), g)) for t in ts], draw.cone))
-    return x, DecomposableSet(tuple(chains)), draw.cone
+    return x, DecomposableSet(tuple(chains))
 
 
 STEPS = ((0,), (0,), (0, 1), (1, 2), (0, 1, 2))
@@ -220,8 +220,8 @@ class TestAgainstTheFormerChecks:
         counts = {True: 0, False: 0}
         for _ in range(20):
             steps = [rng.choice(STEPS) for _ in range(rng.randint(1, 2))]
-            x, y, cone = touching_pair(rng, rng.choice((2, 3)), rng.randint(1, 3), steps)
-            res = proper_separator(x, y, cone)
+            x, y = touching_pair(rng, rng.choice((2, 3)), rng.randint(1, 3), steps)
+            res = proper_separator(x, y)
             f = res.functional
             wx, wy = res.witness_pair
             below = vsub(x.vertices.points[0], vscale(F(100), x.rays[0]))  # outside the upward X
@@ -503,11 +503,11 @@ class TestProperSeparator:
             steps=st.lists(st.sampled_from(STEPS), min_size=1, max_size=2),
         )
         def check(rng, dimension, n_vertices, steps):
-            x, y, cone = touching_pair(rng, dimension, n_vertices, steps)
-            res = proper_separator(x, y, cone)
+            x, y = touching_pair(rng, dimension, n_vertices, steps)
+            res = proper_separator(x, y)
             assert validate_separation(res, x, y) == []
             assert reference_proper_separation(res, x, y)
-            # Only the ray candidates walk off the vertex list.
+            # Only a first vertex moved along a ray walks off the vertex list.
             ray_witnesses.append(res.witness_pair[0] not in x.vertices)
 
         check()
