@@ -25,8 +25,11 @@ else by one integer functional positive on every generator
 `cone_facets` describes the cone of integer generators by integer rows:
 the left-null rows of the same elimination and one normal per facet, found
 among the cofactor vectors of the (rank - 1)-subsets of the generators and
-re-checked against every generator. `Polyhedron.facets` reads its
-polyhedron's relative-interior and containment verdicts from them.
+re-checked against every generator. The homogenized cone of a polygon
+takes its normals from the polygon's edges instead, found by Andrew's
+monotone chain in integers, with no elimination and no work bound.
+`Polyhedron.facets` reads its polyhedron's relative-interior and
+containment verdicts from them.
 """
 
 from __future__ import annotations
@@ -244,6 +247,51 @@ def _oriented(h: tuple[int, ...], generators: Sequence[Sequence[int]]) -> tuple[
     return tuple(c // unit for c in h)
 
 
+def _turn(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
+    """Twice the signed area of the triangle o, a, b in the plane: positive
+    when o -> a -> b turns left, zero when the three are collinear."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_edges(points: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], Sequence[int]]]:
+    """The edges of the convex hull of integer points in the plane (read from
+    each point's first two entries), as pairs of consecutive hull vertices.
+
+    Andrew's monotone chain (Andrew 1979): sort the points, then build the
+    lower and the upper chain, popping the last vertex while it does not
+    turn left. Collinear points and repeats (points equal in both entries,
+    which sort next to each other) are popped too, so only extreme points
+    remain. O(n log n), all in integers.
+    """
+
+    def chain(ordered):
+        out: list[Sequence[int]] = []
+        for p in ordered:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    ordered = sorted(points)
+    cycle = chain(ordered) + chain(reversed(ordered))
+    return list(zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def _polygon_edges(
+    dimension: int, generators: Sequence[Sequence[int]]
+) -> list[tuple[Sequence[int], Sequence[int]]] | None:
+    """The edges of the polygon when the generators are its homogenized
+    vertices (v, s): dimension 3, one positive last coordinate s on all of
+    them, and at least three hull vertices, so not all on one line (rank 3).
+    None otherwise."""
+    if dimension != 3 or not generators or generators[0][2] <= 0:
+        return None
+    if any(g[2] != generators[0][2] for g in generators):
+        return None
+    edges = _hull_edges(generators)
+    return edges if len(edges) >= 3 else None
+
+
 def cone_facets(dimension: int, generators: Sequence[Sequence[int]]) -> Facets | None:
     """The equations and facet normals of the cone of integer generators, or
     None when the candidate subsets would cost more than `_MAX_FACET_WORK`.
@@ -253,16 +301,28 @@ def cone_facets(dimension: int, generators: Sequence[Sequence[int]]) -> Facets |
     vector of a subset with the equations is orthogonal to both, so it lies
     in the span and vanishes on the subset, and it is zero exactly when the
     subset is dependent. Such a row is a facet normal exactly when it is
-    one-signed on the generators. Every kept row is re-checked against every
+    one-signed on the generators.
+
+    The homogenized cone of a polygon (`_polygon_edges`) spans R^3, so it
+    has no equations and no elimination is needed, and it has one facet per
+    edge of the polygon. So its candidates are the pairs of consecutive
+    vertices of the generators' hull, not every pair, and no work bound
+    applies: O(n log n) for the hull and O(h n) for the checks, for h hull
+    vertices among n generators. Every kept row is re-checked against every
     generator before it is returned.
     """
-    solver = _SpanSolver(dimension, generators)
-    rank = solver.rank
-    equations = tuple(solver.integer_elim[rank:])
-    if rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
-        return None
+    edges = _polygon_edges(dimension, generators)
+    if edges is not None:
+        equations, candidates = (), edges
+    else:
+        solver = _SpanSolver(dimension, generators)
+        rank = solver.rank
+        equations = tuple(solver.integer_elim[rank:])
+        if rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
+            return None
+        candidates = combinations(generators, rank - 1) if rank else ()
     normals = set()
-    for subset in combinations(generators, rank - 1) if rank else ():
+    for subset in candidates:
         h = _cross((*subset, *equations), dimension)
         if any(h) and (oriented := _oriented(h, generators)) is not None:
             normals.add(oriented)

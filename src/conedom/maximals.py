@@ -11,7 +11,8 @@ related to every member of the subset; for arbitrary relations the
 definitional test is used. Convexification replaces each upper set by its
 convex hull. The upper sets of a total preorder are nested, so only the
 smallest upper set among the subset's members, that of a top element, is
-convexified, with one exact membership program per point below the top.
+convexified: it becomes one `Polyhedron`, asked about each point below the
+top through its cached facets (`sets.poly_contains`).
 
 The convexification-invariance check builds its grid once and evaluates
 the utility once per grid point; the preorder, the budget and the
@@ -30,9 +31,9 @@ from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, ConeOrder
-from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec, hull_membership, integer_points
+from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec
 from .linalg import vadd, vdot, vscale
-from .sets import FinitePointSet, is_antichain, is_grid_antichain_convex
+from .sets import FinitePointSet, Polyhedron, is_antichain, is_grid_antichain_convex, poly_contains
 
 Utility = Callable[[Vec], Fraction]
 
@@ -153,8 +154,11 @@ def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> Fin
     the subset (the first one in subset order; totality and transitivity
     make it related to every member). Then s* ≽ s gives U(s*) ⊆ U(s) for
     every member s, so m survives iff m ≽ s* (it is then related to every
-    member, and no hull is needed) or m lies in conv(U(s*)). One membership
-    program per point below the top decides it.
+    member, and no hull is needed) or m lies in conv(U(s*)). That hull is
+    built once as a `Polyhedron` and each point below the top is asked
+    `poly_contains`: integer dot products with its facets, which a polygon
+    (every 2-D upper set not on one line) gets at any size, or one hull
+    program per point above the facet work bound.
     """
     rel = relation.related
     idx = [relation.index(p) for p in subset.points]
@@ -164,8 +168,8 @@ def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> Fin
     for i in idx[1:]:
         if not rel[top][i]:
             top = i
-    upper = integer_points(relation.upper_set(relation.ground.points[top]))
-    keep = (m for i, m in zip(idx, subset.points) if rel[i][top] or hull_membership(m, upper).member)
+    hull = Polyhedron(FinitePointSet._of_distinct(relation.upper_set(relation.ground.points[top])), ())
+    keep = (m for i, m in zip(idx, subset.points) if rel[i][top] or poly_contains(hull, m))
     return FinitePointSet._of_distinct(tuple(keep))
 
 

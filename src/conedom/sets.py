@@ -10,7 +10,8 @@ compared through one `conedom.cones.ConeOrder` per scan; a `ChainSet`
 keeps one for its dominance scans. A polyhedron's containment and
 relative-interior verdicts are integer dot products with the facets of its
 homogenized cone (`Polyhedron.facets`), built once on first use; above the
-facet routine's candidate cap they stay one LP per point.
+facet routine's candidate cap they stay one LP per point. Polygons (2-D,
+no rays, not on one line) have no cap: their facets are their edges.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ with the LP that decided it before (`relative_interior_membership`,
 degenerate ones (a single vertex, a vertex with one ray, a segment), rays
 that form a line, a whole subspace or the zero vector, and fractional
 vertices and probes. Probes include random points, the vertices, strict
-and boundary combinations, and points just off the affine hull.
+and boundary combinations, and points just off the affine hull. Polygons,
+whose facets come from the monotone chain of their vertices, are also
+compared with the facets of every pair of vertices.
 """
 
 from fractions import Fraction as F
@@ -133,6 +135,99 @@ def test_degenerate_polyhedra(data, shape):
     assert_facets_agree_with_the_lp(vertices, rays, data.draw(probes(vertices, rays)))
 
 
+def forbid_lps(monkeypatch):
+    """Make both LP predicates that `conedom.sets` falls back on raise."""
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved where the facets decide")
+
+    monkeypatch.setattr(conedom.sets, "relative_interior_membership", no_lp)
+    monkeypatch.setattr(conedom.sets, "hull_membership", no_lp)
+
+
+# --- polygons: the monotone-chain branch ---------------------------------------
+
+
+@st.composite
+def polygons(draw):
+    """1-12 vertices in the plane and no rays: scattered fractional points,
+    points on one line, or a hull with points inside it."""
+    kind = draw(st.sampled_from(("scattered", "collinear", "with_interior")))
+    if kind == "collinear":
+        a, d = draw(vectors(2)), draw(vectors(2, 2))
+        steps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=12, unique=True))
+        return [vadd(a, vscale(F(k), d)) for k in steps]
+    vertices = draw(st.lists(vectors(2), min_size=1, max_size=12 if kind == "scattered" else 5))
+    while kind == "with_interior" and len(vertices) < 12:
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(vertices), max_size=len(vertices)))
+        vertices.append(combos(vertices, [F(w, sum(weights)) for w in weights]))
+    return vertices
+
+
+def just_beyond_each_pair(vertices):
+    """The midpoint of every pair of vertices, pushed a little away from the
+    centroid: just outside the polygon when the pair is one of its edges."""
+    c = combos(vertices, [F(1, len(vertices))] * len(vertices))
+    mids = [combos((a, b), (F(1, 2), F(1, 2))) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
+    return [vadd(m, vscale(F(1, 16), vadd(m, vscale(F(-1), c)))) for m in mids]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), vertices=polygons())
+def test_polygons_agree_with_the_lp(data, vertices):
+    p = Polyhedron.build(vertices)
+    assert p.facets is not None
+    vs = p.vertices.points
+    for z in data.draw(probes(vertices, [])):
+        assert in_relative_interior(p, z) == relative_interior_membership(z, vs, ()), z
+        assert poly_contains(p, z) == hull_membership(z, vs).member, z
+    for z in just_beyond_each_pair(vs):
+        assert poly_contains(p, z) == hull_membership(z, vs).member, z
+
+
+@settings(max_examples=120, deadline=None)
+@given(vertices=polygons())
+def test_the_polygon_branch_gives_the_facets_of_every_subset(vertices):
+    # Up to 12 vertices, the subsets of every pair stay under the work bound,
+    # so both paths apply; with the branch patched off, the subsets decide.
+    found = []
+    original = cones._polygon_edges
+
+    def recording(dimension, generators):
+        found.append(original(dimension, generators))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cones, "_polygon_edges", recording)
+        facets = Polyhedron.build(vertices).facets
+        m.setattr(cones, "_polygon_edges", lambda *args: None)
+        p = Polyhedron.build(vertices)
+        assert comb(len(p.vertices), 2) * 3**3 <= cones._MAX_FACET_WORK
+        assert p.facets == facets
+    # The branch is taken exactly when the polygon has an interior, and then
+    # each of its edges gives one facet.
+    [edges] = found
+    assert (edges is not None) == (not facets.equations)
+    assert edges is None or len(edges) == len(facets.normals)
+
+
+def test_a_half_step_grid_far_over_the_bound_gets_facets_and_no_lp(monkeypatch):
+    # 81 points: the pairs alone would cost C(81, 2) * 3**3 = 87,480, far over
+    # the bound; the chain finds the square's four edges among them.
+    grid = [(F(i, 2), F(j, 2)) for i in range(9) for j in range(9)]
+    assert comb(len(grid), 2) * 3**3 > cones._MAX_FACET_WORK
+    probes_ = grid + [(F(7, 3), F(1, 3)), (F(1, 3), F(4)), (F(9, 2), F(0)), (F(-1, 4), F(2)), (F(2), F(17, 4))]
+    expected = [
+        (relative_interior_membership(z, grid, ()), hull_membership(z, grid).member) for z in probes_
+    ]
+    p = Polyhedron.build(grid)
+    forbid_lps(monkeypatch)
+    assert [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_] == expected
+    # The square [0, 4]^2 as rows on (x, y, 1): 4 - x, 4 - y, y and x >= 0.
+    assert p.facets == Facets((), ((-1, 0, 4), (0, -1, 4), (0, 1, 0), (1, 0, 0)))
+    assert expected[-5:] == [(True, True), (False, True), (False, False), (False, False), (False, False)]
+
+
 # --- the facet path itself ------------------------------------------------------
 
 
@@ -140,12 +235,7 @@ def test_verdicts_under_the_cap_solve_no_lp(monkeypatch):
     p = Polyhedron.build([(0, 0), (2, 1)], [(1, 0), (0, 1)])
     probes_ = [(F(1), F(1)), (F(0), F(0)), (F(5, 2), F(0)), (F(-1), F(0)), (F(1, 2), F(1, 4))]
     expected = [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_]
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved under the facet cap")
-
-    monkeypatch.setattr(conedom.sets, "relative_interior_membership", no_lp)
-    monkeypatch.setattr(conedom.sets, "hull_membership", no_lp)
+    forbid_lps(monkeypatch)
     assert [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_] == expected
     assert expected == [(True, True), (False, True), (False, True), (False, False), (True, True)]
 

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import pytest
 
 from conedom.cones import Cone
-from conedom.linalg import ZERO, IntegerPoints, LimitError, hull_membership, vdot
+from conedom.linalg import ZERO, LimitError, hull_membership, vdot
 from conedom.maximals import (
     FiniteRelation,
     GridDomain,
@@ -42,7 +42,7 @@ from conedom.maximals import (
     orthant_cone,
     ratio_utility,
 )
-from conedom.sets import FinitePointSet
+from conedom.sets import FinitePointSet, poly_contains
 
 # The package re-exports the function `maximals` under the module's name.
 maximals_module = importlib.import_module("conedom.maximals")
@@ -119,20 +119,6 @@ def reference_axis_values(grid: GridDomain, d: int) -> tuple:
         out.append(k * grid.step)
         k += 1
     return tuple(out)
-
-
-def recording_hull(calls):
-    """`hull_membership` that records each program's point and upper set,
-    the set as `Fraction` points also where it comes as an integer view."""
-
-    def hull(m, upper):
-        if isinstance(upper, IntegerPoints):
-            calls.append((m, tuple(tuple(F(c, upper.scale) for c in p) for p in upper.points)))
-        else:
-            calls.append((m, upper))
-        return hull_membership(m, upper)
-
-    return hull
 
 
 def random_preorder_case(rng):
@@ -287,25 +273,32 @@ class TestAgainstReferences:
                 reference_convexified_maximals(raw, subset).points
             )
 
-    def test_same_hull_programs_as_the_first_ones_of_the_reference(self, monkeypatch):
-        # For a utility preorder both screen each point against the first top
-        # element of the subset first, with the same upper set in the same
-        # order; the reference may go on to further, redundant programs.
+    def test_hull_verdicts_below_the_first_top_are_the_hull_programs(self, monkeypatch):
+        # Each point below the first top element of the subset is asked about
+        # conv(U(top)) once, in subset order, through the polyhedron's facets;
+        # every verdict must be the hull program's, and the kept set the
+        # reference's.
         rng = random.Random(61)
         for _ in range(100):
             pts, values, subset = random_preorder_case(rng)
             pre = TotalPreorder.from_utility(pts, values.__getitem__)
-            ref_calls: list = []
-            reference_convexified_maximals(pre, subset, recording_hull(ref_calls))
-            firsts = []  # the reference's programs come grouped by point
-            for m, upper in ref_calls:
-                if not firsts or firsts[-1][0] != m:
-                    firsts.append((m, upper))
             calls: list = []
-            monkeypatch.setattr(maximals_module, "hull_membership", recording_hull(calls))
-            convexified_maximals(pre, subset)
+
+            def recording(hull, m):
+                verdict = poly_contains(hull, m)
+                calls.append((m, hull.vertices.points, verdict))
+                return verdict
+
+            monkeypatch.setattr(maximals_module, "poly_contains", recording)
+            got = convexified_maximals(pre, subset)
             monkeypatch.undo()
-            assert calls == firsts
+            top = max(subset.points, key=values.__getitem__, default=None)
+            below = [m for m in subset.points if values[m] < values[top]]
+            assert [m for m, _, _ in calls] == below
+            for m, upper, verdict in calls:
+                assert upper == pre.upper_set(top)
+                assert verdict == hull_membership(m, upper).member, (m, upper)
+            assert got.points == reference_convexified_maximals(pre, subset).points
 
     def test_edge_subsets(self):
         # The ground's top level is (0,2) and (2,0) at value 4; the subset

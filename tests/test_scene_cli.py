@@ -476,14 +476,23 @@ class TestCliErrors:
         assert code == 1 and err == ""
         assert payload(out)["verified"] is True
 
-    def test_internal_failure_exits_3_without_a_traceback(self, capsys, scene_file, monkeypatch):
-        def exhausted(lp):
-            raise RuntimeError("simplex pivot limit exceeded")
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (RuntimeError("simplex pivot limit exceeded"), "simplex pivot limit exceeded"),
+            (KeyError("row"), "KeyError: 'row'"),
+            (TypeError("unsupported operand"), "TypeError: unsupported operand"),
+        ],
+    )
+    def test_internal_failure_exits_3_without_a_traceback(self, capsys, scene_file, monkeypatch, exc, message):
+        def failing(lp):
+            raise exc
 
-        monkeypatch.setattr(dominance, "lp_solve", exhausted)
+        monkeypatch.setattr(dominance, "lp_solve", failing)
         code, out, err = run(
             capsys, "dominate", "--scene", scene_file, "--set", "Y", "--point", "1,3/2"
         )
         assert code == 3
         assert out == ""
-        assert err == "internal error: simplex pivot limit exceeded\n"
+        assert err == f"internal error: {message}\n"
+        assert "Traceback" not in err
