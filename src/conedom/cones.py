@@ -4,12 +4,14 @@ A `Cone` is the set of nonnegative combinations of its generators with
 positive total mass, together with the origin iff `contains_zero` is set.
 That set is always a convex cone; with no generators and no flag it is the
 empty set. Membership is decided exactly by one decision tree
-(`_membership`): a Gaussian elimination of the generator matrix, built
-once per cone on first use (`Cone.span_solver`) and read in integers,
-settles most queries outright, and a small exact LP
-(`conedom.linalg.lp_solve`) covers the rest. `cone_contains` takes its
-verdict alone; `cone_membership` also builds the certificate, which
-`validate_membership` re-checks.
+(`_membership`), read in integers: a Gaussian elimination of the generator
+matrix (`Cone.span_solver`) refutes every vector off the span and decides
+the span of independent generators, and the cone's facets (`Cone.facets`)
+decide the span of dependent ones. Both are built once per cone on first
+use. A small exact LP (`conedom.linalg.lp_solve`) decides the origin and
+the cones above the facet work bound. `cone_contains` takes the verdict
+alone; `cone_membership` also builds the certificate (the LP's wherever
+the elimination gives none), which `validate_membership` re-checks.
 
 `ConeOrder` is the cone order on one list of points. Every pairwise
 question of the other modules (chains and antichains, Pareto optima,
@@ -28,8 +30,9 @@ among the cofactor vectors of the (rank - 1)-subsets of the generators and
 re-checked against every generator. The homogenized cone of a polygon
 takes its normals from the polygon's edges instead, found by Andrew's
 monotone chain in integers, with no elimination and no work bound.
-`Polyhedron.facets` reads its polyhedron's relative-interior and
-containment verdicts from them.
+`Cone.facets` holds them for a cone's generators, and `Polyhedron.facets`
+for a polyhedron's homogenized cone, whose relative-interior and
+containment verdicts read them.
 """
 
 from __future__ import annotations
@@ -93,6 +96,13 @@ class Cone:
         """Elimination data of the generator matrix, built on first use and
         freed with the cone."""
         return _SpanSolver(self.dimension, self.generators)
+
+    @property
+    def facets(self) -> "Facets | None":
+        """The cone's integer equations and facet normals (`cone_facets`), or
+        None above `_MAX_FACET_WORK`. Built on first use and kept on the span
+        solver, so the copies `with_origin` makes share them."""
+        return self.span_solver.facets
 
     @cached_property
     def generator_view(self) -> IntegerPoints:
@@ -173,6 +183,13 @@ class _SpanSolver:
         self.elim = [tuple(row[k:]) for row in rows]
         # Each row of E times its own positive lcm, which it keeps as its scale.
         self.row_scales, self.integer_elim = zip(*(integer_multiple(e) for e in self.elim))
+        self.dimension, self.generators = dimension, generators
+
+    @cached_property
+    def facets(self) -> "Facets | None":
+        """`cone_facets` of the generators over one common denominator, built
+        on first use; None above `_MAX_FACET_WORK`."""
+        return cone_facets(self.dimension, integer_points(self.generators).points)
 
     def image(self, q: Sequence[int]) -> tuple[int, ...]:
         """E.q for an integer vector q, with each row of E scaled by its own
@@ -391,7 +408,8 @@ class ConeOrder:
     point once to integer order coordinates (`coordinates`), after which
     each verdict is a componentwise comparison. Every other cone (dependent
     generators, a zero generator, no generators) has `coordinates` None and
-    asks `cone_contains` pair by pair, with the LP as its fallback.
+    asks `cone_contains` pair by pair, which reads the cone's facets (the
+    LP only above the facet work bound).
     """
 
     def __init__(self, cone: Cone, points: Sequence[Vec]):
@@ -453,16 +471,28 @@ def _solve_membership(cone: Cone, v: Vec, unit_mass: bool) -> ConeMembership:
     return ConeMembership(False, functional=f)
 
 
+def _certified(cone: Cone, v: Vec, member: bool) -> ConeMembership:
+    """The LP's certificate for a verdict on a nonzero v reached without it;
+    RuntimeError when the LP disagrees."""
+    m = _solve_membership(cone, v, unit_mass=False)
+    if m.member != member:
+        raise RuntimeError("the membership LP contradicts the integer verdict")
+    return m
+
+
 def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]:
     """The verdict on v and a thunk that builds its certificate.
 
     The flag, a zero generator or independent generators (which combine to
     zero only trivially) settle the origin. The elimination, read in
     integers, refutes a nonzero v off the span (that row of E is the
-    certificate) and decides v on the span of independent generators. The
-    LP decides the rest, the origin as a unit-mass combination and the span
-    of dependent generators. It also certifies refutations on independent
-    generators, but only when the thunk is called.
+    certificate) and decides v on the span of independent generators. On
+    the span of dependent generators the cone's facet normals decide it
+    (`Cone.facets`: v is a member iff every normal is >= 0 on it). The LP
+    decides the rest: the origin, as a unit-mass combination, and the span
+    of a cone above the facet work bound. It also certifies the integer
+    verdicts that need a combination or a functional the elimination does
+    not give, but only when the thunk is called (`_certified`).
     """
     if len(v) != cone.dimension:
         raise ValueError("vector dimension does not match the cone")
@@ -497,7 +527,10 @@ def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]
                 return True, lambda: ConeMembership(
                     True, coefficients=tuple(Fraction(c, s * scale) for c, s in zip(mu, solver.row_scales))
                 )
-            return False, lambda: _solve_membership(cone, v, unit_mass=False)
+            return False, lambda: _certified(cone, v, False)
+        if (facets := solver.facets) is not None:
+            member = facets.contains(q)
+            return member, lambda: _certified(cone, v, member)
     m = _solve_membership(cone, v, unit_mass=zero)
     return m.member, lambda: m
 
@@ -579,8 +612,9 @@ def relate(cone: Cone, x: Vec, y: Vec) -> Comparability:
 def with_origin(cone: Cone, contains_zero: bool) -> Cone:
     """The cone with the same generators and the given origin flag.
 
-    The result shares the span solver of `cone`, which depends on the
-    generators alone, and its positive functional once `cone` has built it.
+    The result shares the span solver of `cone` (and with it the facets,
+    kept there), which depends on the generators alone, and its positive
+    functional once `cone` has built it.
     """
     if cone.contains_zero == contains_zero:
         return cone

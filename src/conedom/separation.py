@@ -247,15 +247,16 @@ def _functional_rows(x: Polyhedron, summands: list[FinitePointSet], cols: int) -
 def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
     """Integer functional with sup f[X] + 1 <= inf f[Y]; Y must be bounded.
 
-    Disjointness of the two polyhedra is checked first; failure to find a
-    separator afterwards would contradict polyhedral separation and is
-    reported as an internal error.
+    The separation program is feasible exactly when the two polyhedra are
+    disjoint (polyhedral separation, with Y compact), so it decides that
+    too. Only when it is infeasible does `hulls_disjoint` run, to name a
+    common point; finding none would contradict polyhedral separation and
+    is reported as an internal error.
     """
     if y.rays:
         raise ValueError("strict separation requires a bounded second set")
-    probe = hulls_disjoint(x, y.vertices)
-    if not probe.disjoint:
-        raise ValueError(f"the sets intersect at {probe.common_point}; nothing separates them")
+    if _dimensions_differ(x, y):
+        raise ValueError("dimension mismatch between the two sets")
     n = x.dimension
     # Variables: f (free, n), a (free), b (free); f.v <= a on X vertices,
     # f.r <= 0 on X rays, f.w >= b on Y vertices, b - a >= 1.
@@ -265,6 +266,9 @@ def strict_separator(x: Polyhedron, y: Polyhedron) -> SeparationResult:
     lp = LinearProgram(cols, (ZERO,) * cols, True, tuple(rows), (False,) * cols, scale)
     res = lp_solve(lp)
     if res.status is not LpStatus.OPTIMAL:
+        probe = hulls_disjoint(x, y.vertices)
+        if not probe.disjoint:
+            raise ValueError(f"the sets intersect at {probe.common_point}; nothing separates them")
         raise RuntimeError("strict separation program infeasible despite disjoint polyhedra")
     f_int = fvec(integer_multiple(res.witness[:n])[1])
     sup_x, inf_y = _bounds(f_int, x, y)

@@ -399,6 +399,17 @@ def strictly_apart(draw):
     return Polyhedron.build(xv, xr), Polyhedron.build(yv)
 
 
+@st.composite
+def meeting(draw):
+    """X as in `strictly_apart`, Y a bounded set with one point in X (a
+    vertex of X, moved along a ray when X has one), so the two meet."""
+    x, y = draw(strictly_apart())
+    common = x.vertices.points[0]
+    if x.rays:
+        common = tuple(c + r for c, r in zip(common, x.rays[0]))
+    return x, Polyhedron.build([*y.vertices.points, common])
+
+
 class TestSeparationRowsAgainstTheFormerBuilders:
     @settings(max_examples=60, deadline=None)
     @given(pair=strictly_apart())
@@ -406,9 +417,23 @@ class TestSeparationRowsAgainstTheFormerBuilders:
         x, y = pair
         with recorded(separation) as store:
             strict_separator(x, y)
-        common, strict = store
-        assert_same_program(common, reference_common_point_lp(x, [y.vertices.points]))
+        (strict,) = store
         assert_same_program(strict, reference_strict_lp(x, y))
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=meeting())
+    def test_strict_separator_on_meeting_sets_names_the_common_point(self, pair):
+        # The strict program is infeasible, and only then does the
+        # common-point program run, to name the point in the same error.
+        x, y = pair
+        common = hulls_disjoint(x, y.vertices).common_point
+        with recorded(separation) as store, pytest.raises(ValueError) as refused:
+            strict_separator(x, y)
+        assert str(refused.value) == f"the sets intersect at {common}; nothing separates them"
+        strict, probe = store
+        assert_same_program(strict, reference_strict_lp(x, y))
+        assert lp_solve(strict).status is LpStatus.INFEASIBLE
+        assert_same_program(probe, reference_common_point_lp(x, [y.vertices.points]))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

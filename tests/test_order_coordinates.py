@@ -8,6 +8,11 @@ take the order-coordinate path; the others keep the pairwise path, which
 the tests check too, and Pareto optima on a pointed one sweep by its
 positive functional. Points include ties in the generator-coordinate sum
 and in that functional, denominators 1, 2 and 3, and numerators around 10^20.
+
+The last section checks `cone_contains` itself, which reads the cone's
+facets on dependent generators, against the LP (`_solve_membership`): the
+verdicts, the certificates, the LP kept above the facet work bound, and
+the public entry points against a pairwise LP reference.
 """
 
 import random
@@ -21,15 +26,18 @@ from conedom.cones import (
     Cone,
     ConeMembership,
     ConeOrder,
+    _solve_membership,
     cone_contains,
+    cone_membership,
     is_pointed,
     k_closure,
     relate,
+    validate_membership,
     with_origin,
 )
 from conedom.dominance import _domination_matrix, check_equivalences, is_pareto_in_hull, pareto_optima_finite
 from conedom.instances import rand_cone_member, rand_point, rand_pointed_cone
-from conedom.linalg import is_zero_vec, vadd, vdot, vscale, vsub
+from conedom.linalg import is_zero_vec, vadd, vdot, vneg, vscale, vsub
 from conedom.maximals import FiniteRelation, maximals
 from conedom.sets import (
     ChainSet,
@@ -41,6 +49,7 @@ from conedom.sets import (
     is_chain,
     materialize,
 )
+from test_cones import reference_cone_membership
 
 BIG = 10**20
 
@@ -48,9 +57,9 @@ BIG = 10**20
 # --- the pairwise reference ---------------------------------------------------
 
 
-def ref_relate(cone, x, y):
-    up = cone_contains(cone, vsub(y, x))
-    down = cone_contains(cone, vsub(x, y))
+def ref_relate(cone, x, y, contains=cone_contains):
+    up = contains(cone, vsub(y, x))
+    down = contains(cone, vsub(x, y))
     if up and down:
         return Comparability.BOTH
     if up:
@@ -60,16 +69,31 @@ def ref_relate(cone, x, y):
     return Comparability.INCOMPARABLE
 
 
-def ref_first_pair(pts, cone, comparable):
+def ref_first_pair(pts, cone, comparable, contains=cone_contains):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if (ref_relate(cone, pts[i], pts[j]) is not Comparability.INCOMPARABLE) == comparable:
+            if (ref_relate(cone, pts[i], pts[j], contains) is not Comparability.INCOMPARABLE) == comparable:
                 return pts[i], pts[j]
     return None
 
 
-def ref_optima(pts, cone):
-    return tuple(y for y in pts if not any(t != y and cone_contains(cone, vsub(t, y)) for t in pts))
+def ref_optima(pts, cone, contains=cone_contains):
+    return tuple(y for y in pts if not any(t != y and contains(cone, vsub(t, y)) for t in pts))
+
+
+def lp_contains(cone, v):
+    """The LP's verdict alone, for every v: the origin as a unit-mass
+    combination unless the flag admits it, any other v as a nonnegative one."""
+    if is_zero_vec(v):
+        return cone.contains_zero or (bool(cone.generators) and _solve_membership(cone, v, unit_mass=True).member)
+    return bool(cone.generators) and _solve_membership(cone, v, unit_mass=False).member
+
+
+def lp_pointed(cone):
+    """Pointedness from one LP: the nonzero generators (if any) have the
+    origin outside their convex hull."""
+    nonzero = tuple(g for g in cone.generators if not is_zero_vec(g))
+    return not nonzero or not lp_contains(Cone(cone.dimension, nonzero, False), (F(0),) * cone.dimension)
 
 
 def ref_matrix(pts, cone):
@@ -108,6 +132,13 @@ def nonsimplicial_line(rng, dim, contains_zero):
     return Cone(dim, gens + (tuple(-c for c in gens[0]),), contains_zero)
 
 
+def rank_deficient_line(rng, dim, contains_zero):
+    """Not pointed and of rank dim - 1: dim - 1 independent generators and
+    the negation of the first."""
+    gens = simplicial(rng, dim, contains_zero).generators[:-1]
+    return Cone(dim, gens + (tuple(-c for c in gens[0]),), contains_zero)
+
+
 def with_zero_generator(rng, dim, contains_zero):
     gens = simplicial(rng, dim, contains_zero).generators
     return Cone(dim, gens + (tuple(F(0) for _ in range(dim)),), contains_zero)
@@ -123,6 +154,7 @@ KINDS = {
     "nonsimplicial_pointed": (nonsimplicial_pointed, False),
     "planar_pointed": (planar_pointed, False),
     "nonsimplicial_not_pointed": (nonsimplicial_line, False),
+    "rank_deficient_not_pointed": (rank_deficient_line, False),
     "zero_generator": (with_zero_generator, False),
     "no_generators": (no_generators, False),
 }
@@ -251,7 +283,7 @@ def test_the_positive_functional_exists_exactly_on_pointed_cones_without_a_zero_
     for cone, _ in cases(kind, 3):
         phi = cone.positive_functional
         pointed = bool(cone.generators) and is_pointed(cone) and not any(map(is_zero_vec, cone.generators))
-        without = kind in ("nonsimplicial_not_pointed", "zero_generator", "no_generators")
+        without = kind in ("nonsimplicial_not_pointed", "rank_deficient_not_pointed", "zero_generator", "no_generators")
         assert (phi is not None) == pointed == (not without)
         if phi is not None:
             assert all(vdot(phi, g) > 0 for g in cone.generators)
@@ -391,3 +423,107 @@ def test_order_coordinates_reject_a_wrong_dimension():
         ConeOrder(cone, [(F(1), F(2), F(3))])
     with pytest.raises(ValueError):
         relate(cone, (F(0), F(0)), (F(1), F(1), F(1)))
+
+
+# --- facet verdicts against the LP --------------------------------------------------
+
+
+def probe_vectors(cone, pts):
+    """Every difference of two points (the origin included), the generators,
+    their negations, and the sum and difference of the first two."""
+    vectors = [vsub(y, x) for x in pts.points for y in pts.points]
+    gens = cone.generators
+    vectors += [*gens, *map(vneg, gens)]
+    if len(gens) >= 2:
+        vectors += [vadd(gens[0], gens[1]), vsub(gens[0], gens[1])]
+    return vectors
+
+
+def recording_lps(monkeypatch):
+    """Rebind `_solve_membership`, recording the vector of every LP it solves."""
+    solved = []
+
+    def record(cone, v, unit_mass):
+        solved.append(v)
+        return _solve_membership(cone, v, unit_mass)
+
+    monkeypatch.setattr(conedom.cones, "_solve_membership", record)
+    return solved
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verdicts_off_the_origin_solve_no_lp_and_are_the_lps(kind, monkeypatch):
+    _, independent = KINDS[kind]
+    for cone, pts in cases(kind):
+        probes = probe_vectors(cone, pts)
+        expected = [lp_contains(cone, v) for v in probes]
+        if cone.generators and not independent:
+            assert cone.facets is not None
+        solved = recording_lps(monkeypatch)
+        assert [cone_contains(cone, v) for v in probes] == expected
+        assert all(is_zero_vec(v) for v in solved)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificates_are_unchanged_and_validate(kind):
+    for cone, pts in cases(kind, 3):
+        for v in probe_vectors(cone, pts):
+            m = cone_membership(cone, v)
+            assert m == reference_cone_membership(cone, v)
+            assert m.member == cone_contains(cone, v)
+            assert validate_membership(cone, v, m) == []
+
+
+def test_a_certificate_contradicting_the_facet_verdict_is_refused(monkeypatch):
+    cone = Cone.build(2, [[1, 0], [0, 1], [1, 1]], False)
+    v = (F(1), F(2))
+    assert cone_contains(cone, v)
+    monkeypatch.setattr(conedom.cones, "_solve_membership", lambda *_, **__: ConeMembership(False))
+    with pytest.raises(RuntimeError, match="contradicts"):
+        cone_membership(cone, v)
+
+
+def test_a_cone_above_the_facet_work_bound_keeps_the_lp(monkeypatch):
+    # Dimension 4: C(7, 3) * 4**3 = 2,240 is over the bound of 2,048, and
+    # C(6, 3) * 4**3 = 1,280 is under it.
+    rng = random.Random("facet-work-bound")
+    gens = simplicial(rng, 4, False).generators
+    extra = tuple(vadd(gens[i], gens[i + 1]) for i in range(3))
+    for count, over in ((7, True), (6, False)):
+        cone = Cone(4, gens + extra[: count - 4], False)
+        assert (cone.facets is None) == over
+        pts = rand_points(rng, cone, big=False)
+        probes = [v for v in probe_vectors(cone, pts) if not is_zero_vec(v)]
+        expected = [lp_contains(cone, v) for v in probes]
+        solved = recording_lps(monkeypatch)
+        assert [cone_contains(cone, v) for v in probes] == expected
+        assert solved == (probes if over else [])  # rank 4: every probe is on the span
+        assert True in expected and False in expected
+        monkeypatch.undo()
+
+
+def test_facets_are_built_once_and_shared_across_origin_flags(monkeypatch):
+    built = []
+    real = conedom.cones.cone_facets
+    monkeypatch.setattr(conedom.cones, "cone_facets", lambda *a: built.append(a) or real(*a))
+    cone = Cone.build(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], False)
+    pts = [(F(0), F(0), F(0)), (F(1), F(1), F(0)), (F(0), F(1), F(1))]
+    assert is_pointed(cone)
+    assert relate(with_origin(cone, True), pts[0], pts[1]) is Comparability.UP
+    assert pareto_optima_finite(FinitePointSet(pts), cone).points == tuple(pts[1:])
+    assert len(built) == 1
+    assert k_closure(cone).facets is cone.facets is not None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_public_entry_points_match_the_pairwise_lp_reference(kind):
+    for cone, pts in cases(kind, 3):
+        assert is_pointed(cone) == lp_pointed(cone)
+        for x in pts.points[:6]:
+            for y in pts.points[:6]:
+                assert relate(cone, x, y) is ref_relate(cone, x, y, lp_contains)
+        for subset in (pts.points, pts.points[::2]):
+            s = FinitePointSet(subset)
+            assert pareto_optima_finite(s, cone).points == ref_optima(subset, cone, lp_contains)
+            assert is_antichain(s, cone) == (ref_first_pair(subset, cone, True, lp_contains) is None)

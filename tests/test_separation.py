@@ -20,6 +20,7 @@ from conedom.instances import (
 )
 from conedom.linalg import LpResult, LpStatus, hull_membership, lp_solve, vdot
 from conedom.separation import (
+    DisjointnessResult,
     SeparationResult,
     hulls_disjoint,
     proper_separator,
@@ -138,6 +139,18 @@ class TestStrictSeparator:
         x = Polyhedron.build([(3, 3)])
         y = Polyhedron.build([(0, 0)], [(1, 0)])
         with pytest.raises(ValueError, match="bounded"):
+            strict_separator(x, y)
+
+    def test_a_dimension_mismatch_is_refused_before_any_program(self, monkeypatch):
+        monkeypatch.setattr(separation, "lp_solve", None)  # any solve would raise TypeError
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            strict_separator(Polyhedron.build([(3, 3)]), Polyhedron.build([(0, 0, 0)]))
+
+    def test_an_infeasible_program_on_disjoint_sets_is_an_internal_error(self, monkeypatch):
+        x = Polyhedron.build([(0, 0)], [(1, 0), (0, 1)])
+        y = Polyhedron.build([(1, 1)])
+        monkeypatch.setattr(separation, "hulls_disjoint", lambda *_: DisjointnessResult(True))
+        with pytest.raises(RuntimeError, match="infeasible despite disjoint"):
             strict_separator(x, y)
 
     def test_random_pairs_always_separate(self):
