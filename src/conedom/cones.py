@@ -15,24 +15,25 @@ the elimination gives none), which `validate_membership` re-checks.
 
 `ConeOrder` is the cone order on one list of points. Every pairwise
 question of the other modules (chains and antichains, Pareto optima,
-support tops, the domination matrix, `relate`) goes through it. It is
-the only code that knows whether the cone has integer order coordinates
-(linearly independent generators, and at least one of them), which turn
-each comparison into a componentwise one; every other cone asks
+support tops, the domination matrix, `relate`) goes through it. It reads
+every cone through `Cone.facets`, the H-description {v : Ev = 0, Hv >= 0}:
+each point is mapped once to (E.p, H.p), and each comparison is then a
+componentwise one. Only a cone above the facet work bound asks
 `cone_contains` pair by pair. Its Pareto maxima come from a sorted sweep
-on any pointed cone with no zero generator: by the order coordinates, or
-else by one integer functional positive on every generator
-(`Cone.positive_functional`, one certified LP per cone).
+on any pointed cone with no zero generator: by the sum of the normal
+coordinates on independent generators, or else by one integer functional
+positive on every generator (`Cone.positive_functional`, one certified LP
+per cone).
 
-`cone_facets` describes the cone of integer generators by integer rows:
-the left-null rows of the same elimination and one normal per facet, found
-among the cofactor vectors of the (rank - 1)-subsets of the generators and
-re-checked against every generator. The homogenized cone of a polygon
-takes its normals from the polygon's edges instead, found by Andrew's
-monotone chain in integers, with no elimination and no work bound.
-`Cone.facets` holds them for a cone's generators, and `Polyhedron.facets`
-for a polyhedron's homogenized cone, whose relative-interior and
-containment verdicts read them.
+For independent generators `Cone.facets` are the elimination's own rows.
+Otherwise they are `cone_facets`: the left-null rows of the same
+elimination and one normal per facet, found among the cofactor vectors of
+the (rank - 1)-subsets of the generators and re-checked against every
+generator. The homogenized cone of a polygon takes its normals from the
+polygon's edges instead, found by Andrew's monotone chain in integers, with
+no elimination and no work bound. `Polyhedron.facets` holds them for a
+polyhedron's homogenized cone, whose relative-interior and containment
+verdicts read them.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class Cone:
 
     @property
     def facets(self) -> "Facets | None":
-        """The cone's integer equations and facet normals (`cone_facets`), or
+        """The cone's integer equations and normals (`_SpanSolver.facets`), or
         None above `_MAX_FACET_WORK`. Built on first use and kept on the span
         solver, so the copies `with_origin` makes share them."""
         return self.span_solver.facets
@@ -187,8 +188,11 @@ class _SpanSolver:
 
     @cached_property
     def facets(self) -> "Facets | None":
-        """`cone_facets` of the generators over one common denominator, built
-        on first use; None above `_MAX_FACET_WORK`."""
+        """The cone's `Facets`, built on first use: for independent generators
+        the rows of E itself (see `Facets`), else `cone_facets` of the
+        generators over one common denominator, None above `_MAX_FACET_WORK`."""
+        if self.unique:
+            return Facets(self.integer_elim[self.rank :], self.integer_elim[: self.rank])
         return cone_facets(self.dimension, integer_points(self.generators).points)
 
     def image(self, q: Sequence[int]) -> tuple[int, ...]:
@@ -211,10 +215,13 @@ class Facets(NamedTuple):
     some generators.
 
     `equations` E (the left-null rows of the generators' elimination) vanish
-    exactly on the generators' span. `normals` H hold one primitive row per
-    facet, inside the span and >= 0 on every generator. So K is the x with
-    Ex = 0 and Hx >= 0, and its relative interior the x with Ex = 0 and
-    Hx > 0.
+    exactly on the generators' span. `normals` H are >= 0 on every
+    generator: from `cone_facets`, one primitive row per facet, inside the
+    span; for independent generators (`_SpanSolver.facets`), the first rank
+    rows of the elimination, which give the generator coefficients on the
+    span and are neither primitive nor always inside it. Either way K is
+    the x with Ex = 0 and Hx >= 0, and its relative interior the x with
+    Ex = 0 and Hx > 0.
     """
 
     equations: tuple[tuple[int, ...], ...]
@@ -226,6 +233,10 @@ class Facets(NamedTuple):
             return False
         least = 1 if relative_interior else 0
         return all(sum(map(mul, h, x)) >= least for h in self.normals)
+
+    def coordinates(self, x: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(E.x, H.x) for an integer vector x."""
+        return tuple(sum(map(mul, e, x)) for e in self.equations), tuple(sum(map(mul, h, x)) for h in self.normals)
 
 
 def _determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -354,74 +365,35 @@ def cone_facets(dimension: int, generators: Sequence[Sequence[int]]) -> Facets |
     return facets
 
 
-class _OrderCoordinates(NamedTuple):
-    """Integer image E.p of a point under the elimination matrix E, scaled.
-
-    `generator` holds the first rank rows: on the generators' span these are
-    the generator coefficients. `off_span` holds the left-null rows, which
-    vanish exactly on the span.
-    """
-
-    generator: tuple[int, ...]
-    off_span: tuple[int, ...]
-
-
-def _order_coordinates(cone: Cone, points: Sequence[Vec]) -> list[_OrderCoordinates] | None:
-    """Order coordinates of each point, or None unless the cone has linearly
-    independent generators and at least one of them.
-
-    All points are scaled by one common lcm of their denominators, so the
-    coordinates of y - x are the coordinates of y minus those of x, up to a
-    positive factor that keeps every sign.
-    """
-    solver = cone.span_solver
-    if not cone.generators or not solver.unique:
-        return None
-    for p in points:
-        if len(p) != cone.dimension:
-            raise ValueError("vector dimension does not match the cone")
-    rank = solver.rank
-    out = []
-    for q in integer_points(points).points:
-        w = solver.image(q)
-        out.append(_OrderCoordinates(w[:rank], w[rank:]))
-    return out
-
-
-def _coordinates_above(a: _OrderCoordinates, b: _OrderCoordinates) -> bool:
-    """Whether y - x lies in the cone, for distinct points x and y with order
-    coordinates a and b (from one `_order_coordinates` call).
-
-    y - x is then nonzero, so it lies in the cone exactly when it is in the
-    generators' span with nonnegative generator coefficients.
-    """
-    return a.off_span == b.off_span and all(p <= q for p, q in zip(a.generator, b.generator))
-
-
 class ConeOrder:
     """The order of a cone on one list of points, read by position.
 
     `above(i, j)` says whether point j minus point i lies in the cone, for
-    distinct points i and j. That difference is nonzero, so the verdicts
-    depend on the generators alone, not on the origin flag. A cone with
-    linearly independent generators, and at least one of them, maps every
-    point once to integer order coordinates (`coordinates`), after which
-    each verdict is a componentwise comparison. Every other cone (dependent
-    generators, a zero generator, no generators) has `coordinates` None and
-    asks `cone_contains` pair by pair, which reads the cone's facets (the
-    LP only above the facet work bound).
+    distinct points i and j. That difference v is nonzero, so the verdicts
+    depend on the generators alone, not on the origin flag, and v lies in
+    the cone exactly when Ev = 0 and Hv >= 0 for the cone's `Facets`. So
+    every point is mapped once to its integer coordinates (E.p, H.p)
+    (`coordinates`, over one common denominator), after which each verdict
+    is a comparison: equal equation coordinates, and no normal coordinate
+    falls. Only a cone above the facet work bound (`Cone.facets` None) has
+    `coordinates` None and asks `cone_contains` pair by pair, which solves
+    its LP.
     """
 
     def __init__(self, cone: Cone, points: Sequence[Vec]):
+        if any(len(p) != cone.dimension for p in points):
+            raise ValueError("vector dimension does not match the cone")
         self.cone = cone
         self.points = points
-        self.coordinates = _order_coordinates(cone, points)
+        facets = cone.facets
+        self.coordinates = None if facets is None else [facets.coordinates(q) for q in integer_points(points).points]
 
     def above(self, i: int, j: int) -> bool:
         coords = self.coordinates
         if coords is None:
             return cone_contains(self.cone, vsub(self.points[j], self.points[i]))
-        return _coordinates_above(coords[i], coords[j])
+        (ei, hi), (ej, hj) = coords[i], coords[j]
+        return ei == ej and all(a <= b for a, b in zip(hi, hj))
 
     def comparable(self, i: int, j: int) -> bool:
         """Whether point i and point j are ordered one way or the other; the
@@ -433,30 +405,27 @@ class ConeOrder:
 
         This is the maxima of vectors problem (Kung, Luccio & Preparata
         1975), solved by a sorted sweep whenever a key strictly increases
-        along the order: the sum of the order coordinates, or else phi.p for
-        the cone's `positive_functional` phi (y - x in C minus the origin
-        gives phi.(y - x) > 0). Points are visited by that key, descending,
-        and a point is kept unless a point kept before it lies above it. The
-        order is transitive, and antisymmetric on distinct points (a key
+        along the order: on independent generators the sum of the normal
+        coordinates (the scaled generator coefficients, not all zero on a
+        nonzero vector of the span), or else phi.p for the cone's
+        `positive_functional` phi (y - x in C minus the origin gives
+        phi.(y - x) > 0). Points are visited by that key, descending, and a
+        point is kept unless a point kept before it lies above it (`above`).
+        The order is transitive, and antisymmetric on distinct points (a key
         that rises along it rules out cycles), so every point below another
         lies below a kept one with a larger key. A cone without either key
-        (a zero generator, no generators, or not pointed) compares every
-        pair.
+        (a zero generator, or not pointed) compares every pair.
         """
         n = len(self.points)
-        coords = self.coordinates
-        if coords is not None:
-            key = [sum(c.generator) for c in coords]
-            above = lambda i, k: _coordinates_above(coords[i], coords[k])
-        else:
-            phi = self.cone.positive_functional
-            if phi is None:
-                return [i for i in range(n) if not any(k != i and self.above(i, k) for k in range(n))]
+        if self.cone.span_solver.unique:
+            key = [sum(h) for _, h in self.coordinates]
+        elif (phi := self.cone.positive_functional) is not None:
             key = [sum(map(mul, phi, q)) for q in integer_points(self.points).points]
-            above = self.above
+        else:
+            return [i for i in range(n) if not any(k != i and self.above(i, k) for k in range(n))]
         kept: list[int] = []
         for i in sorted(range(n), key=lambda i: -key[i]):
-            if not any(above(i, k) for k in kept):
+            if not any(self.above(i, k) for k in kept):
                 kept.append(i)
         return sorted(kept)
 

@@ -111,9 +111,9 @@ def reference_validate_certificate(cert, d):
     return errs
 
 
-# One cone list per kind. Every kind but "simplicial" answers order
-# questions pair by pair through `relate`, except the independent
-# rank-deficient cone, whose order coordinates have an off-span part.
+# One cone list per kind. Every kind answers order questions through its
+# facet coordinates; the independent rank-deficient cone's have an
+# equation part.
 CONE_KINDS = {
     "simplicial": [
         Cone.build(2, [[1, 0], [0, 1]], True),

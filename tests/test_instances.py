@@ -89,9 +89,9 @@ def reference_rand_chain(rng, draw, size, pool_factor=8):
 
 
 def test_rand_chain_matches_the_pairwise_reference_and_its_random_stream():
-    # Simplicial draws take the order-coordinate path; cones with an extra
-    # generator take the `relate` path. Both must keep the same points and
-    # leave the generator in the same state.
+    # Simplicial draws read the elimination's rows; cones with an extra
+    # generator read `cone_facets`. Both must keep the same points as
+    # `relate` and leave the generator in the same state.
     rng = random.Random(5)
     for _ in range(60):
         draw = rand_pointed_cone(rng, rng.choice((2, 3)), rng.random() < 0.5)

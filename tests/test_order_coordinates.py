@@ -1,11 +1,14 @@
 """Order coordinates against a pairwise `cone_contains` reference.
 
 Every consumer of the order map (`relate`, the chain and antichain scans,
-Pareto optima and the domination matrix behind `check_equivalences`) is
-compared on seeded cones of every kind with the same question asked one
-pair at a time through `cone_contains`. Cones with independent generators
-take the order-coordinate path; the others keep the pairwise path, which
-the tests check too, and Pareto optima on a pointed one sweep by its
+Pareto optima, the domination matrix behind `check_equivalences` and the
+support tops of the dominance certificates) is compared on seeded cones of
+every kind with the same question asked one pair at a time through
+`cone_contains` or the LP. Every cone with facets reads its order from its
+facet coordinates (`ConeOrder.coordinates`): on independent generators the
+elimination's own rows, on dependent ones `cone_facets`. Only a cone above
+the facet work bound keeps the pairwise path, which the tests check too.
+Pareto optima on a pointed cone with dependent generators sweep by its
 positive functional. Points include ties in the generator-coordinate sum
 and in that functional, denominators 1, 2 and 3, and numerators around 10^20.
 
@@ -16,7 +19,9 @@ the public entry points against a pairwise LP reference.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -35,9 +40,17 @@ from conedom.cones import (
     validate_membership,
     with_origin,
 )
-from conedom.dominance import _domination_matrix, check_equivalences, is_pareto_in_hull, pareto_optima_finite
-from conedom.instances import rand_cone_member, rand_point, rand_pointed_cone
-from conedom.linalg import is_zero_vec, vadd, vdot, vneg, vscale, vsub
+from conedom.dominance import (
+    _domination_matrix,
+    check_equivalences,
+    dominated_element,
+    dominating_element,
+    is_pareto_in_hull,
+    pareto_optima_finite,
+    validate_certificate,
+)
+from conedom.instances import rand_cone_member, rand_hull_point, rand_point, rand_pointed_cone
+from conedom.linalg import integer_multiple, is_zero_vec, vadd, vdot, vneg, vscale, vsub
 from conedom.maximals import FiniteRelation, maximals
 from conedom.sets import (
     ChainSet,
@@ -148,6 +161,14 @@ def no_generators(rng, dim, contains_zero):
     return Cone(dim, (), contains_zero)
 
 
+def above_the_work_bound(rng, contains_zero=False):
+    """A pointed cone in dimension 4 with 7 generators: C(7, 3) * 4**3 =
+    2,240 is over the facet work bound of 2,048, while C(6, 3) * 4**3 =
+    1,280 for its first 6 generators is under it."""
+    gens = simplicial(rng, 4, contains_zero).generators
+    return Cone(4, gens + tuple(vadd(gens[i], gens[i + 1]) for i in range(3)), contains_zero)
+
+
 KINDS = {
     "simplicial": (simplicial, True),
     "rank_deficient": (rank_deficient, True),
@@ -239,10 +260,11 @@ def cases(kind, count=6):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_the_order_path_is_taken_exactly_for_independent_generators(kind):
-    _, independent = KINDS[kind]
-    for cone, pts in cases(kind, 3):
-        assert (ConeOrder(cone, pts.points).coordinates is not None) == independent
+def test_the_coordinate_path_is_taken_exactly_when_the_cone_has_facets(kind):
+    rng = random.Random(f"coordinate-path-{kind}")
+    over = above_the_work_bound(rng)
+    for cone, pts in [*cases(kind, 3), (over, rand_points(rng, over, big=False))]:
+        assert (ConeOrder(cone, pts.points).coordinates is None) == (cone.facets is None) == (cone is over)
 
 
 def ref_scan_calls(cone, pts):
@@ -262,16 +284,41 @@ def ref_scan_calls(cone, pts):
     return calls
 
 
-@pytest.mark.parametrize("kind", [kind for kind, (_, independent) in KINDS.items() if not independent])
-def test_a_pair_scan_asks_the_second_direction_only_when_the_first_fails(kind, monkeypatch):
+def counting_questions(monkeypatch, over_bound):
+    """Record the difference of every order question: each `cone_contains`
+    call on a cone above the work bound, each `ConeOrder.above` call on any
+    other cone."""
     calls = []
+    if over_bound:
 
-    def counting(cone, v):
-        calls.append(v)
-        return cone_contains(cone, v)
+        def counting(cone, v):
+            calls.append(v)
+            return cone_contains(cone, v)
 
-    monkeypatch.setattr(conedom.cones, "cone_contains", counting)
-    for cone, pts in cases(kind):
+        monkeypatch.setattr(conedom.cones, "cone_contains", counting)
+    else:
+        above = ConeOrder.above
+
+        def counting(order, i, j):
+            calls.append(vsub(order.points[j], order.points[i]))
+            return above(order, i, j)
+
+        monkeypatch.setattr(ConeOrder, "above", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "above_the_work_bound"])
+def test_a_pair_scan_asks_the_second_direction_only_when_the_first_fails(kind, monkeypatch):
+    over_bound = kind == "above_the_work_bound"
+    if over_bound:
+        rng = random.Random("pair-scan-over-bound")
+        cones = [above_the_work_bound(rng) for _ in range(2)]
+        pairs = [(cone, rand_points(rng, cone, big=False)) for cone in cones]
+    else:
+        pairs = list(cases(kind))
+    calls = counting_questions(monkeypatch, over_bound)
+    for cone, pts in pairs:
+        assert (cone.facets is None) == over_bound
         for subset in (pts.points, pts.points[::-1]):
             calls.clear()
             first_incomparable_pair(FinitePointSet(subset), cone)
@@ -313,13 +360,7 @@ def test_the_positive_functional_is_never_built_for_independent_generators(kind)
 def test_maxima_under_a_single_top_ask_one_question_per_other_point(kind, monkeypatch):
     make, _ = KINDS[kind]
     rng = random.Random(f"single-top-{kind}")
-    calls = []
-
-    def counting(cone, v):
-        calls.append(v)
-        return cone_contains(cone, v)
-
-    monkeypatch.setattr(conedom.cones, "cone_contains", counting)
+    calls = counting_questions(monkeypatch, over_bound=False)
     for t in range(4):
         cone = make(rng, 2 + t % 3, contains_zero=t % 2 == 0)
         assert cone.positive_functional is not None
@@ -381,6 +422,37 @@ def chain_sum(rng, cone, sizes):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_dominance_certificates_match_the_pairwise_lp_reference(kind):
+    """The summand witnesses of `dominating_element` and `dominated_element`
+    are support tops (bottoms) by the LP, and `validate_certificate` accepts
+    another choice of summand points exactly when the LP puts its cone
+    vector in the closed cone."""
+    make, _ = KINDS[kind]
+    rng = random.Random(f"dominance-{kind}")
+    for t in range(4):
+        cone = make(rng, 2 + t % 2, contains_zero=t % 2 == 0)
+        closed = k_closure(cone)
+        chains = chain_sum(rng, cone, (4, 3)).summands
+        d = DecomposableSet(tuple(ChainSet.build(rng.sample(c.base.points, len(c.base)), cone) for c in chains))
+        for _ in range(3):
+            y = rand_hull_point(rng, d)
+            for find, up in ((dominating_element, True), (dominated_element, False)):
+                cert = find(y, d)
+                assert validate_certificate(cert, d) == []
+                assert lp_contains(closed, cert.cone_vector)
+                for block, chain, w in zip(cert.decomposition.blocks, d.summands, cert.summand_witnesses):
+                    support = [p for c, p in zip(block, chain.base.points) if c > 0]
+                    assert w in support
+                    assert all(lp_contains(closed, vsub(w, p) if up else vsub(p, w)) for p in support)
+                others = tuple(rng.choice(chain.base.points) for chain in d.summands)
+                witness = reduce(vadd, others)
+                vector = vsub(witness, y) if up else vsub(y, witness)
+                other = replace(cert, witness=witness, cone_vector=vector, summand_witnesses=others)
+                expected = [] if lp_contains(closed, vector) else ["cone vector is outside the closed cone"]
+                assert validate_certificate(other, d) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_check_equivalences_matches_the_reference(kind):
     make, _ = KINDS[kind]
     rng = random.Random(f"equivalences-{kind}")
@@ -418,11 +490,26 @@ def test_span_solver_lives_on_the_cone_and_is_shared_across_origin_flags():
 
 
 def test_order_coordinates_reject_a_wrong_dimension():
-    cone = Cone.build(2, [[1, 0], [0, 1]], True)
-    with pytest.raises(ValueError):
-        ConeOrder(cone, [(F(1), F(2), F(3))])
-    with pytest.raises(ValueError):
-        relate(cone, (F(0), F(0)), (F(1), F(1), F(1)))
+    rng = random.Random("wrong-dimension")
+    cones = [make(rng, 2 + t, t % 2 == 0) for make, _ in KINDS.values() for t in range(2)]
+    cones += [above_the_work_bound(rng), Cone.build(2, [[1, 0], [0, 1], [1, 1]], False)]
+    for cone in cones:
+        right = (F(1),) * cone.dimension
+        for n in (cone.dimension + 1, cone.dimension - 1):
+            wrong, other = (F(1),) * n, (F(2),) * n
+            for pts in ([wrong], [wrong, other]):
+                s = FinitePointSet(tuple(pts))
+                with pytest.raises(ValueError):
+                    ConeOrder(cone, pts)
+                with pytest.raises(ValueError):
+                    pareto_optima_finite(s, cone)
+                with pytest.raises(ValueError):
+                    is_antichain(s, cone)
+            for pts in ([right, wrong], [wrong, right]):
+                with pytest.raises(ValueError):
+                    ConeOrder(cone, pts)
+            with pytest.raises(ValueError):
+                relate(cone, right, wrong)
 
 
 # --- facet verdicts against the LP --------------------------------------------------
@@ -485,13 +572,10 @@ def test_a_certificate_contradicting_the_facet_verdict_is_refused(monkeypatch):
 
 
 def test_a_cone_above_the_facet_work_bound_keeps_the_lp(monkeypatch):
-    # Dimension 4: C(7, 3) * 4**3 = 2,240 is over the bound of 2,048, and
-    # C(6, 3) * 4**3 = 1,280 is under it.
     rng = random.Random("facet-work-bound")
-    gens = simplicial(rng, 4, False).generators
-    extra = tuple(vadd(gens[i], gens[i + 1]) for i in range(3))
+    gens = above_the_work_bound(rng).generators
     for count, over in ((7, True), (6, False)):
-        cone = Cone(4, gens + extra[: count - 4], False)
+        cone = Cone(4, gens[:count], False)
         assert (cone.facets is None) == over
         pts = rand_points(rng, cone, big=False)
         probes = [v for v in probe_vectors(cone, pts) if not is_zero_vec(v)]
@@ -514,6 +598,26 @@ def test_facets_are_built_once_and_shared_across_origin_flags(monkeypatch):
     assert pareto_optima_finite(FinitePointSet(pts), cone).points == tuple(pts[1:])
     assert len(built) == 1
     assert k_closure(cone).facets is cone.facets is not None
+
+
+@pytest.mark.parametrize("kind", [*(kind for kind, (_, independent) in KINDS.items() if independent), "no_generators"])
+def test_independent_generators_read_their_facets_from_the_elimination(kind, monkeypatch):
+    real = conedom.cones.cone_facets
+    monkeypatch.setattr(conedom.cones, "cone_facets", lambda *a: pytest.fail("cone_facets was called"))
+    seen = []
+    for cone, pts in cases(kind):
+        assert cone.span_solver.unique
+        ConeOrder(cone, pts.points).maxima()
+        relate(cone, pts.points[0], pts.points[1])
+        seen.append((cone, pts, cone.facets))
+    monkeypatch.undo()
+    for cone, pts, facets in seen:
+        reference = real(cone.dimension, cone.generator_view.points)
+        assert len(facets.equations) == len(reference.equations) == cone.dimension - cone.span_solver.rank
+        for v in probe_vectors(cone, pts):
+            _, q = integer_multiple(v)
+            for interior in (False, True):
+                assert facets.contains(q, interior) == reference.contains(q, interior)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -13,7 +13,7 @@ from math import lcm
 
 import pytest
 
-from conedom.cones import Comparability, Cone, _order_coordinates, k_closure, relate
+from conedom.cones import Comparability, Cone, ConeOrder, k_closure, relate
 from conedom.dominance import pareto_optima_finite
 from conedom.instances import rand_chain, rand_point, rand_pointed_cone
 from conedom.linalg import LimitError, vadd
@@ -313,8 +313,8 @@ class TestGridAntichainConvex:
             is_grid_antichain_convex(s, ORTHANT, 0)
 
     def test_matches_the_pairwise_reference(self):
-        # Simplicial cones compare pairs by order coordinates, the others
-        # through `relate`; the verdicts must be those of `relate` alone.
+        # Every cone compares pairs by its facet coordinates; the verdicts
+        # must be those of `relate` alone.
         rng = random.Random(41)
         cones = [ORTHANT, Cone.build(2, [[1, 0], [1, 1], [0, 1]], True), Cone.build(2, [[1, 0], [-1, 0]], True)]
         verdicts = set()
@@ -365,7 +365,8 @@ class TestCachedViews:
         for _ in range(20):
             draw = rand_pointed_cone(rng, rng.choice((2, 3)), True)
             chain = rand_chain(rng, draw, rng.randint(1, 6))
-            assert chain.order.coordinates == _order_coordinates(chain.cone, chain.base.points)
+            assert chain.order.coordinates == ConeOrder(chain.cone, chain.base.points).coordinates
             assert chain.order is chain.order
         line = Cone.build(2, [[1, 0], [-1, 0]], True)
-        assert ChainSet.build([(0, 0), (1, 0)], line).order.coordinates is None
+        order = ChainSet.build([(0, 0), (1, 0)], line).order
+        assert order.coordinates == ConeOrder(line, order.points).coordinates == [((0,), ()), ((0,), ())]
