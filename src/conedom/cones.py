@@ -4,14 +4,15 @@ A `Cone` is the set of nonnegative combinations of its generators with
 positive total mass, together with the origin iff `contains_zero` is set.
 That set is always a convex cone; with no generators and no flag it is the
 empty set. Membership is decided exactly by one decision tree
-(`_membership`), read in integers: a Gaussian elimination of the generator
-matrix (`Cone.span_solver`) refutes every vector off the span and decides
-the span of independent generators, and the cone's facets (`Cone.facets`)
-decide the span of dependent ones. Both are built once per cone on first
-use. A small exact LP (`conedom.linalg.lp_solve`) decides the origin and
-the cones above the facet work bound. `cone_contains` takes the verdict
-alone; `cone_membership` also builds the certificate (the LP's wherever
-the elimination gives none), which `validate_membership` re-checks.
+(`_membership`), read in integers: a fraction-free Gaussian elimination
+of the generator matrix (`Cone.span_solver`) refutes every vector off the
+span and decides the span of independent generators, and the cone's
+facets (`Cone.facets`) decide the span of dependent ones. Both are built
+once per cone on first use. A small exact LP (`conedom.linalg.lp_solve`)
+decides the origin and the cones above the facet work bound.
+`cone_contains` takes the verdict alone; `cone_membership` also builds
+the certificate (the LP's wherever the elimination gives none), which
+`validate_membership` re-checks.
 
 `ConeOrder` is the cone order on one list of points. Every pairwise
 question of the other modules (chains and antichains, Pareto optima,
@@ -105,10 +106,11 @@ class Cone:
         solver, so the copies `with_origin` makes share them."""
         return self.span_solver.facets
 
-    @cached_property
+    @property
     def generator_view(self) -> IntegerPoints:
-        """The generators over one common denominator, built on first use."""
-        return integer_points(self.generators)
+        """The generators over one common denominator: the span solver's,
+        which the copies `with_origin` makes share."""
+        return self.span_solver.view
 
     @cached_property
     def positive_functional(self) -> tuple[int, ...] | None:
@@ -154,26 +156,39 @@ class _SpanSolver:
     rows of E vanish) and, for linearly independent generators, gives its
     unique generator coefficients (the first rank rows); a nonzero
     left-null row is a separating functional.
+
+    E is found without fractions (Edmonds 1967; Bareiss 1968): Gauss-Jordan
+    on the integer matrix [G' | s I], for G' the generators times s, the
+    lcm of their denominators, with every row kept over the determinant
+    det of the pivots so far. Pivots are chosen as on the rationals (the
+    first nonzero entry at or below the current row), so the pivot rows of
+    the result are det times those of E, and its left-null rows det * s
+    times those of E. Each row is brought to lowest terms with one gcd,
+    which gives `integer_elim` and `row_scales`; the `Fraction` rows of E
+    (`elim`) are built from them on first use. `view` is the generators
+    over their common denominator, which `Cone.generator_view` reads.
     """
 
     def __init__(self, dimension: int, generators: Sequence[Sequence[Fraction | int]]):
         n, k = dimension, len(generators)
-        # Augmented elimination on [G | I]: row-reduce the n x k generator
-        # matrix while accumulating the elimination matrix E with E G = R.
-        rows = [[generators[j][i] for j in range(k)] + [ONE if t == i else ZERO for t in range(n)] for i in range(n)]
+        self.view = integer_points(generators)
+        s, g = self.view
+        rows = [[g[j][i] for j in range(k)] + [s if t == i else 0 for t in range(n)] for i in range(n)]
         pivots: list[tuple[int, int]] = []
-        r = 0
+        r, det = 0, 1
         for c in range(k):
-            sel = next((i for i in range(r, n) if rows[i][c] != 0), None)
+            sel = next((i for i in range(r, n) if rows[i][c]), None)
             if sel is None:
                 continue
             rows[r], rows[sel] = rows[sel], rows[r]
-            inv = ONE / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
+            top = rows[r]
+            p = top[c]
+            # Every division is exact: each entry is a minor of [G' | s I].
             for i in range(n):
-                if i != r and rows[i][c] != 0:
+                if i != r:
                     f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                    rows[i] = [(p * x - f * y) // det for x, y in zip(rows[i], top)]
+            det = p
             pivots.append((r, c))
             r += 1
             if r == n:
@@ -181,10 +196,22 @@ class _SpanSolver:
         self.rank = r
         self.pivots = pivots
         self.unique = r == k
-        self.elim = [tuple(row[k:]) for row in rows]
-        # Each row of E times its own positive lcm, which it keeps as its scale.
-        self.row_scales, self.integer_elim = zip(*(integer_multiple(e) for e in self.elim))
-        self.dimension, self.generators = dimension, generators
+        # Row i of E is rows[i][k:] over det (pivot rows) or det * s (left-null
+        # rows); its positive lcm is that denominator over the row's gcd with it.
+        scaled = []
+        for i, row in enumerate(rows):
+            denominator = det if i < r else det * s
+            unit = gcd(denominator, *row[k:])
+            if denominator < 0:
+                unit = -unit
+            scaled.append((denominator // unit, tuple(x // unit for x in row[k:])))
+        self.row_scales, self.integer_elim = zip(*scaled)
+        self.dimension = dimension
+
+    @cached_property
+    def elim(self) -> list[Vec]:
+        """The rows of E as `Fraction`s: `integer_elim` over `row_scales`."""
+        return [tuple(Fraction(x, scale) for x in row) for scale, row in zip(self.row_scales, self.integer_elim)]
 
     @cached_property
     def facets(self) -> "Facets | None":
@@ -193,7 +220,7 @@ class _SpanSolver:
         generators over one common denominator, None above `_MAX_FACET_WORK`."""
         if self.unique:
             return Facets(self.integer_elim[self.rank :], self.integer_elim[: self.rank])
-        return cone_facets(self.dimension, integer_points(self.generators).points)
+        return cone_facets(self.dimension, self.view.points)
 
     def image(self, q: Sequence[int]) -> tuple[int, ...]:
         """E.q for an integer vector q, with each row of E scaled by its own
@@ -487,8 +514,10 @@ def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]
         w = solver.image(q)
         for row in range(solver.rank, len(w)):
             if w[row]:
-                e = solver.elim[row]
-                return False, lambda: ConeMembership(False, functional=e if w[row] < 0 else vneg(e))
+                flip = w[row] > 0
+                return False, lambda: ConeMembership(
+                    False, functional=vneg(solver.elim[row]) if flip else solver.elim[row]
+                )
         if solver.unique:
             # Generator j pivots in row j: its weight is E_j.v, both scales divided out.
             mu = w[: solver.rank]

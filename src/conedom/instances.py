@@ -13,7 +13,10 @@ The sampling distribution is pinned so oracle runs are reproducible:
   comparable.
 
 Every generator takes an explicit `random.Random`; identical seeds give
-identical instances.
+identical instances. The coordinate draws hand out values from one table of
+the 57 rationals n/d the distribution allows, and the draws that combine
+points (hull, cone and relative-interior points) sum in integers over the
+sets' cached integer views, with one `Fraction` per output coordinate.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
+from typing import Sequence
 
 from .cones import Cone, ConeOrder
-from .linalg import ONE, ZERO, Vec, integer_multiple, integer_points, vadd, vdot, vscale
+from .linalg import ONE, ZERO, IntegerPoints, Vec, integer_multiple, integer_points, vadd, vdot, vscale
 from .sets import (
     ChainSet,
     DecomposableSet,
@@ -40,9 +45,12 @@ Rng = random.Random
 NUMERATORS = range(-9, 10)
 DENOMINATORS = (1, 2, 3)
 
+# Every value n/d with n in NUMERATORS and d in DENOMINATORS, made once.
+_FRACTIONS = {(n, d): Fraction(n, d) for n in NUMERATORS for d in DENOMINATORS}
+
 
 def rand_frac(rng: Rng) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+    return _FRACTIONS[rng.randint(-9, 9), rng.choice(DENOMINATORS)]
 
 
 def rand_point(rng: Rng, dimension: int) -> Vec:
@@ -50,7 +58,7 @@ def rand_point(rng: Rng, dimension: int) -> Vec:
 
 
 def rand_positive_frac(rng: Rng) -> Fraction:
-    return Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS))
+    return _FRACTIONS[rng.randint(1, 9), rng.choice(DENOMINATORS)]
 
 
 def rand_direction(rng: Rng, dimension: int) -> Vec:
@@ -67,14 +75,16 @@ class ConeDraw:
 def rand_pointed_cone(rng: Rng, dimension: int, contains_zero: bool) -> ConeDraw:
     """Simplicial pointed cone in the open half-space of a positive guard."""
     guard = rand_direction(rng, dimension)
+    # guard.g in integers: h.q has its sign for positive multiples h and q of guard and g.
+    _, h = integer_multiple(guard)
     while True:
         gens: list[Vec] = []
         for _ in range(dimension):
             g = rand_point(rng, dimension)
-            s = vdot(guard, g)
+            s = sum(map(mul, h, integer_multiple(g)[1]))
             if s == 0:
                 g = tuple(c + ONE for c in g)  # nudge off the guard hyperplane
-                s = vdot(guard, g)
+                s = sum(map(mul, h, integer_multiple(g)[1]))
             if s < 0:
                 g = tuple(-c for c in g)
             gens.append(g)
@@ -83,13 +93,37 @@ def rand_pointed_cone(rng: Rng, dimension: int, contains_zero: bool) -> ConeDraw
             return ConeDraw(cone, guard)
 
 
-def rand_convex_coefficients(rng: Rng, k: int, strict: bool = False) -> tuple[Fraction, ...]:
+def _rand_weights(rng: Rng, k: int, strict: bool) -> list[int]:
+    """k integer weights in [0, 9] ([1, 9] when strict), not all zero."""
     lo = 1 if strict else 0
     weights = [rng.randint(lo, 9) for _ in range(k)]
     if sum(weights) == 0:
         weights[rng.randrange(k)] = 1
+    return weights
+
+
+def rand_convex_coefficients(rng: Rng, k: int, strict: bool = False) -> tuple[Fraction, ...]:
+    weights = _rand_weights(rng, k, strict)
     total = sum(weights)
     return tuple(Fraction(w, total) for w in weights)
+
+
+def _weighted(rng: Rng, view: IntegerPoints, strict: bool) -> tuple[int, list[int]]:
+    """A random convex combination of the view's points as (d, q): the
+    point q / d, for q in integers."""
+    weights = _rand_weights(rng, len(view.points), strict)
+    return sum(weights) * view.scale, [sum(map(mul, weights, column)) for column in zip(*view.points)]
+
+
+def _combination(terms: Sequence[tuple[int, Sequence[int]]], dimension: int) -> Vec:
+    """The sum of q / d over the terms (d, q), for positive integers d and
+    integer vectors q, summed in integers over the lcm of the d."""
+    denominator = lcm(*(d for d, _ in terms))
+    total = [0] * dimension
+    for d, q in terms:
+        m = denominator // d
+        total = [t + m * c for t, c in zip(total, q)]
+    return tuple(Fraction(t, denominator) for t in total)
 
 
 def rand_chain(rng: Rng, draw: ConeDraw, size: int, pool_factor: int = 8) -> ChainSet:
@@ -121,14 +155,7 @@ def rand_decomposable(
 
 def rand_hull_point(rng: Rng, d: DecomposableSet, strict: bool = False) -> Vec:
     """Random point of co(materialize(d)) as a sum of per-summand combinations."""
-    total = None
-    for s in d.summands:
-        pts = s.base.points
-        lam = rand_convex_coefficients(rng, len(pts), strict=strict)
-        part = tuple(sum(c * p[i] for c, p in zip(lam, pts)) for i in range(d.dimension))
-        total = part if total is None else vadd(total, part)
-    assert total is not None
-    return total
+    return _combination([_weighted(rng, s.base.integer_view, strict) for s in d.summands], d.dimension)
 
 
 def rand_upward_polyhedron(rng: Rng, draw: ConeDraw, n_vertices: int) -> Polyhedron:
@@ -140,14 +167,12 @@ def rand_upward_polyhedron(rng: Rng, draw: ConeDraw, n_vertices: int) -> Polyhed
 
 def rand_relative_interior_point(rng: Rng, poly: Polyhedron) -> Vec:
     """Strict convex combination of all vertices plus strictly positive ray mass."""
-    lam = rand_convex_coefficients(rng, len(poly.vertices), strict=True)
-    point = tuple(
-        sum(c * v[i] for c, v in zip(lam, poly.vertices.points))
-        for i in range(poly.vertices.dimension)
-    )
-    for r in poly.rays:
-        point = vadd(point, vscale(rand_positive_frac(rng), r))
-    return point
+    terms = [_weighted(rng, poly.vertices.integer_view, strict=True)]
+    rays = poly.ray_view
+    for r in rays.points:
+        c = rand_positive_frac(rng)
+        terms.append((c.denominator * rays.scale, [c.numerator * x for x in r]))
+    return _combination(terms, poly.dimension)
 
 
 def lowered_below(
@@ -210,16 +235,14 @@ def rand_bounded_disjoint_pair(
 
 def rand_cone_member(rng: Rng, cone: Cone, strict: bool = True) -> Vec:
     """Certificate-backed member: explicit nonnegative combination of generators."""
-    coeffs = [
-        Fraction(rng.randint(1 if strict else 0, 6), rng.choice(DENOMINATORS))
-        for _ in cone.generators
-    ]
+    coeffs = [_FRACTIONS[rng.randint(1 if strict else 0, 6), rng.choice(DENOMINATORS)] for _ in cone.generators]
     if strict and all(c == 0 for c in coeffs):
         coeffs[rng.randrange(len(coeffs))] = ONE
-    out = tuple(ZERO for _ in range(cone.dimension))
-    for c, g in zip(coeffs, cone.generators):
-        out = vadd(out, vscale(c, g))
-    return out
+    view = cone.generator_view
+    return _combination(
+        [(c.denominator * view.scale, [c.numerator * x for x in g]) for c, g in zip(coeffs, view.points)],
+        cone.dimension,
+    )
 
 
 def rand_utility_table(rng: Rng, ground: FinitePointSet) -> dict[Vec, Fraction]:

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
+from operator import add
 from typing import Iterable, Sequence
 
 from .cones import Cone, ConeOrder, Facets, cone_contains, cone_facets, k_closure
@@ -176,8 +177,31 @@ class DecomposableSet:
         return self.summands[0].base.dimension
 
 
+def _sum_of(summands: Sequence[FinitePointSet]) -> FinitePointSet:
+    """Every sum picking one point per summand, in the order of first
+    occurrence over the summands' product (a single summand is returned
+    as it is).
+
+    The sums are formed in integers, over the lcm of the summands' view
+    scales, and deduplicated stage by stage. That keeps the order: the first
+    occurrence of a sum extends the first occurrence of its partial sum.
+    Each distinct point then takes one `Fraction` per coordinate.
+    """
+    if len(summands) == 1:
+        return summands[0]
+    views = [s.integer_view for s in summands]
+    scale = lcm(*(v.scale for v in views))
+    lifted = [[tuple(scale // v.scale * c for c in q) for q in v.points] for v in views]
+    acc: Iterable[tuple[int, ...]] = lifted[0]
+    for points in lifted[1:]:
+        acc = dict.fromkeys(tuple(map(add, p, q)) for p in acc for q in points)
+    return FinitePointSet._of_distinct(tuple(tuple(Fraction(c, scale) for c in p) for p in acc))
+
+
 def minkowski_sum(a: FinitePointSet, b: FinitePointSet) -> FinitePointSet:
-    return FinitePointSet.build(vadd(p, q) for p in a.points for q in b.points)
+    if a.points and b.points and a.dimension != b.dimension:
+        raise ValueError("point dimension mismatch")
+    return _sum_of((a, b))
 
 
 def materialize(d: DecomposableSet) -> FinitePointSet:
@@ -188,10 +212,7 @@ def materialize(d: DecomposableSet) -> FinitePointSet:
         raise LimitError(
             f"sum of {len(d.summands)} chains has up to {count} points, more than the limit of {_MAX_SUM_POINTS}"
         )
-    acc = d.summands[0].base
-    for s in d.summands[1:]:
-        acc = minkowski_sum(acc, s.base)
-    return acc
+    return _sum_of([s.base for s in d.summands])
 
 
 @dataclass(frozen=True)

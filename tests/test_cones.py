@@ -9,12 +9,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conedom.cones
 from conedom.cones import (
     Comparability,
     Cone,
     ConeMembership,
+    _SpanSolver,
     cone_contains,
     cone_membership,
     is_pointed,
@@ -25,7 +28,7 @@ from conedom.cones import (
     _solve_membership,
 )
 from conedom.instances import rand_cone_member, rand_point, rand_pointed_cone
-from conedom.linalg import ZERO, is_zero_vec, vadd, vdot, vsub
+from conedom.linalg import ONE, ZERO, integer_multiple, is_zero_vec, vadd, vdot, vsub
 
 ORTHANT = Cone.build(2, [[1, 0], [0, 1]], True)
 ORTHANT_NO_ZERO = Cone.build(2, [[1, 0], [0, 1]], False)
@@ -344,3 +347,97 @@ class TestIntegerVerdictAgainstTheFractionPath:
             zero_generator = Cone(dim, kinds["zero_generator"], False)
             assert verdict(zero_generator, tuple(F(0) for _ in range(dim)))
         assert min(seen.values()) > 100
+
+
+# --- the elimination against the former Fraction Gauss-Jordan -------------------
+
+
+def reference_span_solver(dimension, generators):
+    """The former `_SpanSolver.__init__`: Gauss-Jordan in `Fraction`s on
+    [G | I], each pivot row divided by its pivot. Returns its six fields
+    (rank, pivots, unique, elim, row_scales, integer_elim)."""
+    n, k = dimension, len(generators)
+    rows = [[generators[j][i] for j in range(k)] + [ONE if t == i else ZERO for t in range(n)] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        sel = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == n:
+            break
+    elim = [tuple(row[k:]) for row in rows]
+    row_scales, integer_elim = zip(*(integer_multiple(e) for e in elim))
+    return r, pivots, r == k, elim, row_scales, integer_elim
+
+
+def span_fields(dimension, generators):
+    solver = _SpanSolver(dimension, generators)
+    return solver.rank, solver.pivots, solver.unique, solver.elim, solver.row_scales, solver.integer_elim
+
+
+ENTRIES = st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6))))
+
+
+@st.composite
+def generator_lists(draw):
+    """Dimension 1-5 and 0-8 generators with `int` and `Fraction` entries:
+    fresh ones, zero ones, repeats, negations and combinations of earlier
+    ones, and sometimes a coordinate that every generator leaves zero."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    gens = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "negation", "combination") if gens else ("fresh",)))
+        if kind == "fresh":
+            g = tuple(draw(ENTRIES) for _ in range(n))
+        elif kind == "zero":
+            g = (0,) * n
+        else:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            if kind == "repeat":
+                g = a
+            elif kind == "negation":
+                g = tuple(-x for x in a)
+            else:
+                u, w = draw(st.integers(-3, 3)), draw(ENTRIES)
+                g = tuple(u * x + w * y for x, y in zip(a, b))
+        gens.append(g)
+    if gens and draw(st.booleans()):
+        blank = draw(st.integers(0, n - 1))
+        gens = [g[:blank] + (0,) + g[blank + 1 :] for g in gens]
+    return n, gens
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=generator_lists())
+# A negative determinant (-13) and a left-null row over the scale s = 6.
+@example(case=(3, [(F(-1, 2), F(1, 3), 0), (F(1, 3), F(1, 2), 0)]))
+@example(case=(1, []))
+def test_the_elimination_matches_the_fraction_gauss_jordan(case):
+    n, gens = case
+    assert span_fields(n, gens) == reference_span_solver(n, gens)
+
+
+def test_the_elimination_matches_on_every_cone_kind():
+    # KINDS lives in test_order_coordinates, which imports this module.
+    from test_order_coordinates import KINDS, above_the_work_bound
+
+    rng = random.Random(20261020)
+    for _ in range(20):
+        dim = rng.randint(2, 5)
+        cones = [make(rng, dim, rng.random() < 0.5) for make, _ in KINDS.values()]
+        cones += [Cone(dim, gens, True) for gens in _cone_kinds(rng, dim, True).values()]
+        cones.append(above_the_work_bound(rng))
+        for cone in cones:
+            # The generators, and their integer view as `cone_facets` reduces it.
+            for gens in (cone.generators, cone.generator_view.points):
+                assert span_fields(cone.dimension, gens) == reference_span_solver(cone.dimension, gens)

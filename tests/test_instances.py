@@ -8,7 +8,9 @@ are disjoint) get their own direct tests here.
 import random
 from fractions import Fraction as F
 
-from conedom.cones import Comparability, Cone, cone_contains, is_pointed, k_closure, relate
+import pytest
+
+from conedom.cones import Comparability, Cone, cone_contains, is_pointed, k_closure, relate, with_origin
 from conedom.instances import (
     DENOMINATORS,
     NUMERATORS,
@@ -18,17 +20,19 @@ from conedom.instances import (
     rand_cone_member,
     rand_convex_coefficients,
     rand_decomposable,
+    rand_direction,
     rand_disjoint_pair,
     rand_frac,
     rand_hull_point,
     rand_point,
     rand_pointed_cone,
+    rand_positive_frac,
     rand_relative_interior_point,
     rand_upward_polyhedron,
 )
-from conedom.linalg import hull_membership, vdot
+from conedom.linalg import ONE, ZERO, hull_membership, vadd, vdot, vscale
 from conedom.separation import hulls_disjoint
-from conedom.sets import ChainSet, FinitePointSet, in_relative_interior, is_chain, materialize
+from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, in_relative_interior, is_chain, materialize
 
 
 def test_rand_frac_respects_the_pinned_distribution():
@@ -158,3 +162,152 @@ def test_rand_bounded_disjoint_pair_is_disjoint_and_bounded():
         x, y, _ = rand_bounded_disjoint_pair(rng, 2, 3, 4)
         assert y.rays == ()
         assert hulls_disjoint(x, y.vertices).disjoint
+
+
+# --- the draws against their former Fraction code -------------------------------
+
+
+def reference_rand_frac(rng):
+    return F(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+
+
+def reference_rand_positive_frac(rng):
+    return F(rng.randint(1, 9), rng.choice(DENOMINATORS))
+
+
+def reference_rand_point(rng, dimension):
+    return tuple(reference_rand_frac(rng) for _ in range(dimension))
+
+
+def reference_rand_direction(rng, dimension):
+    return tuple(reference_rand_positive_frac(rng) for _ in range(dimension))
+
+
+def reference_rand_pointed_cone(rng, dimension, contains_zero):
+    """The former `rand_pointed_cone`, with its guard test in `Fraction`s."""
+    guard = reference_rand_direction(rng, dimension)
+    while True:
+        gens = []
+        for _ in range(dimension):
+            g = reference_rand_point(rng, dimension)
+            s = vdot(guard, g)
+            if s == 0:
+                g = tuple(c + ONE for c in g)
+                s = vdot(guard, g)
+            if s < 0:
+                g = tuple(-c for c in g)
+            gens.append(g)
+        cone = Cone(dimension, tuple(gens), contains_zero)
+        if cone.span_solver.unique:
+            return ConeDraw(cone, guard)
+
+
+def reference_rand_convex_coefficients(rng, k, strict=False):
+    lo = 1 if strict else 0
+    weights = [rng.randint(lo, 9) for _ in range(k)]
+    if sum(weights) == 0:
+        weights[rng.randrange(k)] = 1
+    total = sum(weights)
+    return tuple(F(w, total) for w in weights)
+
+
+def reference_rand_hull_point(rng, d, strict=False):
+    total = None
+    for s in d.summands:
+        pts = s.base.points
+        lam = reference_rand_convex_coefficients(rng, len(pts), strict=strict)
+        part = tuple(sum(c * p[i] for c, p in zip(lam, pts)) for i in range(d.dimension))
+        total = part if total is None else vadd(total, part)
+    return total
+
+
+def reference_rand_relative_interior_point(rng, poly):
+    lam = reference_rand_convex_coefficients(rng, len(poly.vertices), strict=True)
+    point = tuple(
+        sum(c * v[i] for c, v in zip(lam, poly.vertices.points)) for i in range(poly.vertices.dimension)
+    )
+    for r in poly.rays:
+        point = vadd(point, vscale(reference_rand_positive_frac(rng), r))
+    return point
+
+
+def reference_rand_cone_member(rng, cone, strict=True):
+    coeffs = [F(rng.randint(1 if strict else 0, 6), rng.choice(DENOMINATORS)) for _ in cone.generators]
+    if strict and all(c == 0 for c in coeffs):
+        coeffs[rng.randrange(len(coeffs))] = ONE
+    out = tuple(ZERO for _ in range(cone.dimension))
+    for c, g in zip(coeffs, cone.generators):
+        out = vadd(out, vscale(c, g))
+    return out
+
+
+def coordinates(value):
+    """The rationals a draw returns: a value, a vector, or a cone's generators and guard."""
+    if isinstance(value, F):
+        return [value]
+    if isinstance(value, ConeDraw):
+        return [c for v in (*value.cone.generators, value.guard) for c in v]
+    return list(value)
+
+
+def same_draw(seed, ours, theirs, *args):
+    """Both draws from generators seeded alike: equal values, `Fraction`
+    coordinates only, and the same generator state afterwards. A draw that
+    raises must raise the same error on both."""
+    mine, yours = random.Random(seed), random.Random(seed)
+    try:
+        expected = theirs(yours, *args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ours(mine, *args)
+    else:
+        got = ours(mine, *args)
+        assert got == expected, (ours.__name__, seed)
+        assert all(type(c) is F for c in coordinates(got)), ours.__name__
+    assert mine.getstate() == yours.getstate(), (ours.__name__, seed)
+
+
+def stream_inputs(rng, dim):
+    """A sum of 1-3 chains, polyhedra with and without rays (rays of mixed
+    denominators, a zero ray among them), and cones with independent,
+    dependent, zero and no generators."""
+    draw = rand_pointed_cone(rng, dim, rng.random() < 0.5)
+    d = DecomposableSet(tuple(rand_chain(rng, draw, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))))
+    vertices = [rand_point(rng, dim) for _ in range(rng.randint(1, 4))]
+    rays = [rand_point(rng, dim) for _ in range(rng.randint(0, 3))] + [(F(0),) * dim]
+    polyhedra = [
+        rand_upward_polyhedron(rng, draw, rng.randint(1, 4)),
+        Polyhedron.build(vertices),
+        Polyhedron.build(vertices, rays),
+    ]
+    gens = draw.cone.generators
+    cones = [
+        draw.cone,
+        k_closure(draw.cone),
+        with_origin(Cone(dim, gens + (vadd(gens[0], gens[-1]),), False), True),
+        Cone(dim, gens + ((F(0),) * dim,), False),
+        Cone(dim, (), False),
+    ]
+    return d, polyhedra, cones
+
+
+def test_every_draw_keeps_its_values_and_its_random_stream():
+    for seed in range(200):
+        inputs = random.Random(f"stream-{seed}")
+        dim = 1 + seed % 4
+        same_draw(seed, rand_frac, reference_rand_frac)
+        same_draw(seed, rand_positive_frac, reference_rand_positive_frac)
+        same_draw(seed, rand_point, reference_rand_point, dim)
+        same_draw(seed, rand_direction, reference_rand_direction, dim)
+        same_draw(seed, rand_pointed_cone, reference_rand_pointed_cone, dim, seed % 2 == 0)
+        k = 1 + seed % 6
+        for strict in (False, True):
+            same_draw(seed, rand_convex_coefficients, reference_rand_convex_coefficients, k, strict)
+        d, polyhedra, cones = stream_inputs(inputs, max(dim, 2))
+        for strict in (False, True):
+            same_draw(seed, rand_hull_point, reference_rand_hull_point, d, strict)
+        for poly in polyhedra:
+            same_draw(seed, rand_relative_interior_point, reference_rand_relative_interior_point, poly)
+        for cone in cones:
+            for strict in (False, True):
+                same_draw(seed, rand_cone_member, reference_rand_cone_member, cone, strict)

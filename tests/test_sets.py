@@ -12,6 +12,8 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedom.cones import Comparability, Cone, ConeOrder, k_closure, relate
 from conedom.dominance import pareto_optima_finite
@@ -101,6 +103,19 @@ class TestChainAndAntichain:
             assert is_chain(chain.base, chain.cone)
 
 
+def reference_minkowski_sum(a, b):
+    """The former `minkowski_sum`: `Fraction` sums, deduplicated by `build`."""
+    return FinitePointSet.build(vadd(p, q) for p in a.points for q in b.points)
+
+
+def reference_materialize(d):
+    """The former `materialize`: one `reference_minkowski_sum` per summand."""
+    acc = d.summands[0].base
+    for s in d.summands[1:]:
+        acc = reference_minkowski_sum(acc, s.base)
+    return acc
+
+
 class TestMinkowskiAndMaterialize:
     def test_translation(self):
         a = FinitePointSet.build([(0, 0)])
@@ -135,6 +150,52 @@ class TestMinkowskiAndMaterialize:
         assert sets_module._MAX_SUM_POINTS >= 200 * 216
         smaller = DecomposableSet(d.summands[:2])
         assert len(materialize(smaller)) == len({vadd(p, q) for p in d.summands[0].base for q in d.summands[1].base})
+
+    def test_a_sum_above_the_cap_forms_no_point_and_no_integer_view(self, monkeypatch):
+        d = DecomposableSet(tuple(ChainSet.build([(i, 2 * i + s) for i in range(60)], ORTHANT) for s in range(3)))
+
+        def refuse(*args):
+            raise AssertionError("a sum above the cap was started")
+
+        monkeypatch.setattr(sets_module, "integer_points", refuse)
+        monkeypatch.setattr(FinitePointSet, "_of_distinct", refuse)
+        with pytest.raises(LimitError):
+            materialize(d)
+        assert not any("integer_view" in vars(s.base) for s in d.summands)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sums_keep_the_order_of_the_vadd_reference(self, data):
+        # Chains along one direction u, each with its own step and
+        # denominators: most sums coincide.
+        dim = data.draw(st.integers(1, 3))
+        denominators = st.sampled_from((1, 2, 3, 4, 6))
+        rationals = st.builds(F, st.integers(-6, 6), denominators)
+        u = data.draw(st.tuples(*[rationals] * dim).filter(any))
+        chains = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            base = data.draw(st.tuples(*[rationals] * dim))
+            step = data.draw(st.builds(F, st.integers(1, 3), denominators))
+            steps = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6, unique=True))
+            chains.append(ChainSet.build([vadd(base, tuple(k * step * c for c in u)) for k in steps], Cone(dim, (u,), True)))
+        d = DecomposableSet(tuple(chains))
+        expected = reference_materialize(d).points
+        got = materialize(d).points
+        assert got == expected
+        assert all(type(c) is F for p in got for c in p)
+        for a in chains:
+            for b in chains:
+                assert minkowski_sum(a.base, b.base).points == reference_minkowski_sum(a.base, b.base).points
+        # Sets off one line, on a small lattice, still coincide often.
+        a, b = (
+            FinitePointSet.build(data.draw(st.lists(st.tuples(*[rationals] * dim), max_size=8)))
+            for _ in range(2)
+        )
+        assert minkowski_sum(a, b).points == reference_minkowski_sum(a, b).points
+
+    def test_a_sum_of_sets_of_different_dimensions_is_refused(self):
+        with pytest.raises(ValueError):
+            minkowski_sum(FinitePointSet.build([(0, 0)]), FinitePointSet.build([(0, 0, 0)]))
 
     def test_summands_must_share_the_cone(self):
         other = Cone.build(2, [[1, 1]], True)
