@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
-from operator import mul
+from operator import le, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import (
@@ -261,9 +261,18 @@ class Facets(NamedTuple):
         least = 1 if relative_interior else 0
         return all(sum(map(mul, h, x)) >= least for h in self.normals)
 
-    def coordinates(self, x: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(E.x, H.x) for an integer vector x."""
-        return tuple(sum(map(mul, e, x)) for e in self.equations), tuple(sum(map(mul, h, x)) for h in self.normals)
+    def coordinates(self, points: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(E.q, H.q) for each integer vector q of `points`, in order. Each row
+        of E and H is dotted with every point in one pass, and the per-row
+        lists are then zipped back into one pair per point."""
+        return list(zip(_columns(self.equations, points), _columns(self.normals, points)))
+
+
+def _columns(rows: Sequence[Sequence[int]], points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The tuple (r.q for r in rows) for each q in points."""
+    if not rows:
+        return [()] * len(points)
+    return list(zip(*([sum(map(mul, r, q)) for q in points] for r in rows)))
 
 
 def _determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -405,22 +414,28 @@ class ConeOrder:
     falls. Only a cone above the facet work bound (`Cone.facets` None) has
     `coordinates` None and asks `cone_contains` pair by pair, which solves
     its LP.
+
+    The points' integer view (`view`, from `integer_points`) is built once,
+    here, and serves every integer key read from the order: the facet
+    coordinates and the sweep key of `maxima`.
     """
 
     def __init__(self, cone: Cone, points: Sequence[Vec]):
-        if any(len(p) != cone.dimension for p in points):
+        dimension = cone.dimension
+        if any(n != dimension for n in map(len, points)):
             raise ValueError("vector dimension does not match the cone")
         self.cone = cone
         self.points = points
+        self.view = integer_points(points)
         facets = cone.facets
-        self.coordinates = None if facets is None else [facets.coordinates(q) for q in integer_points(points).points]
+        self.coordinates = None if facets is None else facets.coordinates(self.view.points)
 
     def above(self, i: int, j: int) -> bool:
         coords = self.coordinates
         if coords is None:
             return cone_contains(self.cone, vsub(self.points[j], self.points[i]))
         (ei, hi), (ej, hj) = coords[i], coords[j]
-        return ei == ej and all(a <= b for a, b in zip(hi, hj))
+        return ei == ej and all(map(le, hi, hj))
 
     def comparable(self, i: int, j: int) -> bool:
         """Whether point i and point j are ordered one way or the other; the
@@ -434,8 +449,8 @@ class ConeOrder:
         1975), solved by a sorted sweep whenever a key strictly increases
         along the order: on independent generators the sum of the normal
         coordinates (the scaled generator coefficients, not all zero on a
-        nonzero vector of the span), or else phi.p for the cone's
-        `positive_functional` phi (y - x in C minus the origin gives
+        nonzero vector of the span), or else phi.p, read from `view`, for the
+        cone's `positive_functional` phi (y - x in C minus the origin gives
         phi.(y - x) > 0). Points are visited by that key, descending, and a
         point is kept unless a point kept before it lies above it (`above`).
         The order is transitive, and antisymmetric on distinct points (a key
@@ -447,7 +462,7 @@ class ConeOrder:
         if self.cone.span_solver.unique:
             key = [sum(h) for _, h in self.coordinates]
         elif (phi := self.cone.positive_functional) is not None:
-            key = [sum(map(mul, phi, q)) for q in integer_points(self.points).points]
+            key = [sum(map(mul, phi, q)) for q in self.view.points]
         else:
             return [i for i in range(n) if not any(k != i and self.above(i, k) for k in range(n))]
         kept: list[int] = []

@@ -8,9 +8,10 @@ The sampling distribution is pinned so oracle runs are reproducible:
   the open half-space of a strictly positive guard direction, which makes
   them pointed and keeps every membership query on the fast exact-solve
   path;
-- chains are built by sorting a pool of random points along the guard
+- chains are built by walking a pool of random points along the guard
   direction and greedily keeping a subset in which all pairs are
-  comparable.
+  comparable, with one `ConeOrder` on the pool for both the guard keys and
+  the comparisons.
 
 Every generator takes an explicit `random.Random`; identical seeds give
 identical instances. The coordinate draws hand out values from one table of
@@ -29,7 +30,7 @@ from operator import mul
 from typing import Sequence
 
 from .cones import Cone, ConeOrder
-from .linalg import ONE, ZERO, IntegerPoints, Vec, integer_multiple, integer_points, vadd, vdot, vscale
+from .linalg import ONE, ZERO, IntegerPoints, Vec, integer_multiple, vadd, vdot, vscale
 from .sets import (
     ChainSet,
     DecomposableSet,
@@ -127,19 +128,19 @@ def _combination(terms: Sequence[tuple[int, Sequence[int]]], dimension: int) -> 
 
 
 def rand_chain(rng: Rng, draw: ConeDraw, size: int, pool_factor: int = 8) -> ChainSet:
-    """Sort a random pool along the guard, keep a pairwise-comparable subset."""
+    """Walk a random pool along the guard, keep a pairwise-comparable subset."""
     dimension = draw.cone.dimension
     pool = [rand_point(rng, dimension) for _ in range(pool_factor * size)]
-    # guard.p in integers: one positive scale for the guard and one for the pool keep every comparison.
-    _, guard = integer_multiple(draw.guard)
-    keys = [sum(map(mul, guard, q)) for q in integer_points(pool).points]
-    pool = [pool[i] for i in sorted(range(len(pool)), key=keys.__getitem__)]
     order = ConeOrder(draw.cone, pool)
+    # guard.p in integers, read from the order's view of the pool: one positive scale for the guard and one for the
+    # pool keep every comparison.
+    _, guard = integer_multiple(draw.guard)
+    keys = [sum(map(mul, guard, q)) for q in order.view.points]
     kept: list[int] = []
-    for i, p in enumerate(pool):
+    for i in sorted(range(len(pool)), key=keys.__getitem__):
         if len(kept) == size:
             break
-        if all(p != pool[k] and order.comparable(k, i) for k in kept):
+        if all(pool[i] != pool[k] and order.comparable(k, i) for k in kept):
             kept.append(i)
     return ChainSet(FinitePointSet(tuple(pool[k] for k in kept)), draw.cone)
 
@@ -234,10 +235,11 @@ def rand_bounded_disjoint_pair(
 
 
 def rand_cone_member(rng: Rng, cone: Cone, strict: bool = True) -> Vec:
-    """Certificate-backed member: explicit nonnegative combination of generators."""
+    """Certificate-backed member: explicit nonnegative combination of generators,
+    each with a positive coefficient when `strict`."""
+    if strict and not cone.generators:
+        raise ValueError("a strict cone member needs a cone with at least one generator")
     coeffs = [_FRACTIONS[rng.randint(1 if strict else 0, 6), rng.choice(DENOMINATORS)] for _ in cone.generators]
-    if strict and all(c == 0 for c in coeffs):
-        coeffs[rng.randrange(len(coeffs))] = ONE
     view = cone.generator_view
     return _combination(
         [(c.denominator * view.scale, [c.numerator * x for x in g]) for c, g in zip(coeffs, view.points)],

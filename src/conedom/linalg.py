@@ -126,8 +126,20 @@ class IntegerPoints(NamedTuple):
 
 
 def integer_points(points: Sequence[Vec]) -> IntegerPoints:
-    scale = lcm(*(c.denominator for p in points for c in p))
-    return IntegerPoints(scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points))
+    """The points over the lcm of their coordinates' denominators, each point
+    its own tuple of its own length. Every coordinate (`Fraction` or `int`)
+    is read once, through `as_integer_ratio`, into one flat list, which is
+    scaled in one pass and sliced back into points."""
+    ratios = [c.as_integer_ratio() for p in points for c in p]
+    scale = lcm(*{d for _, d in ratios})
+    flat = [n * (scale // d) for n, d in ratios]
+    out = []
+    start = 0
+    for p in points:
+        end = start + len(p)
+        out.append(tuple(flat[start:end]))
+        start = end
+    return IntegerPoints(scale, tuple(out))
 
 
 class LpStatus(Enum):

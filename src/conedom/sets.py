@@ -16,7 +16,7 @@ no rays, not on one line) have no cap: their facets are their edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -95,11 +95,10 @@ def _check_dimensions(points: tuple[Vec, ...]) -> None:
         raise ValueError("point dimension mismatch")
 
 
-def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, Vec] | None:
+def _first_pair(order: ConeOrder, comparable: bool) -> tuple[Vec, Vec] | None:
     """First pair (points i < j, scanned by i, then j) whose comparability
-    in the cone order (`ConeOrder`) is `comparable`."""
-    pts = s.points
-    order = ConeOrder(cone, pts)
+    in the cone order is `comparable`."""
+    pts = order.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if order.comparable(i, j) == comparable:
@@ -109,12 +108,12 @@ def _first_pair(s: FinitePointSet, cone: Cone, comparable: bool) -> tuple[Vec, V
 
 def first_incomparable_pair(s: FinitePointSet, cone: Cone) -> tuple[Vec, Vec] | None:
     """First pair of points that the cone order leaves incomparable."""
-    return _first_pair(s, cone, comparable=False)
+    return _first_pair(ConeOrder(cone, s.points), comparable=False)
 
 
 def first_comparable_pair(s: FinitePointSet, cone: Cone) -> tuple[Vec, Vec] | None:
     """First pair of distinct points that the cone order compares."""
-    return _first_pair(s, cone, comparable=True)
+    return _first_pair(ConeOrder(cone, s.points), comparable=True)
 
 
 def is_chain(s: FinitePointSet, cone: Cone) -> bool:
@@ -129,29 +128,31 @@ def is_antichain(s: FinitePointSet, cone: Cone) -> bool:
 
 @dataclass(frozen=True)
 class ChainSet:
-    """A finite chain of the cone order; validated on construction."""
+    """A finite chain of the cone order; validated on construction.
+
+    `order` is the cone order on the chain's points, built once by the
+    validating scan and kept; its verdicts serve any cone with the chain's
+    generators.
+    """
 
     base: FinitePointSet
     cone: Cone
+    order: ConeOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.base) == 0:
             raise ValueError("a chain needs at least one point")
         if self.base.dimension != self.cone.dimension:
             raise ValueError("chain and cone dimensions differ")
-        bad = first_incomparable_pair(self.base, self.cone)
+        order = ConeOrder(self.cone, self.base.points)
+        bad = _first_pair(order, comparable=False)
         if bad is not None:
             raise ValueError(f"points {bad[0]} and {bad[1]} are incomparable under the cone")
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def build(cls, points: Iterable[Sequence[object]], cone: Cone) -> "ChainSet":
         return cls(FinitePointSet.build(points), cone)
-
-    @cached_property
-    def order(self) -> ConeOrder:
-        """The cone order on the chain's points, built once; its verdicts
-        serve any cone with the chain's generators."""
-        return ConeOrder(self.cone, self.base.points)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,17 @@ def test_rand_cone_member_is_certificate_backed():
         assert cone_contains(closed, w)
 
 
+def test_a_strict_cone_member_of_a_cone_without_generators_is_refused_before_any_draw():
+    for dim, contains_zero in ((1, False), (3, True)):
+        rng = random.Random(8)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="strict cone member needs a cone with at least one generator"):
+            rand_cone_member(rng, Cone(dim, (), contains_zero), strict=True)
+        assert rng.getstate() == state
+        assert rand_cone_member(rng, Cone(dim, (), contains_zero), strict=False) == (F(0),) * dim
+        assert rng.getstate() == state
+
+
 def test_rand_upward_polyhedron_and_interior_points():
     rng = random.Random(8)
     for _ in range(15):

@@ -17,12 +17,13 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedom.linalg import (
     REL_GE,
     REL_LE,
+    IntegerPoints,
     LinearProgram,
     LpResult,
     LpStatus,
@@ -619,3 +620,34 @@ class TestRelativeInterior:
         rays = ((F(1), F(0)),)
         assert relative_interior_membership((F(1), F(0)), vertices, rays)
         assert not relative_interior_membership((F(0), F(0)), vertices, rays)
+
+
+# --- integer views ------------------------------------------------------------
+
+
+def reference_integer_points(points):
+    """The former one-liner: every coordinate read twice, one generator per point."""
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return IntegerPoints(scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points))
+
+
+view_entries = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.builds(F, st.integers(min_value=-10**20, max_value=10**20), st.integers(min_value=1, max_value=12)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(view_entries, max_size=5).map(tuple), max_size=10))
+@example([])
+@example([()])
+@example([(), ()])
+@example([(F(1, 2),), (), (F(1, 3), 4, F(-5, 12)), (0,)])
+@example([(F(1, 4), F(1, 6)), (F(5, 9), F(0))])
+@example([(0, 0), (-3, 7)])
+def test_integer_points_match_the_former_one_liner(points):
+    view = integer_points(points)
+    assert view == reference_integer_points(points)
+    assert type(view) is IntegerPoints and type(view.points) is tuple
+    assert all(type(q) is tuple and len(q) == len(p) for p, q in zip(points, view.points))
+    assert type(view.scale) is int and all(type(x) is int for q in view.points for x in q)

@@ -12,18 +12,26 @@ Pareto optima on a pointed cone with dependent generators sweep by its
 positive functional. Points include ties in the generator-coordinate sum
 and in that functional, denominators 1, 2 and 3, and numerators around 10^20.
 
-The last section checks `cone_contains` itself, which reads the cone's
-facets on dependent generators, against the LP (`_solve_membership`): the
-verdicts, the certificates, the LP kept above the facet work bound, and
-the public entry points against a pairwise LP reference.
+The facet coordinates of a whole list are checked against one dot product
+per point and row, and a non-simplicial sweep against building a second
+integer view. The section on facet verdicts checks `cone_contains` itself,
+which reads the cone's facets on dependent generators, against the LP
+(`_solve_membership`): the verdicts, the certificates, the LP kept above
+the facet work bound, and the public entry points against a pairwise LP
+reference. The last section draws point sets near an antichain (many
+optima) on every cone kind and checks their optima against the pairwise
+reference.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conedom.cones
 from conedom.cones import (
@@ -50,7 +58,7 @@ from conedom.dominance import (
     validate_certificate,
 )
 from conedom.instances import rand_cone_member, rand_hull_point, rand_point, rand_pointed_cone
-from conedom.linalg import integer_multiple, is_zero_vec, vadd, vdot, vneg, vscale, vsub
+from conedom.linalg import integer_multiple, integer_points, is_zero_vec, vadd, vdot, vneg, vscale, vsub
 from conedom.maximals import FiniteRelation, maximals
 from conedom.sets import (
     ChainSet,
@@ -265,6 +273,36 @@ def test_the_coordinate_path_is_taken_exactly_when_the_cone_has_facets(kind):
     over = above_the_work_bound(rng)
     for cone, pts in [*cases(kind, 3), (over, rand_points(rng, over, big=False))]:
         assert (ConeOrder(cone, pts.points).coordinates is None) == (cone.facets is None) == (cone is over)
+
+
+def reference_coordinates(facets, q):
+    """(E.q, H.q) for one integer vector q, one dot product per row."""
+    return tuple(sum(map(mul, e, q)) for e in facets.equations), tuple(sum(map(mul, h, q)) for h in facets.normals)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_list_coordinates_match_the_per_point_reference(kind):
+    for cone, pts in cases(kind):
+        facets = cone.facets
+        view = integer_points(pts.points).points
+        for subset in (view, view[:1], view[::-1], ()):
+            assert facets.coordinates(subset) == [reference_coordinates(facets, q) for q in subset]
+        assert ConeOrder(cone, pts.points).coordinates == facets.coordinates(view)
+
+
+def test_a_nonsimplicial_sweep_builds_one_integer_view(monkeypatch):
+    calls = []
+    real = conedom.cones.integer_points
+    monkeypatch.setattr(conedom.cones, "integer_points", lambda points: calls.append(points) or real(points))
+    for kind in ("nonsimplicial_pointed", "planar_pointed"):
+        for cone, pts in cases(kind, 3):
+            assert cone.facets is not None and cone.positive_functional is not None  # built before the count
+            calls.clear()
+            assert tuple(pts.points[i] for i in ConeOrder(cone, pts.points).maxima()) == ref_optima(pts.points, cone)
+            assert calls == [pts.points]
+            calls.clear()
+            pareto_optima_finite(pts, cone)
+            assert calls == [pts.points]
 
 
 def ref_scan_calls(cone, pts):
@@ -631,3 +669,52 @@ def test_public_entry_points_match_the_pairwise_lp_reference(kind):
             s = FinitePointSet(subset)
             assert pareto_optima_finite(s, cone).points == ref_optima(subset, cone, lp_contains)
             assert is_antichain(s, cone) == (ref_first_pair(subset, cone, True, lp_contains) is None)
+
+
+# --- many optima: points near an antichain ----------------------------------------
+
+
+def level_steps(phi):
+    """Vectors w_j = phi_j e_0 - phi_0 e_j, each with phi.w_j = 0."""
+    dim = len(phi)
+    return [tuple(F(phi[j]) if d == 0 else F(-phi[0]) if d == j else F(0) for d in range(dim)) for j in range(1, dim)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(KINDS)),
+    seed=st.integers(min_value=0, max_value=2**32),
+    dim=st.integers(min_value=2, max_value=4),
+    contains_zero=st.booleans(),
+    data=st.data(),
+)
+def test_optima_of_points_near_an_antichain_match_the_reference(kind, seed, dim, contains_zero, data):
+    """Points on one level of phi, the cone's positive functional where it
+    has one (else a random positive direction), so that on a pointed cone
+    every point is an optimum; then a few of them moved by a cone step or
+    off the level, which makes some points comparable."""
+    make, _ = KINDS[kind]
+    rng = random.Random(seed)
+    cone = make(rng, dim, contains_zero)
+    dim = cone.dimension
+    pointed_phi = cone.positive_functional if cone.generators else None
+    phi = pointed_phi or tuple(rng.randint(1, 5) for _ in range(dim))
+    steps = level_steps(phi)
+    base = rand_point(rng, dim)
+    coefficients = st.lists(st.integers(min_value=-3, max_value=3), min_size=len(steps), max_size=len(steps))
+    level = [
+        reduce(vadd, (vscale(F(a, 2), w) for a, w in zip(combination, steps)), base)
+        for combination in data.draw(st.lists(coefficients, min_size=1, max_size=14))
+    ]
+    pts = list(dict.fromkeys(level))
+    if pointed_phi is not None:
+        assert pareto_optima_finite(FinitePointSet(tuple(pts)), cone).points == tuple(pts)
+    for i in data.draw(st.lists(st.integers(min_value=0, max_value=len(pts) - 1), max_size=4)):
+        if data.draw(st.booleans()) and cone.generators:
+            pts[i] = vadd(pts[i], rand_cone_member(rng, k_closure(cone), strict=False))
+        else:
+            pts[i] = vadd(pts[i], tuple(F(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(dim)))
+    pts = tuple(dict.fromkeys(pts))
+    expected = ref_optima(pts, cone)
+    assert pareto_optima_finite(FinitePointSet(pts), cone).points == expected
+    assert tuple(pts[i] for i in ConeOrder(cone, pts).maxima()) == expected

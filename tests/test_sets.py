@@ -431,3 +431,20 @@ class TestCachedViews:
         line = Cone.build(2, [[1, 0], [-1, 0]], True)
         order = ChainSet.build([(0, 0), (1, 0)], line).order
         assert order.coordinates == ConeOrder(line, order.points).coordinates == [((0,), ()), ((0,), ())]
+
+    def test_a_chain_builds_one_order_and_keeps_it(self, monkeypatch):
+        built = []
+        init = ConeOrder.__init__
+
+        def counting(order, cone, points):
+            built.append(order)
+            init(order, cone, points)
+
+        monkeypatch.setattr(ConeOrder, "__init__", counting)
+        chain = ChainSet.build([(0, 0), (1, 1), (2, 3)], ORTHANT)
+        assert built == [chain.order] and chain.order.points == chain.base.points
+        assert chain == ChainSet.build([(0, 0), (1, 1), (2, 3)], ORTHANT) and "order" not in repr(chain)
+        built.clear()
+        with pytest.raises(ValueError, match=r"points \(.*\) and \(.*\) are incomparable under the cone"):
+            ChainSet.build([(0, 0), (0, 2), (2, 0)], ORTHANT)
+        assert len(built) == 1
