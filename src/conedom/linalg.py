@@ -36,6 +36,18 @@ nonnegative or free) with constraint rows (a_i, rel_i, b_i):
 Pivoting follows Bland's anti-cycling rule (lowest eligible column index
 enters; ratio ties leave by lowest basis column index), so results are a
 deterministic function of the input program.
+
+Before the simplex, `lp_solve` decides by one elimination (`_unique_point`)
+every feasibility program whose feasible set is one point: a zero
+objective, only equations, nonnegative variables, and equations of full
+column rank whose one solution is nonnegative (the shape of most
+decomposition programs). The simplex would end at that same point, and its
+zero cost row gives value 0 and the zero dual, so the result is the
+simplex's, field for field. The elimination takes the simplex's own
+fraction-free row step (`_bareiss_step`). Every refutation (rank-deficient
+equations, inconsistent rows, a negative coordinate) and every other
+program shape comes from the simplex, and `check_certificates` re-checks
+the results of both paths.
 """
 
 from __future__ import annotations
@@ -232,6 +244,14 @@ class LpResult:
 # any of the work it bounds and raises `LimitError`.
 _MAX_PIVOTS = 200_000
 
+# Largest program `lp_solve` accepts, counted as rows x (variables + rows),
+# the size of its simplex tableau without the free-variable columns.
+# Measured largest programs: 16,758 in the tests (126 rows, 7 variables: a
+# proper separator's program over three chains), 176 in the suite and the
+# full-size benchmark (11 rows, 5 variables; 112 on `dominate`, 77 on
+# `pareto`) and 77 in the README examples.
+_MAX_LP_SIZE = 200_000
+
 # Largest grid `maximals.GridDomain.points` builds, counted in O(dimension).
 # The invariance check stores a k-by-k relation matrix over the grid, so
 # this bounds its memory (about 134 MB at the cap); the demand grids of the
@@ -256,8 +276,22 @@ VERIFY_CERTIFICATES = True
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Two-phase exact simplex with Bland's rule. Deterministic."""
-    result = _lp_solve_core(lp)
+    """Two-phase exact simplex with Bland's rule. Deterministic.
+
+    A program of rows x (variables + rows) above `_MAX_LP_SIZE` is refused
+    with `LimitError` before any work. A feasibility program whose feasible
+    set is one point is decided by one elimination (`_unique_point`) instead
+    of the simplex, with the result the simplex gives it; every other
+    program, and every refutation, comes from the simplex.
+    """
+    size = len(lp.rows) * (lp.num_vars + len(lp.rows))
+    if size > _MAX_LP_SIZE:
+        raise LimitError(
+            f"linear program has {len(lp.rows)} rows and {lp.num_vars} variables, "
+            f"size {size}, more than the limit of {_MAX_LP_SIZE}"
+        )
+    lp.validate()
+    result = _unique_point(lp) or _lp_solve_core(lp)
     if VERIFY_CERTIFICATES:
         issues = check_certificates(lp, result)
         if issues:
@@ -265,8 +299,66 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     return result
 
 
+def _bareiss_step(rows: Iterable[list[int]], prow: list[int], j: int, det: int) -> int:
+    """One fraction-free Gauss-Jordan step on pivot row `prow` and column j,
+    in place; returns the new determinant.
+
+    Every row holds integers over the shared positive determinant `det`.
+    Each other row becomes (p*row - row[j]*prow) / det, which clears its
+    column j; the division is exact by Sylvester's identity (Bareiss 1968),
+    and the pivot p = prow[j] is the new determinant. A negative pivot
+    first negates `prow`, so that the determinant stays positive and the
+    sign of every entry over it is the sign of the rational it stands for.
+    """
+    p = prow[j]
+    if p < 0:
+        p = -p
+        prow[:] = [-y for y in prow]
+    for row in rows:
+        if row is prow:
+            continue
+        f = row[j]
+        if f:
+            row[:] = [(p * x - f * y) // det for x, y in zip(row, prow)]
+        elif p != det:
+            row[:] = [p * x // det for x in row]
+    return p
+
+
+def _unique_point(lp: LinearProgram) -> LpResult | None:
+    """The simplex's result on a program whose feasible set is one point,
+    or None when the program is not of that kind.
+
+    Only the feasibility shape that `hull_program` writes qualifies: a zero
+    objective, every row an equation, every variable nonnegative and no
+    more variables than rows. The rows [A | b] are eliminated in integers
+    (`_bareiss_step`). A has full column rank when every column finds a
+    pivot; then Ax = b has at most one solution, b' / det in the last column
+    of the first n rows, and it has one exactly when the rows past the n-th
+    reduce to zero. If that solution is also nonnegative, it is the one
+    feasible point, so it is the simplex's witness; the zero objective
+    keeps the simplex's phase-2 cost row at zero, so its value and its dual
+    are zero too. Every other case (rank-deficient A, inconsistent rows, a
+    negative coordinate) is left to the simplex, whose Farkas vector is the
+    refutation.
+    """
+    n, m = lp.num_vars, len(lp.rows)
+    if n > m or any(lp.objective) or not all(lp.nonneg) or any(rel != REL_EQ for _, rel, _ in lp.rows):
+        return None
+    rows = [[*a, b] for a, _, b in lp.rows]
+    det = 1
+    for j in range(n):
+        r = next((i for i in range(j, m) if rows[i][j]), None)
+        if r is None:
+            return None
+        rows[j], rows[r] = rows[r], rows[j]
+        det = _bareiss_step(rows, rows[j], j, det)
+    if any(row[n] for row in rows[n:]) or any(row[n] < 0 for row in rows[:n]):
+        return None
+    return LpResult(LpStatus.OPTIMAL, ZERO, tuple(Fraction(row[n], det) for row in rows[:n]), (ZERO,) * m)
+
+
 def _lp_solve_core(lp: LinearProgram) -> LpResult:
-    lp.validate()
     m = len(lp.rows)
 
     # Internal columns: a nonnegative variable maps to one column, a free
@@ -363,28 +455,11 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     pivots = 0
 
     def pivot(r: int, j: int) -> None:
-        # M'[i] = (p*M[i] - M[i][j]*M[r]) / det with det' = p, divisions
-        # exact by Sylvester's identity. A negative pivot (only when driving
-        # out an artificial) negates every row so that det stays positive.
         nonlocal pivots, det
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError("simplex pivot limit exceeded")
-        prow = tableau[r]
-        p = prow[j]
-        d = det
-        if p < 0:
-            p = -p
-            prow[:] = [-y for y in prow]
-        for row in (*tableau, *costs):
-            if row is prow:
-                continue
-            f = row[j]
-            if f:
-                row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
-            elif p != d:
-                row[:] = [p * x // d for x in row]
-        det = p
+        det = _bareiss_step((*tableau, *costs), tableau[r], j, det)
         basis[r] = j
 
     def run_phase(cost: list[int], allowed: int) -> int | None:

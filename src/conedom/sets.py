@@ -11,7 +11,9 @@ keeps one for its dominance scans. A polyhedron's containment and
 relative-interior verdicts are integer dot products with the facets of its
 homogenized cone (`Polyhedron.facets`), built once on first use; above the
 facet routine's candidate cap they stay one LP per point. Polygons (2-D,
-no rays, not on one line) have no cap: their facets are their edges.
+no rays, not on one line) have no cap: their facets are their edges. The
+same monotone chain gives a planar set's convex hull without an LP; in
+other dimensions `convex_hull` asks one LP per point.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .cones import Cone, ConeOrder, Facets, cone_contains, cone_facets, k_closure
+from .cones import Cone, ConeOrder, Facets, _hull_edges, cone_contains, cone_facets, k_closure
 from .linalg import (
     _MAX_SUM_POINTS,
     IntegerPoints,
@@ -284,19 +286,25 @@ def in_relative_interior(p: Polyhedron, point: Vec) -> bool:
 
 
 def convex_hull(s: FinitePointSet) -> Polyhedron:
-    """Bounded hull of a finite set: keep exactly the extreme points.
+    """Bounded hull of a finite set: keep exactly the extreme points, in
+    input order.
 
-    A point is extreme iff it is outside the hull of the others, so one
-    membership program per point decides the vertex list.
+    In the plane the extreme points are the ends of the hull's edges
+    (`cones._hull_edges`, Andrew's monotone chain on the integer view, which
+    drops points on an edge), found in O(n log n) without an LP; points on
+    one line keep their two ends. In any other dimension a point is extreme
+    iff it is outside the hull of the others, so one membership program per
+    point decides the vertex list.
     """
     pts = s.points
     if len(pts) == 1:
         return Polyhedron(s, ())
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not hull_membership(p, others).member:
-            keep.append(p)
+    if s.dimension == 2:
+        view = s.integer_view.points
+        ends = {a for a, _ in _hull_edges(view)}
+        keep = [p for p, q in zip(pts, view) if q in ends]
+    else:
+        keep = [p for i, p in enumerate(pts) if not hull_membership(p, pts[:i] + pts[i + 1 :]).member]
     if not keep:  # all points coincide after deduplication; cannot happen
         raise RuntimeError("hull lost every point")
     return Polyhedron(FinitePointSet._of_distinct(tuple(keep)), ())

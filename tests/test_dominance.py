@@ -7,6 +7,7 @@ and the integer certificate check are compared with the `Fraction`
 recursion and validator they replaced, kept here as references.
 """
 
+import importlib
 import random
 import re
 from dataclasses import replace
@@ -489,6 +490,37 @@ class TestDominatingElement:
             cert = dominating_element(y, d)
             assert validate_certificate(cert, d) == []
             assert cert.witness in materialize(d).points
+
+    def test_the_presolve_and_the_simplex_give_the_same_certificates(self, monkeypatch):
+        # Decomposition programs with one feasible point are decided by the
+        # presolve in `lp_solve`; with it turned off, the simplex must give
+        # the same certificates and the same refutations.
+        linalg = importlib.import_module("conedom.linalg")
+        presolve = linalg._unique_point
+        hits = []
+
+        def counted(lp):
+            res = presolve(lp)
+            hits.append(res is not None)
+            return res
+
+        def run(rng):
+            out = []
+            for _ in range(40):
+                dim = rng.choice((2, 3))
+                d = rand_decomposable(rng, rand_pointed_cone(rng, dim, True), rng.randint(1, 3), 3)
+                y = rand_hull_point(rng, d) if rng.random() < 0.8 else rand_point(rng, dim)
+                try:
+                    out.append(dominating_element(y, d))
+                except OutsideHullError as exc:
+                    out.append((exc.functional, exc.offsets))
+            return out
+
+        monkeypatch.setattr(linalg, "_unique_point", counted)
+        with_presolve = run(random.Random(29))
+        monkeypatch.setattr(linalg, "_unique_point", lambda lp: None)
+        assert run(random.Random(29)) == with_presolve
+        assert any(hits) and not all(hits)
 
     def test_tampered_certificates_are_rejected(self):
         c1 = ChainSet.build([(0, 0), (2, 3)], ORTHANT)

@@ -8,12 +8,13 @@ follow: a golden corpus of exact results (`tests/make_lp_corpus.py`) and
 a brute-force vertex enumeration that does not depend on the pivot rule.
 """
 
+import importlib
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedom.linalg import (
+    _MAX_LP_SIZE,
     REL_GE,
     REL_LE,
     IntegerPoints,
+    LimitError,
     LinearProgram,
     LpResult,
     LpStatus,
     Vec,
     ZERO,
+    _lp_solve_core,
+    _unique_point,
     check_certificates,
     hull_membership,
     integer_points,
@@ -41,6 +46,8 @@ fractions3 = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_rationals = st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3))
 
 LP_CORPUS = Path(__file__).parent / "data" / "lp_corpus.json"
+
+linalg_module = importlib.import_module("conedom.linalg")
 
 
 class TestLpSolve:
@@ -651,3 +658,177 @@ def test_integer_points_match_the_former_one_liner(points):
     assert type(view) is IntegerPoints and type(view.points) is tuple
     assert all(type(q) is tuple and len(q) == len(p) for p, q in zip(points, view.points))
     assert type(view.scale) is int and all(type(x) is int for q in view.points for x in q)
+
+
+# --- the unique-point presolve --------------------------------------------------
+
+
+def _column_rank(rows: list[list[F]], n: int) -> int:
+    """Rank of the first n columns by `Fraction` elimination."""
+    m = [list(r[:n]) for r in rows]
+    rank = 0
+    for c in range(n):
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c] / m[rank][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+presolve_entries = st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=12))
+presolve_nonzero = presolve_entries.filter(bool)
+presolve_coordinates = st.builds(F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=12))
+PRESOLVE_SHAPES = ("unique", "negative", "inconsistent", "deficient", "redundant")
+
+
+@st.composite
+def feasibility_programs(draw):
+    """(program, shape, A, x0): equations A x = b over nonnegative x with a
+    zero objective and at least as many rows as variables, b = A x0 before
+    the shape's change. Shapes: a nonnegative x0 ("unique"), a negative
+    coordinate in x0, one right-hand side moved off A x0 ("inconsistent"),
+    one column a combination of the others ("deficient"), and scaled copies
+    of rows appended ("redundant"). Any row may be negated, so right-hand
+    sides of both signs appear."""
+    shape = draw(st.sampled_from(PRESOLVE_SHAPES))
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=n, max_value=n + 2))
+    a = [[draw(presolve_entries) for _ in range(n)] for _ in range(m)]
+    if shape == "deficient":
+        c0, c1 = draw(presolve_entries), draw(presolve_entries)
+        for row in a:
+            row[-1] = c0 * row[0] + c1 * row[1] if n > 2 else c0 * row[0] if n > 1 else ZERO
+    x0 = [draw(presolve_coordinates) for _ in range(n)]
+    if shape == "negative":
+        x0[draw(st.integers(min_value=0, max_value=n - 1))] = -draw(presolve_coordinates.filter(bool))
+    b = [vdot(tuple(row), tuple(x0)) for row in a]
+    if shape == "redundant":
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            k, c = draw(st.integers(min_value=0, max_value=m - 1)), draw(presolve_nonzero)
+            a.append([c * x for x in a[k]])
+            b.append(c * b[k])
+    if shape == "inconsistent":
+        b[draw(st.integers(min_value=0, max_value=len(b) - 1))] += draw(presolve_nonzero)
+    for i in range(len(a)):
+        if draw(st.booleans()):
+            a[i], b[i] = [-x for x in a[i]], -b[i]
+    lp = LinearProgram.build([0] * n, draw(st.booleans()), [(row, "=", bi) for row, bi in zip(a, b)])
+    return lp, shape, a, x0
+
+
+def _fields_are_fractions(res: LpResult) -> bool:
+    numbers = [res.value] + [c for v in (res.witness, res.dual, res.farkas, res.ray) if v is not None for c in v]
+    return all(type(c) is F for c in numbers if c is not None)
+
+
+class TestUniquePointPresolve:
+    """`lp_solve` decides a feasibility program with one feasible point by
+    one elimination; its result must be the simplex's, field for field."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(feasibility_programs())
+    def test_the_presolve_gives_the_simplex_result(self, case):
+        lp, shape, a, x0 = case
+        got, simplex = lp_solve(lp), _lp_solve_core(lp)
+        assert got == simplex
+        assert _fields_are_fractions(got) and _fields_are_fractions(simplex)
+        full_rank = _column_rank(a, lp.num_vars) == lp.num_vars
+        hit = _unique_point(lp)
+        if shape in ("unique", "redundant"):
+            # b = A x0 with x0 >= 0: a hit exactly when A has full column rank.
+            assert (hit is not None) == full_rank
+            assert got.status is LpStatus.OPTIMAL
+            if full_rank:
+                assert got.witness == tuple(x0) and got.dual == (ZERO,) * len(lp.rows) and got.value == 0
+        elif shape in ("negative", "deficient"):
+            assert hit is None
+        if hit is not None:
+            assert hit == simplex
+
+    @staticmethod
+    def _square_with_a_third_row(objective=(0, 0), nonneg=None, relation="="):
+        # x = 1, y = 2 is the one solution of the three equations.
+        rows = [([1, 0], "=", 1), ([0, 1], "=", 2), ([1, 1], relation, 3)]
+        return LinearProgram.build(list(objective), True, rows, nonneg)
+
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            _square_with_a_third_row(objective=(1, 0)),
+            _square_with_a_third_row(nonneg=[True, False]),
+            _square_with_a_third_row(relation="<="),
+        ],
+        ids=["nonzero objective", "free variable", "inequality row"],
+    )
+    def test_a_program_of_another_shape_goes_to_the_simplex(self, lp):
+        assert _unique_point(lp) is None
+        res = lp_solve(lp)
+        assert res == _lp_solve_core(lp) and _fields_are_fractions(res)
+        assert res.status is LpStatus.OPTIMAL and res.witness == (F(1), F(2))
+
+    def test_the_eligible_square_program_is_a_hit(self):
+        lp = self._square_with_a_third_row()
+        assert _unique_point(lp) == _lp_solve_core(lp) == LpResult(
+            LpStatus.OPTIMAL, ZERO, (F(1), F(2)), (ZERO, ZERO, ZERO)
+        )
+
+    def test_a_negative_pivot_keeps_the_determinant_positive(self):
+        # -2x = -1 and 4x = 2: the one pivot is -2, so without the sign fix
+        # the determinant would end at -2 and x = 1/2 would read as negative.
+        # -2x = 1 and 4x = -2 have the one solution x = -1/2 < 0.
+        hit = LinearProgram.build([0], True, [([-2], "=", -1), ([4], "=", 2)])
+        miss = LinearProgram.build([0], True, [([-2], "=", 1), ([4], "=", -2)])
+        assert _unique_point(hit) == _lp_solve_core(hit) == LpResult(LpStatus.OPTIMAL, ZERO, (F(1, 2),), (ZERO, ZERO))
+        assert _unique_point(miss) is None
+        assert lp_solve(miss).status is LpStatus.INFEASIBLE
+
+    def test_a_hit_never_runs_the_simplex_and_a_miss_runs_it_once(self, monkeypatch):
+        calls = []
+
+        def counted(lp):
+            calls.append(lp)
+            return _lp_solve_core(lp)
+
+        monkeypatch.setattr(linalg_module, "_lp_solve_core", counted)
+        unique = self._square_with_a_third_row()
+        inconsistent = LinearProgram.build([0, 0], True, [([1, 0], "=", 1), ([0, 1], "=", 2), ([1, 1], "=", 4)])
+        deficient = LinearProgram.build([0, 0], True, [([1, 1], "=", 1), ([2, 2], "=", 2)])
+        negative = LinearProgram.build([0], True, [([1], "=", -1), ([2], "=", -2)])
+        others = [
+            self._square_with_a_third_row(objective=(1, 0)),
+            self._square_with_a_third_row(nonneg=[True, False]),
+            self._square_with_a_third_row(relation="<="),
+            LinearProgram.build([0, 0, 0], True, [([1, 1, 1], "=", 1)]),  # more variables than rows
+        ]
+        assert lp_solve(unique).status is LpStatus.OPTIMAL and calls == []
+        for lp in [inconsistent, deficient, negative, *others]:
+            calls.clear()
+            lp_solve(lp)
+            assert calls == [lp]
+
+
+class TestProgramSizeCap:
+    @staticmethod
+    def _program(rows: int, variables: int) -> LinearProgram:
+        row = ((1,) * variables, "=", 1)
+        return LinearProgram(variables, (ZERO,) * variables, True, (row,) * rows, (True,) * variables)
+
+    def test_a_program_just_over_the_cap_is_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise RuntimeError("reached the solver")
+
+        for name in ("_unique_point", "_bareiss_step", "_lp_solve_core"):
+            monkeypatch.setattr(linalg_module, name, no_work)
+        rows = isqrt(_MAX_LP_SIZE) // 2
+        variables = -(-(_MAX_LP_SIZE + 1) // rows) - rows
+        assert rows * (variables + rows) > _MAX_LP_SIZE >= rows * (variables - 1 + rows)
+        with pytest.raises(LimitError, match=f"more than the limit of {_MAX_LP_SIZE}"):
+            lp_solve(self._program(rows, variables))
+        # One variable fewer is at or under the cap and reaches the presolve.
+        with pytest.raises(RuntimeError, match="reached the solver"):
+            lp_solve(self._program(rows, variables - 1))

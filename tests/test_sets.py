@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conedom.cones import Comparability, Cone, ConeOrder, k_closure, relate
 from conedom.dominance import pareto_optima_finite
 from conedom.instances import rand_chain, rand_point, rand_pointed_cone
-from conedom.linalg import LimitError, vadd
+from conedom.linalg import LimitError, hull_membership, vadd
 from conedom.sets import (
     ChainSet,
     DecomposableSet,
@@ -40,6 +40,7 @@ from conedom.sets import (
 )
 
 sets_module = importlib.import_module("conedom.sets")
+linalg_module = importlib.import_module("conedom.linalg")
 
 ORTHANT = Cone.build(2, [[1, 0], [0, 1]], True)
 
@@ -241,6 +242,89 @@ class TestConvexHull:
             )
             hull = convex_hull(pts)
             assert all(poly_contains(hull, p) for p in pts)
+
+
+def reference_hull_vertices(points):
+    """The LP path of `convex_hull`: keep each point outside the hull of the others."""
+    if len(points) == 1:
+        return points
+    return tuple(p for i, p in enumerate(points) if not hull_membership(p, points[:i] + points[i + 1 :]).member)
+
+
+planar_coordinates = st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
+planar_points = st.tuples(planar_coordinates, planar_coordinates)
+
+
+@st.composite
+def collinear_points(draw):
+    base, direction = draw(planar_points), draw(planar_points.filter(any))
+    steps = draw(st.lists(planar_coordinates, min_size=1, max_size=10))
+    return [tuple(b + t * d for b, d in zip(base, direction)) for t in steps]
+
+
+@st.composite
+def points_on_edges(draw):
+    """Points, then points on the segments between some of them (on the hull's
+    edges among others), shuffled."""
+    corners = draw(st.lists(planar_points, min_size=2, max_size=6))
+    extra = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        a, b = draw(st.sampled_from(corners)), draw(st.sampled_from(corners))
+        t = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+        extra.append(tuple(t * x + (1 - t) * y for x, y in zip(a, b)))
+    return draw(st.permutations(corners + extra))
+
+
+planar_sets = st.one_of(
+    st.lists(planar_points, min_size=1, max_size=12),
+    st.lists(planar_points, min_size=2, max_size=2),
+    collinear_points(),
+    points_on_edges(),
+)
+
+
+def _no_lp(lp):
+    raise RuntimeError("the planar hull solved a linear program")
+
+
+class TestPlanarConvexHull:
+    """In the plane the hull's vertices come from the monotone chain, with
+    no LP, and equal the LP path's vertex tuple, order included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(planar_sets)
+    def test_the_planar_hull_matches_the_lp_path_without_an_lp(self, points):
+        s = FinitePointSet.build(points)
+        expected = reference_hull_vertices(s.points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg_module, "lp_solve", _no_lp)
+            hull = convex_hull(s)
+        assert hull.vertices.points == expected
+        assert hull.rays == ()
+
+    def test_eighty_collinear_points_keep_their_two_ends(self):
+        order = list(range(80))
+        random.Random(13).shuffle(order)
+        s = FinitePointSet.build([(F(k, 3), F(2 * k, 3) - 1) for k in order])
+        expected = reference_hull_vertices(s.points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg_module, "lp_solve", _no_lp)
+            hull = convex_hull(s)
+        assert hull.vertices.points == expected
+        assert set(expected) == {(F(0), F(-1)), (F(79, 3), F(155, 3))}
+
+    def test_a_hull_in_three_dimensions_keeps_one_lp_per_point(self, monkeypatch):
+        calls = []
+        solve = linalg_module.lp_solve
+
+        def counted(lp):
+            calls.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(linalg_module, "lp_solve", counted)
+        s = FinitePointSet.build([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (F(1, 4), F(1, 4), F(1, 4))])
+        assert convex_hull(s).vertices.points == s.points[:4]
+        assert len(calls) == 5
 
 
 class TestPolyhedron:
