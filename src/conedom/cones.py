@@ -28,9 +28,11 @@ per cone).
 
 For independent generators `Cone.facets` are the elimination's own rows.
 Otherwise they are `cone_facets`: the left-null rows of the same
-elimination and one normal per facet, found among the cofactor vectors of
-the (rank - 1)-subsets of the generators and re-checked against every
-generator. The homogenized cone of a polygon takes its normals from the
+elimination and one normal per facet, found among the null vectors of the
+(rank - 1)-subsets of the generators stacked with those rows, and
+re-checked against every generator. The generators and each subset are
+eliminated by the same routine, `linalg._eliminate`, which the LP presolve
+runs too. The homogenized cone of a polygon takes its normals from the
 polygon's edges instead, found by Andrew's monotone chain in integers, with
 no elimination and no work bound. `Polyhedron.facets` holds them for a
 polyhedron's homogenized cone, whose relative-interior and containment
@@ -54,6 +56,7 @@ from .linalg import (
     IntegerPoints,
     LpStatus,
     Vec,
+    _eliminate,
     fvec,
     hull_program,
     integer_multiple,
@@ -157,9 +160,9 @@ class _SpanSolver:
     unique generator coefficients (the first rank rows); a nonzero
     left-null row is a separating functional.
 
-    E is found without fractions (Edmonds 1967; Bareiss 1968): Gauss-Jordan
-    on the integer matrix [G' | s I], for G' the generators times s, the
-    lcm of their denominators, with every row kept over the determinant
+    E is found without fractions by `_eliminate`: Gauss-Jordan on the
+    integer matrix [G' | s I], for G' the generators times s, the lcm of
+    their denominators, with every row kept over the positive determinant
     det of the pivots so far. Pivots are chosen as on the rationals (the
     first nonzero entry at or below the current row), so the pivot rows of
     the result are det times those of E, and its left-null rows det * s
@@ -174,36 +177,15 @@ class _SpanSolver:
         self.view = integer_points(generators)
         s, g = self.view
         rows = [[g[j][i] for j in range(k)] + [s if t == i else 0 for t in range(n)] for i in range(n)]
-        pivots: list[tuple[int, int]] = []
-        r, det = 0, 1
-        for c in range(k):
-            sel = next((i for i in range(r, n) if rows[i][c]), None)
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            top = rows[r]
-            p = top[c]
-            # Every division is exact: each entry is a minor of [G' | s I].
-            for i in range(n):
-                if i != r:
-                    f = rows[i][c]
-                    rows[i] = [(p * x - f * y) // det for x, y in zip(rows[i], top)]
-            det = p
-            pivots.append((r, c))
-            r += 1
-            if r == n:
-                break
-        self.rank = r
-        self.pivots = pivots
+        self.pivots, det = _eliminate(rows, k)
+        self.rank = r = len(self.pivots)
         self.unique = r == k
         # Row i of E is rows[i][k:] over det (pivot rows) or det * s (left-null
-        # rows); its positive lcm is that denominator over the row's gcd with it.
+        # rows); its lcm is that denominator over the row's gcd with it.
         scaled = []
         for i, row in enumerate(rows):
             denominator = det if i < r else det * s
             unit = gcd(denominator, *row[k:])
-            if denominator < 0:
-                unit = -unit
             scaled.append((denominator // unit, tuple(x // unit for x in row[k:])))
         self.row_scales, self.integer_elim = zip(*scaled)
         self.dimension = dimension
@@ -217,10 +199,11 @@ class _SpanSolver:
     def facets(self) -> "Facets | None":
         """The cone's `Facets`, built on first use: for independent generators
         the rows of E itself (see `Facets`), else `cone_facets` of the
-        generators over one common denominator, None above `_MAX_FACET_WORK`."""
+        generators over one common denominator, which reads this solver's
+        rank and left-null rows; None above `_MAX_FACET_WORK`."""
         if self.unique:
             return Facets(self.integer_elim[self.rank :], self.integer_elim[: self.rank])
-        return cone_facets(self.dimension, self.view.points)
+        return cone_facets(self.dimension, self.view.points, self)
 
     def image(self, q: Sequence[int]) -> tuple[int, ...]:
         """E.q for an integer vector q, with each row of E scaled by its own
@@ -230,10 +213,11 @@ class _SpanSolver:
 
 # `cone_facets` gives up, and its callers keep their LP, when the number of
 # (rank - 1)-subsets of the generators times dimension**3 exceeds this. Each
-# subset costs `dimension` small determinants; timed in dimensions 2-8, that
-# grew as dimension**3. Under the bound a measured build cost at most 9
-# solves of the relative-interior LP (3.2 ms), so a caller who asks about a
-# polyhedron once loses little, and one who asks ten times gains.
+# subset costs one elimination of dimension - 1 rows by dimension columns
+# (`_null_vector`), which grows as dimension**3. Under the bound a measured
+# build cost at most 9 solves of the relative-interior LP (3.2 ms), so a
+# caller who asks about a polyhedron once loses little, and one who asks ten
+# times gains.
 _MAX_FACET_WORK = 2048
 
 
@@ -275,30 +259,25 @@ def _columns(rows: Sequence[Sequence[int]], points: Sequence[Sequence[int]]) -> 
     return list(zip(*([sum(map(mul, r, q)) for q in points] for r in rows)))
 
 
-def _determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free (Bareiss 1968):
-    every entry stays an integer, and each division is exact."""
+def _null_vector(rows: Sequence[Sequence[int]], dimension: int) -> tuple[int, ...] | None:
+    """A nonzero integer vector orthogonal to dimension - 1 integer rows, or
+    None when the rows are linearly dependent.
+
+    After `_eliminate` independent rows have dimension - 1 pivots and one
+    free column. Pivot row (r, c) then reads det * x_c + row_r[free] * x_free
+    = 0, so x_free = det and x_c = -row_r[free] solve every row: the
+    cofactor vector of the rows, up to a nonzero factor.
+    """
     m = [list(row) for row in rows]
-    n, sign, previous = len(m), 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap], sign = m[swap], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
-        previous = m[k][k]
-    return sign * m[-1][-1] if n else 1
-
-
-def _cross(rows: Sequence[Sequence[int]], dimension: int) -> tuple[int, ...]:
-    """The cofactor vector of dimension - 1 integer rows: orthogonal to each
-    row, and zero exactly when the rows are linearly dependent."""
-    return tuple(
-        (-1) ** j * _determinant([row[:j] + row[j + 1 :] for row in rows]) for j in range(dimension)
-    )
+    pivots, det = _eliminate(m, dimension)
+    if len(pivots) < dimension - 1:
+        return None
+    free = next((i for i, (_, c) in enumerate(pivots) if c != i), dimension - 1)
+    h = [0] * dimension
+    h[free] = det
+    for r, c in pivots:
+        h[c] = -m[r][free]
+    return tuple(h)
 
 
 def _oriented(h: tuple[int, ...], generators: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
@@ -356,16 +335,21 @@ def _polygon_edges(
     return edges if len(edges) >= 3 else None
 
 
-def cone_facets(dimension: int, generators: Sequence[Sequence[int]]) -> Facets | None:
+def cone_facets(
+    dimension: int, generators: Sequence[Sequence[int]], solver: _SpanSolver | None = None
+) -> Facets | None:
     """The equations and facet normals of the cone of integer generators, or
     None when the candidate subsets would cost more than `_MAX_FACET_WORK`.
 
-    A cone of rank r has each facet spanned by r - 1 independent generators
-    on it, so its normals are found among the (r - 1)-subsets: the cofactor
-    vector of a subset with the equations is orthogonal to both, so it lies
-    in the span and vanishes on the subset, and it is zero exactly when the
-    subset is dependent. Such a row is a facet normal exactly when it is
-    one-signed on the generators.
+    The equations are the left-null rows of the generators' elimination:
+    `solver`'s, when the caller has one for these generators, else a new
+    `_SpanSolver`'s. A cone of rank r has each facet spanned by r - 1
+    independent generators on it, so its normals are found among the
+    (r - 1)-subsets: the null vector of a subset stacked with the equations
+    (`_null_vector`) is orthogonal to both, so it lies in the span and
+    vanishes on the subset, and it exists exactly when the subset is
+    independent. Such a row is a facet normal exactly when it is one-signed
+    on the generators.
 
     The homogenized cone of a polygon (`_polygon_edges`) spans R^3, so it
     has no equations and no elimination is needed, and it has one facet per
@@ -379,7 +363,8 @@ def cone_facets(dimension: int, generators: Sequence[Sequence[int]]) -> Facets |
     if edges is not None:
         equations, candidates = (), edges
     else:
-        solver = _SpanSolver(dimension, generators)
+        if solver is None:
+            solver = _SpanSolver(dimension, generators)
         rank = solver.rank
         equations = tuple(solver.integer_elim[rank:])
         if rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
@@ -387,8 +372,8 @@ def cone_facets(dimension: int, generators: Sequence[Sequence[int]]) -> Facets |
         candidates = combinations(generators, rank - 1) if rank else ()
     normals = set()
     for subset in candidates:
-        h = _cross((*subset, *equations), dimension)
-        if any(h) and (oriented := _oriented(h, generators)) is not None:
+        h = _null_vector((*subset, *equations), dimension)
+        if h is not None and (oriented := _oriented(h, generators)) is not None:
             normals.add(oriented)
     facets = Facets(equations, tuple(sorted(normals)))
     for e in facets.equations:

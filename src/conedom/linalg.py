@@ -43,11 +43,13 @@ objective, only equations, nonnegative variables, and equations of full
 column rank whose one solution is nonnegative (the shape of most
 decomposition programs). The simplex would end at that same point, and its
 zero cost row gives value 0 and the zero dual, so the result is the
-simplex's, field for field. The elimination takes the simplex's own
-fraction-free row step (`_bareiss_step`). Every refutation (rank-deficient
-equations, inconsistent rows, a negative coordinate) and every other
-program shape comes from the simplex, and `check_certificates` re-checks
-the results of both paths.
+simplex's, field for field. Every refutation (rank-deficient equations,
+inconsistent rows, a negative coordinate) and every other program shape
+comes from the simplex, and `check_certificates` re-checks the results of
+both paths. That elimination, `_eliminate`, is the package's one
+fraction-free Gauss-Jordan routine: the cone module's span solver and
+facet normals run it too. It takes the simplex's own row step
+(`_bareiss_step`), which keeps the determinant positive.
 """
 
 from __future__ import annotations
@@ -325,6 +327,32 @@ def _bareiss_step(rows: Iterable[list[int]], prow: list[int], j: int, det: int) 
     return p
 
 
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
+    """Fraction-free Gauss-Jordan (Edmonds 1967; Bareiss 1968) over the first
+    `ncols` columns of the integer rows, in place; returns the pivots, as
+    (row, column) pairs in column order, and the positive determinant.
+
+    Each column takes as pivot the first nonzero entry at or below the
+    current row, which is swapped up, and every step is `_bareiss_step`. The
+    rows then hold the reduced row echelon form of the rationals times the
+    determinant: each pivot row has the determinant in its own pivot column
+    and zero in every other one. The elimination stops when the rows run out.
+    """
+    pivots: list[tuple[int, int]] = []
+    det = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        det = _bareiss_step(rows, rows[r], c, det)
+        pivots.append((r, c))
+    return pivots, det
+
+
 def _unique_point(lp: LinearProgram) -> LpResult | None:
     """The simplex's result on a program whose feasible set is one point,
     or None when the program is not of that kind.
@@ -332,7 +360,7 @@ def _unique_point(lp: LinearProgram) -> LpResult | None:
     Only the feasibility shape that `hull_program` writes qualifies: a zero
     objective, every row an equation, every variable nonnegative and no
     more variables than rows. The rows [A | b] are eliminated in integers
-    (`_bareiss_step`). A has full column rank when every column finds a
+    (`_eliminate`). A has full column rank when every column finds a
     pivot; then Ax = b has at most one solution, b' / det in the last column
     of the first n rows, and it has one exactly when the rows past the n-th
     reduce to zero. If that solution is also nonnegative, it is the one
@@ -346,14 +374,8 @@ def _unique_point(lp: LinearProgram) -> LpResult | None:
     if n > m or any(lp.objective) or not all(lp.nonneg) or any(rel != REL_EQ for _, rel, _ in lp.rows):
         return None
     rows = [[*a, b] for a, _, b in lp.rows]
-    det = 1
-    for j in range(n):
-        r = next((i for i in range(j, m) if rows[i][j]), None)
-        if r is None:
-            return None
-        rows[j], rows[r] = rows[r], rows[j]
-        det = _bareiss_step(rows, rows[j], j, det)
-    if any(row[n] for row in rows[n:]) or any(row[n] < 0 for row in rows[:n]):
+    pivots, det = _eliminate(rows, n)
+    if len(pivots) < n or any(row[n] for row in rows[n:]) or any(row[n] < 0 for row in rows[:n]):
         return None
     return LpResult(LpStatus.OPTIMAL, ZERO, tuple(Fraction(row[n], det) for row in rows[:n]), (ZERO,) * m)
 

@@ -335,25 +335,6 @@ def upward_hull(s: FinitePointSet, cone: Cone) -> Polyhedron:
     return Polyhedron(base.vertices, k_closure(cone).generators)
 
 
-def poly_equal(p: Polyhedron, q: Polyhedron) -> bool:
-    """Set equality via mutual containment of vertices and rays."""
-    if p.dimension != q.dimension:
-        return False
-    for v in p.vertices:
-        if not poly_contains(q, v):
-            return False
-    for v in q.vertices:
-        if not poly_contains(p, v):
-            return False
-    for r in p.rays:
-        if not recession_contains(q, r):
-            return False
-    for r in q.rays:
-        if not recession_contains(p, r):
-            return False
-    return True
-
-
 def _lattice_unit(s: FinitePointSet) -> Fraction:
     """Grid pitch inferred from the coordinates: one over the lcm of all
     coordinate denominators (the integer view's scale). Integral data

@@ -422,6 +422,9 @@ def generator_lists(draw):
 # A negative determinant (-13) and a left-null row over the scale s = 6.
 @example(case=(3, [(F(-1, 2), F(1, 3), 0), (F(1, 3), F(1, 2), 0)]))
 @example(case=(1, []))
+# Integer generators whose first pivot (-2) and second one are negative,
+# with a dependent fourth generator.
+@example(case=(3, [(-2, 1, 4), (3, -2, 0), (1, 0, 4), (0, 0, -5)]))
 def test_the_elimination_matches_the_fraction_gauss_jordan(case):
     n, gens = case
     assert span_fields(n, gens) == reference_span_solver(n, gens)

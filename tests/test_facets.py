@@ -10,10 +10,18 @@ vertices and probes. Probes include random points, the vertices, strict
 and boundary combinations, and points just off the affine hull. Polygons,
 whose facets come from the monotone chain of their vertices, are also
 compared with the facets of every pair of vertices.
+
+The last section checks the facet normals themselves against the former
+cofactor path: the null vector of one elimination (`cones._null_vector`)
+against the cofactor vector of D determinants, and `cone_facets` against a
+subset path built on that cofactor, on every cone kind and on lifted
+polyhedra with rays. It also checks that a dependent cone eliminates its
+generators once.
 """
 
 from fractions import Fraction as F
-from math import comb
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +29,10 @@ from hypothesis import strategies as st
 
 import conedom.sets
 from conedom import cones
-from conedom.cones import Facets, cone_facets
+from conedom.cones import Cone, Facets, cone_facets
 from conedom.linalg import hull_membership, relative_interior_membership, vadd, vscale
 from conedom.sets import Polyhedron, in_relative_interior, poly_contains
+from test_cones import reference_span_solver
 
 # --- polyhedra of every kind ----------------------------------------------------
 
@@ -341,3 +350,134 @@ def test_a_wrong_dimension_is_refused():
         poly_contains(p, (F(1), F(0), F(0)))
     with pytest.raises(ValueError, match="dimension"):
         in_relative_interior(p, (F(1),))
+
+
+# --- the null vector against the cofactor ----------------------------------------
+
+
+def reference_determinant(rows):
+    """The former `cones._determinant`: fraction-free (Bareiss 1968), with a
+    row swap on a zero pivot."""
+    m = [list(row) for row in rows]
+    n, sign, previous = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def reference_cross(rows, dimension):
+    """The former `cones._cross`: the cofactor vector of dimension - 1 rows,
+    zero exactly when they are dependent."""
+    return tuple((-1) ** j * reference_determinant([row[:j] + row[j + 1 :] for row in rows]) for j in range(dimension))
+
+
+def reference_cone_facets(dimension, generators):
+    """The former subset path of `cone_facets`, with no work bound: the
+    equations of the `Fraction` Gauss-Jordan, and the cofactor vector of
+    every (rank - 1)-subset stacked with them, kept when one-signed."""
+    rank, *_, integer_elim = reference_span_solver(dimension, generators)
+    equations = tuple(integer_elim[rank:])
+    normals = set()
+    for subset in combinations(generators, rank - 1) if rank else ():
+        h = reference_cross((*subset, *equations), dimension)
+        if any(h) and (oriented := cones._oriented(h, generators)) is not None:
+            normals.add(oriented)
+    return Facets(equations, tuple(sorted(normals)))
+
+
+def primitive(h):
+    return tuple(c // gcd(*h) for c in h)
+
+
+@st.composite
+def short_matrices(draw):
+    """D from 2 to 7 and D - 1 integer rows of length D: fresh rows, zero
+    rows, repeats and combinations of earlier rows, and sometimes a column
+    that every row leaves zero."""
+    d = draw(st.integers(2, 7))
+    entries = st.integers(-9, 9)
+    rows = []
+    for _ in range(d - 1):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "combination") if rows else ("fresh", "zero")))
+        if kind == "fresh":
+            row = [draw(entries) for _ in range(d)]
+        elif kind == "zero":
+            row = [0] * d
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            u, w = (1, 0) if kind == "repeat" else (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+            row = [u * x + w * y for x, y in zip(a, b)]
+        rows.append(row)
+    if draw(st.booleans()):
+        blank = draw(st.integers(0, d - 1))
+        rows = [row[:blank] + [0] + row[blank + 1 :] for row in rows]
+    return d, rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=short_matrices())
+def test_the_null_vector_is_the_cofactor_vector_up_to_sign(case):
+    d, rows = case
+    h, cofactor = cones._null_vector(rows, d), reference_cross(rows, d)
+    assert (h is None) == (not any(cofactor))
+    if h is not None:
+        assert all(sum(a * b for a, b in zip(row, h)) == 0 for row in rows)
+        assert primitive(h) in (primitive(cofactor), tuple(-c for c in primitive(cofactor)))
+
+
+def test_the_null_vector_of_a_few_fixed_matrices():
+    # A zero first entry (the pivot comes from the second row), a free column
+    # in the middle, and a negative first pivot.
+    assert cones._null_vector([[0, 1, 2], [1, 0, 3]], 3) == (-3, -2, 1)
+    assert cones._null_vector([[1, 2, 0], [0, 0, 1]], 3) == (-2, 1, 0)
+    assert cones._null_vector([[-2, 1]], 2) == (1, 2)
+    assert cones._null_vector([[1, 2, 3], [2, 4, 6]], 3) is None
+    assert cones._null_vector([], 1) == (1,)
+
+
+def test_cone_facets_match_the_cofactor_subsets_on_every_cone_kind():
+    # KINDS lives in test_order_coordinates, which imports test_cones.
+    from test_order_coordinates import KINDS, cases
+
+    for kind in KINDS:
+        for cone, _ in cases(kind):
+            generators = cone.generator_view.points
+            expected = reference_cone_facets(cone.dimension, generators)
+            assert cone_facets(cone.dimension, generators) == expected, kind
+            if not cone.span_solver.unique:
+                assert cone.facets == expected, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.one_of(full_dimensional(), planar(), degenerate(), polygons().map(lambda vs: (vs, []))))
+def test_polyhedron_facets_match_the_cofactor_subsets(shape):
+    vertices, rays = shape
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cones, "_MAX_FACET_WORK", 10**9)
+        p = Polyhedron.build(vertices, rays)
+        facets = p.facets
+    vs = p.vertices.integer_view
+    generators = [(*v, vs.scale) for v in vs.points] + [(*r, 0) for r in p.ray_view.points]
+    assert facets == reference_cone_facets(p.dimension + 1, generators)
+
+
+def test_a_dependent_cone_eliminates_its_generators_once(monkeypatch):
+    built = []
+
+    class Counted(cones._SpanSolver):
+        def __init__(self, dimension, generators):
+            built.append(len(generators))
+            super().__init__(dimension, generators)
+
+    monkeypatch.setattr(cones, "_SpanSolver", Counted)
+    cone = Cone.build(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], False)
+    assert cone.facets is not None and not cone.span_solver.unique
+    assert built == [4]

@@ -787,6 +787,18 @@ class TestUniquePointPresolve:
         assert _unique_point(miss) is None
         assert lp_solve(miss).status is LpStatus.INFEASIBLE
 
+    def test_a_pivotless_column_before_the_last_leaves_the_program_to_the_simplex(self, monkeypatch):
+        # Columns 0 and 1 are equal, so column 1 finds no pivot, while column 2
+        # still does: the elimination goes on past the gap, but with two pivots
+        # for three variables it is no hit. The simplex finds a point (1, 0, 1).
+        lp = LinearProgram.build([0, 0, 0], True, [([1, 1, 0], "=", 1), ([2, 2, 1], "=", 3), ([0, 0, 1], "=", 1)])
+        assert _unique_point(lp) is None
+        calls = []
+        monkeypatch.setattr(linalg_module, "_lp_solve_core", lambda lp: calls.append(lp) or _lp_solve_core(lp))
+        res = lp_solve(lp)
+        assert calls == [lp] and res == _lp_solve_core(lp)
+        assert res.status is LpStatus.OPTIMAL and res.witness == (F(1), F(0), F(1))
+
     def test_a_hit_never_runs_the_simplex_and_a_miss_runs_it_once(self, monkeypatch):
         calls = []
 
