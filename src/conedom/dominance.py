@@ -7,15 +7,19 @@ support point lies below it, so each term's difference to it is a cone
 vector, and the cone is convex, so the weighted sum of those differences,
 z - y, is one too. One scan of the support, asked of the chain's cached
 `ConeOrder`, finds the top; Pareto optima are the maxima of that order.
+The mirror, a chain point below y, is the theorem under -C, whose order
+on the chain is that of C read backwards: the same scan finds the bottom.
 Sums of chains reduce to the chain case summand by summand after one
-decomposition program over all coefficient blocks. Certificates are re-checked in
-integers: each block over its own lcm against the summand's integer view.
+decomposition program over all coefficient blocks, in both directions.
+Certificates are re-checked in integers: each block over its own lcm
+against the summand's integer view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .cones import (
@@ -24,7 +28,6 @@ from .cones import (
     cone_contains,
     is_pointed,
     k_closure,
-    negate,
     with_origin,
 )
 from .linalg import (
@@ -188,7 +191,8 @@ def dominating_element_chain(
     `cone` must admit the origin (finitely generated cones here are always
     convex). Coefficients align with the chain's point list, must be
     nonnegative, sum to one and reproduce y exactly; these checks run in
-    integers. z is the top of the coefficients' support (`_support_top`).
+    integers. z is the top of the coefficients' support (`_support_end`) in
+    the chain's cached `order` if `cone` has its generators, else in a new one.
     """
     pts = chain.base.points
     if len(coefficients) != len(pts):
@@ -202,31 +206,31 @@ def dominating_element_chain(
         raise ValueError("coefficients must sum to one")
     if not _reproduces(y, [(scale, ints)], [chain.base]):
         raise ValueError("coefficients do not reproduce the target point")
-    z = _support_top(chain, coefficients, cone)
+    # A one-point support asks the order nothing, so it builds none.
+    own = cone.generators == chain.cone.generators or len(ints) - ints.count(0) == 1
+    z = _support_end(chain.order if own else ConeOrder(cone, pts), coefficients, up=True)
     return z, vsub(z, y)
 
 
-def _support_top(chain: ChainSet, coefficients: Sequence[Fraction], cone: Cone) -> Vec:
-    """The top, in the order of `cone` (which admits the origin), of the chain
-    points with a positive coefficient.
+def _support_end(order: ConeOrder, coefficients: Sequence[Fraction], up: bool) -> Vec:
+    """The top (`up`) or the bottom of the order's points with a positive
+    coefficient.
 
     One scan from the last support point back; a point replaces the best so
-    far only when strictly above it, so among tied tops the last listed
-    wins. The order of distinct points depends on the generators alone, so
-    the chain's cached `order` serves any cone with its generators. An
-    incomparable pair (the points are no chain under `cone`) raises
-    ValueError.
+    far only when strictly past it, so among tied ends the last listed
+    wins. The order's verdicts are on distinct points, where v lies in -C
+    exactly when -v lies in C, so the bottom under C is the top under -C:
+    the scan reads `above` with its arguments swapped. An incomparable pair
+    (the points are no chain under the order's cone) raises ValueError.
     """
-    pts = chain.base.points
+    pts = order.points
     support = [i for i, c in enumerate(coefficients) if c > 0]
     best = support[-1]
-    if len(support) == 1:
-        return pts[best]
-    order = chain.order if cone.generators == chain.cone.generators else ConeOrder(cone, pts)
     for i in reversed(support[:-1]):
-        if order.above(i, best):
+        low, high = (i, best) if up else (best, i)
+        if order.above(low, high):
             continue
-        if not order.above(best, i):
+        if not order.above(high, low):
             raise ValueError(f"points {pts[i]} and {pts[best]} are incomparable under the cone")
         best = i
     return pts[best]
@@ -261,46 +265,37 @@ def decompose_in_hulls(y: Vec, d: DecomposableSet) -> Decomposition:
     return Decomposition(tuple(blocks))
 
 
-def dominating_element(y: Vec, d: DecomposableSet) -> DominationCertificate:
-    """A point of the materialized set dominating y within the closed cone.
-
-    Decomposes y across the summand hulls and sums the top of each block's
-    support (`_support_top`) under the origin-closed cone. The
-    decomposition program's certificate check already holds the blocks to
-    nonnegativity, unit sums and the target, so no summand point is formed.
+def _dominance(y: Vec, d: DecomposableSet, up: bool) -> DominationCertificate:
+    """Decomposes y across the summand hulls and sums one end of each block's
+    support (`_support_end`), read from the summand's cached order. The
+    decomposition program is the same for both directions, and its
+    certificate check already holds the blocks to nonnegativity, unit sums
+    and the target, so no summand point is formed.
     """
     decomposition = decompose_in_hulls(y, d)
-    kc = k_closure(d.cone)
-    witnesses = [
-        _support_top(summand, block, kc) for block, summand in zip(decomposition.blocks, d.summands)
-    ]
-    witness = witnesses[0]
-    for w in witnesses[1:]:
-        witness = vadd(witness, w)
+    witnesses = [_support_end(s.order, block, up) for block, s in zip(decomposition.blocks, d.summands)]
+    witness = reduce(vadd, witnesses)
     return DominationCertificate(
         target=y,
         witness=witness,
-        cone_vector=vsub(witness, y),
+        cone_vector=vsub(witness, y) if up else vsub(y, witness),
         summand_witnesses=tuple(witnesses),
         decomposition=decomposition,
+        direction="witness_dominates" if up else "witness_dominated",
     )
+
+
+def dominating_element(y: Vec, d: DecomposableSet) -> DominationCertificate:
+    """A point z of the materialized set with z - y in the closed cone: the
+    sum of the tops of each block's support (`_dominance`)."""
+    return _dominance(y, d, up=True)
 
 
 def dominated_element(y: Vec, d: DecomposableSet) -> DominationCertificate:
-    """Mirror construction: a materialized point x with y - x in the closed cone."""
-    flipped_cone = negate(d.cone)
-    flipped = DecomposableSet(
-        tuple(ChainSet(s.base, flipped_cone) for s in d.summands)
-    )
-    cert = dominating_element(y, flipped)
-    return DominationCertificate(
-        target=y,
-        witness=cert.witness,
-        cone_vector=vsub(y, cert.witness),
-        summand_witnesses=cert.summand_witnesses,
-        decomposition=cert.decomposition,
-        direction="witness_dominated",
-    )
+    """Mirror construction: a point x of the materialized set with y - x in
+    the closed cone, the sum of the bottoms of each block's support, read
+    from the same cached orders with ties resolved the same way."""
+    return _dominance(y, d, up=False)
 
 
 def pareto_optima_finite(s: FinitePointSet, cone: Cone) -> FinitePointSet:

@@ -49,6 +49,9 @@ DENOMINATORS = (1, 2, 3)
 # Every value n/d with n in NUMERATORS and d in DENOMINATORS, made once.
 _FRACTIONS = {(n, d): Fraction(n, d) for n in NUMERATORS for d in DENOMINATORS}
 
+# Pool points `rand_chain` draws per point it keeps.
+_POOL_FACTOR = 8
+
 
 def rand_frac(rng: Rng) -> Fraction:
     return _FRACTIONS[rng.randint(-9, 9), rng.choice(DENOMINATORS)]
@@ -127,10 +130,10 @@ def _combination(terms: Sequence[tuple[int, Sequence[int]]], dimension: int) -> 
     return tuple(Fraction(t, denominator) for t in total)
 
 
-def rand_chain(rng: Rng, draw: ConeDraw, size: int, pool_factor: int = 8) -> ChainSet:
+def rand_chain(rng: Rng, draw: ConeDraw, size: int) -> ChainSet:
     """Walk a random pool along the guard, keep a pairwise-comparable subset."""
     dimension = draw.cone.dimension
-    pool = [rand_point(rng, dimension) for _ in range(pool_factor * size)]
+    pool = [rand_point(rng, dimension) for _ in range(_POOL_FACTOR * size)]
     order = ConeOrder(draw.cone, pool)
     # guard.p in integers, read from the order's view of the pool: one positive scale for the guard and one for the
     # pool keep every comparison.
@@ -176,15 +179,13 @@ def rand_relative_interior_point(rng: Rng, poly: Polyhedron) -> Vec:
     return _combination(terms, poly.dimension)
 
 
-def lowered_below(
-    target: FinitePointSet, guard: Vec, floor: Fraction, margin: Fraction = ONE
-) -> Vec:
+def lowered_below(target: FinitePointSet, guard: Vec, floor: Fraction) -> Vec:
     """Translation vector pushing every target point strictly below the floor
-    along the guard direction (guard value at most floor - margin)."""
+    along the guard direction (guard value at most floor - 1)."""
     top = max(vdot(guard, p) for p in target.points)
-    if top <= floor - margin:
+    if top <= floor - ONE:
         return tuple(ZERO for _ in guard)
-    shift = (top - (floor - margin)) / vdot(guard, guard)
+    shift = (top - (floor - ONE)) / vdot(guard, guard)
     return vscale(-shift, guard)
 
 

@@ -271,12 +271,6 @@ class LimitError(ValueError):
     """An input larger than a documented cap, refused before any work."""
 
 
-# Every solve re-checks its own result against the certificate conventions
-# above; the check is linear in the tableau size and catches solver bugs at
-# the moment they happen instead of corrupting downstream verdicts.
-VERIFY_CERTIFICATES = True
-
-
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Two-phase exact simplex with Bland's rule. Deterministic.
 
@@ -294,10 +288,12 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         )
     lp.validate()
     result = _unique_point(lp) or _lp_solve_core(lp)
-    if VERIFY_CERTIFICATES:
-        issues = check_certificates(lp, result)
-        if issues:
-            raise RuntimeError(f"solver produced an invalid certificate: {issues[0]}")
+    # Every solve re-checks its own result against the certificate conventions
+    # (`check_certificates`); the check is linear in the tableau size and catches solver bugs at
+    # the moment they happen instead of corrupting downstream verdicts.
+    issues = check_certificates(lp, result)
+    if issues:
+        raise RuntimeError(f"solver produced an invalid certificate: {issues[0]}")
     return result
 
 

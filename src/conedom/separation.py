@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from .cones import Cone, k_closure
-from .dominance import _support_top
+from .cones import Cone
+from .dominance import _support_end
 from .linalg import (
     ONE,
     REL_GE,
@@ -289,8 +289,7 @@ def proper_separator(x: Polyhedron, y: DecomposableSet) -> SeparationResult:
     """
     if not is_upward(x, y.cone):
         raise ValueError("proper separation here requires a first set upward under the chains' cone")
-    kc = k_closure(y.cone)
-    t = reduce(vadd, (_support_top(s, (ONE,) * len(s.base), kc) for s in y.summands))
+    t = reduce(vadd, (_support_end(s.order, (ONE,) * len(s.base), up=True) for s in y.summands))
     if in_relative_interior(x, t):
         raise ValueError(f"point {t} of the second set lies in the relative interior of the first")
     n, summands = x.dimension, _summands(y)

@@ -4,7 +4,8 @@ The chain cases are frozen from hand runs written out in the comments;
 randomized sections re-validate every certificate by direct arithmetic
 and compare optima against brute-force enumeration. The support-top scan
 and the integer certificate check are compared with the `Fraction`
-recursion and validator they replaced, kept here as references.
+recursion and validator they replaced, and `dominated_element` with the
+construction under the negated cone it replaced, kept here as references.
 """
 
 import importlib
@@ -17,7 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedom.cones import Comparability, Cone, cone_contains, k_closure, relate
+from conedom.cones import (
+    Comparability,
+    Cone,
+    ConeOrder,
+    _SpanSolver,
+    cone_contains,
+    k_closure,
+    negate,
+    relate,
+)
 from conedom.dominance import (
     Decomposition,
     OutsideHullError,
@@ -37,7 +47,7 @@ from conedom.instances import (
     rand_pointed_cone,
     rand_point,
 )
-from conedom.linalg import ZERO, vadd, vdot, vscale, vsub, vzero
+from conedom.linalg import ZERO, vadd, vdot, vneg, vscale, vsub, vzero
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, materialize
 
 ORTHANT = Cone.build(2, [[1, 0], [0, 1]], True)
@@ -112,6 +122,16 @@ def reference_validate_certificate(cert, d):
     return errs
 
 
+def reference_dominated_element(y, d):
+    """`dominated_element` as it was before it read each chain's order
+    downward: `dominating_element` on the set rebuilt under the negated
+    cone, with the cone vector and the direction flipped."""
+    flipped_cone = negate(d.cone)
+    flipped = DecomposableSet(tuple(ChainSet(s.base, flipped_cone) for s in d.summands))
+    cert = dominating_element(y, flipped)
+    return replace(cert, cone_vector=vsub(y, cert.witness), direction="witness_dominated")
+
+
 # One cone list per kind. Every kind answers order questions through its
 # facet coordinates; the independent rank-deficient cone's have an
 # equation part.
@@ -153,6 +173,24 @@ def _chain_points(rng, cone, size):
     pts = list(dict.fromkeys(pts))
     rng.shuffle(pts)
     return pts
+
+
+def _tied_chain_points(rng, cone, size):
+    """`_chain_points`, plus, on a cone that holds a line, copies of about
+    half the points moved along it: each copy is tied with its point, in
+    both directions."""
+    pts = _chain_points(rng, cone, size)
+    line = next((g for g in cone.generators if any(g) and vneg(g) in cone.generators), None)
+    if line is not None:
+        pts += [vadd(p, vscale(F(rng.choice((-2, -1, 1, 2))), line)) for p in pts if rng.random() < 0.5]
+        pts = list(dict.fromkeys(pts))
+        rng.shuffle(pts)
+    return pts
+
+
+def _tied_sum(rng, cone, max_points):
+    sizes = [rng.randint(1, max_points) for _ in range(rng.randint(1, 3))]
+    return DecomposableSet(tuple(ChainSet.build(_tied_chain_points(rng, cone, k), cone) for k in sizes))
 
 
 def _coefficients(rng, k):
@@ -544,6 +582,86 @@ class TestDominatingElement:
             direction=cert.direction,
         )
         assert validate_certificate(bad_vector, d) != []
+
+
+class TestDominatedAgainstTheNegatedCone:
+    @pytest.mark.parametrize("kind", sorted(CONE_KINDS))
+    def test_certificates_match_field_for_field(self, kind):
+        rng = random.Random(f"dominated/{kind}")
+        tied = 0
+        for cone in CONE_KINDS[kind]:
+            for _ in range(20):
+                d = _tied_sum(rng, cone, 6)
+                for _ in range(3):
+                    y = rand_hull_point(rng, d)
+                    cert = dominated_element(y, d)
+                    assert cert == reference_dominated_element(y, d)
+                    # A support point other than the summand witness tied with it.
+                    for block, chain, w in zip(cert.decomposition.blocks, d.summands, cert.summand_witnesses):
+                        k = chain.base.points.index(w)
+                        order = chain.order
+                        tied += any(
+                            c > 0 and i != k and order.above(i, k) and order.above(k, i) for i, c in enumerate(block)
+                        )
+        if kind in ("nonpointed", "rank_deficient"):
+            assert tied > 0
+
+    def test_a_target_outside_the_hull_carries_the_same_refutation(self):
+        rng = random.Random("dominated/outside")
+        for cone in ALL_CONES:
+            d = _tied_sum(rng, cone, 4)
+            y = tuple(F(1000 * (k + 1)) for k in range(cone.dimension))
+            with pytest.raises(OutsideHullError) as ours:
+                dominated_element(y, d)
+            with pytest.raises(OutsideHullError) as theirs:
+                reference_dominated_element(y, d)
+            got, expected = ours.value, theirs.value
+            assert (got.target, got.functional, got.offsets) == (expected.target, expected.functional, expected.offsets)
+            assert validate_outside_hull(y, got.functional, got.offsets, d) == []
+
+
+def _count_constructions(patched, *classes):
+    """The names of the given classes, once per construction while `patched`
+    (a monkeypatch context) is open."""
+    built = []
+    for cls in classes:
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        patched.setattr(cls, "__init__", counted)
+    return built
+
+
+class TestDominanceBuildsNothingNew:
+    """On a built set both directions read each summand's cached order:
+    no negated cone, no chain rebuilt under it, no order or elimination of
+    its own, and no origin-closed copy of the cone."""
+
+    def test_dominated_element_builds_no_solver_order_or_chain(self, monkeypatch):
+        rng = random.Random("dominated/constructions")
+        for cone in ALL_CONES:
+            d = _tied_sum(rng, cone, 5)
+            y = rand_hull_point(rng, d)
+            with monkeypatch.context() as patched:
+                built = _count_constructions(patched, _SpanSolver, ConeOrder, ChainSet, Cone)
+                cert = dominated_element(y, d)
+            assert built == []
+            assert validate_certificate(cert, d) == []
+
+    def test_dominating_element_on_a_cone_without_the_origin_builds_no_cone(self, monkeypatch):
+        rng = random.Random("dominating/constructions")
+        strict = [cone for cone in ALL_CONES if not cone.contains_zero]
+        assert strict
+        for cone in strict:
+            d = _tied_sum(rng, cone, 5)
+            y = rand_hull_point(rng, d)
+            with monkeypatch.context() as patched:
+                built = _count_constructions(patched, Cone, _SpanSolver, ConeOrder, ChainSet)
+                cert = dominating_element(y, d)
+            assert built == []
+            assert validate_certificate(cert, d) == []
 
 
 class TestParetoOptima:

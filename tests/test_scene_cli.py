@@ -193,6 +193,40 @@ class TestCliCommands:
         assert tuple(w - t for w, t in zip(witness, target)) == cone_vec
         assert all(c >= 0 for c in cone_vec)
 
+    def test_dominated_direction_with_verification(self, capsys, scene_file):
+        # The bottoms of the blocks' supports are (0,0) in both chains.
+        code, out, _ = run(
+            capsys, "dominate", "--scene", scene_file, "--set", "Y",
+            "--point", "1,3/2", "--direction", "dominated", "--verify",
+        )
+        assert code == 0
+        doc = payload(out)
+        assert doc["verified"] is True
+        assert doc["direction"] == "witness_dominated"
+        assert doc["witness"] == ["0", "0"] and doc["cone_vector"] == ["1", "3/2"]
+
+    def test_dominated_direction_with_the_top_fails_verification(self, capsys, scene_file, monkeypatch):
+        # The top (2,3) labelled as dominated: y - witness = (-1,-3/2) leaves the orthant.
+        def topped(point, dset):
+            cert = dominance.dominating_element(point, dset)
+            return dominance.DominationCertificate(
+                target=cert.target,
+                witness=cert.witness,
+                cone_vector=tuple(t - w for t, w in zip(cert.target, cert.witness)),
+                summand_witnesses=cert.summand_witnesses,
+                decomposition=cert.decomposition,
+                direction="witness_dominated",
+            )
+
+        monkeypatch.setattr(cli, "dominated_element", topped)
+        code, out, err = run(
+            capsys, "dominate", "--scene", scene_file, "--set", "Y",
+            "--point", "1,3/2", "--direction", "dominated", "--verify",
+        )
+        assert code == 1
+        assert payload(out)["verified"] is False
+        assert err == "verification failed: cone vector is outside the closed cone\n"
+
     def test_dominate_outside_hull(self, capsys, scene_file):
         code, out, _ = run(
             capsys, "dominate", "--scene", scene_file, "--set", "Y", "--point", "9,0"
