@@ -576,15 +576,10 @@ def is_pointed(cone: Cone) -> bool:
 
     The positive hull of the generators contains some nonzero v together
     with -v iff some nonzero generator's negation lies in the hull, so one
-    membership query per generator decides pointedness.
+    membership query per generator decides pointedness. Each query is about
+    a nonzero vector, which the origin flag does not decide.
     """
-    probe = k_closure(cone)
-    for g in cone.generators:
-        if is_zero_vec(g):
-            continue
-        if cone_contains(probe, vneg(g)):
-            return False
-    return True
+    return not any(cone_contains(cone, vneg(g)) for g in cone.generators if not is_zero_vec(g))
 
 
 def relate(cone: Cone, x: Vec, y: Vec) -> Comparability:

@@ -27,7 +27,6 @@ from .cones import (
     ConeOrder,
     cone_contains,
     is_pointed,
-    k_closure,
     with_origin,
 )
 from .linalg import (
@@ -37,6 +36,7 @@ from .linalg import (
     Vec,
     hull_program,
     integer_multiple,
+    is_zero_vec,
     lp_solve,
     vadd,
     vcombination,
@@ -175,7 +175,10 @@ def validate_certificate(cert: DominationCertificate, d: DecomposableSet) -> lis
     )
     if expected != cert.cone_vector:
         errs.append("cone vector does not match witness minus target")
-    if not cone_contains(k_closure(d.cone), cert.cone_vector):
+    # The closed cone admits the origin, and the flag decides only the zero vector: any other
+    # vector, and one of the wrong dimension, is asked of the cone as it is.
+    v = cert.cone_vector
+    if not ((is_zero_vec(v) and len(v) == d.dimension) or cone_contains(d.cone, v)):
         errs.append("cone vector is outside the closed cone")
     return errs
 

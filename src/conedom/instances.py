@@ -106,12 +106,6 @@ def _rand_weights(rng: Rng, k: int, strict: bool) -> list[int]:
     return weights
 
 
-def rand_convex_coefficients(rng: Rng, k: int, strict: bool = False) -> tuple[Fraction, ...]:
-    weights = _rand_weights(rng, k, strict)
-    total = sum(weights)
-    return tuple(Fraction(w, total) for w in weights)
-
-
 def _weighted(rng: Rng, view: IntegerPoints, strict: bool) -> tuple[int, list[int]]:
     """A random convex combination of the view's points as (d, q): the
     point q / d, for q in integers."""

@@ -377,8 +377,6 @@ def _unique_point(lp: LinearProgram) -> LpResult | None:
 
 
 def _lp_solve_core(lp: LinearProgram) -> LpResult:
-    m = len(lp.rows)
-
     # Internal columns: a nonnegative variable maps to one column, a free
     # variable to a positive and a negative column.
     var_cols: list[tuple[int, int]] = []
@@ -390,9 +388,16 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
 
     sign = -1 if lp.maximize else 1  # internally always minimize sign * objective
 
-    n_slack = sum(1 for _, rel, _ in lp.rows if rel != REL_EQ)
-    slack_base = n_var
+    # Column order: the variables, then one slack per inequality row in row
+    # order, then one artificial, in row order, per row whose slack does not
+    # enter with +1 once its right-hand side is made >= 0 (an equation, a
+    # "<=" row with b < 0, a ">=" row with b >= 0). Bland's rule picks the
+    # lowest eligible column, so this order decides the pivot path and with
+    # it every certificate.
+    n_slack = sum(rel != REL_EQ for _, rel, _ in lp.rows)
+    n_art = sum(rel != (REL_LE if b >= 0 else REL_GE) for _, rel, b in lp.rows)
     art_base = n_var + n_slack
+    width = art_base + n_art + 1  # +1 for the right-hand side cell
 
     # The rows come scaled by one common denominator `scale` (the program's
     # integer form) and the objective is scaled by its own `obj_scale`. A
@@ -402,72 +407,37 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     scale = lp.scale
     obj_scale, obj = lp.integer_objective
 
-    # First pass: equality rows with slack columns, right-hand sides >= 0.
-    body: list[list[int]] = []
-    rhs: list[int] = []
-    flip: list[int] = []
-    slack_info: list[tuple[int, int] | None] = []
-    si = 0
-    for coeffs, rel, b in lp.rows:
-        f = -1 if b < 0 else 1
-        flip.append(f)
-        body.append([f * s * coeffs[j] for j, s in var_cols])
-        rhs.append(f * b)
-        if rel == REL_EQ:
-            slack_info.append(None)
-        else:
-            slack_info.append((slack_base + si, f if rel == REL_LE else -f))
-            si += 1
-
-    # Second pass: initial basis; rows without a +1 slack get an artificial.
-    basis: list[int] = []
-    reader: list[int] = []  # unit column carried by each original row
-    art_of_row: list[int | None] = [None] * m
-    n_art = 0
-    for i in range(m):
-        info = slack_info[i]
-        if info is not None and info[1] == 1:
-            basis.append(info[0])
-            reader.append(info[0])
-        else:
-            col = art_base + n_art
-            art_of_row[i] = col
-            n_art += 1
-            basis.append(col)
-            reader.append(col)
-
     # Fraction-free tableau (Edmonds 1967; Bareiss 1968): every row,
     # including both cost rows, holds integers over one shared positive
-    # basis determinant `det`; the exact tableau is `row / det`.
-    width = art_base + n_art + 1  # +1 for the right-hand side cell
+    # basis determinant `det`; the exact tableau is `row / det`. Each row
+    # is written with its right-hand side made >= 0 (flipped by f), and
+    # each row's unit column, its +1 slack or its artificial, starts the
+    # basis. The phase-1 cost row is the sum of the artificials reduced
+    # against their rows: minus each artificial row, whose own artificial
+    # entry cancels that artificial's cost of one.
     tableau: list[list[int]] = []
-    for i in range(m):
-        row = body[i] + [0] * (n_slack + n_art) + [rhs[i]]
-        info = slack_info[i]
-        if info is not None:
-            row[info[0]] = info[1]
-        acol = art_of_row[i]
-        if acol is not None:
-            row[acol] = 1
-        tableau.append(row)
-    det = 1
-
-    # Cost rows, maintained by the same row operations as the tableau.
+    units: list[tuple[int, int]] = []  # each row's unit column and its flip f
     cost1 = [0] * width
-    for i in range(m):
-        acol = art_of_row[i]
-        if acol is not None:
-            cost1[acol] = 1
-    cost2 = [0] * width
-    for k, (j, s) in enumerate(var_cols):
-        cost2[k] = sign * s * obj[j]
-
-    # Reduce cost1 against the artificial basics so basic columns read zero.
-    for i in range(m):
-        if art_of_row[i] is not None:
-            row = tableau[i]
-            for k in range(width):
-                cost1[k] -= row[k]
+    slack, art = n_var, art_base
+    for coeffs, rel, b in lp.rows:
+        f = -1 if b < 0 else 1
+        row = [f * s * coeffs[j] for j, s in var_cols] + [0] * (width - n_var - 1) + [f * b]
+        unit_col = None
+        if rel != REL_EQ:
+            row[slack] = f if rel == REL_LE else -f
+            if row[slack] == 1:
+                unit_col = slack
+            slack += 1
+        if unit_col is None:
+            cost1 = [c - x for c, x in zip(cost1, row)]
+            row[art] = 1
+            unit_col = art
+            art += 1
+        tableau.append(row)
+        units.append((unit_col, f))
+    basis = [col for col, _ in units]
+    det = 1
+    cost2 = [sign * s * obj[j] for j, s in var_cols] + [0] * (width - n_var)
     costs = (cost1, cost2)
 
     pivots = 0
@@ -480,11 +450,12 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
         det = _bareiss_step((*tableau, *costs), tableau[r], j, det)
         basis[r] = j
 
-    def run_phase(cost: list[int], allowed: int) -> int | None:
-        """Bland's rule loop; returns entering column when unbounded, else None."""
+    def run_phase(cost: list[int]) -> int | None:
+        """Bland's rule loop over the non-artificial columns; returns the
+        entering column when unbounded, else None."""
         while True:
             enter = -1
-            for j in range(allowed):
+            for j in range(art_base):
                 if cost[j] < 0:
                     enter = j
                     break
@@ -506,7 +477,7 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             pivot(leave, enter)
 
     if n_art > 0:
-        unb = run_phase(cost1, art_base)
+        unb = run_phase(cost1)
         if unb is not None:  # phase-1 objective is bounded below by zero
             raise RuntimeError("phase-1 simplex reported unbounded")
         if sum(tableau[r][width - 1] for r in range(len(tableau)) if basis[r] >= art_base) > 0:
@@ -514,8 +485,8 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             # artificial); the multiplier is that column's objective cost
             # minus its reduced cost. Artificials cost one in phase 1.
             farkas = tuple(
-                Fraction(-flip[i] * ((det if rcol >= art_base else 0) - cost1[rcol]), det)
-                for i, rcol in enumerate(reader)
+                Fraction(-f * ((det if rcol >= art_base else 0) - cost1[rcol]), det)
+                for rcol, f in units
             )
             return LpResult(status=LpStatus.INFEASIBLE, farkas=farkas)
         # Feasible: drive remaining artificials out, drop redundant rows.
@@ -531,7 +502,7 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             del tableau[r]
             del basis[r]
 
-    unb = run_phase(cost2, art_base)
+    unb = run_phase(cost2)
 
     def witness_point() -> Vec:
         values = [0] * lp.num_vars
@@ -565,8 +536,8 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     # to the program as given.
     value = Fraction(-sign * cost2[width - 1], det * obj_scale)
     dual = tuple(
-        Fraction(sign * flip[i] * -cost2[rcol] * scale, det * obj_scale)
-        for i, rcol in enumerate(reader)
+        Fraction(sign * f * -cost2[rcol] * scale, det * obj_scale)
+        for rcol, f in units
     )
     return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)
 

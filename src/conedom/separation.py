@@ -7,7 +7,8 @@ carry exact bounds and, for proper separation, the witnessing pair.
 One validator per result (`validate_common_point`, `validate_disjointness`,
 `validate_separation`) serves the CLI's `--verify`, the suite and the tests.
 conv(Y_1 + ... + Y_k) = conv Y_1 + ... + conv Y_k, so they read Y summand by
-summand and form the sum only to look up a proper witness.
+summand. A proper witness is looked up in the sum of all summands but the
+largest, never in the whole sum.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .linalg import (
     vadd,
     vcombination,
     vdot,
+    vsub,
     vzero,
 )
 from .sets import (
@@ -190,7 +192,8 @@ def validate_separation(result: SeparationResult, x: Polyhedron, y: SecondSet) -
     polyhedral Y's), with `sup_x` its maximum over X's vertices and `inf_y`
     its minimum over Y, read per summand (`_bounds`). Strict: f integer and
     inf_y - sup_x >= 1. Proper: inf_y >= sup_x and a pair with
-    f(wx) < f(wy), wx in X and wy in Y; only that last test forms a sum.
+    f(wx) < f(wy), wx in X and wy in Y. wy is looked up in a sum without
+    forming it: only the sum of all summands but the largest (`_holds`).
     """
     f, pair = result.functional, result.witness_pair
     if _dimensions_differ(x, y, f, *(pair or ())):
@@ -217,10 +220,21 @@ def validate_separation(result: SeparationResult, x: Polyhedron, y: SecondSet) -
 
 
 def _holds(y: SecondSet, p: Vec) -> bool:
-    """Whether p is a point of the second set; a sum is materialized."""
+    """Whether p is a point of the second set.
+
+    A point of a sum is p = q + r with r in its largest summand and q in the
+    sum of the others, so p - q is looked up in that summand for each q. Only
+    the others are summed, under `materialize`'s cap on their product.
+    """
     if isinstance(y, Polyhedron):
         return poly_contains(y, p)
-    return p in (materialize(y) if isinstance(y, DecomposableSet) else y)
+    if not isinstance(y, DecomposableSet):
+        return p in y
+    chains = list(y.summands)
+    largest = chains.pop(max(range(len(chains)), key=lambda i: len(chains[i].base)))
+    points = set(largest.base.points)
+    others = materialize(DecomposableSet(tuple(chains))).points if chains else (vzero(len(p)),)
+    return any(vsub(p, q) in points for q in others)
 
 
 def _functional_rows(x: Polyhedron, summands: list[FinitePointSet], cols: int) -> tuple[int, list]:

@@ -25,7 +25,7 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .cones import Cone, ConeOrder, Facets, _hull_edges, cone_contains, cone_facets, k_closure
+from .cones import Cone, ConeOrder, Facets, _hull_edges, cone_contains, cone_facets
 from .linalg import (
     _MAX_SUM_POINTS,
     IntegerPoints,
@@ -332,7 +332,7 @@ def upward_hull(s: FinitePointSet, cone: Cone) -> Polyhedron:
     if s.dimension != cone.dimension:
         raise ValueError("set and cone dimensions differ")
     base = convex_hull(s)
-    return Polyhedron(base.vertices, k_closure(cone).generators)
+    return Polyhedron(base.vertices, cone.generators)
 
 
 def _lattice_unit(s: FinitePointSet) -> Fraction:

@@ -663,6 +663,29 @@ class TestDominanceBuildsNothingNew:
             assert built == []
             assert validate_certificate(cert, d) == []
 
+    def test_validate_certificate_on_a_cone_without_the_origin_builds_no_cone(self, monkeypatch):
+        rng = random.Random("validate/constructions")
+        for cone in [cone for cone in ALL_CONES if not cone.contains_zero]:
+            d = _tied_sum(rng, cone, 5)
+            cert = dominating_element(rand_hull_point(rng, d), d)
+            with monkeypatch.context() as patched:
+                built = _count_constructions(patched, Cone, _SpanSolver, ConeOrder, ChainSet)
+                errs = validate_certificate(cert, d)
+            assert built == []
+            assert errs == []
+
+    def test_a_zero_cone_vector_validates_on_a_cone_without_the_origin(self):
+        # Two one-point chains: the target is its own witness, and the zero
+        # cone vector lies in the closed cone though not in the cone itself.
+        outside = [cone for cone in ALL_CONES if not cone_contains(cone, vzero(cone.dimension))]
+        assert outside
+        for cone in outside:
+            p, q = (F(1),) * cone.dimension, (F(-2, 3),) * cone.dimension
+            d = DecomposableSet((ChainSet.build([p], cone), ChainSet.build([q], cone)))
+            cert = dominating_element(vadd(p, q), d)
+            assert cert.cone_vector == vzero(cone.dimension)
+            assert validate_certificate(cert, d) == []
+
 
 class TestParetoOptima:
     def test_triangle_under_the_orthant(self):

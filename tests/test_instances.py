@@ -18,7 +18,6 @@ from conedom.instances import (
     rand_bounded_disjoint_pair,
     rand_chain,
     rand_cone_member,
-    rand_convex_coefficients,
     rand_decomposable,
     rand_direction,
     rand_disjoint_pair,
@@ -45,16 +44,6 @@ def test_rand_frac_respects_the_pinned_distribution():
             for n in NUMERATORS
             for d in DENOMINATORS
         )
-
-
-def test_rand_convex_coefficients():
-    rng = random.Random(2)
-    for _ in range(50):
-        k = rng.randint(1, 5)
-        coeffs = rand_convex_coefficients(rng, k, strict=rng.random() < 0.5)
-        assert len(coeffs) == k
-        assert sum(coeffs) == 1
-        assert all(c >= 0 for c in coeffs)
 
 
 def test_rand_pointed_cone_is_pointed_with_independent_generators():
@@ -311,9 +300,6 @@ def test_every_draw_keeps_its_values_and_its_random_stream():
         same_draw(seed, rand_point, reference_rand_point, dim)
         same_draw(seed, rand_direction, reference_rand_direction, dim)
         same_draw(seed, rand_pointed_cone, reference_rand_pointed_cone, dim, seed % 2 == 0)
-        k = 1 + seed % 6
-        for strict in (False, True):
-            same_draw(seed, rand_convex_coefficients, reference_rand_convex_coefficients, k, strict)
         d, polyhedra, cones = stream_inputs(inputs, max(dim, 2))
         for strict in (False, True):
             same_draw(seed, rand_hull_point, reference_rand_hull_point, d, strict)

@@ -3,14 +3,17 @@
 Every frozen optimum below comes with its hand oracle in a comment:
 for bounded two-variable programs that is full vertex enumeration, for
 infeasibility a contradiction witness, for hulls an explicit convex
-combination or an explicit separating functional. Two broader oracles
-follow: a golden corpus of exact results (`tests/make_lp_corpus.py`) and
-a brute-force vertex enumeration that does not depend on the pivot rule.
+combination or an explicit separating functional. Three broader oracles
+follow: a golden corpus of exact results (`tests/make_lp_corpus.py`), a
+brute-force vertex enumeration that does not depend on the pivot rule, and
+a copy of the simplex with its set-up written in separate passes, which
+the kernel must match pivot for pivot.
 """
 
 import importlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from conedom.linalg import (
     _MAX_LP_SIZE,
+    REL_EQ,
     REL_GE,
     REL_LE,
     IntegerPoints,
@@ -844,3 +848,297 @@ class TestProgramSizeCap:
         # One variable fewer is at or under the cap and reaches the presolve.
         with pytest.raises(RuntimeError, match="reached the solver"):
             lp_solve(self._program(rows, variables - 1))
+
+
+# The simplex's set-up against a reference that writes it in separate passes.
+
+
+def reference_lp_solve_core(lp: LinearProgram, paths: Counter | None = None) -> LpResult:
+    """The two-phase simplex with its set-up in separate passes: three over
+    the rows, with parallel lists, and two more for the phase-1 cost row.
+
+    The kernel must match it field for field and pivot for pivot. Apart from
+    the module prefixes and `F` for `Fraction`, its only additions are the
+    lines marked `# path`, which count in `paths` the branches a program
+    takes.
+    """
+    paths = Counter() if paths is None else paths
+    m = len(lp.rows)
+
+    # Internal columns: a nonnegative variable maps to one column, a free
+    # variable to a positive and a negative column.
+    var_cols: list[tuple[int, int]] = []
+    for j in range(lp.num_vars):
+        var_cols.append((j, 1))
+        if not lp.nonneg[j]:
+            var_cols.append((j, -1))
+    n_var = len(var_cols)
+
+    sign = -1 if lp.maximize else 1  # internally always minimize sign * objective
+
+    n_slack = sum(1 for _, rel, _ in lp.rows if rel != REL_EQ)
+    slack_base = n_var
+    art_base = n_var + n_slack
+
+    # The rows come scaled by one common denominator `scale` (the program's
+    # integer form) and the objective is scaled by its own `obj_scale`. A
+    # per-row scale would weight the phase-1 artificials differently and
+    # change Bland's choices; a common one only rescales slack and
+    # artificial columns, which moves no sign and no ratio-test winner.
+    scale = lp.scale
+    obj_scale, obj = lp.integer_objective
+
+    # First pass: equality rows with slack columns, right-hand sides >= 0.
+    body: list[list[int]] = []
+    rhs: list[int] = []
+    flip: list[int] = []
+    slack_info: list[tuple[int, int] | None] = []
+    si = 0
+    for coeffs, rel, b in lp.rows:
+        f = -1 if b < 0 else 1
+        flip.append(f)
+        body.append([f * s * coeffs[j] for j, s in var_cols])
+        rhs.append(f * b)
+        if rel == REL_EQ:
+            slack_info.append(None)
+        else:
+            slack_info.append((slack_base + si, f if rel == REL_LE else -f))
+            si += 1
+
+    # Second pass: initial basis; rows without a +1 slack get an artificial.
+    basis: list[int] = []
+    reader: list[int] = []  # unit column carried by each original row
+    art_of_row: list[int | None] = [None] * m
+    n_art = 0
+    for i in range(m):
+        info = slack_info[i]
+        if info is not None and info[1] == 1:
+            basis.append(info[0])
+            reader.append(info[0])
+        else:
+            col = art_base + n_art
+            art_of_row[i] = col
+            n_art += 1
+            basis.append(col)
+            reader.append(col)
+
+    # Fraction-free tableau (Edmonds 1967; Bareiss 1968): every row,
+    # including both cost rows, holds integers over one shared positive
+    # basis determinant `det`; the exact tableau is `row / det`.
+    width = art_base + n_art + 1  # +1 for the right-hand side cell
+    tableau: list[list[int]] = []
+    for i in range(m):
+        row = body[i] + [0] * (n_slack + n_art) + [rhs[i]]
+        info = slack_info[i]
+        if info is not None:
+            row[info[0]] = info[1]
+        acol = art_of_row[i]
+        if acol is not None:
+            row[acol] = 1
+        tableau.append(row)
+    det = 1
+
+    # Cost rows, maintained by the same row operations as the tableau.
+    cost1 = [0] * width
+    for i in range(m):
+        acol = art_of_row[i]
+        if acol is not None:
+            cost1[acol] = 1
+    cost2 = [0] * width
+    for k, (j, s) in enumerate(var_cols):
+        cost2[k] = sign * s * obj[j]
+
+    # Reduce cost1 against the artificial basics so basic columns read zero.
+    for i in range(m):
+        if art_of_row[i] is not None:
+            row = tableau[i]
+            for k in range(width):
+                cost1[k] -= row[k]
+    costs = (cost1, cost2)
+
+    pivots = 0
+
+    def pivot(r: int, j: int) -> None:
+        nonlocal pivots, det
+        pivots += 1
+        if pivots > linalg_module._MAX_PIVOTS:
+            raise RuntimeError("simplex pivot limit exceeded")
+        det = linalg_module._bareiss_step((*tableau, *costs), tableau[r], j, det)
+        basis[r] = j
+
+    def run_phase(cost: list[int], allowed: int) -> int | None:
+        """Bland's rule loop; returns entering column when unbounded, else None."""
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if cost[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return None
+            leave = -1
+            best_rhs = best_a = 0
+            for r in range(len(tableau)):
+                a = tableau[r][enter]
+                if a > 0:
+                    # rhs_r / a < best_rhs / best_a, cross-multiplied.
+                    key = tableau[r][width - 1] * best_a - best_rhs * a
+                    if leave < 0 or key < 0 or (key == 0 and basis[r] < basis[leave]):
+                        best_rhs = tableau[r][width - 1]
+                        best_a = a
+                        leave = r
+            if leave < 0:
+                return enter
+            pivot(leave, enter)
+
+    if n_art > 0:
+        paths["phase 1"] += 1  # path
+        unb = run_phase(cost1, art_base)
+        if unb is not None:  # phase-1 objective is bounded below by zero
+            raise RuntimeError("phase-1 simplex reported unbounded")
+        if sum(tableau[r][width - 1] for r in range(len(tableau)) if basis[r] >= art_base) > 0:
+            # Every original row keeps a unit column (its slack or
+            # artificial); the multiplier is that column's objective cost
+            # minus its reduced cost. Artificials cost one in phase 1.
+            farkas = tuple(
+                F(-flip[i] * ((det if rcol >= art_base else 0) - cost1[rcol]), det)
+                for i, rcol in enumerate(reader)
+            )
+            paths["infeasible"] += 1  # path
+            return LpResult(status=LpStatus.INFEASIBLE, farkas=farkas)
+        # Feasible: drive remaining artificials out, drop redundant rows.
+        drop: list[int] = []
+        for r in range(len(tableau)):
+            if basis[r] >= art_base:
+                col = next((j for j in range(art_base) if tableau[r][j] != 0), None)
+                if col is None:
+                    paths["drop"] += 1  # path
+                    drop.append(r)
+                else:
+                    paths["drive-out"] += 1  # path
+                    pivot(r, col)
+        for r in reversed(drop):
+            del tableau[r]
+            del basis[r]
+
+    unb = run_phase(cost2, art_base)
+
+    def witness_point() -> Vec:
+        values = [0] * lp.num_vars
+        for r, col in enumerate(basis):
+            if col < n_var:
+                j, s = var_cols[col]
+                values[j] += s * tableau[r][width - 1]
+        return tuple(F(v, det) for v in values)
+
+    if unb is not None:
+        paths["unbounded by a slack" if unb >= n_var else "unbounded by a variable"] += 1  # path
+        # One unit of a slack column is 1/scale of a unit of the original
+        # slack, so a ray entered by a slack is scaled back up.
+        unit = scale if unb >= n_var else 1
+        ray = [0] * lp.num_vars
+        if unb < n_var:
+            j, s = var_cols[unb]
+            ray[j] += s * det
+        for r, col in enumerate(basis):
+            if col < n_var:
+                j, s = var_cols[col]
+                ray[j] -= s * tableau[r][unb] * unit
+        return LpResult(
+            status=LpStatus.UNBOUNDED,
+            witness=witness_point(),
+            ray=tuple(F(v, det) for v in ray),
+        )
+
+    # The right-hand cell of cost2 is minus the scaled internal objective;
+    # the multipliers are phase-2 costs (zero on slacks and artificials)
+    # minus reduced costs, rescaled from the scaled rows and objective back
+    # to the program as given.
+    paths["optimal"] += 1  # path
+    value = F(-sign * cost2[width - 1], det * obj_scale)
+    dual = tuple(
+        F(sign * flip[i] * -cost2[rcol] * scale, det * obj_scale)
+        for i, rcol in enumerate(reader)
+    )
+    return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)
+
+
+def _counting_steps(solve, lp: LinearProgram) -> tuple[LpResult, int]:
+    """`solve(lp)` and the number of `_bareiss_step` calls it made: one per
+    pivot, so equal counts on equal results mean the same pivot path."""
+    real, calls = linalg_module._bareiss_step, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    linalg_module._bareiss_step = counted
+    try:
+        return solve(lp), calls
+    finally:
+        linalg_module._bareiss_step = real
+
+
+_build = LinearProgram.build
+# Hand programs, each named by the shape it has or the branch the reference takes on it.
+HAND_PROGRAMS = {
+    # x free: max x with x + y = 1 peaks at x = 1.
+    "free variable": _build([1, 0], True, [([1, 1], "=", 1)], nonneg=[False, True]),
+    # -x <= -2 flips to x - s = 2, which needs an artificial; -x >= -3 flips to x + s = 3, which does not.
+    "negative right-hand sides": _build([1], False, [([-1], "<=", -2), ([-1], ">=", -3)]),
+    "all three relations": _build([2, 1], True, [([1, 1], "<=", 4), ([1, -1], "=", 1), ([1, 0], ">=", F(1, 2))]),
+    "infeasible": _build([0, 0], True, [([1, 1], "<=", -1)]),
+    # The same equation twice: the second artificial row reads zero after phase 1.
+    "drop": _build([1, 1], True, [([1, 1], "=", 2), ([1, 1], "=", 2), ([1, 0], "<=", 2)]),
+    # Opposite equations: the leftover artificial row's first nonzero entry is negative.
+    "drive-out": _build([1, 1], True, [([-1, 1], "=", 0), ([1, -1], "=", 0), ([1, 0], "<=", 1)]),
+    "unbounded by a variable": _build([1, 0], True, [([0, 1], "<=", 1)]),
+    # x >= 1 with x maximized: x = 1 + s grows with its slack s.
+    "unbounded by a slack": _build([1], True, [([1], ">=", 1)]),
+}
+BRANCHES = ("infeasible", "drop", "drive-out", "unbounded by a variable", "unbounded by a slack")
+
+
+@st.composite
+def simplex_programs(draw):
+    """Programs over one to three variables, some free, with rows of every
+    relation and sign of right-hand side; half of them turn a row into an
+    equation and add a multiple of it as a second, redundant, equation."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [
+        (tuple(draw(small_rationals) for _ in range(n)), draw(st.sampled_from(["<=", "=", ">="])), draw(small_rationals))
+        for _ in range(m)
+    ]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        a, _, b = rows[i]
+        rows[i] = (a, "=", b)
+        w = draw(small_rationals.filter(bool))
+        rows.insert(draw(st.integers(0, m)), (tuple(w * c for c in a), "=", w * b))
+    objective = [draw(small_rationals) for _ in range(n)]
+    nonneg = [draw(st.booleans()) for _ in range(n)]
+    return _build(objective, draw(st.booleans()), rows, nonneg)
+
+
+class TestOnePassSetUp:
+    def test_the_hand_programs_have_their_shapes(self):
+        assert not all(HAND_PROGRAMS["free variable"].nonneg)
+        assert all(b < 0 for _, _, b in HAND_PROGRAMS["negative right-hand sides"].rows)
+        assert {rel for _, rel, _ in HAND_PROGRAMS["all three relations"].rows} == {"<=", "=", ">="}
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_the_reference_takes_each_branch_on_its_hand_program(self, branch):
+        paths = Counter()
+        reference_lp_solve_core(HAND_PROGRAMS[branch], paths)
+        assert paths[branch] > 0
+
+    @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
+    def test_each_hand_program_matches_the_reference(self, name):
+        lp = HAND_PROGRAMS[name]
+        assert _counting_steps(_lp_solve_core, lp) == _counting_steps(reference_lp_solve_core, lp)
+
+    @settings(max_examples=400, deadline=None)
+    @given(simplex_programs())
+    def test_the_kernel_matches_the_reference_field_for_field_and_pivot_for_pivot(self, lp):
+        assert _counting_steps(_lp_solve_core, lp) == _counting_steps(reference_lp_solve_core, lp)

@@ -17,7 +17,8 @@ from conedom.cones import Cone
 from conedom.maximals import GridDomain, PriceSystem
 from conedom.scene import Scene, SceneError, parse_scene, serialize_scene
 from conedom.separation import DisjointnessResult, SeparationResult
-from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron
+from conedom.linalg import vdot
+from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, materialize
 
 GOOD_SCENE = """
 {
@@ -423,6 +424,69 @@ class TestCliCommands:
         _, first, _ = run(capsys, "suite", "--seed", "3", "--instances", "3")
         _, second, _ = run(capsys, "suite", "--seed", "3", "--instances", "3")
         assert first == second
+
+
+# The rays of the half-space z >= c.
+UPPER_HALF_SPACE = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1))
+# Cones in R^3 that are neither pointed nor full, each with two chains of its order.
+DEGENERATE_SCENES = {
+    "line": ([[1, 2, 0], [-1, -2, 0]], [[[0, 0, 0], [1, 2, 0], [3, 6, 0]], [[1, 0, 1], [0, -2, 1]]]),
+    "half-plane": ([[1, 0, 0], [-1, 0, 0], [0, 1, 1]], [[[0, 0, 0], [2, 0, 0], [2, 1, 1]], [[0, 0, 1], [-1, 2, 3]]]),
+    "plane": ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], [[[0, 0, 0], [1, -1, 0], [3, 2, 0]], [[0, 0, 2], [-2, 1, 2]]]),
+}
+
+
+class TestCliOnNonPointedAndRankDeficientCones:
+    """`hulls-disjoint --verify` and `separate --kind proper --verify` on a
+    sum of two chains, against the same questions asked of the sum's points
+    listed one by one (the set "M")."""
+
+    @staticmethod
+    def _scene(tmp_path, kind):
+        generators, chains = DEGENERATE_SCENES[kind]
+        cone = Cone.build(3, generators, True)
+        y = DecomposableSet(tuple(ChainSet.build(points, cone) for points in chains))
+        points = materialize(y).points
+        top = max(p[2] for p in points)
+        text = lambda vectors: [[str(c) for c in v] for v in vectors]
+        sets = {f"C{i}": {"type": "chain", "points": text(c), "cone": "c"} for i, c in enumerate(chains)}
+        sets["Y"] = {"type": "sum", "summands": sorted(sets)}
+        sets["M"] = {"type": "points", "points": text(points)}
+        # Above every point of the sum; the whole space above z = -10; and the cone swept up from the sum's
+        # highest level, whose relative interior lies strictly above it.
+        sets["far"] = {"type": "polyhedron", "vertices": [["0", "0", "10"]], "rays": [["0", "0", "1"]]}
+        sets["near"] = {"type": "polyhedron", "vertices": [["0", "0", "-10"]], "rays": text(UPPER_HALF_SPACE)}
+        sets["up"] = {"type": "polyhedron", "vertices": [["0", "0", str(top)]], "rays": text([*generators, (0, 0, 1)])}
+        doc = {"dimension": 3, "cones": {"c": {"generators": text(generators), "contains_zero": True}}, "sets": sets}
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path), points
+
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE_SCENES))
+    def test_hulls_disjoint_verifies_and_agrees_with_the_listed_points(self, capsys, tmp_path, kind):
+        path, points = self._scene(tmp_path, kind)
+        for x_set, disjoint in (("far", True), ("near", False)):
+            verdicts = []
+            for y_set in ("Y", "M"):
+                code, out, err = run(capsys, "hulls-disjoint", "--scene", path, "--x-set", x_set, "--y-set", y_set, "--verify")
+                doc = payload(out)
+                assert (code, err, doc["verified"]) == (0 if disjoint else 1, "", True)
+                verdicts.append(doc["disjoint"])
+            assert verdicts == [disjoint, disjoint]
+            if disjoint:
+                f = tuple(F(c) for c in doc["functional"])
+                assert min(vdot(f, p) for p in points) >= F(doc["y_bound"])
+
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE_SCENES))
+    def test_separate_proper_verifies_and_agrees_with_the_listed_points(self, capsys, tmp_path, kind):
+        path, points = self._scene(tmp_path, kind)
+        code, out, err = run(capsys, "separate", "--scene", path, "--kind", "proper", "--x-set", "up", "--y-set", "Y", "--verify")
+        doc = payload(out)
+        assert (code, err, doc["kind"], doc["verified"]) == (0, "", "properly_separated", True)
+        f = tuple(F(c) for c in doc["functional"])
+        wx, wy = (tuple(F(c) for c in w) for w in doc["witness_pair"])
+        assert F(doc["inf_y"]) == min(vdot(f, p) for p in points) >= F(doc["sup_x"])
+        assert wy in points and vdot(f, wx) < vdot(f, wy)
 
 
 class TestCliErrors:

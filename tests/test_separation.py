@@ -18,7 +18,7 @@ from conedom.instances import (
     rand_disjoint_pair,
     rand_pointed_cone,
 )
-from conedom.linalg import LpResult, LpStatus, hull_membership, lp_solve, vdot
+from conedom.linalg import LpResult, LpStatus, hull_membership, lp_solve, vadd, vdot, vscale
 from conedom.separation import (
     DisjointnessResult,
     SeparationResult,
@@ -27,12 +27,15 @@ from conedom.separation import (
     separator_sign_check,
     strict_separator,
     validate_common_point,
+    validate_disjointness,
+    validate_separation,
 )
 from conedom.sets import (
     ChainSet,
     DecomposableSet,
     FinitePointSet,
     Polyhedron,
+    in_relative_interior,
     materialize,
     poly_contains,
     upward_hull,
@@ -247,6 +250,82 @@ class TestProperSeparator:
         monkeypatch.setattr(separation, "lp_solve", lambda lp: LpResult(LpStatus.OPTIMAL, F(1), zero))
         with pytest.raises(RuntimeError, match="no strict pair"):
             proper_separator(x, y)
+
+
+# Cones in R^3 that are neither pointed nor full: a line, a half-plane and a plane.
+DEGENERATE_CONES = {
+    "line": Cone.build(3, [[1, 2, 0], [-1, -2, 0]], True),
+    "half-plane": Cone.build(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 1]], True),
+    "plane": Cone.build(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], True),
+}
+AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
+
+
+def degenerate_sum(rng, cone):
+    """Two or three chains, each a walk from a base point by nonnegative
+    multiples of the generators: points of one translate of the cone's
+    span, where any two differ by a vector of C or of -C."""
+    chains = []
+    for _ in range(rng.randint(2, 3)):
+        base = tuple(F(rng.randint(-3, 3)) for _ in range(3))
+        points = [base]
+        for _ in range(rng.randint(0, 3)):
+            for g in cone.generators:
+                points.append(vadd(points[-1], vscale(F(rng.randint(0, 2)), g)))
+        chains.append(ChainSet.build(points, cone))
+    return DecomposableSet(tuple(chains))
+
+
+class TestNonPointedAndRankDeficientCones:
+    """Each verdict validates and agrees with the materialized sum: a
+    disjointness functional bounds every sum point, a common point lies in
+    the hull of the sum points, and a proper separator's bounds and witness
+    are read off the sum points."""
+
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE_CONES))
+    def test_hulls_disjoint(self, kind):
+        rng = random.Random(f"disjoint/{kind}")
+        verdicts = set()
+        for _ in range(25):
+            y = degenerate_sum(rng, DEGENERATE_CONES[kind])
+            points = materialize(y).points
+            vertices = [vadd(rng.choice(points), tuple(F(rng.randint(-2, 2)) for _ in range(3))) for _ in range(2)]
+            x = Polyhedron.build(vertices, rng.sample(AXES, rng.randint(0, 2)))
+            res = hulls_disjoint(x, y)
+            assert validate_disjointness(res, x, y) == []
+            if res.disjoint:
+                assert_disjoint_certificate(x, y, res)
+            else:
+                assert poly_contains(x, res.common_point)
+                assert hull_membership(res.common_point, points).member
+            verdicts.add(res.disjoint)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE_CONES))
+    def test_proper_separator(self, kind):
+        rng = random.Random(f"proper/{kind}")
+        cone = DEGENERATE_CONES[kind]
+        refused = separated = 0
+        for _ in range(25):
+            y = degenerate_sum(rng, cone)
+            points = materialize(y).points
+            # X is upward under the cone: its generators and one more axis are rays.
+            vertex = vadd(rng.choice(points), tuple(F(rng.randint(-1, 1)) for _ in range(3)))
+            x = Polyhedron.build([vertex], [*cone.generators, rng.choice(AXES)])
+            if any(in_relative_interior(x, p) for p in points):
+                with pytest.raises(ValueError, match="relative interior"):
+                    proper_separator(x, y)
+                refused += 1
+                continue
+            res = proper_separator(x, y)
+            assert validate_separation(res, x, y) == []
+            f, (wx, wy) = res.functional, res.witness_pair
+            assert res.sup_x == max(vdot(f, v) for v in x.vertices.points)
+            assert res.inf_y == min(vdot(f, p) for p in points) >= res.sup_x
+            assert all(vdot(f, r) <= 0 for r in x.rays)
+            assert poly_contains(x, wx) and wy in points and vdot(f, wx) < vdot(f, wy)
+            separated += 1
+        assert refused and separated
 
 
 class TestSeparatorSignCheck:

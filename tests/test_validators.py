@@ -35,7 +35,7 @@ from conedom.instances import (
     rand_pointed_cone,
     rand_upward_polyhedron,
 )
-from conedom.linalg import LimitError, LpResult, LpStatus, hull_membership, vdot, vscale, vsub
+from conedom.linalg import LimitError, LpResult, LpStatus, hull_membership, vadd, vdot, vscale, vsub
 from conedom.separation import (
     DisjointnessResult,
     SeparationResult,
@@ -471,10 +471,16 @@ class TestWithoutMaterializing:
         assert validate_separation(replace(strict, inf_y=F(-533)), x, y) == [
             "inf_y is not the functional's minimum over the second set"
         ]
-        # Only a proper witness is looked up among the sum's points.
+        # The proper witness (0, 3) = (0, 0) + (0, 1) + (0, 2) is looked up in the largest summand, once for
+        # each point of the sum of the other two: 3,600 sums, not 216,000. Moved off the sum to (1/2, 4), a
+        # point of the sum's hull (on the line y = 2x + 3), it is refused.
         proper = SeparationResult(f, F(-2000), F(-534), "properly_separated", ((F(1000), F(1001)), (F(0), F(3))))
+        assert validate_separation(proper, x, y) == []
+        moved = replace(proper, witness_pair=((F(1000), F(1001)), (F(1, 2), F(4))))
+        assert validate_separation(moved, x, y) == ["second witness is not a point of the second set"]
+        # With a fourth chain the three others sum to 216,000 points again: over the cap, a bounded refusal.
         with pytest.raises(LimitError):
-            validate_separation(proper, x, y)
+            validate_separation(proper, x, DecomposableSet((*y.summands, y.summands[0])))
 
     def test_hulls_disjoint_and_its_common_point_stay_per_summand(self):
         y = oversize_sum()
@@ -489,6 +495,37 @@ class TestWithoutMaterializing:
 
 
 # --- proper separation under hypothesis ----------------------------------------------------
+
+
+def test_a_point_of_a_sum_is_looked_up_as_in_the_materialized_sum():
+    hull_only = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rng=st.integers(0, 2**32 - 1).map(random.Random),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    )
+    def check(rng, sizes):
+        # Chains under the orthant. The candidates are the sum's points, midpoints of two of them (in the
+        # hull, often not in the sum) and sum points moved sideways by a third.
+        chains = []
+        for k in sizes:
+            p = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2))
+            points = [p]
+            for _ in range(k - 1):
+                p = vadd(p, (F(rng.randint(0, 2)), F(rng.randint(0, 2), 3)))
+                points.append(p)
+            chains.append(ChainSet.build(points, ORTHANT))
+        y = DecomposableSet(tuple(chains))
+        points = materialize(y).points
+        midpoints = [vscale(F(1, 2), vadd(rng.choice(points), rng.choice(points))) for _ in range(10)]
+        moved = [vadd(rng.choice(points), (F(rng.randint(-1, 1), 3), F(0))) for _ in range(10)]
+        for c in (*points, *midpoints, *moved):
+            assert separation._holds(y, c) == (c in points)
+        hull_only.extend(c for c in midpoints if c not in points)
+
+    check()
+    assert hull_only
 
 
 class TestProperSeparator:
