@@ -8,7 +8,7 @@ empty set. Membership is decided exactly by one decision tree
 of the generator matrix (`Cone.span_solver`) refutes every vector off the
 span and decides the span of independent generators, and the cone's
 facets (`Cone.facets`) decide the span of dependent ones. Both are built
-once per cone on first use. A small exact LP (`conedom.linalg.lp_solve`)
+once per cone on first use. A small exact LP (`conedom.linalg.solve_hulls`)
 decides the origin and the cones above the facet work bound.
 `cone_contains` takes the verdict alone; `cone_membership` also builds
 the certificate (the LP's wherever the elimination gives none), which
@@ -54,15 +54,13 @@ from .linalg import (
     ONE,
     ZERO,
     IntegerPoints,
-    LpStatus,
     Vec,
     _eliminate,
     fvec,
-    hull_program,
     integer_multiple,
     integer_points,
     is_zero_vec,
-    lp_solve,
+    solve_hulls,
     vcombination,
     vdot,
     vneg,
@@ -456,15 +454,36 @@ class ConeOrder:
                 kept.append(i)
         return sorted(kept)
 
+    def support_end(self, coefficients: Sequence[Fraction], up: bool) -> Vec:
+        """The top (`up`) or the bottom of the points with a positive coefficient.
+
+        One scan from the last support point back; a point replaces the best so
+        far only when strictly past it, so among tied ends the last listed
+        wins. The verdicts are on distinct points, where v lies in -C exactly
+        when -v lies in C, so the bottom under C is the top under -C: the scan
+        reads `above` with its arguments swapped. An incomparable pair (the
+        points are no chain under the cone) raises ValueError.
+        """
+        pts = self.points
+        support = [i for i, c in enumerate(coefficients) if c > 0]
+        best = support[-1]
+        for i in reversed(support[:-1]):
+            low, high = (i, best) if up else (best, i)
+            if self.above(low, high):
+                continue
+            if not self.above(high, low):
+                raise ValueError(f"points {pts[i]} and {pts[best]} are incomparable under the cone")
+            best = i
+        return pts[best]
+
 
 def _solve_membership(cone: Cone, v: Vec, unit_mass: bool) -> ConeMembership:
     """The generator weights as one block summing to one (`unit_mass`) or as rays."""
     generators = (1, cone.generator_view)
-    res = lp_solve(hull_program(v, [generators]) if unit_mass else hull_program(v, [], generators))
-    if res.status is LpStatus.OPTIMAL:
-        return ConeMembership(True, coefficients=res.witness)
-    f = res.farkas[: cone.dimension]
-    return ConeMembership(False, functional=f)
+    answer = solve_hulls(v, [generators]) if unit_mass else solve_hulls(v, [], generators)
+    if not answer.feasible:
+        return ConeMembership(False, functional=answer.functional)
+    return ConeMembership(True, coefficients=answer.weights[0] if unit_mass else answer.rays)
 
 
 def _certified(cone: Cone, v: Vec, member: bool) -> ConeMembership:

@@ -32,12 +32,10 @@ from .cones import (
 from .linalg import (
     ZERO,
     IntegerPoints,
-    LpStatus,
     Vec,
-    hull_program,
     integer_multiple,
     is_zero_vec,
-    lp_solve,
+    solve_hulls,
     vadd,
     vcombination,
     vdot,
@@ -194,8 +192,9 @@ def dominating_element_chain(
     `cone` must admit the origin (finitely generated cones here are always
     convex). Coefficients align with the chain's point list, must be
     nonnegative, sum to one and reproduce y exactly; these checks run in
-    integers. z is the top of the coefficients' support (`_support_end`) in
-    the chain's cached `order` if `cone` has its generators, else in a new one.
+    integers. z is the top of the coefficients' support
+    (`ConeOrder.support_end`) in the chain's cached `order` if `cone` has its
+    generators, else in a new one.
     """
     pts = chain.base.points
     if len(coefficients) != len(pts):
@@ -211,32 +210,8 @@ def dominating_element_chain(
         raise ValueError("coefficients do not reproduce the target point")
     # A one-point support asks the order nothing, so it builds none.
     own = cone.generators == chain.cone.generators or len(ints) - ints.count(0) == 1
-    z = _support_end(chain.order if own else ConeOrder(cone, pts), coefficients, up=True)
+    z = (chain.order if own else ConeOrder(cone, pts)).support_end(coefficients, up=True)
     return z, vsub(z, y)
-
-
-def _support_end(order: ConeOrder, coefficients: Sequence[Fraction], up: bool) -> Vec:
-    """The top (`up`) or the bottom of the order's points with a positive
-    coefficient.
-
-    One scan from the last support point back; a point replaces the best so
-    far only when strictly past it, so among tied ends the last listed
-    wins. The order's verdicts are on distinct points, where v lies in -C
-    exactly when -v lies in C, so the bottom under C is the top under -C:
-    the scan reads `above` with its arguments swapped. An incomparable pair
-    (the points are no chain under the order's cone) raises ValueError.
-    """
-    pts = order.points
-    support = [i for i, c in enumerate(coefficients) if c > 0]
-    best = support[-1]
-    for i in reversed(support[:-1]):
-        low, high = (i, best) if up else (best, i)
-        if order.above(low, high):
-            continue
-        if not order.above(high, low):
-            raise ValueError(f"points {pts[i]} and {pts[best]} are incomparable under the cone")
-        best = i
-    return pts[best]
 
 
 def _summand_blocks(d: DecomposableSet) -> list[tuple[int, IntegerPoints]]:
@@ -250,33 +225,23 @@ def decompose_in_hulls(y: Vec, d: DecomposableSet) -> Decomposition:
     Raises OutsideHullError with a separating certificate when y is not in
     the Minkowski sum of the summand hulls.
     """
-    n = d.dimension
-    if len(y) != n:
+    if len(y) != d.dimension:
         raise ValueError("point dimension does not match the set")
-    res = lp_solve(hull_program(y, _summand_blocks(d)))
-    if res.status is LpStatus.INFEASIBLE:
-        f = res.farkas[:n]
-        offsets = res.farkas[n:]
-        raise OutsideHullError(y, f, offsets)
-    if res.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("decomposition program cannot be unbounded")
-    blocks = []
-    offset = 0
-    for s in d.summands:
-        blocks.append(tuple(res.witness[offset : offset + len(s.base)]))
-        offset += len(s.base)
-    return Decomposition(tuple(blocks))
+    answer = solve_hulls(y, _summand_blocks(d))
+    if not answer.feasible:
+        raise OutsideHullError(y, answer.functional, answer.offsets)
+    return Decomposition(answer.weights)
 
 
 def _dominance(y: Vec, d: DecomposableSet, up: bool) -> DominationCertificate:
     """Decomposes y across the summand hulls and sums one end of each block's
-    support (`_support_end`), read from the summand's cached order. The
-    decomposition program is the same for both directions, and its
+    support (`ConeOrder.support_end`), read from the summand's cached order.
+    The decomposition program is the same for both directions, and its
     certificate check already holds the blocks to nonnegativity, unit sums
     and the target, so no summand point is formed.
     """
     decomposition = decompose_in_hulls(y, d)
-    witnesses = [_support_end(s.order, block, up) for block, s in zip(decomposition.blocks, d.summands)]
+    witnesses = [s.order.support_end(block, up) for block, s in zip(decomposition.blocks, d.summands)]
     witness = reduce(vadd, witnesses)
     return DominationCertificate(
         target=y,
@@ -322,18 +287,15 @@ def is_pareto_in_hull(y: Vec, d: DecomposableSet) -> bool:
     cone = d.cone
     if not is_pointed(cone):
         raise ValueError("hull optimality requires a pointed cone")
-    n = d.dimension
-    if len(y) != n:
+    if len(y) != d.dimension:
         raise ValueError("point dimension does not match the set")
     # Zero generators clear no denominator, so dropping them keeps the scale.
     view = cone.generator_view
     gens = IntegerPoints(view.scale, tuple(g for g in view.points if any(g)))
-    res = lp_solve(hull_program(y, _summand_blocks(d), (-1, gens), maximize_rays=True))
-    if res.status is LpStatus.INFEASIBLE:
-        raise OutsideHullError(y, res.farkas[:n], tuple(res.farkas[n:]))
-    if res.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("hull optimality program cannot be unbounded for a pointed cone")
-    return res.value == 0
+    answer = solve_hulls(y, _summand_blocks(d), (-1, gens), maximize_rays=True)
+    if not answer.feasible:
+        raise OutsideHullError(y, answer.functional, answer.offsets)
+    return answer.value == 0
 
 
 @dataclass(frozen=True)
@@ -380,7 +342,7 @@ def check_equivalences(d: DecomposableSet) -> EquivalenceReport:
     hull_eq: bool | None = None
     maximals_eq: bool | None = None
     if is_pointed(cone):
-        hull_eq = all((p in optima.points) == is_pareto_in_hull(p, d) for p in pts)
+        hull_eq = all((p in optima) == is_pareto_in_hull(p, d) for p in pts)
         related = _domination_matrix(pts, cone)
         relation = FiniteRelation(pts, related)
         maximals_eq = maximals(relation, pts).sorted_points() == optima.sorted_points()

@@ -6,8 +6,10 @@ rows times one common positive scale, the lcm of every denominator in
 them (`LinearProgram.scale`). `LinearProgram.build` computes that form
 once from rationals, and `hull_program` writes it directly from cached
 integer views of the point sets (`IntegerPoints`) for every program of
-the "points in a sum of hulls" shape. Both the simplex and
-`check_certificates` read that one form. The simplex pivots on Python
+the "points in a sum of hulls" shape; `solve_hulls`, the one reader of its
+layout, solves it and returns block weights or a Farkas functional with
+one offset per block. Both the simplex and `check_certificates` read
+that one form. The simplex pivots on Python
 `int`s without fractions (Edmonds 1967; Bareiss 1968): every tableau and
 cost row holds integers over one shared positive basis determinant, so
 each entry is the exact rational a `Fraction` tableau would hold, and
@@ -720,6 +722,42 @@ def hull_program(
     return LinearProgram(width, tuple(objective), True, tuple(rows), (True,) * width, scale)
 
 
+class HullAnswer(NamedTuple):
+    """A solved `hull_program` (`solve_hulls`). Feasible: each block's point
+    `weights` (with `bound`, their parts above t), the ray weights and the
+    optimum. Infeasible: the Farkas multipliers of the coordinate rows, the
+    `functional` f, and of the block rows, one offset c per block: with each
+    group's sign, sign f.p + c >= 0 on a block's points and sign f.r >= 0 on
+    the rays, while f.target + sum(offsets) < 0."""
+
+    feasible: bool
+    weights: tuple[Vec, ...] = ()
+    rays: Vec = ()
+    value: Fraction | None = None
+    functional: Vec | None = None
+    offsets: Vec = ()
+
+
+def solve_hulls(
+    target: Vec, blocks: Sequence[tuple[int, IntegerPoints]], rays: tuple[int, IntegerPoints] | None = None, **flags
+) -> HullAnswer:
+    """`lp_solve` on `hull_program(target, blocks, rays, **flags)`, read back
+    by its layout: the one reader of that program. No such program is
+    unbounded, so an unbounded result is an internal error."""
+    res = lp_solve(hull_program(target, blocks, rays, **flags))
+    if res.status is LpStatus.INFEASIBLE:
+        n = len(target)
+        return HullAnswer(False, functional=res.farkas[:n], offsets=res.farkas[n:])
+    if res.status is not LpStatus.OPTIMAL:
+        raise RuntimeError("a hull program cannot be unbounded")
+    weights, start = [], 0
+    for _, view in blocks:
+        weights.append(res.witness[start : start + len(view.points)])
+        start += len(view.points)
+    end = start + (len(rays[1].points) if rays is not None else 0)
+    return HullAnswer(True, tuple(weights), res.witness[start:end], res.value)
+
+
 def _hull_views(point: Vec, *given: Sequence[Vec] | IntegerPoints) -> list[IntegerPoints]:
     """Integer views of the vertices and the rays (built here unless given
     as views), checked against the point's dimension."""
@@ -741,18 +779,10 @@ def hull_membership(
     `FinitePointSet.integer_view`), which is then read as it is.
     """
     vs, rs = _hull_views(point, vertices, rays)
-    res = lp_solve(hull_program(point, [(1, vs)], (1, rs)))
-    if res.status is LpStatus.OPTIMAL:
-        nv = len(vs.points)
-        lam = res.witness[:nv]
-        mu = res.witness[nv:]
-        return HullMembership(True, vertex_coefficients=lam, ray_coefficients=mu)
-    if res.status is LpStatus.INFEASIBLE:
-        n = len(point)
-        f = res.farkas[:n]
-        g = res.farkas[n]
-        return HullMembership(False, functional=f, offset=g)
-    raise RuntimeError("hull membership program cannot be unbounded")
+    answer = solve_hulls(point, [(1, vs)], (1, rs))
+    if answer.feasible:
+        return HullMembership(True, vertex_coefficients=answer.weights[0], ray_coefficients=answer.rays)
+    return HullMembership(False, functional=answer.functional, offset=answer.offsets[0])
 
 
 def relative_interior_membership(
@@ -766,9 +796,5 @@ def relative_interior_membership(
     Vertices and rays come as in `hull_membership`.
     """
     vs, rs = _hull_views(point, vertices, rays)
-    res = lp_solve(hull_program(point, [(1, vs)], (1, rs), bound=True))
-    if res.status is LpStatus.INFEASIBLE:
-        return False
-    if res.status is LpStatus.OPTIMAL:
-        return res.value > 0
-    raise RuntimeError("relative interior program cannot be unbounded")
+    answer = solve_hulls(point, [(1, vs)], (1, rs), bound=True)
+    return answer.feasible and answer.value > 0

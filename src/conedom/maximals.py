@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
@@ -50,13 +49,9 @@ class FiniteRelation:
         if len(self.related) != k or any(len(row) != k for row in self.related):
             raise ValueError("relation matrix shape does not match the ground set")
 
-    @cached_property
-    def _position(self) -> dict[Vec, int]:
-        return {p: i for i, p in enumerate(self.ground.points)}
-
     def index(self, p: Vec) -> int:
         try:
-            return self._position[p]
+            return self.ground.position[p]
         except (KeyError, TypeError):
             raise ValueError(f"point {p} is not in the ground set") from None
 
@@ -462,8 +457,7 @@ def check_maximizer_convexity(
     if not is_grid_antichain_convex(dset, cone, denominator, step=grid.step):
         return False
     pts = dset.points
-    member = set(pts)
-    others = [q for q in grid.points() if q not in member]
+    others = [q for q in grid.points() if q not in dset]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if any(_on_segment(pts[i], pts[j], q) for q in others):

@@ -19,7 +19,6 @@ from functools import reduce
 from math import lcm
 
 from .cones import Cone
-from .dominance import _support_end
 from .linalg import (
     ONE,
     REL_GE,
@@ -29,11 +28,11 @@ from .linalg import (
     LpStatus,
     Vec,
     fvec,
-    hull_program,
     integer_multiple,
     integer_points,
     is_zero_vec,
     lp_solve,
+    solve_hulls,
     vadd,
     vcombination,
     vdot,
@@ -109,34 +108,26 @@ def _dimensions_differ(x: Polyhedron, y: SecondSet, *vectors: Vec) -> bool:
 def hulls_disjoint(x: Polyhedron, y: DecomposableSet | FinitePointSet) -> DisjointnessResult:
     """Exact disjointness of X and the hull of the second set.
 
-    One feasibility program asks for a point of X in the sum of the block
-    hulls (the summands of a decomposable set, else the whole set).
-    Columns: block coefficients, then X vertex coefficients, then X ray
-    coefficients. Rows: coordinates match, each block sums to one, the X
-    vertex coefficients sum to one.
+    One feasibility program (`solve_hulls`) asks for a point of X in
+    the sum of the block hulls (the summands of a decomposable set, else the
+    whole set): a point of each block's hull, minus one of X's vertex hull,
+    as one more block, minus a combination of X's rays, sums to zero.
     """
     blocks, n = _summands(y), x.dimension
     if _dimensions_differ(x, y):
         raise ValueError("dimension mismatch between the two sets")
     groups = [(1, b.integer_view) for b in blocks] + [(-1, x.vertices.integer_view)]
-    res = lp_solve(hull_program(vzero(n), groups, (-1, x.ray_view)))
-    if res.status is LpStatus.OPTIMAL:
+    answer = solve_hulls(vzero(n), groups, (-1, x.ray_view))
+    if answer.feasible:
         # Rebuild the common point from the X-side coefficients.
-        offset = sum(len(b) for b in blocks)
-        point = vcombination(res.witness[offset:], (*x.vertices.points, *x.rays), n)
+        point = vcombination((*answer.weights[-1], *answer.rays), (*x.vertices.points, *x.rays), n)
         return DisjointnessResult(False, common_point=point)
-    if res.status is not LpStatus.INFEASIBLE:
-        raise RuntimeError("common point program cannot be unbounded")
-    # Farkas rows: n coordinate rows give the functional, then one offset
-    # per block, then the X normalization offset.
-    f = res.farkas[:n]
-    block_offsets = res.farkas[n : n + len(blocks)]
-    x_offset = res.farkas[n + len(blocks)]
-    # f.p + c_b >= 0 per block point, -f.v + d >= 0 per X vertex, so
-    # sup f[X] <= d and inf over the summed hull >= -sum(c_b), with
-    # d + sum(c_b) < 0 giving the strict ordering.
-    y_bound = -sum(block_offsets, ZERO)
-    return DisjointnessResult(True, functional=f, x_bound=x_offset, y_bound=y_bound)
+    # One offset per block, X's vertex block last: f.p + c_b >= 0 on the
+    # points of block b, -f.v + d >= 0 on X's vertices, so sup f[X] <= d and
+    # inf over the summed hull >= -sum(c_b), with d + sum(c_b) < 0 giving
+    # the strict ordering.
+    *block_offsets, x_offset = answer.offsets
+    return DisjointnessResult(True, functional=answer.functional, x_bound=x_offset, y_bound=-sum(block_offsets, ZERO))
 
 
 def validate_common_point(point: Vec, x: Polyhedron, y: DecomposableSet | FinitePointSet) -> list[str]:
@@ -151,14 +142,13 @@ def validate_common_point(point: Vec, x: Polyhedron, y: DecomposableSet | Finite
         return ["common point does not match the sets' dimension"]
     errs: list[str] = []
     for side, blocks, rays in (("first", [x.vertices], x.rays), ("second", _summands(y), ())):
-        res = lp_solve(hull_program(point, [(1, b.integer_view) for b in blocks], (1, integer_points(rays))))
-        if res.status is not LpStatus.OPTIMAL:
+        answer = solve_hulls(point, [(1, b.integer_view) for b in blocks], (1, integer_points(rays)))
+        if not answer.feasible:
             errs.append(f"common point is outside the {side} hull")
             continue
-        weights = iter(res.witness)
-        sums = [sum((next(weights) for _ in b.points), ZERO) for b in blocks]
-        rebuilt = vcombination(res.witness, (*(p for b in blocks for p in b.points), *rays), len(point))
-        if any(c < 0 for c in res.witness) or any(t != 1 for t in sums) or rebuilt != point:
+        weights = (*(c for w in answer.weights for c in w), *answer.rays)
+        rebuilt = vcombination(weights, (*(p for b in blocks for p in b.points), *rays), len(point))
+        if any(c < 0 for c in weights) or any(sum(w) != 1 for w in answer.weights) or rebuilt != point:
             errs.append(f"{side} hull coefficients do not rebuild the common point")
     return errs
 
@@ -231,10 +221,9 @@ def _holds(y: SecondSet, p: Vec) -> bool:
     if not isinstance(y, DecomposableSet):
         return p in y
     chains = list(y.summands)
-    largest = chains.pop(max(range(len(chains)), key=lambda i: len(chains[i].base)))
-    points = set(largest.base.points)
+    largest = chains.pop(max(range(len(chains)), key=lambda i: len(chains[i].base))).base
     others = materialize(DecomposableSet(tuple(chains))).points if chains else (vzero(len(p)),)
-    return any(vsub(p, q) in points for q in others)
+    return any(vsub(p, q) in largest for q in others)
 
 
 def _functional_rows(x: Polyhedron, summands: list[FinitePointSet], cols: int) -> tuple[int, list]:
@@ -303,7 +292,7 @@ def proper_separator(x: Polyhedron, y: DecomposableSet) -> SeparationResult:
     """
     if not is_upward(x, y.cone):
         raise ValueError("proper separation here requires a first set upward under the chains' cone")
-    t = reduce(vadd, (_support_end(s.order, (ONE,) * len(s.base), up=True) for s in y.summands))
+    t = reduce(vadd, (s.order.support_end((ONE,) * len(s.base), up=True) for s in y.summands))
     if in_relative_interior(x, t):
         raise ValueError(f"point {t} of the second set lies in the relative interior of the first")
     n, summands = x.dimension, _summands(y)

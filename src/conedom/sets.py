@@ -83,8 +83,16 @@ class FinitePointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p: Vec) -> bool:
-        return p in self.points
+    def __contains__(self, p: object) -> bool:
+        try:
+            return p in self.position
+        except TypeError:  # an unhashable p equals no point
+            return False
+
+    @cached_property
+    def position(self) -> dict[Vec, int]:
+        """Each point's index in `points`, built on first use."""
+        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def integer_view(self) -> IntegerPoints:
@@ -247,6 +255,11 @@ class Polyhedron:
         return integer_points(self.rays)
 
     @cached_property
+    def ray_cone(self) -> Cone:
+        """The cone of the rays, the recession cone, built on first use."""
+        return Cone(self.dimension, self.rays, True)
+
+    @cached_property
     def facets(self) -> Facets | None:
         """Equations and facet normals of the homogenized cone, generated by
         (v, 1) for each vertex and (r, 0) for each ray, built on first use.
@@ -312,12 +325,7 @@ def convex_hull(s: FinitePointSet) -> Polyhedron:
 
 def recession_contains(p: Polyhedron, direction: Vec) -> bool:
     """direction expressible as a nonnegative combination of the rays."""
-    if is_zero_vec(direction):
-        return True
-    if not p.rays:
-        return False
-    ray_cone = Cone(p.dimension, p.rays, True)
-    return cone_contains(ray_cone, direction)
+    return is_zero_vec(direction) or (bool(p.rays) and cone_contains(p.ray_cone, direction))
 
 
 def is_upward(p: Polyhedron, cone: Cone) -> bool:

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from conedom import cones, dominance, linalg, separation
+from conedom import linalg, separation
 from conedom.cones import Cone, cone_membership
 from conedom.dominance import OutsideHullError, decompose_in_hulls, is_pareto_in_hull
 from conedom.linalg import LinearProgram, LpResult, hull_membership, lp_solve, relative_interior_membership
@@ -160,8 +160,8 @@ def hand_programs() -> list[tuple[str, LinearProgram]]:
 
 @contextmanager
 def recording(store: list[LinearProgram]):
-    """Rebind `lp_solve` in every module that builds programs, recording each one."""
-    modules = (linalg, dominance, separation, cones)
+    """Rebind `lp_solve` in every module that solves programs, recording each one."""
+    modules = (linalg, separation)
 
     def record(lp):
         store.append(lp)

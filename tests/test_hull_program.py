@@ -26,9 +26,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conedom import cones, dominance, linalg, separation
-from conedom.cones import Cone, k_closure
-from conedom.dominance import OutsideHullError, decompose_in_hulls, is_pareto_in_hull
+from conedom import cones, linalg, separation
+from conedom.cones import Cone, ConeMembership, is_pointed, k_closure
+from conedom.dominance import Decomposition, OutsideHullError, decompose_in_hulls, is_pareto_in_hull
 from conedom.instances import (
     rand_cone_member,
     rand_decomposable,
@@ -42,6 +42,8 @@ from conedom.linalg import (
     REL_GE,
     REL_LE,
     ZERO,
+    HullMembership,
+    IntegerPoints,
     LinearProgram,
     LpStatus,
     hull_membership,
@@ -49,9 +51,18 @@ from conedom.linalg import (
     is_zero_vec,
     lp_solve,
     relative_interior_membership,
+    vcombination,
     vsub,
+    vzero,
 )
-from conedom.separation import hulls_disjoint, proper_separator, strict_separator, validate_separation
+from conedom.separation import (
+    DisjointnessResult,
+    hulls_disjoint,
+    proper_separator,
+    strict_separator,
+    validate_common_point,
+    validate_separation,
+)
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, materialize, upward_hull
 from test_validators import STEPS, touching_pair
 
@@ -227,19 +238,22 @@ def reference_proper_verdict(x, y):
 
 
 @contextmanager
-def recorded(module):
-    """Rebind `lp_solve` in one module, recording every program it solves."""
+def recorded(*modules):
+    """Rebind `lp_solve` in the modules, recording every program they solve
+    in the order solved. Hull programs are solved in `linalg`."""
     store = []
 
     def record(lp):
         store.append(lp)
         return lp_solve(lp)
 
-    module.lp_solve = record
+    for module in modules:
+        module.lp_solve = record
     try:
         yield store
     finally:
-        module.lp_solve = lp_solve
+        for module in modules:
+            module.lp_solve = lp_solve
 
 
 def assert_same_program(built, reference):
@@ -312,7 +326,7 @@ class TestHullProgramAgainstTheFormerBuilders:
     @given(d=decomposables(), data=st.data())
     def test_decomposition(self, d, data):
         y = data.draw(targets(d.dimension))
-        with recorded(dominance) as store:
+        with recorded(linalg) as store:
             try:
                 decompose_in_hulls(y, d)
             except OutsideHullError:
@@ -324,7 +338,7 @@ class TestHullProgramAgainstTheFormerBuilders:
     @given(d=decomposables(), data=st.data())
     def test_pareto_in_hull(self, d, data):
         y = data.draw(targets(d.dimension))
-        with recorded(dominance) as store:
+        with recorded(linalg) as store:
             try:
                 is_pareto_in_hull(y, d)
             except OutsideHullError:
@@ -354,7 +368,7 @@ class TestHullProgramAgainstTheFormerBuilders:
     def test_cone_membership(self, data, n, unit_mass):
         cone = Cone.build(n, data.draw(points(n, 1, 4)), data.draw(st.booleans()))
         v = data.draw(targets(n))
-        with recorded(cones) as store:
+        with recorded(linalg) as store:
             cones._solve_membership(cone, v, unit_mass)
         (built,) = store
         assert_same_program(built, reference_membership_lp(cone, v, unit_mass))
@@ -368,7 +382,7 @@ class TestHullProgramAgainstTheFormerBuilders:
         else:
             y = FinitePointSet.build(data.draw(points(2)))
             blocks = [y.points]
-        with recorded(separation) as store:
+        with recorded(linalg) as store:
             hulls_disjoint(x, y)
         (built,) = store
         assert_same_program(built, reference_common_point_lp(x, blocks))
@@ -382,6 +396,215 @@ class TestHullProgramAgainstTheFormerBuilders:
         assert_same_program(built, reference_decomposition_lp(y, d))
         with pytest.raises(OutsideHullError):
             decompose_in_hulls(y, d)
+
+
+# --- the former readers of the hull program ------------------------------------
+#
+# Each `former_*` function below is one of the package's former call sites of
+# a hull program, which solved it and sliced the solver's witness and Farkas
+# vectors by its own offsets. The package now reads every such program in one
+# place (`linalg.solve_hulls`); its answers must equal the former
+# ones, or raise the same error, field for field. The one message that
+# changed is that of an unbounded program, which none of them can reach.
+
+
+def former_decompose_in_hulls(y, d):
+    n = d.dimension
+    if len(y) != n:
+        raise ValueError("point dimension does not match the set")
+    res = lp_solve(linalg.hull_program(y, [(1, s.base.integer_view) for s in d.summands]))
+    if res.status is LpStatus.INFEASIBLE:
+        raise OutsideHullError(y, res.farkas[:n], res.farkas[n:])
+    if res.status is not LpStatus.OPTIMAL:
+        raise RuntimeError("decomposition program cannot be unbounded")
+    blocks = []
+    offset = 0
+    for s in d.summands:
+        blocks.append(tuple(res.witness[offset : offset + len(s.base)]))
+        offset += len(s.base)
+    return Decomposition(tuple(blocks))
+
+
+def former_is_pareto_in_hull(y, d):
+    cone = d.cone
+    if not is_pointed(cone):
+        raise ValueError("hull optimality requires a pointed cone")
+    n = d.dimension
+    if len(y) != n:
+        raise ValueError("point dimension does not match the set")
+    view = cone.generator_view
+    gens = IntegerPoints(view.scale, tuple(g for g in view.points if any(g)))
+    blocks = [(1, s.base.integer_view) for s in d.summands]
+    res = lp_solve(linalg.hull_program(y, blocks, (-1, gens), maximize_rays=True))
+    if res.status is LpStatus.INFEASIBLE:
+        raise OutsideHullError(y, res.farkas[:n], tuple(res.farkas[n:]))
+    if res.status is not LpStatus.OPTIMAL:
+        raise RuntimeError("hull optimality program cannot be unbounded for a pointed cone")
+    return res.value == 0
+
+
+def former_hulls_disjoint(x, y):
+    blocks, n = separation._summands(y), x.dimension
+    if separation._dimensions_differ(x, y):
+        raise ValueError("dimension mismatch between the two sets")
+    groups = [(1, b.integer_view) for b in blocks] + [(-1, x.vertices.integer_view)]
+    res = lp_solve(linalg.hull_program(vzero(n), groups, (-1, x.ray_view)))
+    if res.status is LpStatus.OPTIMAL:
+        offset = sum(len(b) for b in blocks)
+        point = vcombination(res.witness[offset:], (*x.vertices.points, *x.rays), n)
+        return DisjointnessResult(False, common_point=point)
+    if res.status is not LpStatus.INFEASIBLE:
+        raise RuntimeError("common point program cannot be unbounded")
+    f = res.farkas[:n]
+    block_offsets = res.farkas[n : n + len(blocks)]
+    x_offset = res.farkas[n + len(blocks)]
+    return DisjointnessResult(True, functional=f, x_bound=x_offset, y_bound=-sum(block_offsets, ZERO))
+
+
+def former_validate_common_point(point, x, y):
+    if separation._dimensions_differ(x, y, point):
+        return ["common point does not match the sets' dimension"]
+    errs = []
+    for side, blocks, rays in (("first", [x.vertices], x.rays), ("second", separation._summands(y), ())):
+        program = linalg.hull_program(point, [(1, b.integer_view) for b in blocks], (1, integer_points(rays)))
+        res = lp_solve(program)
+        if res.status is not LpStatus.OPTIMAL:
+            errs.append(f"common point is outside the {side} hull")
+            continue
+        weights = iter(res.witness)
+        sums = [sum((next(weights) for _ in b.points), ZERO) for b in blocks]
+        rebuilt = vcombination(res.witness, (*(p for b in blocks for p in b.points), *rays), len(point))
+        if any(c < 0 for c in res.witness) or any(t != 1 for t in sums) or rebuilt != point:
+            errs.append(f"{side} hull coefficients do not rebuild the common point")
+    return errs
+
+
+def former_solve_membership(cone, v, unit_mass):
+    generators = (1, cone.generator_view)
+    program = linalg.hull_program(v, [generators]) if unit_mass else linalg.hull_program(v, [], generators)
+    res = lp_solve(program)
+    if res.status is LpStatus.OPTIMAL:
+        return ConeMembership(True, coefficients=res.witness)
+    return ConeMembership(False, functional=res.farkas[: cone.dimension])
+
+
+def former_hull_membership(point, vertices, rays=()):
+    vs, rs = linalg._hull_views(point, vertices, rays)
+    res = lp_solve(linalg.hull_program(point, [(1, vs)], (1, rs)))
+    if res.status is LpStatus.OPTIMAL:
+        nv = len(vs.points)
+        return HullMembership(True, vertex_coefficients=res.witness[:nv], ray_coefficients=res.witness[nv:])
+    if res.status is LpStatus.INFEASIBLE:
+        n = len(point)
+        return HullMembership(False, functional=res.farkas[:n], offset=res.farkas[n])
+    raise RuntimeError("hull membership program cannot be unbounded")
+
+
+def former_relative_interior_membership(point, vertices, rays=()):
+    vs, rs = linalg._hull_views(point, vertices, rays)
+    res = lp_solve(linalg.hull_program(point, [(1, vs)], (1, rs), bound=True))
+    if res.status is LpStatus.INFEASIBLE:
+        return False
+    if res.status is LpStatus.OPTIMAL:
+        return res.value > 0
+    raise RuntimeError("relative interior program cannot be unbounded")
+
+
+def outcome(call, *args):
+    """What a call returns, or the error it raises with every field of an
+    outside-hull refutation, as one comparable value."""
+    try:
+        return "returned", call(*args)
+    except OutsideHullError as e:
+        return "outside", e.target, e.functional, e.offsets, str(e)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def assert_same_outcome(former, current, *args):
+    expected = outcome(former, *args)
+    assert outcome(current, *args) == expected
+    return expected
+
+
+@st.composite
+def hull_targets(draw, d):
+    """A drawn target, or a sum of one drawn point per summand (always in
+    the hull), or a target of the wrong dimension."""
+    kind = draw(st.sampled_from(("free", "inside", "inside", "wrong dimension")))
+    if kind == "inside":
+        picks = [draw(st.sampled_from(s.base.points)) for s in d.summands]
+        return tuple(sum(c, ZERO) for c in zip(*picks))
+    return draw(targets(d.dimension + (kind == "wrong dimension")))
+
+
+class TestOneReaderAgainstTheFormerDecodings:
+    @settings(max_examples=80, deadline=None)
+    @given(d=decomposables(), data=st.data())
+    def test_decomposition_and_hull_optimality(self, d, data):
+        y = data.draw(hull_targets(d))
+        kinds = {assert_same_outcome(former_decompose_in_hulls, decompose_in_hulls, y, d)[0]}
+        kinds.add(assert_same_outcome(former_is_pareto_in_hull, is_pareto_in_hull, y, d)[0])
+        if len(y) == d.dimension:
+            assert kinds <= {"returned", "outside"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=polyhedra(), data=st.data())
+    def test_common_points_and_their_validation(self, x, data):
+        y = data.draw(st.one_of(decomposables(), st.builds(FinitePointSet.build, points(2))))
+        verdict = assert_same_outcome(former_hulls_disjoint, hulls_disjoint, x, y)[1]
+        point = verdict.common_point if not verdict.disjoint else data.draw(targets(2))
+        assert_same_outcome(former_validate_common_point, validate_common_point, point, x, y)
+        if verdict.disjoint:
+            assert validate_common_point(x.vertices.points[0], x, y) == ["common point is outside the second hull"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), unit_mass=st.booleans())
+    def test_cone_membership(self, data, n, unit_mass):
+        cone = Cone.build(n, data.draw(points(n, 1, 4)), data.draw(st.booleans()))
+        v = data.draw(st.one_of(targets(n), st.sampled_from(cone.generators)))
+        assert_same_outcome(former_solve_membership, cones._solve_membership, cone, v, unit_mass)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), with_rays=st.booleans())
+    def test_hull_and_relative_interior(self, data, n, with_rays):
+        vertices = tuple(data.draw(points(n)))
+        rays = tuple(data.draw(points(n, 1, 2))) if with_rays else ()
+        point = data.draw(st.one_of(targets(n), st.sampled_from(vertices), targets(n + 1)))
+        for args in ((point, vertices, rays), (point, integer_points(vertices), integer_points(rays))):
+            assert_same_outcome(former_hull_membership, hull_membership, *args)
+            assert_same_outcome(former_relative_interior_membership, relative_interior_membership, *args)
+
+    def test_both_verdicts_and_every_block_shape_occur(self):
+        # A joint and a disjoint verdict over one block and over two, and a
+        # refutation with its offsets.
+        orthant = Cone.build(2, [(1, 0), (0, 1)], True)
+        d = DecomposableSet((ChainSet.build([(0, 0), (1, 1)], orthant), ChainSet.build([(0, 0), (1, 2)], orthant)))
+        for y in (d, FinitePointSet.build([(0, 0), (2, 3)])):
+            for x in (Polyhedron.build([(1, 1)], [(1, 0)]), Polyhedron.build([(5, 5)], [(1, 0), (0, 1)])):
+                assert_same_outcome(former_hulls_disjoint, hulls_disjoint, x, y)
+        assert hulls_disjoint(Polyhedron.build([(1, 1)], [(1, 0)]), d).disjoint is False
+        assert hulls_disjoint(Polyhedron.build([(5, 5)], [(1, 0), (0, 1)]), d).disjoint is True
+        refused = assert_same_outcome(former_decompose_in_hulls, decompose_in_hulls, (F(9), F(0)), d)
+        assert refused[0] == "outside" and len(refused[3]) == 2
+
+    def test_with_the_bound_the_value_is_the_bound_and_no_ray_weight(self):
+        # (1, 1) = 1/2 (0, 0) + 1/4 (3, 0) + 1/4 (0, 3) + 1/4 (1, 1), the split
+        # whose least weight is largest: the bound t is 1/4, and the ray block
+        # holds the one ray, not t's column.
+        triangle = integer_points([(ZERO, ZERO), (F(3), ZERO), (ZERO, F(3))])
+        answer = linalg.solve_hulls((F(1), F(1)), [(1, triangle)], (1, integer_points([(ONE, ONE)])), bound=True)
+        assert answer.feasible and answer.value == F(1, 4)
+        assert len(answer.weights) == 1 and len(answer.weights[0]) == 3 and len(answer.rays) == 1
+
+    def test_an_unbounded_hull_program_is_one_internal_error(self):
+        # Ray weight maximized along a line: the one program shape that could
+        # be unbounded, which the package never writes (it refuses a cone that
+        # is not pointed first).
+        line = integer_points([(ONE, ZERO), (-ONE, ZERO)])
+        block = [(1, integer_points([(ZERO, ZERO)]))]
+        with pytest.raises(RuntimeError, match="^a hull program cannot be unbounded$"):
+            linalg.solve_hulls((ZERO, ZERO), block, (-1, line), maximize_rays=True)
 
 
 # --- the separation rows ---------------------------------------------------------
@@ -427,7 +650,7 @@ class TestSeparationRowsAgainstTheFormerBuilders:
         # common-point program run, to name the point in the same error.
         x, y = pair
         common = hulls_disjoint(x, y.vertices).common_point
-        with recorded(separation) as store, pytest.raises(ValueError) as refused:
+        with recorded(separation, linalg) as store, pytest.raises(ValueError) as refused:
             strict_separator(x, y)
         assert str(refused.value) == f"the sets intersect at {common}; nothing separates them"
         strict, probe = store

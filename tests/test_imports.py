@@ -1,0 +1,61 @@
+"""Every name a package module imports at top level is used in that module.
+
+No linter ships with the test dependencies, so the check reads each
+module's syntax tree with the standard library's `ast`. A name counts as
+used when it is read anywhere in the module, a string annotation included.
+`__init__.py` is exempt: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conedom"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names imported at the module's top level that it never reads."""
+    tree = ast.parse(source)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # A quoted annotation such as "Facets | None" reads its names too.
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [name for name in imported if name not in used]
+
+
+def test_the_package_has_modules_to_scan():
+    assert "linalg.py" in MODULES and "dominance.py" in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_top_level_import_is_used(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_a_leftover_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "from .linalg import LpStatus, lp_solve, vadd\n"
+        "def f(a: 'Vec') -> 'LpStatus':\n"
+        "    def g():\n"
+        "        from .sets import materialize\n"
+        "        return materialize\n"
+        "    return vadd(a, a)\n"
+    )
+    assert unused_imports(source) == ["json", "lp_solve"]

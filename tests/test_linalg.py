@@ -983,6 +983,8 @@ def reference_lp_solve_core(lp: LinearProgram, paths: Counter | None = None) -> 
                 if a > 0:
                     # rhs_r / a < best_rhs / best_a, cross-multiplied.
                     key = tableau[r][width - 1] * best_a - best_rhs * a
+                    if leave >= 0 and key == 0 and min(basis[r], basis[leave]) >= slack_base:  # path
+                        paths["slack-artificial tie"] += (basis[r] >= art_base) != (basis[leave] >= art_base)  # path
                     if leave < 0 or key < 0 or (key == 0 and basis[r] < basis[leave]):
                         best_rhs = tableau[r][width - 1]
                         best_a = a
@@ -1096,18 +1098,26 @@ HAND_PROGRAMS = {
     "unbounded by a variable": _build([1, 0], True, [([0, 1], "<=", 1)]),
     # x >= 1 with x maximized: x = 1 + s grows with its slack s.
     "unbounded by a slack": _build([1], True, [([1], ">=", 1)]),
+    # Two degenerate rows (b = 0), x <= 0 with its slack basic and x = 0 with its
+    # artificial basic, tie when x enters. The slack, numbered first, leaves, and
+    # the artificial is driven out after phase 1: two pivots, where the
+    # artificial leaving would take one.
+    "slack-artificial tie": _build([1], True, [([1], "<=", 0), ([1], "=", 0)]),
 }
-BRANCHES = ("infeasible", "drop", "drive-out", "unbounded by a variable", "unbounded by a slack")
+BRANCHES = ("infeasible", "drop", "drive-out", "unbounded by a variable", "unbounded by a slack", "slack-artificial tie")
 
 
 @st.composite
 def simplex_programs(draw):
     """Programs over one to three variables, some free, with rows of every
-    relation and sign of right-hand side; half of them turn a row into an
-    equation and add a multiple of it as a second, redundant, equation."""
+    relation and sign of right-hand side; over a third of the right-hand sides
+    are zero, so that a basic slack and a basic artificial can tie in the
+    ratio test. Half of them turn a row into an equation and add a multiple
+    of it as a second, redundant, equation."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rhs = st.one_of(st.just(F(0)), small_rationals, small_rationals)
     rows = [
-        (tuple(draw(small_rationals) for _ in range(n)), draw(st.sampled_from(["<=", "=", ">="])), draw(small_rationals))
+        (tuple(draw(small_rationals) for _ in range(n)), draw(st.sampled_from(["<=", "=", ">="])), draw(rhs))
         for _ in range(m)
     ]
     if draw(st.booleans()):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conedom import cli, dominance
+from conedom import cli, dominance, linalg
 from conedom.cli import main
 from conedom.dominance import OutsideHullError
 from conedom.cones import Cone
@@ -586,7 +586,7 @@ class TestCliErrors:
         def failing(lp):
             raise exc
 
-        monkeypatch.setattr(dominance, "lp_solve", failing)
+        monkeypatch.setattr(linalg, "lp_solve", failing)
         code, out, err = run(
             capsys, "dominate", "--scene", scene_file, "--set", "Y", "--point", "1,3/2"
         )

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conedom import separation
+from conedom import linalg, separation
 from conedom.cones import Cone
 from conedom.instances import (
     rand_bounded_disjoint_pair,
@@ -145,7 +145,9 @@ class TestStrictSeparator:
             strict_separator(x, y)
 
     def test_a_dimension_mismatch_is_refused_before_any_program(self, monkeypatch):
-        monkeypatch.setattr(separation, "lp_solve", None)  # any solve would raise TypeError
+        # Any solve, of the separator's program or of a hull program, would raise TypeError.
+        monkeypatch.setattr(separation, "lp_solve", None)
+        monkeypatch.setattr(linalg, "lp_solve", None)
         with pytest.raises(ValueError, match="dimension mismatch"):
             strict_separator(Polyhedron.build([(3, 3)]), Polyhedron.build([(0, 0, 0)]))
 

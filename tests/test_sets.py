@@ -70,6 +70,27 @@ class TestFinitePointSet:
         s = FinitePointSet.build([(2, 0), (0, 2), (1, 1)])
         assert s.sorted_points() == ((F(0), F(2)), (F(1), F(1)), (F(2), F(0)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_membership_answers_as_the_tuple_scan(self, data):
+        n = data.draw(st.integers(1, 3))
+        coordinate = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2)))
+        point = st.tuples(*[coordinate] * n)
+        s = FinitePointSet.build(data.draw(st.lists(point, min_size=1, max_size=8)))
+        probes = [*s.points, *data.draw(st.lists(point, max_size=8))]
+        # Integer and float tuples equal to points, and probes of other lengths.
+        probes += [tuple(int(c) for c in p) for p in s.points if all(c.denominator == 1 for c in p)]
+        probes += [tuple(float(c) for c in p) for p in s.points] + [p[:-1] for p in s.points] + [(*p, F(0)) for p in s.points]
+        for p in probes:
+            assert (p in s) == (p in s.points)
+        assert all(s.position[p] == i for i, p in enumerate(s.points))
+
+    def test_an_unhashable_probe_is_no_member(self):
+        s = FinitePointSet.build([(0, 0), (1, 1)])
+        for probe in ([F(0), F(0)], (F(0), [F(0)]), {"x": 0}):
+            assert probe not in s
+            assert (probe in s) == (probe in s.points)
+
 
 class TestChainAndAntichain:
     def test_chain_accepts_comparable_points(self):
@@ -431,6 +452,27 @@ class TestIsUpward:
                     FinitePointSet.build([rand_point(rng, 2) for _ in range(3)])
                 )
             assert is_upward(poly, draw.cone) == is_upward(poly, k_closure(draw.cone))
+
+    def test_a_polyhedron_builds_one_ray_cone(self, monkeypatch):
+        poly = Polyhedron.build([(2, 2)], [(1, 0), (0, 1), (1, 1)])
+        cone = Cone.build(2, [[1, 0], [0, 1], [1, 2], [2, 1]], True)
+        built = []
+        init = Cone.__init__
+
+        def counting(c, *args, **kwargs):
+            built.append(c)
+            init(c, *args, **kwargs)
+
+        monkeypatch.setattr(Cone, "__init__", counting)
+        assert is_upward(poly, cone)
+        assert len(built) == 1 and built == [poly.ray_cone]
+        assert is_upward(poly, cone) and recession_contains(poly, (F(3), F(1)))
+        assert not recession_contains(poly, (F(-1), F(0)))
+        assert built == [poly.ray_cone]
+        # Without rays, only the origin is a recession direction, and no cone is built.
+        bounded = Polyhedron.build([(0, 0), (1, 1)])
+        assert not is_upward(bounded, cone) and recession_contains(bounded, (F(0), F(0)))
+        assert built == [poly.ray_cone]
 
 
 class TestGridAntichainConvex:

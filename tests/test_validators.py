@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conedom
-from conedom import separation
+from conedom import linalg, separation
 from conedom.cones import Cone, ConeMembership, cone_membership, k_closure, validate_membership
 from conedom.instances import (
     rand_bounded_disjoint_pair,
@@ -341,14 +341,14 @@ class TestEveryMessage:
         # Solver answers that rebuild the point from weights that are not
         # convex: 2 * (0, 0) on both sides, then 2 * (1, 1) - (2, 2).
         origin = (F(0), F(0))
-        monkeypatch.setattr(separation, "lp_solve", _fake_solve((2, 0, 0), (2,)))
+        monkeypatch.setattr(linalg, "lp_solve", _fake_solve((2, 0, 0), (2,)))
         assert validate_common_point(origin, x, FinitePointSet.build([(0, 0)])) == [
             "first hull coefficients do not rebuild the common point",
             "second hull coefficients do not rebuild the common point",
         ]
-        monkeypatch.setattr(separation, "lp_solve", _fake_solve((1, 0, 0), (2, -1)))
+        monkeypatch.setattr(linalg, "lp_solve", _fake_solve((1, 0, 0), (2, -1)))
         assert validate_common_point(origin, x, y) == ["second hull coefficients do not rebuild the common point"]
-        monkeypatch.setattr(separation, "lp_solve", _fake_solve((1, 0, 0), (1, 0)))
+        monkeypatch.setattr(linalg, "lp_solve", _fake_solve((1, 0, 0), (1, 0)))
         assert validate_common_point(origin, x, y) == ["second hull coefficients do not rebuild the common point"]
 
     def test_separation(self):
