@@ -3,28 +3,29 @@
 A `Cone` is the set of nonnegative combinations of its generators with
 positive total mass, together with the origin iff `contains_zero` is set.
 That set is always a convex cone; with no generators and no flag it is the
-empty set. Membership is decided exactly by one decision tree
-(`_membership`), read in integers: a fraction-free Gaussian elimination
-of the generator matrix (`Cone.span_solver`) refutes every vector off the
-span and decides the span of independent generators, and the cone's
-facets (`Cone.facets`) decide the span of dependent ones. Both are built
-once per cone on first use. A small exact LP (`conedom.linalg.solve_hulls`)
-decides the origin and the cones above the facet work bound.
-`cone_contains` takes the verdict alone; `cone_membership` also builds
-the certificate (the LP's wherever the elimination gives none), which
-`validate_membership` re-checks.
+empty set. Membership follows one rule (`_membership`): by Minkowski-Weyl
+the cone is {v : Ev = 0, Hv >= 0} for the integer rows of `Cone.facets`,
+and a nonzero v is a member exactly when it passes that test, read in
+integers. The facets are built once per cone on first use. A small exact LP
+(`conedom.linalg.solve_hulls`) decides the origin and the cones above the
+facet work bound. `cone_contains` takes the verdict alone;
+`cone_membership` also builds the certificate from a fraction-free Gaussian
+elimination of the generator matrix (`Cone.span_solver`): a left-null row
+of E refutes a vector off the span, and E gives the weights of a member on
+independent generators. The LP certifies every other verdict, and
+`validate_membership` re-checks each certificate.
 
 `ConeOrder` is the cone order on one list of points. Every pairwise
 question of the other modules (chains and antichains, Pareto optima,
-support tops, the domination matrix, `relate`) goes through it. It reads
-every cone through `Cone.facets`, the H-description {v : Ev = 0, Hv >= 0}:
-each point is mapped once to (E.p, H.p), and each comparison is then a
-componentwise one. Only a cone above the facet work bound asks
-`cone_contains` pair by pair. Its Pareto maxima come from a sorted sweep
-on any pointed cone with no zero generator: by the sum of the normal
-coordinates on independent generators, or else by one integer functional
-positive on every generator (`Cone.positive_functional`, one certified LP
-per cone).
+support tops, the domination matrix) goes through it. It runs the same
+test in batch: each point is mapped once to (E.p, H.p), and each
+comparison is then a componentwise one. Only a cone above the facet work
+bound asks `cone_contains` pair by pair. Its Pareto maxima come from a
+sorted sweep on any pointed cone with no zero generator: by the sum of the
+normal coordinates on independent generators, or else by one integer
+functional positive on every generator (`Cone.positive_functional`, one
+certified LP per cone). `relate` asks `cone_contains` of both differences
+of its two points, so all three read one test.
 
 For independent generators `Cone.facets` are the elimination's own rows.
 Otherwise they are `cone_facets`: the left-null rows of the same
@@ -152,11 +153,12 @@ class ConeMembership:
 class _SpanSolver:
     """Reduced row echelon data for a fixed generator matrix.
 
-    Its elimination matrix E, applied to a vector in integers (`image`),
-    tells whether the vector lies in the generators' span (the left-null
-    rows of E vanish) and, for linearly independent generators, gives its
-    unique generator coefficients (the first rank rows); a nonzero
-    left-null row is a separating functional.
+    Its elimination matrix E, applied to a vector, tells whether the vector
+    lies in the generators' span (the left-null rows of E vanish) and, for
+    linearly independent generators, gives its unique generator
+    coefficients (the first rank rows); a nonzero left-null row is a
+    separating functional. `facets` and the certificates of
+    `_span_certificate` read its integer rows.
 
     E is found without fractions by `_eliminate`: Gauss-Jordan on the
     integer matrix [G' | s I], for G' the generators times s, the lcm of
@@ -202,11 +204,6 @@ class _SpanSolver:
         if self.unique:
             return Facets(self.integer_elim[self.rank :], self.integer_elim[: self.rank])
         return cone_facets(self.dimension, self.view.points, self)
-
-    def image(self, q: Sequence[int]) -> tuple[int, ...]:
-        """E.q for an integer vector q, with each row of E scaled by its own
-        positive lcm: the signs of E.v for any positive multiple v of q."""
-        return tuple(sum(map(mul, row, q)) for row in self.integer_elim)
 
 
 # `cone_facets` gives up, and its callers keep their LP, when the number of
@@ -318,16 +315,20 @@ def _hull_edges(points: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], Se
     return list(zip(cycle, cycle[1:] + cycle[:1]))
 
 
+def _planar(dimension: int, generators: Sequence[Sequence[int]]) -> bool:
+    """Whether the generators are homogenized points (v, s) of the plane:
+    dimension 3 and one positive last coordinate s on all of them."""
+    s = generators[0][-1] if generators else 0
+    return dimension == 3 and s > 0 and all(g[2] == s for g in generators)
+
+
 def _polygon_edges(
     dimension: int, generators: Sequence[Sequence[int]]
 ) -> list[tuple[Sequence[int], Sequence[int]]] | None:
     """The edges of the polygon when the generators are its homogenized
-    vertices (v, s): dimension 3, one positive last coordinate s on all of
-    them, and at least three hull vertices, so not all on one line (rank 3).
-    None otherwise."""
-    if dimension != 3 or not generators or generators[0][2] <= 0:
-        return None
-    if any(g[2] != generators[0][2] for g in generators):
+    vertices (`_planar`) and have at least three hull vertices, so not all
+    on one line (rank 3). None otherwise."""
+    if not _planar(dimension, generators):
         return None
     edges = _hull_edges(generators)
     return edges if len(edges) >= 3 else None
@@ -354,8 +355,10 @@ def cone_facets(
     edge of the polygon. So its candidates are the pairs of consecutive
     vertices of the generators' hull, not every pair, and no work bound
     applies: O(n log n) for the hull and O(h n) for the checks, for h hull
-    vertices among n generators. Every kept row is re-checked against every
-    generator before it is returned.
+    vertices among n generators. Homogenized points on one line span a cone
+    of rank 2, with one facet per end of their segment, so the two ends are
+    its only candidates, again with no work bound. Every kept row is
+    re-checked against every generator before it is returned.
     """
     edges = _polygon_edges(dimension, generators)
     if edges is not None:
@@ -365,9 +368,14 @@ def cone_facets(
             solver = _SpanSolver(dimension, generators)
         rank = solver.rank
         equations = tuple(solver.integer_elim[rank:])
-        if rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
+        if rank == 2 and _planar(dimension, generators):
+            # Points on one line: the ends, first and last in sorted order as
+            # the monotone chain finds them, each span one facet.
+            candidates = [(min(generators),), (max(generators),)]
+        elif rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
             return None
-        candidates = combinations(generators, rank - 1) if rank else ()
+        else:
+            candidates = combinations(generators, rank - 1) if rank else ()
     normals = set()
     for subset in candidates:
         h = _null_vector((*subset, *equations), dimension)
@@ -495,19 +503,35 @@ def _certified(cone: Cone, v: Vec, member: bool) -> ConeMembership:
     return m
 
 
+def _span_certificate(cone: Cone, v: Vec, scale: int, q: Sequence[int], member: bool) -> ConeMembership:
+    """The certificate of a facet verdict on a nonzero v = q / scale, written
+    from the elimination: a left-null row of E that is nonzero on v refutes
+    it off the span, and on independent generators a member's weights are
+    E.v (generator j pivots in row j; both scales divided out). The LP
+    certifies the rest (`_certified`). With no generators -v refutes v."""
+    if not cone.generators:
+        return ConeMembership(False, functional=vneg(v))
+    solver = cone.span_solver
+    w = [sum(map(mul, row, q)) for row in solver.integer_elim]
+    for row in range(solver.rank, len(w)):
+        if w[row]:
+            return ConeMembership(False, functional=vneg(solver.elim[row]) if w[row] > 0 else solver.elim[row])
+    if member and solver.unique:
+        mu = zip(w[: solver.rank], solver.row_scales)
+        return ConeMembership(True, coefficients=tuple(Fraction(c, s * scale) for c, s in mu))
+    return _certified(cone, v, member)
+
+
 def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]:
     """The verdict on v and a thunk that builds its certificate.
 
+    One rule decides every nonzero v: it is a member iff Ev = 0 and Hv >= 0
+    for the cone's `Facets` (the test `ConeOrder` runs in batch), and only
+    a cone above the facet work bound (`Cone.facets` None) asks the LP.
     The flag, a zero generator or independent generators (which combine to
-    zero only trivially) settle the origin. The elimination, read in
-    integers, refutes a nonzero v off the span (that row of E is the
-    certificate) and decides v on the span of independent generators. On
-    the span of dependent generators the cone's facet normals decide it
-    (`Cone.facets`: v is a member iff every normal is >= 0 on it). The LP
-    decides the rest: the origin, as a unit-mass combination, and the span
-    of a cone above the facet work bound. It also certifies the integer
-    verdicts that need a combination or a functional the elimination does
-    not give, but only when the thunk is called (`_certified`).
+    zero only trivially) settle the origin, and the LP, as a unit-mass
+    combination, settles the rest of it. The elimination is read only when
+    the thunk is called, to write the certificate (`_span_certificate`).
     """
     if len(v) != cone.dimension:
         raise ValueError("vector dimension does not match the cone")
@@ -525,29 +549,10 @@ def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]
             return False, lambda: ConeMembership(False)
         if cone.span_solver.unique:
             return False, lambda: _solve_membership(cone, v, unit_mass=True)
-    elif not gens:
-        return False, lambda: ConeMembership(False, functional=vneg(v))
-    else:
-        solver = cone.span_solver
+    elif (facets := cone.facets) is not None:
         scale, q = integer_multiple(v)
-        w = solver.image(q)
-        for row in range(solver.rank, len(w)):
-            if w[row]:
-                flip = w[row] > 0
-                return False, lambda: ConeMembership(
-                    False, functional=vneg(solver.elim[row]) if flip else solver.elim[row]
-                )
-        if solver.unique:
-            # Generator j pivots in row j: its weight is E_j.v, both scales divided out.
-            mu = w[: solver.rank]
-            if all(c >= 0 for c in mu):
-                return True, lambda: ConeMembership(
-                    True, coefficients=tuple(Fraction(c, s * scale) for c, s in zip(mu, solver.row_scales))
-                )
-            return False, lambda: _certified(cone, v, False)
-        if (facets := solver.facets) is not None:
-            member = facets.contains(q)
-            return member, lambda: _certified(cone, v, member)
+        member = facets.contains(q)
+        return member, lambda: _span_certificate(cone, v, scale, q, member)
     m = _solve_membership(cone, v, unit_mass=zero)
     return m.member, lambda: m
 
@@ -602,16 +607,8 @@ def is_pointed(cone: Cone) -> bool:
 
 
 def relate(cone: Cone, x: Vec, y: Vec) -> Comparability:
-    """Position of y relative to x in the cone order: y - x in C and/or -C.
-
-    The zero difference (x == y) is in C exactly when `cone_contains` admits
-    it; any other one is read by `ConeOrder`.
-    """
-    if x == y:
-        up = down = cone_contains(cone, vsub(y, x))
-    else:
-        order = ConeOrder(cone, (x, y))
-        up, down = order.above(0, 1), order.above(1, 0)
+    """Position of y relative to x in the cone order: y - x in C and/or -C."""
+    up, down = cone_contains(cone, vsub(y, x)), cone_contains(cone, vsub(x, y))
     if up and down:
         return Comparability.BOTH
     if up:

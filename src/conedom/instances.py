@@ -151,9 +151,9 @@ def rand_decomposable(
     return DecomposableSet(chains)
 
 
-def rand_hull_point(rng: Rng, d: DecomposableSet, strict: bool = False) -> Vec:
+def rand_hull_point(rng: Rng, d: DecomposableSet) -> Vec:
     """Random point of co(materialize(d)) as a sum of per-summand combinations."""
-    return _combination([_weighted(rng, s.base.integer_view, strict) for s in d.summands], d.dimension)
+    return _combination([_weighted(rng, s.base.integer_view, False) for s in d.summands], d.dimension)
 
 
 def rand_upward_polyhedron(rng: Rng, draw: ConeDraw, n_vertices: int) -> Polyhedron:

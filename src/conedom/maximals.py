@@ -117,7 +117,10 @@ class TotalPreorder(FiniteRelation):
     def _from_values(
         cls, ground: FinitePointSet, values: tuple[Fraction, ...]
     ) -> "TotalPreorder":
-        return cls(ground, _rank_matrix(_ranks(values)), values)
+        # Built from the values, the matrix agrees with them: `__post_init__` would only rebuild it.
+        out = object.__new__(cls)
+        vars(out).update(ground=ground, related=_rank_matrix(_ranks(values)), utility_values=values)
+        return out
 
 
 def maximals(relation: FiniteRelation, subset: FinitePointSet) -> FinitePointSet:

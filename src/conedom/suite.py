@@ -60,6 +60,7 @@ from .maximals import (
     orthant_cone,
     ratio_utility,
 )
+from .scene import fmt_vec
 from .sets import (
     FinitePointSet,
     convex_hull,
@@ -109,10 +110,6 @@ class FamilyReport:
             "passed": self.passed(),
             "details": self.details,
         }
-
-
-def _fmt_vec(v: Vec) -> list[str]:
-    return [str(c) for c in v]
 
 
 # --- criterion 1: dominating-element soundness -------------------------------
@@ -301,7 +298,7 @@ class InvarianceInstance:
             "utility": self.utility_name,
             "step": str(self.step),
             "box_high": str(self.box_high),
-            "price": _fmt_vec(self.price),
+            "price": fmt_vec(self.price),
             "wealth": str(self.wealth),
         }
 
@@ -399,7 +396,7 @@ def run_demand_family(seed: int, count: int) -> FamilyReport:
         and inv.nonsatiated
     )
     rep.record(fixed_ok, "showcase instance: demand/boundary/invariance mismatch")
-    rep.details["showcase_demand"] = [_fmt_vec(p) for p in dset.sorted_points()]
+    rep.details["showcase_demand"] = [fmt_vec(p) for p in dset.sorted_points()]
 
     corpus, rejected = build_invariance_corpus(count)
     rep.details["corpus_rejected_draws"] = rejected
@@ -452,8 +449,8 @@ def run_quasiconcavity_family(seed: int, samples: int) -> FamilyReport:
     )
     if found is not None:
         rep.details["found_violation"] = {
-            "x": _fmt_vec(found[0]),
-            "y": _fmt_vec(found[1]),
+            "x": fmt_vec(found[0]),
+            "y": fmt_vec(found[1]),
             "weight": str(found[2]),
         }
     return rep

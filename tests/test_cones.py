@@ -166,6 +166,32 @@ class TestRelate:
                 Comparability.BOTH,
             )
 
+    def test_relate_asks_cone_contains_and_builds_no_order(self, monkeypatch):
+        # Both directions are the membership verdicts of the two differences,
+        # on distinct points and on equal ones, with no `ConeOrder` between.
+        built = []
+        init = conedom.cones.ConeOrder.__init__
+        monkeypatch.setattr(conedom.cones.ConeOrder, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        table = {
+            (True, True): Comparability.BOTH,
+            (True, False): Comparability.UP,
+            (False, True): Comparability.DOWN,
+            (False, False): Comparability.INCOMPARABLE,
+        }
+        rng = random.Random("relate/no-order")
+        for _ in range(20):
+            dim = rng.choice((2, 3))
+            for name, gens in _cone_kinds(rng, dim, True).items():
+                for flag in (True, False):
+                    cone = Cone(dim, gens, flag)
+                    x = rand_point(rng, dim)
+                    ys = [x, rand_point(rng, dim)] + [vadd(x, g) for g in gens] + [vsub(x, g) for g in gens]
+                    for y in ys:
+                        up = reference_cone_contains(cone, vsub(y, x))
+                        down = reference_cone_contains(cone, vsub(x, y))
+                        assert relate(cone, x, y) is table[up, down], (name, flag, x, y)
+        assert built == []
+
 
 class TestClosureAndNegation:
     def test_k_closure_adds_the_origin_and_keeps_generators(self):

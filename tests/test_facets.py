@@ -304,6 +304,28 @@ def test_the_work_bound_grows_with_the_dimension():
     parabola = Polyhedron.build([(t, t * t) for t in range(12)])
     assert comb(12, 2) * 3**3 <= cones._MAX_FACET_WORK and parabola.facets is not None
 
+def test_a_segment_of_any_length_gets_the_facets_of_its_two_ends(monkeypatch):
+    # 80 points on one line: their 80 one-point subsets would cost
+    # 80 * 3**3 = 2,160, over the bound; the two ends are the only candidates.
+    points = [(k, 2 * k) for k in range(80)]
+    assert comb(len(points), 1) * 3**3 > cones._MAX_FACET_WORK
+    p = Polyhedron.build(points)
+    vs = p.vertices.integer_view
+    assert p.facets == reference_cone_facets(3, [(*v, vs.scale) for v in vs.points])
+    ends = [(F(0), F(0)), (F(79), F(158))]
+    inside = [(F(1, 2), F(1)), (F(40), F(80)), (F(79, 2), F(79))]
+    beyond = [(F(-1), F(-2)), (F(80), F(160)), (F(-1, 3), F(-2, 3))]
+    off = [(F(1), F(1)), (F(40), F(80) + F(1, 10**9)), (F(0), F(1))]
+    probes_ = ends + inside + beyond + off
+    expected = [
+        (relative_interior_membership(z, p.vertices.points, ()), hull_membership(z, p.vertices.points).member)
+        for z in probes_
+    ]
+    forbid_lps(monkeypatch)
+    assert [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_] == expected
+    assert expected == [(False, True)] * 2 + [(True, True)] * 3 + [(False, False)] * 6
+
+
 def test_a_corrupted_normal_raises(monkeypatch):
     original = cones._oriented
 

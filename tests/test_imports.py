@@ -4,14 +4,22 @@ No linter ships with the test dependencies, so the check reads each
 module's syntax tree with the standard library's `ast`. A name counts as
 used when it is read anywhere in the module, a string annotation included.
 `__init__.py` is exempt: its imports are the package's re-exports.
+
+The benchmark's span tracer (`bench/spans.py`) wraps every function named
+in its `TRACED` table, looked up by name, so a name deleted or renamed in
+the package breaks every traced run. The last test reads that table from
+the file, without importing the benchmark, and looks each name up.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conedom"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "conedom"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -59,3 +67,17 @@ def test_the_scan_finds_a_leftover_import():
         "    return vadd(a, a)\n"
     )
     assert unused_imports(source) == ["json", "lp_solve"]
+
+
+def test_every_name_the_benchmark_traces_is_a_package_function():
+    spec = importlib.util.spec_from_file_location("traced_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = [(module, name) for module, names in spans.TRACED.items() for name in names]
+    assert len(traced) > 20
+    missing = [
+        f"{module}.{name}"
+        for module, name in traced
+        if not callable(getattr(importlib.import_module(f"conedom.{module}"), name, None))
+    ]
+    assert missing == []

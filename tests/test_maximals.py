@@ -568,6 +568,23 @@ class TestConvexificationInvariance:
             assert rep.equal
             assert sorted(seen) == sorted(grid.points().points)
 
+    def test_the_rank_matrix_is_built_once_per_check(self, monkeypatch):
+        # The preorder built from the value table agrees with it by
+        # construction, so no second build compares the matrix with itself.
+        # A matrix passed with `utility_values` is still checked (TestRelations).
+        calls = []
+        real = maximals_module._rank_matrix
+        monkeypatch.setattr(maximals_module, "_rank_matrix", lambda ranks: calls.append(ranks) or real(ranks))
+        grid = square_grid(F(1, 2), 4)
+        for utility in (ratio_utility, linear_utility, min_utility):
+            calls.clear()
+            check_convexification_invariance(utility, grid, PriceSystem.build((1, 1), 3))
+            assert len(calls) == 1
+            calls.clear()
+            built = TotalPreorder.from_utility(grid.points(), utility)
+            assert len(calls) == 1
+            assert built == reference_from_utility(grid.points(), utility)
+
     def test_empty_budget(self):
         grid = GridDomain(F(1), ((F(1), F(3)), (F(1), F(3))))
         rep = check_convexification_invariance(linear_utility, grid, PriceSystem.build((1, 1), 1))
