@@ -6,14 +6,17 @@ That set is always a convex cone; with no generators and no flag it is the
 empty set. Membership follows one rule (`_membership`): by Minkowski-Weyl
 the cone is {v : Ev = 0, Hv >= 0} for the integer rows of `Cone.facets`,
 and a nonzero v is a member exactly when it passes that test, read in
-integers. The facets are built once per cone on first use. A small exact LP
-(`conedom.linalg.solve_hulls`) decides the origin and the cones above the
-facet work bound. `cone_contains` takes the verdict alone;
-`cone_membership` also builds the certificate from a fraction-free Gaussian
-elimination of the generator matrix (`Cone.span_solver`): a left-null row
-of E refutes a vector off the span, and E gives the weights of a member on
-independent generators. The LP certifies every other verdict, and
-`validate_membership` re-checks each certificate.
+integers. The facets are built once per cone on first use. Unless the flag
+or a zero generator admits it, the origin is a member exactly when the cone
+is not pointed, which the same test decides (`is_pointed` asks nonzero
+vectors only). A small exact LP (`conedom.linalg.solve_hulls`) decides only
+the cones above the facet work bound. `cone_contains` takes the verdict
+alone; `cone_membership` also builds the certificate from a fraction-free
+Gaussian elimination of the generator matrix (`Cone.span_solver`): a
+left-null row of E refutes a vector off the span, and E gives the weights
+of a member on independent generators. The LP certifies every other
+verdict, the origin's as a unit-mass combination, and `validate_membership`
+re-checks each certificate.
 
 `ConeOrder` is the cone order on one list of points. Every pairwise
 question of the other modules (chains and antichains, Pareto optima,
@@ -35,9 +38,10 @@ re-checked against every generator. The generators and each subset are
 eliminated by the same routine, `linalg._eliminate`, which the LP presolve
 runs too. The homogenized cone of a polygon takes its normals from the
 polygon's edges instead, found by Andrew's monotone chain in integers, with
-no elimination and no work bound. `Polyhedron.facets` holds them for a
-polyhedron's homogenized cone, whose relative-interior and containment
-verdicts read them.
+no elimination and no work bound; homogenized points on one line, in any
+dimension, take theirs from the two ends of their segment. `Polyhedron.facets`
+holds them for a polyhedron's homogenized cone, whose relative-interior and
+containment verdicts read them.
 """
 
 from __future__ import annotations
@@ -315,20 +319,20 @@ def _hull_edges(points: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], Se
     return list(zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def _planar(dimension: int, generators: Sequence[Sequence[int]]) -> bool:
-    """Whether the generators are homogenized points (v, s) of the plane:
-    dimension 3 and one positive last coordinate s on all of them."""
+def _homogenized(generators: Sequence[Sequence[int]]) -> bool:
+    """Whether the generators are homogenized points (v, s): one positive
+    last coordinate s on all of them."""
     s = generators[0][-1] if generators else 0
-    return dimension == 3 and s > 0 and all(g[2] == s for g in generators)
+    return s > 0 and all(g[-1] == s for g in generators)
 
 
 def _polygon_edges(
     dimension: int, generators: Sequence[Sequence[int]]
 ) -> list[tuple[Sequence[int], Sequence[int]]] | None:
     """The edges of the polygon when the generators are its homogenized
-    vertices (`_planar`) and have at least three hull vertices, so not all
-    on one line (rank 3). None otherwise."""
-    if not _planar(dimension, generators):
+    vertices (`_homogenized`, dimension 3) and have at least three hull
+    vertices, so not all on one line (rank 3). None otherwise."""
+    if dimension != 3 or not _homogenized(generators):
         return None
     edges = _hull_edges(generators)
     return edges if len(edges) >= 3 else None
@@ -355,10 +359,11 @@ def cone_facets(
     edge of the polygon. So its candidates are the pairs of consecutive
     vertices of the generators' hull, not every pair, and no work bound
     applies: O(n log n) for the hull and O(h n) for the checks, for h hull
-    vertices among n generators. Homogenized points on one line span a cone
-    of rank 2, with one facet per end of their segment, so the two ends are
-    its only candidates, again with no work bound. Every kept row is
-    re-checked against every generator before it is returned.
+    vertices among n generators. Homogenized points on one line, in any
+    dimension, span a cone of rank 2 with one facet per end of their
+    segment, so the two ends are its only candidates, again with no work
+    bound. Every kept row is re-checked against every generator before it
+    is returned.
     """
     edges = _polygon_edges(dimension, generators)
     if edges is not None:
@@ -368,9 +373,10 @@ def cone_facets(
             solver = _SpanSolver(dimension, generators)
         rank = solver.rank
         equations = tuple(solver.integer_elim[rank:])
-        if rank == 2 and _planar(dimension, generators):
-            # Points on one line: the ends, first and last in sorted order as
-            # the monotone chain finds them, each span one facet.
+        if rank == 2 and _homogenized(generators):
+            # Points on one line: lexicographic order is monotone along a
+            # line, so its first and last points are the ends, and each
+            # spans one facet.
             candidates = [(min(generators),), (max(generators),)]
         elif rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
             return None
@@ -495,9 +501,10 @@ def _solve_membership(cone: Cone, v: Vec, unit_mass: bool) -> ConeMembership:
 
 
 def _certified(cone: Cone, v: Vec, member: bool) -> ConeMembership:
-    """The LP's certificate for a verdict on a nonzero v reached without it;
+    """The LP's certificate for a verdict on v reached without it, asking
+    the origin as a unit-mass combination and any other v as rays;
     RuntimeError when the LP disagrees."""
-    m = _solve_membership(cone, v, unit_mass=False)
+    m = _solve_membership(cone, v, unit_mass=is_zero_vec(v))
     if m.member != member:
         raise RuntimeError("the membership LP contradicts the integer verdict")
     return m
@@ -528,10 +535,13 @@ def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]
     One rule decides every nonzero v: it is a member iff Ev = 0 and Hv >= 0
     for the cone's `Facets` (the test `ConeOrder` runs in batch), and only
     a cone above the facet work bound (`Cone.facets` None) asks the LP.
-    The flag, a zero generator or independent generators (which combine to
-    zero only trivially) settle the origin, and the LP, as a unit-mass
-    combination, settles the rest of it. The elimination is read only when
-    the thunk is called, to write the certificate (`_span_certificate`).
+    The flag or a zero generator admits the origin. Otherwise the origin is
+    a positive-mass combination of nonzero generators exactly when the
+    cone is not pointed (some g and -g both in it), so `is_pointed`, whose
+    queries are nonzero, decides it wherever the facets exist; above the
+    bound the LP asks it as a unit-mass combination. Where the facets
+    decide, the certificate is written only when the thunk is called, by
+    the elimination or the LP (`_span_certificate`, `_certified`).
     """
     if len(v) != cone.dimension:
         raise ValueError("vector dimension does not match the cone")
@@ -547,8 +557,9 @@ def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]
             )
         if not gens:
             return False, lambda: ConeMembership(False)
-        if cone.span_solver.unique:
-            return False, lambda: _solve_membership(cone, v, unit_mass=True)
+        if cone.facets is not None:
+            member = not is_pointed(cone)
+            return member, lambda: _certified(cone, v, member)
     elif (facets := cone.facets) is not None:
         scale, q = integer_multiple(v)
         member = facets.contains(q)

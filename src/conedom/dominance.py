@@ -37,7 +37,6 @@ from .linalg import (
     is_zero_vec,
     solve_hulls,
     vadd,
-    vcombination,
     vdot,
     vsub,
     vzero,
@@ -65,12 +64,6 @@ class Decomposition:
     """Per-summand convex coefficients reproducing the target exactly."""
 
     blocks: tuple[tuple[Fraction, ...], ...]
-
-    def summand_points(self, d: DecomposableSet) -> tuple[Vec, ...]:
-        return tuple(
-            vcombination(block, summand.base.points, d.dimension)
-            for block, summand in zip(self.blocks, d.summands, strict=True)
-        )
 
 
 @dataclass(frozen=True)

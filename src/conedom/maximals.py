@@ -14,6 +14,10 @@ smallest upper set among the subset's members, that of a top element, is
 convexified: it becomes one `Polyhedron`, asked about each point below the
 top through its cached facets (`sets.poly_contains`).
 
+The maximizer-convexity check is one segment scan over the demand set. The
+paper takes antichain convexity as a hypothesis on the utility, not as
+something its maximizers must show, and on the lattice the scan implies it.
+
 The convexification-invariance check builds its grid once and evaluates
 the utility once per grid point; the preorder, the budget and the
 nonsatiation verdict are all read from that one value table. A grid counts
@@ -32,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 from .cones import Cone, ConeOrder
 from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec
 from .linalg import vadd, vdot, vscale
-from .sets import FinitePointSet, Polyhedron, is_antichain, is_grid_antichain_convex, poly_contains
+from .sets import FinitePointSet, Polyhedron, is_antichain, poly_contains
 
 Utility = Callable[[Vec], Fraction]
 
@@ -244,9 +248,6 @@ class GridDomain:
                 return False
         return True
 
-    def upper_face(self, p: Vec) -> bool:
-        return any(c + self.step > hi for c, (_, hi) in zip(p, self.box))
-
 
 def ratio_utility(x: Vec) -> Fraction:
     """x1 * x2 / (x1 + 1) - 5 x1 + x2 on the nonnegative quadrant.
@@ -408,12 +409,10 @@ class BoundaryReport:
     demand_set: FinitePointSet
 
 
-def orthant_cone(dimension: int, contains_zero: bool = True) -> Cone:
-    return Cone.build(
-        dimension,
-        [[1 if i == d else 0 for i in range(dimension)] for d in range(dimension)],
-        contains_zero,
-    )
+def orthant_cone(dimension: int) -> Cone:
+    """The nonnegative orthant, origin included."""
+    units = [[1 if i == d else 0 for i in range(dimension)] for d in range(dimension)]
+    return Cone.build(dimension, units, True)
 
 
 def _require_aligned(grid: GridDomain, prices: PriceSystem) -> None:
@@ -442,23 +441,16 @@ def check_boundary_and_antichain(
     )
 
 
-def check_maximizer_convexity(
-    utility: Utility,
-    grid: GridDomain,
-    prices: PriceSystem,
-    cone: Cone,
-    denominator: int,
-) -> bool:
-    """Lattice surrogate of convexity for the demand set.
+def check_maximizer_convexity(utility: Utility, grid: GridDomain, prices: PriceSystem) -> bool:
+    """Lattice surrogate of convexity for the demand set: every grid point
+    strictly between two demand points must itself be a demand point.
 
-    The demand set must pass the grid antichain-convexity check and every
-    grid point on a segment between two demand points must itself be a
-    demand point.
+    So the demand set also passes `sets.is_grid_antichain_convex` on the
+    grid's lattice, under any cone: a lattice point that is a strict convex
+    combination of two demand points is a grid point on their segment.
     """
     _require_aligned(grid, prices)
     dset = demand(utility, grid, prices)
-    if not is_grid_antichain_convex(dset, cone, denominator, step=grid.step):
-        return False
     pts = dset.points
     others = [q for q in grid.points() if q not in dset]
     for i in range(len(pts)):
@@ -494,6 +486,16 @@ class QuasiconcavityReport:
 _MIX_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 
 
+def _mix_below(utility: Utility, x: Vec, y: Vec) -> Fraction | None:
+    """The first weight lam of `_MIX_WEIGHTS` whose mix lam x + (1 - lam) y the
+    utility values strictly below both x and y, or None."""
+    floor = min(utility(x), utility(y))
+    for lam in _MIX_WEIGHTS:
+        if utility(vadd(vscale(lam, x), vscale(1 - lam, y))) < floor:
+            return lam
+    return None
+
+
 def check_antichain_quasiconcavity(
     utility: Utility,
     grid: GridDomain,
@@ -524,11 +526,8 @@ def check_antichain_quasiconcavity(
             continue
         x, y = pts[i], pts[j]
         checked += 1
-        floor = min(utility(x), utility(y))
-        for lam in _MIX_WEIGHTS:
-            z = vadd(vscale(lam, x), vscale(1 - lam, y))
-            if utility(z) < floor:
-                return QuasiconcavityReport(False, (x, y, lam))
+        if (lam := _mix_below(utility, x, y)) is not None:
+            return QuasiconcavityReport(False, (x, y, lam))
     return QuasiconcavityReport(True, None)
 
 
@@ -539,10 +538,6 @@ def find_quasiconcavity_violation(
     pts = grid.points().points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            x, y = pts[i], pts[j]
-            floor = min(utility(x), utility(y))
-            for lam in _MIX_WEIGHTS:
-                z = vadd(vscale(lam, x), vscale(1 - lam, y))
-                if utility(z) < floor:
-                    return (x, y, lam)
+            if (lam := _mix_below(utility, pts[i], pts[j])) is not None:
+                return (pts[i], pts[j], lam)
     return None

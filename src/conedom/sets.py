@@ -10,9 +10,9 @@ compared through one `conedom.cones.ConeOrder` per scan; a `ChainSet`
 keeps one for its dominance scans. A polyhedron's containment and
 relative-interior verdicts are integer dot products with the facets of its
 homogenized cone (`Polyhedron.facets`), built once on first use; above the
-facet routine's candidate cap they stay one LP per point. Planar sets
-with no rays have no cap: a polygon's facets are its edges, and points on
-one line have the two ends of their segment. The
+facet routine's candidate cap they stay one LP per point. Two kinds of
+sets with no rays have no cap: a polygon's facets are its edges, and points
+on one line, in any dimension, have the two ends of their segment. The
 same monotone chain gives a planar set's convex hull without an LP; in
 other dimensions `convex_hull` asks one LP per point.
 """

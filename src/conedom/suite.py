@@ -381,9 +381,7 @@ def run_demand_family(seed: int, count: int) -> FamilyReport:
         ]
     )
     dset = demand(ratio_utility, grid, price)
-    boundary = check_boundary_and_antichain(
-        ratio_utility, grid, price, orthant_cone(2, contains_zero=True)
-    )
+    boundary = check_boundary_and_antichain(ratio_utility, grid, price, orthant_cone(2))
     inv = check_convexification_invariance(ratio_utility, grid, price)
     fixed_ok = (
         sorted(budget) == expected_budget
@@ -430,7 +428,7 @@ QUASI_VIOLATION = (
 def run_quasiconcavity_family(seed: int, samples: int) -> FamilyReport:
     rep = FamilyReport(7, "antichain quasiconcavity versus plain", 2, 0)
     grid = GridDomain(Fraction(1, 2), ((ZERO, Fraction(4)), (ZERO, Fraction(4))))
-    orthant = orthant_cone(2, contains_zero=True)
+    orthant = orthant_cone(2)
     rng = random.Random(seed)
     verdict = check_antichain_quasiconcavity(ratio_utility, grid, orthant, samples, rng)
     rep.record(

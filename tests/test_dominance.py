@@ -47,7 +47,7 @@ from conedom.instances import (
     rand_pointed_cone,
     rand_point,
 )
-from conedom.linalg import ZERO, vadd, vdot, vneg, vscale, vsub, vzero
+from conedom.linalg import ZERO, vadd, vcombination, vdot, vneg, vscale, vsub, vzero
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, materialize
 
 ORTHANT = Cone.build(2, [[1, 0], [0, 1]], True)
@@ -445,7 +445,7 @@ class TestDecomposeInHulls:
         assert len(dec.blocks) == 2
         for block in dec.blocks:
             assert sum(block) == 1 and all(c >= 0 for c in block)
-        parts = dec.summand_points(d)
+        parts = [vcombination(block, s.base.points, 2) for block, s in zip(dec.blocks, d.summands)]
         total = tuple(a + b for a, b in zip(parts[0], parts[1]))
         assert total == y
 

@@ -304,18 +304,27 @@ def test_the_work_bound_grows_with_the_dimension():
     parabola = Polyhedron.build([(t, t * t) for t in range(12)])
     assert comb(12, 2) * 3**3 <= cones._MAX_FACET_WORK and parabola.facets is not None
 
-def test_a_segment_of_any_length_gets_the_facets_of_its_two_ends(monkeypatch):
-    # 80 points on one line: their 80 one-point subsets would cost
-    # 80 * 3**3 = 2,160, over the bound; the two ends are the only candidates.
-    points = [(k, 2 * k) for k in range(80)]
-    assert comb(len(points), 1) * 3**3 > cones._MAX_FACET_WORK
+@pytest.mark.parametrize("direction", [(1, 2), (1, 2, 3), (1, 2, 3, -1)], ids=["2d", "3d", "4d"])
+def test_a_segment_of_any_length_gets_the_facets_of_its_two_ends(direction, monkeypatch):
+    # 80 points on one line in R^2, R^3 or R^4: their 80 one-point subsets
+    # would cost 80 * (n + 1)**3 >= 2,160, over the bound; the two ends are
+    # the only candidates.
+    n = len(direction)
+    d = tuple(map(F, direction))
+    points = [tuple(k * c for c in d) for k in range(80)]
+    assert comb(len(points), 1) * (n + 1) ** 3 > cones._MAX_FACET_WORK
     p = Polyhedron.build(points)
     vs = p.vertices.integer_view
-    assert p.facets == reference_cone_facets(3, [(*v, vs.scale) for v in vs.points])
-    ends = [(F(0), F(0)), (F(79), F(158))]
-    inside = [(F(1, 2), F(1)), (F(40), F(80)), (F(79, 2), F(79))]
-    beyond = [(F(-1), F(-2)), (F(80), F(160)), (F(-1, 3), F(-2, 3))]
-    off = [(F(1), F(1)), (F(40), F(80) + F(1, 10**9)), (F(0), F(1))]
+    assert p.facets == reference_cone_facets(n + 1, [(*v, vs.scale) for v in vs.points])
+
+    def on_line(t):
+        return tuple(t * c for c in d)
+
+    nudge = (F(0),) * (n - 1) + (F(1, 10**9),)
+    ends = [on_line(F(0)), on_line(F(79))]
+    inside = [on_line(F(1, 2)), on_line(F(40)), on_line(F(79, 2))]
+    beyond = [on_line(F(-1)), on_line(F(80)), on_line(F(-1, 3))]
+    off = [(F(1),) * n, vadd(on_line(F(40)), nudge), (F(0),) * (n - 1) + (F(1),)]
     probes_ = ends + inside + beyond + off
     expected = [
         (relative_interior_membership(z, p.vertices.points, ()), hull_membership(z, p.vertices.points).member)

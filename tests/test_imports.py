@@ -5,6 +5,10 @@ module's syntax tree with the standard library's `ast`. A name counts as
 used when it is read anywhere in the module, a string annotation included.
 `__init__.py` is exempt: its imports are the package's re-exports.
 
+A private function, class or method (one leading underscore) that nothing
+in the package names is dead code: every such definition must be read,
+called or subclassed somewhere in `src/conedom`, its own module included.
+
 The benchmark's span tracer (`bench/spans.py`) wraps every function named
 in its `TRACED` table, looked up by name, so a name deleted or renamed in
 the package breaks every traced run. The last test reads that table from
@@ -67,6 +71,60 @@ def test_the_scan_finds_a_leftover_import():
         "    return vadd(a, a)\n"
     )
     assert unused_imports(source) == ["json", "lp_solve"]
+
+
+def private_definitions(tree: ast.AST) -> list[str]:
+    """The private functions, classes and methods defined anywhere in the tree."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def unreferenced_private_definitions(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    used = set().union(*map(referenced_names, trees))
+    return [name for tree in trees for name in private_definitions(tree) if name not in used]
+
+
+def package_sources() -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    trees = [ast.parse(source) for source in package_sources()]
+    assert sum(len(private_definitions(tree)) for tree in trees) > 50
+    assert unreferenced_private_definitions(package_sources()) == []
+
+
+def test_the_scan_finds_an_orphaned_helper():
+    source = (
+        "def _used(x):\n"
+        "    return x\n"
+        "def _orphan(x):\n"
+        "    return _used(x)\n"
+        "class _Shape:\n"
+        "    def _area(self):\n"
+        "        return 0\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def public(s):\n"
+        "    return s._area()\n"
+    )
+    other = "from .m import _Shape\nSHAPES = [_Shape()]\n"
+    assert unreferenced_private_definitions([source, other]) == ["_orphan"]
 
 
 def test_every_name_the_benchmark_traces_is_a_package_function():

@@ -4,11 +4,13 @@ Frozen utility values are recomputed in comments; every demand or
 maximal-set expectation is either derived by an inline brute-force
 enumeration or written out as a one-line hand computation.
 
-`reference_from_utility`, `reference_convexified_maximals` and
-`reference_check_local_nonsatiation` keep the earlier direct
+`reference_from_utility`, `reference_convexified_maximals`,
+`reference_check_local_nonsatiation` and
+`reference_check_maximizer_convexity` keep the earlier direct
 implementations (a `Fraction` comparison per matrix entry, a hull program
-for every member's upper set, a fresh utility call per neighbor); the
-differential tests compare the package against them.
+for every member's upper set, a fresh utility call per neighbor, a grid
+antichain-convexity pass before the segment scan); the differential tests
+compare the package against them.
 """
 
 import importlib
@@ -42,7 +44,8 @@ from conedom.maximals import (
     orthant_cone,
     ratio_utility,
 )
-from conedom.sets import FinitePointSet, poly_contains
+from conedom.sets import FinitePointSet, is_grid_antichain_convex, poly_contains
+from test_order_coordinates import KINDS
 
 # The package re-exports the function `maximals` under the module's name.
 maximals_module = importlib.import_module("conedom.maximals")
@@ -89,7 +92,7 @@ def reference_check_local_nonsatiation(utility, grid) -> NonsatiationReport:
     violators = []
     exempt = []
     for p in grid.points():
-        if grid.upper_face(p):
+        if any(c + grid.step > hi for c, (_, hi) in zip(p, grid.box)):
             exempt.append(p)
             continue
         up = utility(p)
@@ -105,6 +108,53 @@ def reference_check_local_nonsatiation(utility, grid) -> NonsatiationReport:
         if not improved:
             violators.append(p)
     return NonsatiationReport(not violators, tuple(violators), tuple(exempt))
+
+
+def reference_check_maximizer_convexity(utility, grid, prices, cone, denominator):
+    """The former two-pass check: the demand set must pass
+    `is_grid_antichain_convex` under the cone on the grid's lattice, and no
+    grid point strictly inside a segment between two demand points may be
+    left out of it."""
+    if not any(vdot(prices.price, p) == prices.wealth for p in grid.points()):
+        raise ValueError("budget line misses the grid; pick aligned prices and wealth")
+    dset = demand(utility, grid, prices)
+    if not is_grid_antichain_convex(dset, cone, denominator, step=grid.step):
+        return False
+    pts = dset.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            for q in grid.points():
+                if q not in dset and strictly_between(pts[i], pts[j], q):
+                    return False
+    return True
+
+
+def strictly_between(a, b, q):
+    """q = a + t (b - a) for some 0 < t < 1, with t read off the first
+    coordinate where a and b differ."""
+    d = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    t = (q[d] - a[d]) / (b[d] - a[d])
+    return 0 < t < 1 and all(qi == ai + t * (bi - ai) for ai, bi, qi in zip(a, b, q))
+
+
+def random_aligned_case(rng, dimension):
+    """A grid of step 1, 1/2 or 1/3 (3 to 5 points per axis in the plane, 3
+    in space), integer prices whose budget line meets a grid point (the
+    dearer of two random ones), and a utility: a random 0/1 table (demand
+    often not convex), the budget value itself (demand all of the budget
+    line's grid points) or random linear weights."""
+    step = rng.choice((F(1), F(1, 2), F(1, 3)))
+    extent = 4 if dimension == 2 else 2
+    grid = GridDomain(step, tuple((F(0), step * rng.randint(2, extent)) for _ in range(dimension)))
+    price = tuple(rng.randint(1, 3) for _ in range(dimension))
+    wealth = max(vdot(price, rng.choice(grid.points().points)) for _ in range(2))
+    prices = PriceSystem.build(price, wealth)
+    kind = rng.randrange(3)
+    if kind == 0:
+        table = {p: F(rng.random() < 0.5) for p in grid.points()}
+        return grid, prices, table.__getitem__
+    weights = prices.price if kind == 1 else [F(rng.randint(-2, 3), rng.randint(1, 2)) for _ in range(dimension)]
+    return grid, prices, lambda x: vdot(weights, x)
 
 
 def reference_axis_values(grid: GridDomain, d: int) -> tuple:
@@ -383,12 +433,6 @@ class TestGridDomain:
         assert grid.axis_values(0) == (F(0), F(1), F(2))
         assert grid.axis_values(1) == (F(0), F(1))
 
-    def test_upper_face(self):
-        grid = unit_grid(2)
-        assert grid.upper_face((F(2), F(0)))
-        assert grid.upper_face((F(1), F(2)))
-        assert not grid.upper_face((F(1), F(1)))
-
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError):
             GridDomain(F(0), ((F(0), F(1)),))
@@ -638,13 +682,13 @@ class TestMaximizerConvexity:
     def test_showcase_singleton_passes(self):
         grid = unit_grid(4)
         price = PriceSystem.build((1, 1), 2)
-        assert check_maximizer_convexity(ratio_utility, grid, price, orthant_cone(2), 2)
+        assert check_maximizer_convexity(ratio_utility, grid, price)
 
     def test_tied_linear_demand_passes(self):
         # Demand {(0,2),(1,1),(2,0)} contains the whole lattice segment.
         grid = unit_grid(2)
         price = PriceSystem.build((1, 1), 2)
-        assert check_maximizer_convexity(linear_utility, grid, price, orthant_cone(2), 2)
+        assert check_maximizer_convexity(linear_utility, grid, price)
 
     def test_bimodal_utility_fails(self):
         # (x1-x2)^2 peaks at both corners; the lattice midpoint (1,1) is
@@ -658,19 +702,19 @@ class TestMaximizerConvexity:
             (F(0), F(2)),
             (F(2), F(0)),
         )
-        assert not check_maximizer_convexity(spread, grid, price, orthant_cone(2), 2)
+        assert not check_maximizer_convexity(spread, grid, price)
 
     def test_comparable_pair_with_a_gap_fails_the_segment_scan(self):
         # (x1-1)^2 - x2 is 1 at (0,0) and (2,0) and at most 0 elsewhere in
-        # the budget. The two demand points are orthant-comparable, so the
-        # antichain check passes them; the segment scan finds (1,0).
+        # the budget. The two demand points are orthant-comparable, so
+        # `is_grid_antichain_convex` passes them; the segment scan finds (1,0).
         def valley(x):
             return (x[0] - 1) ** 2 - x[1]
 
         grid = unit_grid(2)
         price = PriceSystem.build((1, 1), 2)
         assert demand(valley, grid, price).sorted_points() == ((F(0), F(0)), (F(2), F(0)))
-        assert not check_maximizer_convexity(valley, grid, price, orthant_cone(2), 2)
+        assert not check_maximizer_convexity(valley, grid, price)
 
     def test_grid_is_built_once_however_many_pairs(self, monkeypatch):
         # Tied linear demand on the line x1 + x2 = 2: 3 points on the unit
@@ -687,9 +731,29 @@ class TestMaximizerConvexity:
         counts = []
         for grid in (unit_grid(2), square_grid(F(1, 2), 2)):
             built.clear()
-            assert check_maximizer_convexity(linear_utility, grid, price, orthant_cone(2), 2)
+            assert check_maximizer_convexity(linear_utility, grid, price)
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+    def test_the_segment_scan_alone_matches_the_two_pass_reference(self):
+        # 1,024 random aligned grids: every cone kind, with and without the
+        # origin, and every denominator from 2 to 5 for the antichain pass.
+        rng = random.Random("maximizer-convexity")
+        kinds = list(KINDS.values())
+        verdicts = []
+        for i in range(1024):
+            make, _ = kinds[i % len(kinds)]
+            cone = make(rng, 2 + (i // 64) % 2, contains_zero=(i // 32) % 2 == 0)
+            denominator = 2 + (i // len(kinds)) % 4
+            grid, prices, utility = random_aligned_case(rng, cone.dimension)
+            got = check_maximizer_convexity(utility, grid, prices)
+            assert got == reference_check_maximizer_convexity(utility, grid, prices, cone, denominator)
+            dset = demand(utility, grid, prices)
+            antichain = is_grid_antichain_convex(dset, cone, denominator, step=grid.step)
+            assert antichain or not got  # the pass never refutes what the scan accepts
+            verdicts.append((got, antichain))
+        assert verdicts.count((True, True)) > 100 and verdicts.count((False, True)) > 100
+        assert (False, False) in verdicts
 
 
 class TestQuasiconcavity:

@@ -16,11 +16,11 @@ The facet coordinates of a whole list are checked against one dot product
 per point and row, and a non-simplicial sweep against building a second
 integer view. The section on facet verdicts checks `cone_contains` itself,
 which reads the cone's facets on dependent generators, against the LP
-(`_solve_membership`): the verdicts, the certificates, the LP kept above
-the facet work bound, and the public entry points against a pairwise LP
-reference. The last section draws point sets near an antichain (many
-optima) on every cone kind and checks their optima against the pairwise
-reference.
+(`_solve_membership`): the verdicts, the origin without the flag (decided
+by pointedness, with no LP), the certificates, the LP kept above the facet
+work bound, and the public entry points against a pairwise LP reference.
+The last section draws point sets near an antichain (many optima) on every
+cone kind and checks their optima against the pairwise reference.
 """
 
 import random
@@ -591,6 +591,34 @@ def test_verdicts_off_the_origin_solve_no_lp_and_are_the_lps(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_the_origin_without_the_flag_is_the_unit_mass_lps_verdict_and_solves_none(kind, monkeypatch):
+    # With no zero generator the origin is a positive-mass combination
+    # exactly when the cone is not pointed, which the facets decide.
+    admitted = kind in ("nonsimplicial_not_pointed", "rank_deficient_not_pointed", "zero_generator")
+    for cone, _ in cases(kind):
+        cone = with_origin(cone, False)
+        zero = (F(0),) * cone.dimension
+        assert lp_contains(cone, zero) == admitted
+        solved = recording_lps(monkeypatch)
+        assert cone_contains(cone, zero) == admitted
+        assert solved == []
+        monkeypatch.undo()
+        m = cone_membership(cone, zero)
+        assert m.member == admitted and validate_membership(cone, zero, m) == []
+
+
+def test_relate_of_a_point_with_itself_solves_no_lp(monkeypatch):
+    # Dependent generators and no origin flag: both directions ask the
+    # origin, and the cone is pointed, so the points are incomparable.
+    cone = Cone.build(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], False)
+    x = (F(1), F(2), F(3))
+    solved = recording_lps(monkeypatch)
+    assert relate(cone, x, x) is Comparability.INCOMPARABLE
+    assert relate(with_origin(cone, True), x, x) is Comparability.BOTH
+    assert solved == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_certificates_are_unchanged_and_validate(kind):
     for cone, pts in cases(kind, 3):
         for v in probe_vectors(cone, pts):
@@ -616,7 +644,7 @@ def test_a_cone_above_the_facet_work_bound_keeps_the_lp(monkeypatch):
         cone = Cone(4, gens[:count], False)
         assert (cone.facets is None) == over
         pts = rand_points(rng, cone, big=False)
-        probes = [v for v in probe_vectors(cone, pts) if not is_zero_vec(v)]
+        probes = probe_vectors(cone, pts)  # the origin included, without the flag
         expected = [lp_contains(cone, v) for v in probes]
         solved = recording_lps(monkeypatch)
         assert [cone_contains(cone, v) for v in probes] == expected
