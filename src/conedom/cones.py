@@ -8,8 +8,8 @@ the cone is {v : Ev = 0, Hv >= 0} for the integer rows of `Cone.facets`,
 and a nonzero v is a member exactly when it passes that test, read in
 integers. The facets are built once per cone on first use. Unless the flag
 or a zero generator admits it, the origin is a member exactly when the cone
-is not pointed, which the same test decides (`is_pointed` asks nonzero
-vectors only). A small exact LP (`conedom.linalg.solve_hulls`) decides only
+is not pointed, which the same rows decide (`is_pointed`: E and H stacked
+have full rank). A small exact LP (`conedom.linalg.solve_hulls`) decides only
 the cones above the facet work bound. `cone_contains` takes the verdict
 alone; `cone_membership` also builds the certificate from a fraction-free
 Gaussian elimination of the generator matrix (`Cone.span_solver`): a
@@ -537,9 +537,9 @@ def _membership(cone: Cone, v: Vec) -> tuple[bool, Callable[[], ConeMembership]]
     a cone above the facet work bound (`Cone.facets` None) asks the LP.
     The flag or a zero generator admits the origin. Otherwise the origin is
     a positive-mass combination of nonzero generators exactly when the
-    cone is not pointed (some g and -g both in it), so `is_pointed`, whose
-    queries are nonzero, decides it wherever the facets exist; above the
-    bound the LP asks it as a unit-mass combination. Where the facets
+    cone is not pointed (some g and -g both in it), so `is_pointed`, one
+    rank test on the facets, decides it wherever the facets exist; above
+    the bound the LP asks it as a unit-mass combination. Where the facets
     decide, the certificate is written only when the thunk is called, by
     the elimination or the LP (`_span_certificate`, `_certified`).
     """
@@ -609,11 +609,19 @@ def cone_contains(cone: Cone, v: Vec) -> bool:
 def is_pointed(cone: Cone) -> bool:
     """True iff the cone meets its negation only in the origin.
 
-    The positive hull of the generators contains some nonzero v together
-    with -v iff some nonzero generator's negation lies in the hull, so one
-    membership query per generator decides pointedness. Each query is about
-    a nonzero vector, which the origin flag does not decide.
+    With `Cone.facets` the cone is {Ex = 0, Hx >= 0}, so its lineality
+    space, the cone met with its negation, is {Ex = 0, Hx = 0}: the cone is
+    pointed exactly when E and H stacked have rank equal to the dimension,
+    one elimination (`_eliminate`). Above the facet work bound, the positive
+    hull of the generators contains some nonzero v together with -v iff some
+    nonzero generator's negation lies in the hull, so one membership query
+    per generator decides pointedness. Each query is about a nonzero
+    vector, which the origin flag does not decide.
     """
+    facets = cone.facets
+    if facets is not None:
+        rows = [list(row) for row in (*facets.equations, *facets.normals)]
+        return len(_eliminate(rows, cone.dimension)[0]) == cone.dimension
     return not any(cone_contains(cone, vneg(g)) for g in cone.generators if not is_zero_vec(g))
 
 

@@ -1,23 +1,33 @@
 """Exact rational vectors and a small certified simplex kernel.
 
 Answers and certificates go out as `fractions.Fraction`; no floating point
-is used anywhere in the package. A program carries one integer form: its
-rows times one common positive scale, the lcm of every denominator in
-them (`LinearProgram.scale`). `LinearProgram.build` computes that form
-once from rationals, and `hull_program` writes it directly from cached
-integer views of the point sets (`IntegerPoints`) for every program of
-the "points in a sum of hulls" shape; `solve_hulls`, the one reader of its
-layout, solves it and returns block weights or a Farkas functional with
-one offset per block. Both the simplex and `check_certificates` read
-that one form. The simplex pivots on Python
-`int`s without fractions (Edmonds 1967; Bareiss 1968): every tableau and
-cost row holds integers over one shared positive basis determinant, so
-each entry is the exact rational a `Fraction` tableau would hold, and
-results are converted to `Fraction` only where they are written out. The
-solver returns certificates (primal witness, dual vector, Farkas vector or
-improving ray) that can be re-checked with plain dot products, and
-`check_certificates` does exactly that re-check, in integer arithmetic of
-its own, over the program's integer form and denominators of the
+is used anywhere in the package. The vector helpers (`vadd`, `vsub`,
+`vscale`, `vdot`, `vcombination`, `is_zero_vec`, `integer_multiple`) take
+ints and `Fraction`s and call no `Fraction` operator: each reads every
+coordinate's numerator and denominator once (`as_integer_ratio`), adds and
+multiplies them as `int`s, and builds one `Fraction` per output
+coordinate (`vdot` keeps one running integer ratio). `frac` and `fvec`
+are the boundary that refuses floats.
+
+A program carries one integer form: its rows times one common positive
+scale, the lcm of every denominator in them (`LinearProgram.scale`).
+`LinearProgram.build` computes that form once from rationals, and
+`hull_program` writes it directly from cached integer views of the point
+sets (`IntegerPoints`) for every program of the "points in a sum of
+hulls" shape; `solve_hulls`, the one reader of its layout, solves it and
+returns block weights or a Farkas functional with one offset per block.
+Both the simplex and `check_certificates` read that one form. The simplex
+pivots on Python `int`s without fractions (Edmonds 1967; Bareiss 1968):
+every tableau and cost row holds integers over one shared positive basis
+determinant, so each entry is the exact rational a `Fraction` tableau
+would hold, and results are converted to `Fraction` only where they are
+written out. A program with a zero objective carries no phase-2 cost row
+and stops after phase 1 and its drive-out: phase 2 on a zero cost row
+would not pivot, so the basis is optimal, with value 0 and the zero dual.
+The solver returns certificates (primal witness, dual vector, Farkas
+vector or improving ray) that can be re-checked with plain dot products,
+and `check_certificates` does exactly that re-check, in integer arithmetic
+of its own, over the program's integer form and denominators of the
 certificates it clears itself, never reading the solver's tableau.
 
 Certificate conventions, for a program over variables x (each either
@@ -48,9 +58,10 @@ zero cost row gives value 0 and the zero dual, so the result is the
 simplex's, field for field. Every refutation (rank-deficient equations,
 inconsistent rows, a negative coordinate) and every other program shape
 comes from the simplex, and `check_certificates` re-checks the results of
-both paths. That elimination, `_eliminate`, is the package's one
-fraction-free Gauss-Jordan routine: the cone module's span solver and
-facet normals run it too. It takes the simplex's own row step
+both paths (`lp_solve` validates each program once, before it solves it).
+That elimination, `_eliminate`, is the package's one fraction-free
+Gauss-Jordan routine: the cone module's span solver and facet normals run
+it too. It takes the simplex's own row step
 (`_bareiss_step`), which keeps the determinant positive.
 """
 
@@ -94,12 +105,22 @@ def vzero(dimension: int) -> Vec:
     return (ZERO,) * dimension
 
 
+def _plus(a: Vec, b: Vec, sign: int) -> Vec:
+    """a + sign * b, summed coordinate by coordinate on integer ratios."""
+    out = []
+    for x, y in zip(a, b, strict=True):
+        n, d = x.as_integer_ratio()
+        m, e = y.as_integer_ratio()
+        out.append(Fraction(n + sign * m, d) if d == e else Fraction(n * e + sign * m * d, d * e))
+    return tuple(out)
+
+
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return _plus(a, b, 1)
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    return _plus(a, b, -1)
 
 
 def vneg(a: Vec) -> Vec:
@@ -107,30 +128,58 @@ def vneg(a: Vec) -> Vec:
 
 
 def vscale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
+    cn, cd = c.as_integer_ratio()
+    out = []
+    for x in a:
+        n, d = x.as_integer_ratio()
+        out.append(Fraction(cn * n, cd * d))
+    return tuple(out)
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+    """The dot product, summed as one integer ratio (num, den): a term whose
+    denominator is den adds its numerator, any other is cross-multiplied in."""
+    num, den = 0, 1
+    for x, y in zip(a, b, strict=True):
+        n, d = x.as_integer_ratio()
+        m, e = y.as_integer_ratio()
+        d *= e
+        if d == den:
+            num += n * m
+        else:
+            num = num * d + n * m * den
+            den *= d
+    return Fraction(num, den)
 
 
 def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(x.as_integer_ratio()[0] for x in a)
 
 
 def vcombination(coefficients: Iterable[Fraction], vectors: Iterable[Vec], dimension: int) -> Vec:
-    """The sum of c * v over paired coefficients and vectors."""
-    acc = [ZERO] * dimension
-    for c, v in zip(coefficients, vectors, strict=True):
-        if c:
-            acc = [a + c * x for a, x in zip(acc, v)]
-    return tuple(acc)
+    """The sum of c * v over paired coefficients and vectors, each vector of
+    length `dimension` (ValueError otherwise). The coefficients and the
+    vectors with a nonzero coefficient are each read over one common
+    denominator (`integer_multiple`, `integer_points`) and summed in `int`s."""
+    pairs = list(zip(coefficients, vectors, strict=True))
+    if any(len(v) != dimension for _, v in pairs):
+        raise ValueError(f"every vector of a combination must have length {dimension}")
+    c_scale, cs = integer_multiple([c for c, _ in pairs])
+    used = [(a, v) for a, (_, v) in zip(cs, pairs) if a]
+    view = integer_points([v for _, v in used])
+    acc = [0] * dimension
+    for (a, _), p in zip(used, view.points):
+        acc = [t + a * x for t, x in zip(acc, p)]
+    den = c_scale * view.scale
+    return tuple(Fraction(t, den) for t in acc)
 
 
 def integer_multiple(v: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """(L, L*v) for L the lcm of v's denominators: integer entries, same signs."""
-    scale = lcm(*(x.denominator for x in v))
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in v)
+    """(L, L*v) for L the lcm of v's denominators: integer entries, same signs.
+    Each entry (`Fraction` or `int`) is read once, through `as_integer_ratio`."""
+    ratios = [x.as_integer_ratio() for x in v]
+    scale = lcm(*{d for _, d in ratios})
+    return scale, tuple(n * (scale // d) for n, d in ratios)
 
 
 class IntegerPoints(NamedTuple):
@@ -293,7 +342,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     # Every solve re-checks its own result against the certificate conventions
     # (`check_certificates`); the check is linear in the tableau size and catches solver bugs at
     # the moment they happen instead of corrupting downstream verdicts.
-    issues = check_certificates(lp, result)
+    issues = _certificate_errors(lp, result)
     if issues:
         raise RuntimeError(f"solver produced an invalid certificate: {issues[0]}")
     return result
@@ -363,8 +412,7 @@ def _unique_point(lp: LinearProgram) -> LpResult | None:
     of the first n rows, and it has one exactly when the rows past the n-th
     reduce to zero. If that solution is also nonnegative, it is the one
     feasible point, so it is the simplex's witness; the zero objective
-    keeps the simplex's phase-2 cost row at zero, so its value and its dual
-    are zero too. Every other case (rank-deficient A, inconsistent rows, a
+    gives the simplex's value 0 and zero dual too. Every other case (rank-deficient A, inconsistent rows, a
     negative coordinate) is left to the simplex, whose Farkas vector is the
     refutation.
     """
@@ -439,8 +487,11 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
         units.append((unit_col, f))
     basis = [col for col, _ in units]
     det = 1
+    # A zero objective's phase-2 cost row would stay zero through every
+    # pivot, so it is not carried, and phase 2 is not run (see below).
+    zero_objective = not any(obj)
     cost2 = [sign * s * obj[j] for j, s in var_cols] + [0] * (width - n_var)
-    costs = (cost1, cost2)
+    costs = (cost1,) if zero_objective else (cost1, cost2)
 
     pivots = 0
 
@@ -478,6 +529,14 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
                 return enter
             pivot(leave, enter)
 
+    def witness_point() -> Vec:
+        values = [0] * lp.num_vars
+        for r, col in enumerate(basis):
+            if col < n_var:
+                j, s = var_cols[col]
+                values[j] += s * tableau[r][width - 1]
+        return tuple(Fraction(v, det) for v in values)
+
     if n_art > 0:
         unb = run_phase(cost1)
         if unb is not None:  # phase-1 objective is bounded below by zero
@@ -504,15 +563,11 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
             del tableau[r]
             del basis[r]
 
+    if zero_objective:
+        # Phase 2 on a zero cost row does not pivot: the basis is optimal, with
+        # value 0 and the zero dual.
+        return LpResult(status=LpStatus.OPTIMAL, value=ZERO, witness=witness_point(), dual=(ZERO,) * len(units))
     unb = run_phase(cost2)
-
-    def witness_point() -> Vec:
-        values = [0] * lp.num_vars
-        for r, col in enumerate(basis):
-            if col < n_var:
-                j, s = var_cols[col]
-                values[j] += s * tableau[r][width - 1]
-        return tuple(Fraction(v, det) for v in values)
 
     if unb is not None:
         # One unit of a slack column is 1/scale of a unit of the original
@@ -559,6 +614,12 @@ def check_certificates(lp: LinearProgram, result: LpResult) -> list[str]:
     certificate verifies exactly. A malformed program raises ValueError.
     """
     lp.validate()
+    return _certificate_errors(lp, result)
+
+
+def _certificate_errors(lp: LinearProgram, result: LpResult) -> list[str]:
+    """`check_certificates` on a program already validated: `lp_solve`
+    validates each program once, before it solves it."""
     errs: list[str] = []
     m = len(lp.rows)
     n = lp.num_vars

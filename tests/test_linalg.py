@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from conedom.linalg import (
     _MAX_LP_SIZE,
+    ONE,
     REL_EQ,
     REL_GE,
     REL_LE,
@@ -40,10 +41,16 @@ from conedom.linalg import (
     _unique_point,
     check_certificates,
     hull_membership,
+    integer_multiple,
     integer_points,
+    is_zero_vec,
     lp_solve,
     relative_interior_membership,
+    vadd,
+    vcombination,
     vdot,
+    vscale,
+    vsub,
 )
 
 fractions3 = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -1152,3 +1159,196 @@ class TestOnePassSetUp:
     @given(simplex_programs())
     def test_the_kernel_matches_the_reference_field_for_field_and_pivot_for_pivot(self, lp):
         assert _counting_steps(_lp_solve_core, lp) == _counting_steps(reference_lp_solve_core, lp)
+
+
+def _cost_rows_per_step(solve, lp: LinearProgram) -> tuple[LpResult, list[int]]:
+    """`solve(lp)` and, for each `_bareiss_step` call, the number of rows it
+    updated beyond the program's own: the cost rows carried through the
+    pivot (no row is dropped before the last pivot)."""
+    real, extra = linalg_module._bareiss_step, []
+
+    def recorded(rows, *args):
+        rows = tuple(rows)
+        extra.append(len(rows) - len(lp.rows))
+        return real(rows, *args)
+
+    linalg_module._bareiss_step = recorded
+    try:
+        return solve(lp), extra
+    finally:
+        linalg_module._bareiss_step = real
+
+
+# Hand programs with a zero objective, each named by the branch the reference takes on it.
+ZERO_OBJECTIVE_PROGRAMS = {
+    # The same equation twice: the second artificial row reads zero after phase 1 and is dropped.
+    "drop": _build([0, 0], True, [([1, 1], "=", 2), ([1, 1], "=", 2), ([1, 0], "<=", 2)]),
+    # Opposite equations: an artificial is left basic at level 0 and driven out.
+    "drive-out": _build([0, 0], False, [([-1, 1], "=", 0), ([1, -1], "=", 0), ([1, 0], "<=", 1)]),
+    # Every row has its +1 slack, so there are no artificials and no phase 1.
+    "no phase 1": _build([0, 0], True, [([1, 1], "<=", 4), ([1, 0], "<=", 3)]),
+}
+
+
+class TestZeroObjectiveStop:
+    """A zero objective carries no phase-2 cost row and runs no phase 2; the
+    result is the reference's (which carries and runs both), field for field
+    and pivot for pivot."""
+
+    @pytest.mark.parametrize("branch", sorted(ZERO_OBJECTIVE_PROGRAMS))
+    def test_each_hand_program_matches_the_reference(self, branch):
+        lp = ZERO_OBJECTIVE_PROGRAMS[branch]
+        paths = Counter()
+        expected, reference_rows = _cost_rows_per_step(lambda p: reference_lp_solve_core(p, paths), lp)
+        if branch == "no phase 1":
+            assert paths["phase 1"] == 0 and reference_rows == []
+        else:
+            assert paths[branch] > 0 and set(reference_rows) == {2}
+        got, rows = _cost_rows_per_step(_lp_solve_core, lp)
+        assert got == expected and _fields_are_fractions(got)
+        assert got.status is LpStatus.OPTIMAL and got.value == 0 and got.dual == (ZERO,) * len(lp.rows)
+        assert len(rows) == len(reference_rows) and set(rows) <= {1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(simplex_programs())
+    def test_a_zero_objective_matches_the_reference_with_one_cost_row(self, lp):
+        lp = replace(lp, objective=(ZERO,) * lp.num_vars)
+        got, rows = _cost_rows_per_step(_lp_solve_core, lp)
+        expected, reference_rows = _cost_rows_per_step(reference_lp_solve_core, lp)
+        assert got == expected
+        assert len(rows) == len(reference_rows) and set(rows) <= {1}
+
+
+def test_lp_solve_validates_its_program_once(monkeypatch):
+    calls = []
+    real = LinearProgram.validate
+    monkeypatch.setattr(LinearProgram, "validate", lambda lp: calls.append(lp) or real(lp))
+    lp = HAND_PROGRAMS["all three relations"]
+    lp_solve(lp)
+    assert calls == [lp]
+    assert check_certificates(lp, lp_solve(lp)) == [] and len(calls) == 3
+
+
+# The vector helpers against their former `Fraction`-operator forms.
+
+
+def reference_vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def reference_vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def reference_vscale(c, a):
+    return tuple(c * x for x in a)
+
+
+def reference_vdot(a, b):
+    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+
+
+def reference_is_zero_vec(a):
+    return all(x == 0 for x in a)
+
+
+def reference_vcombination(coefficients, vectors, dimension):
+    acc = [ZERO] * dimension
+    for c, v in zip(coefficients, vectors, strict=True):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, v)]
+    return tuple(acc)
+
+
+def reference_integer_multiple(v):
+    scale = lcm(*(x.denominator for x in v))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in v)
+
+
+exact_entries = st.one_of(
+    st.just(0),
+    st.just(ZERO),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+exact_vectors = st.lists(exact_entries, max_size=8).map(tuple)
+
+
+def _all_fractions(v) -> bool:
+    return all(type(x) is F for x in v)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the ValueError message it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestVectorHelpers:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_vectors, exact_entries, st.data())
+    def test_the_helpers_match_their_operator_forms(self, a, c, data):
+        # b has a's length or any other; on a mismatch the pairwise helpers
+        # raise the same ValueError as the operator forms.
+        same = data.draw(st.booleans())
+        b = data.draw(st.lists(exact_entries, min_size=len(a), max_size=len(a)) if same else exact_vectors)
+        b = tuple(b)
+        for fn, ref in ((vadd, reference_vadd), (vsub, reference_vsub), (vdot, reference_vdot)):
+            got = _outcome(fn, a, b)
+            assert got == _outcome(ref, a, b)
+            if len(a) == len(b):
+                assert _all_fractions(got if fn is not vdot else (got,))
+        for v in (a, b):
+            got = vscale(c, v)
+            assert got == reference_vscale(c, v) and _all_fractions(got)
+            assert is_zero_vec(v) == reference_is_zero_vec(v)
+            assert integer_multiple(v) == reference_integer_multiple(v)
+            assert all(type(x) is int for x in integer_multiple(v)[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=8), st.lists(st.tuples(exact_entries, exact_vectors), max_size=6), st.data())
+    def test_a_combination_matches_its_operator_form(self, dimension, pairs, data):
+        vectors = [(v + (0,) * dimension)[:dimension] for _, v in pairs]
+        coefficients = [c for c, _ in pairs]
+        got = vcombination(coefficients, vectors, dimension)
+        assert got == reference_vcombination(coefficients, vectors, dimension) and _all_fractions(got)
+        assert len(got) == dimension
+        if pairs:  # one coefficient too many or too few
+            extra = data.draw(st.booleans())
+            shifted = coefficients + [ONE] if extra else coefficients[:-1]
+            expected = _outcome(reference_vcombination, shifted, vectors, dimension)
+            assert _outcome(vcombination, shifted, vectors, dimension) == expected
+
+    def test_a_combination_refuses_a_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="length 2"):
+            vcombination([ONE], [(1, 2, 3)], 2)
+        with pytest.raises(ValueError, match="length 2"):
+            vcombination([ONE], [(1,)], 2)
+
+    def test_no_helper_calls_a_fraction_operator(self, monkeypatch):
+        a, b, c = (F(1, 3), F(-2, 5), F(0), 7), (F(2, 7), F(3), F(-1, 2), F(5, 14)), F(-3, 4)
+        cases = [
+            (vadd, reference_vadd, (a, b)),
+            (vsub, reference_vsub, (a, b)),
+            (vdot, reference_vdot, (a, b)),
+            (vscale, reference_vscale, (c, a)),
+            (is_zero_vec, reference_is_zero_vec, ((F(0), F(0), 0),)),
+            (vcombination, reference_vcombination, ((c, F(0), ONE), (a, b, b), 4)),
+            (integer_multiple, reference_integer_multiple, (a,)),
+        ]
+
+        def refuse(*_):
+            raise AssertionError("a Fraction operator was called")
+
+        with monkeypatch.context() as patched:
+            for dunder in (
+                "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+                "__rpow__", "__neg__", "__pos__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__",
+                "__ge__", "__bool__",
+            ):
+                patched.setattr(F, dunder, refuse)
+            got = [fn(*args) for fn, _, args in cases]
+        assert got == [ref(*args) for _, ref, args in cases]

@@ -618,6 +618,95 @@ def test_relate_of_a_point_with_itself_solves_no_lp(monkeypatch):
     assert solved == []
 
 
+def counting_memberships(monkeypatch):
+    """Rebind `cones._membership`, recording the vector of every call."""
+    calls = []
+    real = conedom.cones._membership
+
+    def counting(cone, v):
+        calls.append(v)
+        return real(cone, v)
+
+    monkeypatch.setattr(conedom.cones, "_membership", counting)
+    return calls
+
+
+def test_relate_of_a_point_with_itself_asks_one_membership_per_direction(monkeypatch):
+    # The origin's verdict reads pointedness from the facets' rank, with no
+    # membership question of its own.
+    cone = Cone.build(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], False)
+    x = (F(1), F(2), F(3))
+    calls = counting_memberships(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        assert relate(cone, x, x) is Comparability.INCOMPARABLE
+        assert len(calls) == 2
+
+
+def reference_is_pointed(cone):
+    """The per-generator form: pointed unless some nonzero generator's
+    negation lies in the cone."""
+    return not any(cone_contains(cone, vneg(g)) for g in cone.generators if not is_zero_vec(g))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pointedness_from_the_facets_is_the_lps_and_asks_no_membership(kind, monkeypatch):
+    for cone, _ in cases(kind):
+        for flag in (False, True):
+            cone = with_origin(cone, flag)
+            expected = lp_pointed(cone)
+            assert reference_is_pointed(cone) == expected
+            assert cone.facets is not None
+            calls = counting_memberships(monkeypatch)
+            assert is_pointed(cone) == expected
+            assert calls == []
+            monkeypatch.undo()
+
+
+def test_above_the_work_bound_pointedness_asks_one_membership_per_generator(monkeypatch):
+    rng = random.Random("pointed-over-bound")
+    cone = above_the_work_bound(rng)
+    line = Cone(4, cone.generators + (vneg(cone.generators[0]),), False)
+    for c, pointed in ((cone, True), (line, False)):
+        assert c.facets is None and lp_pointed(c) == pointed
+        calls = counting_memberships(monkeypatch)
+        assert is_pointed(c) == pointed
+        # The generators' negations in order, all 7 on the pointed cone, up
+        # to the first member on the other.
+        assert calls and calls == [vneg(g) for g in c.generators][: len(calls)]
+        assert (len(calls) == 7) == pointed
+        monkeypatch.undo()
+
+
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def shaped_cones(draw):
+    """Cones in R^2 to R^4 with up to five small integer generators, drawn
+    inside a subspace of rank one to the dimension (rank deficient when
+    smaller), then with a generator's negation (not pointed) or a zero
+    generator appended, or both, or neither."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    basis = [tuple(draw(small_ints) for _ in range(dim)) for _ in range(draw(st.integers(1, dim)))]
+    generators = [
+        tuple(sum(c * b[d] for c, b in zip(combination, basis)) for d in range(dim))
+        for combination in draw(st.lists(st.lists(small_ints, min_size=len(basis), max_size=len(basis)), max_size=5))
+    ]
+    if generators and draw(st.booleans()):
+        generators.append(tuple(-c for c in draw(st.sampled_from(generators))))
+    if draw(st.booleans()):
+        generators.insert(draw(st.integers(0, len(generators))), (0,) * dim)
+    return Cone.build(dim, generators, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_cones())
+def test_pointedness_matches_the_lp_on_drawn_cones(cone):
+    expected = lp_pointed(cone)
+    assert is_pointed(cone) == reference_is_pointed(cone) == expected
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_certificates_are_unchanged_and_validate(kind):
     for cone, pts in cases(kind, 3):
