@@ -27,7 +27,7 @@ from .dominance import (
     validate_certificate,
     validate_outside_hull,
 )
-from .linalg import Vec
+from .linalg import Vec, frac
 from .maximals import UTILITIES, check_convexification_invariance, demand, orthant_cone
 from .scene import Scene, SceneError, fmt, fmt_vec, parse_scene
 from .sets import (
@@ -58,8 +58,8 @@ class UsageError(ValueError):
 
 def _parse_vec(text: str) -> Vec:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
+        return tuple(frac(part.strip()) for part in text.split(","))
+    except ValueError:
         raise UsageError(f"unreadable vector {text!r}; write rationals like 3/2,-1")
 
 
@@ -137,7 +137,7 @@ def _payload(result: Any) -> dict[str, Any]:
 
 
 def _rationals(value: str | list) -> Fraction | tuple:
-    return Fraction(value) if isinstance(value, str) else tuple(_rationals(v) for v in value)
+    return frac(value) if isinstance(value, str) else tuple(_rationals(v) for v in value)
 
 
 def _reread(payload: dict[str, Any]) -> dict[str, Any]:

@@ -49,29 +49,38 @@ Pivoting follows Bland's anti-cycling rule (lowest eligible column index
 enters; ratio ties leave by lowest basis column index), so results are a
 deterministic function of the input program.
 
-Before the simplex, `lp_solve` decides by one elimination (`_unique_point`)
+Before the simplex, `lp_solve` decides without pivoting (`_unique_point`)
 every feasibility program whose feasible set is one point: a zero
 objective, only equations, nonnegative variables, and equations of full
 column rank whose one solution is nonnegative (the shape of most
-decomposition programs). The simplex would end at that same point, and its
-zero cost row gives value 0 and the zero dual, so the result is the
-simplex's, field for field. Every refutation (rank-deficient equations,
-inconsistent rows, a negative coordinate) and every other program shape
-comes from the simplex, and `check_certificates` re-checks the results of
-both paths (`lp_solve` validates each program once, before it solves it).
-That elimination, `_eliminate`, is the package's one fraction-free
-Gauss-Jordan routine: the cone module's span solver and facet normals run
-it too. It takes the simplex's own row step
+decomposition programs). The matrix A, read up to scale (A / gcd of its
+entries), is factored once by eliminating [A | I] (`_factor`), and the
+last factorization is kept: the queries on one decomposable set write the
+same matrix over a new scale each time, so each of them costs one integer
+product with its right-hand side. The simplex would end at that same
+point, and its zero cost row gives value 0 and the zero dual, so the
+result is the simplex's, field for field. Every refutation (rank-deficient
+equations, inconsistent rows, a negative coordinate) and every other
+program shape comes from the simplex, and `check_certificates` re-checks
+the results of both paths (`lp_solve` validates each program once, before
+it solves it). That elimination, `_eliminate`, is the package's one
+fraction-free Gauss-Jordan routine: the cone module's span solver and
+facet normals run it too. It takes the simplex's own row step
 (`_bareiss_step`), which keeps the determinant positive.
+
+`frac` reads a string only as an integer or a ratio p/q with a positive
+denominator (`_RATIONAL`); the scene files and the command line read every
+rational through it, so the size of a number is bounded by its text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -85,14 +94,22 @@ REL_EQ = "="
 REL_GE = ">="
 _RELATIONS = (REL_LE, REL_EQ, REL_GE)
 
+# The one written form of a rational: an integer or a ratio with a positive
+# denominator, such as "-3" or "3/2". Decimals and exponents are refused, so
+# the size of a rational read from text is bounded by the length of the text.
+_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")
+
 
 def frac(value: object) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction; reject floats."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction; reject floats.
+    A string must be written as `_RATIONAL` says (ValueError otherwise)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"unreadable rational {value!r}; write an integer or p/q, such as -3 or 3/2")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -327,9 +344,10 @@ def lp_solve(lp: LinearProgram) -> LpResult:
 
     A program of rows x (variables + rows) above `_MAX_LP_SIZE` is refused
     with `LimitError` before any work. A feasibility program whose feasible
-    set is one point is decided by one elimination (`_unique_point`) instead
-    of the simplex, with the result the simplex gives it; every other
-    program, and every refutation, comes from the simplex.
+    set is one point is decided by one product with its matrix's kept
+    factorization (`_unique_point`) instead of the simplex, with the result
+    the simplex gives it; every other program, and every refutation, comes
+    from the simplex.
     """
     size = len(lp.rows) * (lp.num_vars + len(lp.rows))
     if size > _MAX_LP_SIZE:
@@ -406,24 +424,51 @@ def _unique_point(lp: LinearProgram) -> LpResult | None:
 
     Only the feasibility shape that `hull_program` writes qualifies: a zero
     objective, every row an equation, every variable nonnegative and no
-    more variables than rows. The rows [A | b] are eliminated in integers
-    (`_eliminate`). A has full column rank when every column finds a
-    pivot; then Ax = b has at most one solution, b' / det in the last column
-    of the first n rows, and it has one exactly when the rows past the n-th
-    reduce to zero. If that solution is also nonnegative, it is the one
-    feasible point, so it is the simplex's witness; the zero objective
-    gives the simplex's value 0 and zero dual too. Every other case (rank-deficient A, inconsistent rows, a
-    negative coordinate) is left to the simplex, whose Farkas vector is the
-    refutation.
+    more variables than rows. The matrix A is read up to scale, A0 = A / g
+    for g the gcd of its entries, and factored once (`_factor`): the
+    transform T with T A0 = det I on its first n rows and zero on the rest.
+    A has full column rank when `_factor` finds a pivot in every column;
+    then Ax = b has at most one solution, T[:n] b / (g det), and it has one
+    exactly when T[n:] b vanishes. If that solution is also nonnegative, it
+    is the one feasible point, so it is the simplex's witness; the zero
+    objective gives the simplex's value 0 and zero dual too. Every other
+    case (rank-deficient A, inconsistent rows, a negative coordinate) is
+    left to the simplex, whose Farkas vector is the refutation.
     """
     n, m = lp.num_vars, len(lp.rows)
     if n > m or any(lp.objective) or not all(lp.nonneg) or any(rel != REL_EQ for _, rel, _ in lp.rows):
         return None
-    rows = [[*a, b] for a, _, b in lp.rows]
-    pivots, det = _eliminate(rows, n)
-    if len(pivots) < n or any(row[n] for row in rows[n:]) or any(row[n] < 0 for row in rows[:n]):
+    flat = [c for a, _, _ in lp.rows for c in a]
+    g = gcd(*flat)
+    factored = _factor(n, tuple([c // g for c in flat])) if g else None
+    if factored is None:
         return None
-    return LpResult(LpStatus.OPTIMAL, ZERO, tuple(Fraction(row[n], det) for row in rows[:n]), (ZERO,) * m)
+    det, transform = factored
+    rhs = [b for _, _, b in lp.rows]
+    tb = [_idot(t, rhs) for t in transform]
+    if any(tb[n:]) or any(v < 0 for v in tb[:n]):
+        return None
+    scale = g * det
+    return LpResult(LpStatus.OPTIMAL, ZERO, tuple([Fraction(v, scale) for v in tb[:n]]), (ZERO,) * m)
+
+
+@lru_cache(maxsize=1)
+def _factor(n: int, a: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """(det, T) for the integer matrix A of n columns, given row by row in
+    one flat tuple, when A has full column rank; else None.
+
+    [A | I_m] is eliminated in integers (`_eliminate`) over A's columns, and
+    T is the right-hand block, the row operations themselves: T A = det I_n
+    on T's first n rows and zero on the rest. The consecutive programs of a
+    set's queries share A up to scale, so the last factorization is kept,
+    and each of them costs one product T b.
+    """
+    m = len(a) // n
+    rows = [[*a[i * n : (i + 1) * n], *(int(i == k) for k in range(m))] for i in range(m)]
+    pivots, det = _eliminate(rows, n)
+    if len(pivots) < n:
+        return None
+    return det, tuple(tuple(row[n:]) for row in rows)
 
 
 def _lp_solve_core(lp: LinearProgram) -> LpResult:

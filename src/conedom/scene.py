@@ -9,19 +9,16 @@ into the document, e.g. `sets.Y.points[1][0]: unreadable rational '3/0'`.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
 from .cones import Cone
-from .linalg import Vec
+from .linalg import Vec, frac
 from .maximals import GridDomain, PriceSystem
 from .sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron
 
 SceneSet = FinitePointSet | ChainSet | DecomposableSet | Polyhedron
-
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 class SceneError(ValueError):
@@ -53,15 +50,19 @@ class _Parser:
             self.fail(path, f"expected a rational string, got {raw!r}")
             return Fraction(0)
         text = str(raw)
-        if not _RATIONAL.match(text):
+        try:
+            return frac(text)
+        except ValueError:
             self.fail(path, f"unreadable rational {text!r}")
             return Fraction(0)
-        return Fraction(text)
 
     def vector(self, raw: Any, dimension: int, path: str) -> Vec:
         if not isinstance(raw, list):
+            # Like a vector of the wrong length, the placeholder only has to
+            # let parsing go on; building `dimension` zeros would let a huge
+            # declared dimension allocate before the scene is refused.
             self.fail(path, "expected an array of rationals")
-            return tuple(Fraction(0) for _ in range(dimension))
+            return ()
         if len(raw) != dimension:
             self.fail(path, f"expected {dimension} coordinates, got {len(raw)}")
         return tuple(self.rational(c, f"{path}[{i}]") for i, c in enumerate(raw))
@@ -181,7 +182,7 @@ def _parse_sets(p: _Parser, raw: Any, scene: Scene) -> None:
         chains = []
         ok = True
         for i, ref in enumerate(summands):
-            got = scene.sets.get(ref)
+            got = scene.sets.get(ref) if isinstance(ref, str) else None
             if not isinstance(got, ChainSet):
                 p.fail(f"{path}.summands[{i}]", f"{ref!r} is not a declared chain")
                 ok = False

@@ -9,6 +9,11 @@ A private function, class or method (one leading underscore) that nothing
 in the package names is dead code: every such definition must be read,
 called or subclassed somewhere in `src/conedom`, its own module included.
 
+A cache that grows with the number of distinct arguments (`functools.cache`
+or `lru_cache(maxsize=None)`) keeps every program, facet set or order a
+long-running caller ever asked about. No module may hold one: a kept
+result lives on the object it belongs to, or in a cache of fixed size.
+
 The benchmark's span tracer (`bench/spans.py`) wraps every function named
 in its `TRACED` table, looked up by name, so a name deleted or renamed in
 the package breaks every traced run. The last test reads that table from
@@ -125,6 +130,50 @@ def test_the_scan_finds_an_orphaned_helper():
     )
     other = "from .m import _Shape\nSHAPES = [_Shape()]\n"
     assert unreferenced_private_definitions([source, other]) == ["_orphan"]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Each `functools.cache` and each `lru_cache(maxsize=None)` in the
+    source, imported, read or called, as 'line N: form'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"line {node.lineno}: functools.cache" for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", None) == "functools":
+            found.append(f"line {node.lineno}: functools.cache")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lru_cache":
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and size.value is None:
+                found.append(f"line {node.lineno}: lru_cache(maxsize=None)")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_holds_an_unbounded_cache(module):
+    assert unbounded_caches((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_each_unbounded_cache():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache, cached_property\n"
+        "@functools.cache\n"
+        "def a(x): return x\n"
+        "@lru_cache(maxsize=None)\n"
+        "def b(x): return x\n"
+        "@functools.lru_cache(None)\n"
+        "def c(x): return x\n"
+        "@lru_cache(maxsize=1)\n"
+        "def d(x): return x\n"
+        "@lru_cache\n"
+        "def e(x): return x\n"
+    )
+    assert unbounded_caches(source) == [
+        "line 2: functools.cache",
+        "line 3: functools.cache",
+        "line 5: lru_cache(maxsize=None)",
+        "line 7: lru_cache(maxsize=None)",
+    ]
 
 
 def test_every_name_the_benchmark_traces_is_a_package_function():

@@ -13,17 +13,20 @@ the kernel must match pivot for pivot.
 import importlib
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conedom.cones import Cone
+from conedom.dominance import dominating_element
 from conedom.linalg import (
     _MAX_LP_SIZE,
     ONE,
@@ -37,9 +40,11 @@ from conedom.linalg import (
     LpStatus,
     Vec,
     ZERO,
+    _factor,
     _lp_solve_core,
     _unique_point,
     check_certificates,
+    frac,
     hull_membership,
     integer_multiple,
     integer_points,
@@ -52,6 +57,7 @@ from conedom.linalg import (
     vscale,
     vsub,
 )
+from conedom.sets import ChainSet, DecomposableSet
 
 fractions3 = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_rationals = st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3))
@@ -833,6 +839,132 @@ class TestUniquePointPresolve:
             calls.clear()
             lp_solve(lp)
             assert calls == [lp]
+
+
+@st.composite
+def shared_matrix_sequences(draw):
+    """(n, matrices, steps): two integer matrices of n columns and m >= n
+    rows, and programs A x = b, x >= 0, in the order a set's queries would
+    send them, with the matrix drawn for each program and mostly the first.
+    b is A x0 for a drawn x0, with one coordinate of x0 negative or one
+    entry of b moved off A x0 on some steps. Each program is written as
+    `hull_program` writes its rows: over the lcm of b's denominators times a
+    drawn factor k >= 1, so the matrix changes by a whole factor from one
+    program to the next."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=n, max_value=n + 2))
+    entries = st.integers(min_value=-4, max_value=4)
+    matrices = [[[draw(entries) for _ in range(n)] for _ in range(m)] for _ in range(2)]
+    steps = []
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        a = matrices[draw(st.sampled_from((0, 0, 1)))]
+        x0 = [draw(presolve_coordinates) for _ in range(n)]
+        change = draw(st.sampled_from(("none", "none", "negative", "inconsistent")))
+        if change == "negative":
+            x0[draw(st.integers(min_value=0, max_value=n - 1))] = -draw(presolve_coordinates.filter(bool))
+        b = [vdot(tuple(F(c) for c in row), tuple(x0)) for row in a]
+        if change == "inconsistent":
+            b[draw(st.integers(min_value=0, max_value=m - 1))] += draw(presolve_nonzero)
+        scale = lcm(*(c.denominator for c in b)) * draw(st.integers(min_value=1, max_value=5))
+        rows = tuple((tuple(scale * c for c in row), REL_EQ, int(scale * bi)) for row, bi in zip(a, b))
+        steps.append(LinearProgram(n, (ZERO,) * n, draw(st.booleans()), rows, (True,) * n, scale))
+    return steps
+
+
+class TestCachedFactorization:
+    """`_unique_point` factors each matrix, read up to scale, once, and keeps
+    the last factorization (`_factor`): a run of programs on one matrix costs
+    one elimination, and every result is still the simplex's and still
+    re-checked by `lp_solve`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_matrix_sequences())
+    def test_a_sequence_on_shared_matrices_gives_the_simplex_result_after_every_call(self, steps):
+        for lp in steps:
+            got = lp_solve(lp)
+            assert got == _lp_solve_core(lp) and _fields_are_fractions(got)
+            assert _factor.cache_info().currsize <= 1
+
+    @staticmethod
+    def _two_chain_set() -> DecomposableSet:
+        # The lifted points (0, 0, 1, 0), (1, 2, 1, 0), (0, 1, 0, 1) and
+        # (3, 3, 0, 1) are independent, so every program is square, of
+        # full rank, and decided by the presolve.
+        orthant = Cone.build(2, [[1, 0], [0, 1]], True)
+        c1 = ChainSet.build([(0, 0), (1, 2)], orthant)
+        c2 = ChainSet.build([(0, 1), (3, 3)], orthant)
+        return DecomposableSet((c1, c2))
+
+    def test_ten_queries_on_one_set_run_one_elimination(self, monkeypatch):
+        d = self._two_chain_set()
+        # y = l (1, 2) + u (3, 3) + (1 - u) (0, 1) with l = 1/(k+1), u = 1/(k+2):
+        # a new denominator, and so a new row scale, for every target.
+        targets = [(F(1, k + 1) + F(3, k + 2), F(2, k + 1) + 1 + F(2, k + 2)) for k in range(1, 11)]
+        eliminations = []
+        eliminate = linalg_module._eliminate
+        monkeypatch.setattr(linalg_module, "_eliminate", lambda *args: eliminations.append(1) or eliminate(*args))
+        simplex = []
+        monkeypatch.setattr(linalg_module, "_lp_solve_core", lambda lp: simplex.append(lp) or _lp_solve_core(lp))
+        _factor.cache_clear()
+        for y in targets:
+            cert = dominating_element(y, d)
+            assert cert.target == y
+        assert len(eliminations) == 1 and simplex == []
+        info = _factor.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (9, 1, 1)
+
+    def test_a_corrupted_transform_never_gives_a_wrong_answer(self, monkeypatch):
+        # Each entry of the remembered T is moved by one in turn, and the
+        # determinant is raised by one (an elimination keeps it positive). The
+        # result must be the simplex's or the certificate re-check's
+        # RuntimeError, and at least one corruption must be caught by it.
+        programs = [
+            TestUniquePointPresolve._square_with_a_third_row(),
+            LinearProgram.build([0, 0], True, [([2, 1], "=", 4), ([1, 3], "=", 7), ([1, -2], "=", -3)]),
+            LinearProgram.build([0], True, [([-2], "=", -1), ([4], "=", 2)]),
+        ]
+        caught = 0
+        for lp in programs:
+            flat = [c for a, _, _ in lp.rows for c in a]
+            g = gcd(*flat)
+            det, transform = _factor.__wrapped__(lp.num_vars, tuple(c // g for c in flat))
+            corruptions = [(det + 1, transform)]
+            for i, t in enumerate(transform):
+                for j in range(len(t)):
+                    for delta in (1, -1):
+                        bad = [list(row) for row in transform]
+                        bad[i][j] += delta
+                        corruptions.append((det, tuple(map(tuple, bad))))
+            for corrupted in corruptions:
+                monkeypatch.setattr(linalg_module, "_factor", lambda n, a, corrupted=corrupted: corrupted)
+                try:
+                    got = lp_solve(lp)
+                except RuntimeError as exc:
+                    assert "invalid certificate" in str(exc)
+                    caught += 1
+                    continue
+                assert got == _lp_solve_core(lp)
+        assert caught > 0
+
+
+class TestRationalGrammar:
+    """`frac` reads a string only in the scene grammar: an integer or p/q
+    with a positive denominator, so the text bounds the size of the number."""
+
+    @pytest.mark.parametrize("text, value", [("3", F(3)), ("-3/2", F(-3, 2)), ("0", F(0)), ("4/6", F(2, 3))])
+    def test_integers_and_ratios_are_read(self, text, value):
+        assert frac(text) == value and type(frac(text)) is F
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5", "+3", " 3", "3\n", "1/0", "1/-2", "1/02", "", "-", "inf", "nan"])
+    def test_every_other_form_is_refused(self, text):
+        with pytest.raises(ValueError, match="unreadable rational"):
+            frac(text)
+
+    def test_a_huge_exponent_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="unreadable rational"):
+            frac("1e2000000")
+        assert time.perf_counter() - start < 0.1
 
 
 class TestProgramSizeCap:

@@ -15,7 +15,7 @@ from conedom.cli import main
 from conedom.dominance import OutsideHullError
 from conedom.cones import Cone
 from conedom.maximals import GridDomain, PriceSystem
-from conedom.scene import Scene, SceneError, parse_scene, serialize_scene
+from conedom.scene import Scene, SceneError, _Parser, parse_scene, serialize_scene
 from conedom.separation import DisjointnessResult, SeparationResult
 from conedom.linalg import vdot
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, materialize
@@ -87,6 +87,33 @@ class TestParseScene:
         )
         with pytest.raises(SceneError, match="not a declared chain"):
             parse_scene(bad)
+
+    @pytest.mark.parametrize("ref", [[], {}, 3, None])
+    def test_a_summand_that_is_not_a_name_is_a_scene_error(self, ref):
+        # A list or an object is no key of the set table: it is reported
+        # with its path, not raised as a TypeError (exit 3 at the CLI).
+        bad = json.dumps({"dimension": 2, "sets": {"y": {"type": "sum", "summands": [ref]}}})
+        with pytest.raises(SceneError, match=r"sets\.y\.summands\[0\]: .* is not a declared chain"):
+            parse_scene(bad)
+
+    def test_a_vector_that_is_no_array_is_refused_without_building_one(self):
+        # The placeholder is empty whatever the declared dimension, so a huge
+        # dimension with a malformed vector is refused, not allocated.
+        parser = _Parser()
+        assert parser.vector(5, 10**6, "v") == () and parser.errors == ["v: expected an array of rationals"]
+        doc = json.dumps({"dimension": 10**6, "cones": {"c": {"generators": [5]}}, "prices": {"p": {"price": 5}}})
+        with pytest.raises(SceneError) as exc_info:
+            parse_scene(doc)
+        assert "cones.c.generators[0]: expected an array of rationals" in exc_info.value.errors
+        assert "prices.p.price: expected an array of rationals" in exc_info.value.errors
+
+    def test_rationals_follow_one_grammar(self):
+        # Scene files and `linalg.frac` share the reader: an exponent, a
+        # decimal or a trailing newline is refused like a zero denominator.
+        for text in ("1e3", "1.5", "3\n", "+3"):
+            doc = json.dumps({"dimension": 1, "sets": {"s": {"type": "points", "points": [[text]]}}})
+            with pytest.raises(SceneError, match="unreadable rational"):
+                parse_scene(doc)
 
     def test_unknown_section_and_bad_dimension(self):
         with pytest.raises(SceneError) as exc_info:
