@@ -2,27 +2,34 @@
 
 A relation is stored as a boolean matrix over a finite ground set:
 related[i][j] says point i belongs to the upper set of point j, and a
-point's row and column are read from a point-to-position dict. A utility
-induces a total preorder through integer ranks: the distinct values are
-sorted once and each is mapped to its position, so the matrix is built and
-checked from `int` comparisons that agree exactly with the values'. For
-total preorders the maximal elements of a subset are exactly the points
-related to every member of the subset; for arbitrary relations the
-definitional test is used. Convexification replaces each upper set by its
-convex hull. The upper sets of a total preorder are nested, so only the
-smallest upper set among the subset's members, that of a top element, is
-convexified: it becomes one `Polyhedron`, asked about each point below the
-top through its cached facets (`sets.poly_contains`).
+point's row and column are read from a point-to-position dict. For an
+arbitrary relation the maximal elements of a subset come from the
+definitional test on the matrix. A total preorder is read through integer
+ranks in its own order instead (`_preorder_ranks`): a utility's distinct
+values are sorted once and each is mapped to its position (`_ranks`), so
+every comparison is an `int` comparison that agrees exactly with the
+values'; a preorder given only by its matrix is ranked by its row sums.
+The maximal elements of a subset are then its members of the highest rank.
+Convexification replaces each upper set by its convex hull. The upper sets
+of a total preorder are nested, so only the smallest upper set among the
+subset's members, that of a top element, is convexified: the points ranked
+at least as high as the top become one `Polyhedron`, asked about each
+member below the top through its cached facets.
 
 The maximizer-convexity check is one segment scan over the demand set. The
 paper takes antichain convexity as a hypothesis on the utility, not as
 something its maximizers must show, and on the lattice the scan implies it.
 
 The convexification-invariance check builds its grid once and evaluates
-the utility once per grid point; the preorder, the budget and the
-nonsatiation verdict are all read from that one value table. A grid counts
-its points in O(dimension) and refuses to build more than
-`_MAX_GRID_POINTS` of them (`LimitError`).
+the utility once per grid point. Everything after that is integer work on
+positions in the grid: the budget is the positions whose axis indices pass
+one integer price test, the maximals and convexified maximals are read
+from the value table's ranks at those positions, each hull question goes to
+the facets on the point's lattice coordinates, and the nonsatiation verdict
+compares the ranks of neighbors. No relation matrix is built and no point
+is hashed. A grid computes its axis index ranges once, counts its points in
+O(dimension) and refuses to build more than `_MAX_GRID_POINTS` of them
+(`LimitError`).
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cones import Cone, ConeOrder
 from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec
@@ -127,52 +136,81 @@ class TotalPreorder(FiniteRelation):
         return out
 
 
+def _take(points: tuple[Vec, ...], positions: Iterable[int]) -> FinitePointSet:
+    """The points at the given distinct positions, in that order."""
+    return FinitePointSet._of_distinct(tuple(map(points.__getitem__, positions)))
+
+
+def _preorder_ranks(relation: TotalPreorder) -> tuple[int, ...]:
+    """Integer ranks in the preorder's order: `_ranks` of its utility values,
+    or, for a preorder given only by its matrix, the row sums.
+
+    Row i counts the points t with i ≽ t. If i ≽ j, transitivity puts every
+    t below j below i too, and when i ≻ j row i also counts j while row j
+    does not; so the row sums order the points exactly as the relation does.
+    """
+    if relation.utility_values is not None:
+        return _ranks(relation.utility_values)
+    return tuple(map(sum, relation.related))
+
+
+def _top_positions(ranks: Sequence[int], subset: Sequence[int]) -> list[int]:
+    """The positions of `subset`, in its order, that have its highest rank."""
+    best = max(map(ranks.__getitem__, subset), default=None)
+    return [i for i in subset if ranks[i] == best]
+
+
+def _convexified_positions(
+    points: tuple[Vec, ...],
+    ranks: Sequence[int],
+    subset: Sequence[int],
+    inside: Callable[[Polyhedron, int], bool],
+) -> list[int]:
+    """The positions of `subset`, in its order, that lie in the convex hull
+    of every member's upper set.
+
+    The upper sets are nested, and the smallest among the members' is U(s*)
+    for any member s* of the highest rank: the points ranked at least as
+    high as s*. So m survives iff m ≽ s* (no hull is needed) or m lies in
+    conv(U(s*)). That hull is built once as a `Polyhedron`, and `inside(hull,
+    i)` is asked once for each member below s*, in subset order.
+    """
+    if not subset:
+        return []
+    best = max(map(ranks.__getitem__, subset))
+    hull = Polyhedron(FinitePointSet._of_distinct(tuple(p for p, r in zip(points, ranks) if r >= best)), ())
+    return [i for i in subset if ranks[i] >= best or inside(hull, i)]
+
+
 def maximals(relation: FiniteRelation, subset: FinitePointSet) -> FinitePointSet:
     """Maximal elements of the subset under the relation.
 
     Definitionally m is maximal when every member of the subset that
     relates to m is related back by m. For a total preorder this reduces
-    to m relating to every member.
+    to m having the highest rank among the members (`_preorder_ranks`).
     """
     idx = [relation.index(p) for p in subset.points]
-    rel = relation.related
-    keep = []
     if isinstance(relation, TotalPreorder):
-        for i, p in zip(idx, subset.points):
-            if all(rel[i][j] for j in idx):
-                keep.append(p)
+        keep = _top_positions(_preorder_ranks(relation), idx)
     else:
-        for i, p in zip(idx, subset.points):
-            if all(rel[i][j] for j in idx if rel[j][i]):
-                keep.append(p)
-    return FinitePointSet._of_distinct(tuple(keep))
+        rel = relation.related
+        keep = [i for i in idx if all(rel[i][j] for j in idx if rel[j][i])]
+    return _take(relation.ground.points, keep)
 
 
 def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> FinitePointSet:
-    """Maximals after replacing each upper set with its convex hull.
-
-    m survives iff it lies in the hull of every member's upper set. The
-    upper sets of a total preorder are nested: let s* be a top element of
-    the subset (the first one in subset order; totality and transitivity
-    make it related to every member). Then s* ≽ s gives U(s*) ⊆ U(s) for
-    every member s, so m survives iff m ≽ s* (it is then related to every
-    member, and no hull is needed) or m lies in conv(U(s*)). That hull is
-    built once as a `Polyhedron` and each point below the top is asked
-    `poly_contains`: integer dot products with its facets, which a polygon
-    (every 2-D upper set not on one line) gets at any size, or one hull
-    program per point above the facet work bound.
+    """Maximals after replacing each upper set with its convex hull
+    (`_convexified_positions`). Each point below the top is asked
+    `poly_contains`: integer dot products with the hull's facets, which a
+    polygon (every 2-D upper set not on one line) gets at any size, or one
+    hull program per point above the facet work bound.
     """
-    rel = relation.related
+    points = relation.ground.points
     idx = [relation.index(p) for p in subset.points]
-    if not idx:
-        return FinitePointSet(())
-    top = idx[0]
-    for i in idx[1:]:
-        if not rel[top][i]:
-            top = i
-    hull = Polyhedron(FinitePointSet._of_distinct(relation.upper_set(relation.ground.points[top])), ())
-    keep = (m for i, m in zip(idx, subset.points) if rel[i][top] or poly_contains(hull, m))
-    return FinitePointSet._of_distinct(tuple(keep))
+    keep = _convexified_positions(
+        points, _preorder_ranks(relation), idx, lambda hull, i: poly_contains(hull, points[i])
+    )
+    return _take(points, keep)
 
 
 @dataclass(frozen=True)
@@ -215,20 +253,26 @@ class GridDomain:
     def dimension(self) -> int:
         return len(self.box)
 
-    def _axis_steps(self, d: int) -> tuple[int, int]:
-        """First and last k with k * step on axis d, from floor divisions."""
-        lo, hi = self.box[d]
-        return -(-max(lo, ZERO) // self.step), hi // self.step
+    @cached_property
+    def _axis_ranges(self) -> tuple[range, ...]:
+        """Per axis, the k with k * step in the box, from floor divisions
+        computed once per grid. The grid points run through the index tuples
+        of `itertools.product(*_axis_ranges)`, in that order."""
+        return tuple(range(-(-max(lo, ZERO) // self.step), hi // self.step + 1) for lo, hi in self.box)
 
     @property
     def point_count(self) -> int:
         """Number of grid points, counted in O(dimension) without building any."""
-        spans = map(self._axis_steps, range(self.dimension))
-        return prod(max(0, last - first + 1) for first, last in spans)
+        return prod(max(0, r.stop - r.start) for r in self._axis_ranges)
+
+    def _index_tuples(self) -> Iterator[tuple[int, ...]]:
+        """The axis index tuples of the points, in the order they run.
+        `itertools.product` reads every axis before its first tuple, so an
+        empty grid yields none without reading its other axes."""
+        return itertools.product(*self._axis_ranges) if self.point_count else iter(())
 
     def axis_values(self, d: int) -> tuple[Fraction, ...]:
-        first, last = self._axis_steps(d)
-        return tuple(k * self.step for k in range(first, last + 1))
+        return tuple(k * self.step for k in self._axis_ranges[d])
 
     def points(self) -> FinitePointSet:
         """All grid points in lexicographic order; `LimitError` above the cap."""
@@ -255,17 +299,30 @@ def ratio_utility(x: Vec) -> Fraction:
     Strictly increasing in x2 and eventually decreasing in x1; its level
     sets are orthant-antichain-convex although the function itself is not
     quasiconcave, which makes it the showcase input for the demand checks.
+    Each coordinate is read once as an integer ratio; for x = (a/b, c/d) the
+    value is the one ratio (abc - 5ad(a + b) + cb(a + b)) / (bd(a + b)).
     """
     if len(x) != 2:
         raise ValueError("ratio utility is bivariate")
-    x1, x2 = x
-    if x1 < 0 or x2 < 0:
+    (a, b), (c, d) = (t.as_integer_ratio() for t in x)
+    if a < 0 or c < 0:
         raise ValueError("ratio utility requires nonnegative coordinates")
-    return x1 * x2 / (x1 + 1) - 5 * x1 + x2
+    s = a + b
+    return Fraction(a * b * c - 5 * a * d * s + c * b * s, b * d * s)
 
 
 def linear_utility(x: Vec) -> Fraction:
-    return sum(x, ZERO)
+    """The coordinate sum, kept as one integer ratio (num, den) as `vdot`
+    keeps its sum: a term whose denominator is den adds its numerator, any
+    other is cross-multiplied in."""
+    num, den = 0, 1
+    for c in x:
+        n, d = c.as_integer_ratio()
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return Fraction(num, den)
 
 
 def min_utility(x: Vec) -> Fraction:
@@ -281,30 +338,26 @@ UTILITIES: dict[str, Utility] = {
 
 def budget_set(grid: GridDomain, prices: PriceSystem) -> FinitePointSet:
     """Grid points affordable at the prices: price . x <= wealth, exactly."""
-    return _budget(grid, grid.points(), prices)
+    return _take(grid.points().points, _budget_positions(grid, grid._index_tuples(), prices))
 
 
-def _budget(grid: GridDomain, ground: FinitePointSet, prices: PriceSystem) -> FinitePointSet:
-    """The points of `ground`, which is `grid.points()`, that are affordable.
+def _budget_positions(
+    grid: GridDomain, indices: Iterable[tuple[int, ...]], prices: PriceSystem
+) -> list[int]:
+    """The positions in `grid.points()` of the affordable points, given the
+    axis index tuples k of all the points, in the order the points run.
 
-    Each point is step·k for its axis indices k (in the order the points
-    run). With m the lcm of the price denominators, price·(step·k) <= wealth
-    exactly when the integer (m·price)·k is at most wealth·m/step, and so at
-    most that bound's floor: one `int` dot product per point.
+    Each point is step·k. With m the lcm of the price denominators,
+    price·(step·k) <= wealth exactly when the integer (m·price)·k is at most
+    wealth·m/step, and so at most that bound's floor: one `int` dot product
+    per point.
     """
     if len(prices.price) != grid.dimension:
         raise ValueError("price dimension does not match the grid")
     m = lcm(*(c.denominator for c in prices.price))
     weights = [c.numerator * (m // c.denominator) for c in prices.price]
     bound = prices.wealth * m // grid.step
-    indices = itertools.product(*(range(a, b + 1) for a, b in map(grid._axis_steps, range(grid.dimension))))
-    return FinitePointSet._of_distinct(
-        tuple(
-            p
-            for p, ks in zip(ground.points, indices, strict=True)
-            if sum(w * k for w, k in zip(weights, ks)) <= bound
-        )
-    )
+    return [i for i, ks in enumerate(indices) if sum(map(mul, weights, ks)) <= bound]
 
 
 def demand(utility: Utility, grid: GridDomain, prices: PriceSystem) -> FinitePointSet:
@@ -331,22 +384,24 @@ def check_local_nonsatiation(utility: Utility, grid: GridDomain) -> Nonsatiation
     be truncated by the box, so they are reported rather than failed.
     """
     points = grid.points().points
-    return _nonsatiation(grid, points, tuple(map(utility, points)))
+    return _nonsatiation(grid, points, _ranks(tuple(map(utility, points))))
 
 
-def _nonsatiation(
-    grid: GridDomain, points: tuple[Vec, ...], values: Sequence[Fraction]
-) -> NonsatiationReport:
-    """The report from the utility's value at every point of `grid.points()`.
+def _nonsatiation(grid: GridDomain, points: tuple[Vec, ...], ranks: Sequence[int]) -> NonsatiationReport:
+    """The report from the rank of the utility's value at every point of
+    `grid.points()`; rank order is value order, so a neighbor improves on p
+    exactly when its rank is higher.
 
-    Neighbors are looked up in the value table by position. The points run
+    Neighbors are looked up in the rank table by position. The points run
     through the axis indices k in lexicographic order, so p ± step·e_d sits
     stride_d places from p, and it is in the grid exactly when k_d ± 1 is an
     index of axis d. p is on an upper face exactly when some k_d is its
     axis's last index ((k_d + 1)·step passes hi); off the upper faces
     p + step·e_d is always in the grid and p - step·e_d is when k_d > 0.
     """
-    sizes = [last - first + 1 for first, last in map(grid._axis_steps, range(grid.dimension))]
+    if not points:  # an empty axis: leave the others, however long, unread
+        return NonsatiationReport(True, (), ())
+    sizes = list(map(len, grid._axis_ranges))
     strides = [prod(sizes[d + 1 :]) for d in range(len(sizes))]
     violators = []
     exempt = []
@@ -354,8 +409,8 @@ def _nonsatiation(
         if any(k == n - 1 for k, n in zip(ks, sizes)):
             exempt.append(points[i])
             continue
-        up = values[i]
-        if not any(values[i + s] > up or (k > 0 and values[i - s] > up) for k, s in zip(ks, strides)):
+        up = ranks[i]
+        if not any(ranks[i + s] > up or (k > 0 and ranks[i - s] > up) for k, s in zip(ks, strides)):
             violators.append(points[i])
     return NonsatiationReport(not violators, tuple(violators), tuple(exempt))
 
@@ -382,22 +437,32 @@ def check_convexification_invariance(
 ) -> InvarianceReport:
     """Maximals versus convexified maximals of the utility preorder on a budget.
 
-    One pass over the grid: the utility is evaluated once per point, and
-    the preorder, the budget and the nonsatiation verdict are read from
-    that value table.
+    The utility is evaluated once per grid point, and the rest is integer
+    work on grid positions (see the module docstring). A budget point below
+    the top is asked about the hull through `hull.facets`, on its lattice
+    coordinates (k·num(step), den(step)) = den(step)·(step·k, 1), or
+    through `poly_contains` when the hull has no facets.
     """
-    ground = grid.points()
-    values = tuple(map(utility, ground.points))
-    relation = TotalPreorder._from_values(ground, values)
-    budget = _budget(grid, ground, prices)
-    mset = maximals(relation, budget)
-    cset = convexified_maximals(relation, budget)
+    points = grid.points().points
+    ranks = _ranks(tuple(map(utility, points)))
+    indices = tuple(grid._index_tuples())
+    budget = _budget_positions(grid, indices, prices)
+    num, den = grid.step.as_integer_ratio()
+
+    def inside(hull: Polyhedron, i: int) -> bool:
+        facets = hull.facets
+        if facets is None:
+            return poly_contains(hull, points[i])
+        return facets.contains((*(k * num for k in indices[i]), den))
+
+    tops = _top_positions(ranks, budget)
+    kept = _convexified_positions(points, ranks, budget, inside)
     return InvarianceReport(
-        budget=budget,
-        maximals_set=mset,
-        convexified_set=cset,
-        equal=mset.sorted_points() == cset.sorted_points(),
-        nonsatiated=_nonsatiation(grid, ground.points, values).satisfied,
+        budget=_take(points, budget),
+        maximals_set=_take(points, tops),
+        convexified_set=_take(points, kept),
+        equal=tops == kept,
+        nonsatiated=_nonsatiation(grid, points, ranks).satisfied,
     )
 
 
