@@ -326,12 +326,11 @@ _MAX_LP_SIZE = 200_000
 # It bounds the work that grows with the grid. The invariance check keeps
 # tables with one entry per point (values, ranks, axis indices) and no
 # relation matrix: at the cap (64 x 64, ratio utility, prices (1, 2), wealth
-# 90) it takes 0.024 s with a tracemalloc peak of 1 MB, against 1.6 s and
-# 123 MB for the k-by-k matrix it used to build (2 cores, Python 3.11.7).
-# The pair scans of `maximals` (`check_maximizer_convexity`,
-# `find_quasiconcavity_violation`) still grow with the square of the grid.
-# The demand grids of the tests, suite, benchmark and README have at most
-# 81 points.
+# 90) it takes 0.024 s with a tracemalloc peak of 1 MB (2 cores, Python
+# 3.11.7). The pair scans of `maximals` (`check_maximizer_convexity`,
+# `find_quasiconcavity_violation`) grow with the square of the grid. The
+# demand grids of the tests, suite, benchmark and README have at most 81
+# points.
 _MAX_GRID_POINTS = 4096
 
 # Largest sum of chains `sets.materialize` builds, counted as the product of

@@ -253,7 +253,7 @@ class TestPreordersGivenByAMatrix:
 
 class TestAtTheGridCap:
     def test_a_64_by_64_ratio_check_builds_no_matrix_and_stays_small(self, monkeypatch):
-        # The parent path held a 4,096-by-4,096 matrix here (a tracemalloc
+        # The matrix path held a 4,096-by-4,096 matrix here (a tracemalloc
         # peak over 100 MB); the ranks and positions need about 1 MB.
         def refuse(ranks):
             raise AssertionError("no rank matrix at the cap")
