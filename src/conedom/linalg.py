@@ -327,10 +327,12 @@ _MAX_LP_SIZE = 200_000
 # tables with one entry per point (values, ranks, axis indices) and no
 # relation matrix: at the cap (64 x 64, ratio utility, prices (1, 2), wealth
 # 90) it takes 0.024 s with a tracemalloc peak of 1 MB (2 cores, Python
-# 3.11.7). The pair scans of `maximals` (`check_maximizer_convexity`,
-# `find_quasiconcavity_violation`) grow with the square of the grid. The
-# demand grids of the tests, suite, benchmark and README have at most 81
-# points.
+# 3.11.7). `maximals.check_maximizer_convexity` makes one lookup per pair of
+# demand points: at the cap with 64 tied points (64 x 64, linear utility,
+# prices (1, 1), wealth 63) it takes well under a second. Only the
+# exhaustive pair search `find_quasiconcavity_violation` grows with the
+# square of the grid. The demand grids of the tests, suite, benchmark and
+# README have at most 81 points.
 _MAX_GRID_POINTS = 4096
 
 # Largest sum of chains `sets.materialize` builds, counted as the product of

@@ -16,12 +16,18 @@ subset's members, that of a top element, is convexified: the points ranked
 at least as high as the top become one `Polyhedron`, asked about each
 member below the top through its cached facets.
 
-The maximizer-convexity check is one segment scan over the demand set. The
-paper takes antichain convexity as a hypothesis on the utility, not as
-something its maximizers must show, and on the lattice the scan implies it.
+The maximizer-convexity check walks the lattice between demand points on
+their axis indices. For demand indices a and b, with d = b - a and g the gcd
+of d's entries, the grid points strictly between them are a + t·d/g for
+0 < t < g: the grid is the lattice of integer multiples of step inside a
+box, which holds every segment between two of its points. The paper takes antichain convexity as a
+hypothesis on the utility, not as something its maximizers must show, and
+on the lattice the walk implies it.
 
-The convexification-invariance check builds its grid once and evaluates
-the utility once per grid point. Everything after that is integer work on
+Demand evaluates the utility once per budget point and keeps the ascending
+positions of the top values, which are already in lexicographic order. The
+convexification-invariance check builds its grid once and evaluates the
+utility once per grid point. Everything after that is integer work on
 positions in the grid: the budget is the positions whose axis indices pass
 one integer price test, the maximals and convexified maximals are read
 from the value table's ranks at those positions, each hull question goes to
@@ -38,8 +44,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cones import Cone, ConeOrder
@@ -154,8 +160,9 @@ def _preorder_ranks(relation: TotalPreorder) -> tuple[int, ...]:
     return tuple(map(sum, relation.related))
 
 
-def _top_positions(ranks: Sequence[int], subset: Sequence[int]) -> list[int]:
-    """The positions of `subset`, in its order, that have its highest rank."""
+def _top_positions(ranks: Sequence[int] | dict[int, Fraction], subset: Sequence[int]) -> list[int]:
+    """The positions of `subset`, in its order, that have its highest rank
+    (or value, for `ranks` that maps the positions to values)."""
     best = max(map(ranks.__getitem__, subset), default=None)
     return [i for i in subset if ranks[i] == best]
 
@@ -265,21 +272,26 @@ class GridDomain:
         """Number of grid points, counted in O(dimension) without building any."""
         return prod(max(0, r.stop - r.start) for r in self._axis_ranges)
 
+    def _capped_count(self) -> int:
+        """`point_count`, or `LimitError` above the cap."""
+        count = self.point_count
+        if count > _MAX_GRID_POINTS:
+            raise LimitError(f"grid has {count} points, more than the limit of {_MAX_GRID_POINTS}")
+        return count
+
     def _index_tuples(self) -> Iterator[tuple[int, ...]]:
-        """The axis index tuples of the points, in the order they run.
-        `itertools.product` reads every axis before its first tuple, so an
-        empty grid yields none without reading its other axes."""
-        return itertools.product(*self._axis_ranges) if self.point_count else iter(())
+        """The axis index tuples of the points, in the order they run;
+        `LimitError` above the cap. `itertools.product` reads every axis
+        before its first tuple, so an empty grid yields none without reading
+        its other axes."""
+        return itertools.product(*self._axis_ranges) if self._capped_count() else iter(())
 
     def axis_values(self, d: int) -> tuple[Fraction, ...]:
         return tuple(k * self.step for k in self._axis_ranges[d])
 
     def points(self) -> FinitePointSet:
         """All grid points in lexicographic order; `LimitError` above the cap."""
-        count = self.point_count
-        if count > _MAX_GRID_POINTS:
-            raise LimitError(f"grid has {count} points, more than the limit of {_MAX_GRID_POINTS}")
-        if count == 0:  # an empty axis: leave the others, however long, unbuilt
+        if self._capped_count() == 0:  # an empty axis: leave the others, however long, unbuilt
             return FinitePointSet(())
         axes = [self.axis_values(d) for d in range(self.dimension)]
         return FinitePointSet._of_distinct(tuple(itertools.product(*axes)))
@@ -338,36 +350,47 @@ UTILITIES: dict[str, Utility] = {
 
 def budget_set(grid: GridDomain, prices: PriceSystem) -> FinitePointSet:
     """Grid points affordable at the prices: price . x <= wealth, exactly."""
-    return _take(grid.points().points, _budget_positions(grid, grid._index_tuples(), prices))
+    return _take(grid.points().points, _budget_positions(grid, prices))
 
 
-def _budget_positions(
-    grid: GridDomain, indices: Iterable[tuple[int, ...]], prices: PriceSystem
-) -> list[int]:
-    """The positions in `grid.points()` of the affordable points, given the
-    axis index tuples k of all the points, in the order the points run.
+def _price_weights(grid: GridDomain, prices: PriceSystem) -> tuple[list[int], Fraction]:
+    """The integer weights w = m·price and the bound B = wealth·m/step, with
+    m the lcm of the price denominators.
 
-    Each point is step·k. With m the lcm of the price denominators,
-    price·(step·k) <= wealth exactly when the integer (m·price)·k is at most
-    wealth·m/step, and so at most that bound's floor: one `int` dot product
-    per point.
+    Each grid point is step·k for its axis index tuple k, and
+    price·(step·k) = (w·k)·step/m, so the point costs at most the wealth
+    exactly when w·k <= B, and exactly the wealth when w·k = B.
     """
     if len(prices.price) != grid.dimension:
         raise ValueError("price dimension does not match the grid")
     m = lcm(*(c.denominator for c in prices.price))
-    weights = [c.numerator * (m // c.denominator) for c in prices.price]
-    bound = prices.wealth * m // grid.step
-    return [i for i, ks in enumerate(indices) if sum(map(mul, weights, ks)) <= bound]
+    return [c.numerator * (m // c.denominator) for c in prices.price], prices.wealth * m / grid.step
+
+
+def _budget_positions(grid: GridDomain, prices: PriceSystem) -> list[int]:
+    """The positions in `grid.points()` of the affordable points, read from
+    the axis index tuples k: w·k is an integer, so w·k <= B exactly when
+    w·k <= floor(B), one `int` dot product per point (`_price_weights`).
+    """
+    weights, bound = _price_weights(grid, prices)
+    bound = bound.numerator // bound.denominator
+    return [i for i, ks in enumerate(grid._index_tuples()) if sum(map(mul, weights, ks)) <= bound]
+
+
+def _demand_positions(
+    utility: Utility, grid: GridDomain, prices: PriceSystem
+) -> tuple[tuple[Vec, ...], list[int]]:
+    """The grid's points and the ascending positions of the budget points of
+    the highest utility; the utility is evaluated once per budget point."""
+    points = grid.points().points
+    budget = _budget_positions(grid, prices)
+    return points, _top_positions({i: utility(points[i]) for i in budget}, budget)
 
 
 def demand(utility: Utility, grid: GridDomain, prices: PriceSystem) -> FinitePointSet:
-    """Budget points with maximal utility; listed in lexicographic order."""
-    budget = budget_set(grid, prices)
-    if len(budget) == 0:
-        return FinitePointSet(())
-    values = {p: utility(p) for p in budget.points}
-    best = max(values.values())
-    return FinitePointSet._of_distinct(tuple(sorted(p for p, v in values.items() if v == best)))
+    """Budget points with maximal utility, in lexicographic order: the order
+    of their ascending grid positions (`_demand_positions`)."""
+    return _take(*_demand_positions(utility, grid, prices))
 
 
 @dataclass(frozen=True)
@@ -384,13 +407,18 @@ def check_local_nonsatiation(utility: Utility, grid: GridDomain) -> Nonsatiation
     be truncated by the box, so they are reported rather than failed.
     """
     points = grid.points().points
-    return _nonsatiation(grid, points, _ranks(tuple(map(utility, points))))
+    violators, exempt = [], []
+    for i, on_face in _nonsatiation(grid, _ranks(tuple(map(utility, points)))):
+        (exempt if on_face else violators).append(points[i])
+    return NonsatiationReport(not violators, tuple(violators), tuple(exempt))
 
 
-def _nonsatiation(grid: GridDomain, points: tuple[Vec, ...], ranks: Sequence[int]) -> NonsatiationReport:
-    """The report from the rank of the utility's value at every point of
-    `grid.points()`; rank order is value order, so a neighbor improves on p
-    exactly when its rank is higher.
+def _nonsatiation(grid: GridDomain, ranks: Sequence[int]) -> Iterator[tuple[int, bool]]:
+    """(i, on an upper face) for the exempt positions and the violators, in
+    the order the points run, from the rank of the utility's value at every
+    point of `grid.points()`; rank order is value order, so a neighbor
+    improves on p exactly when its rank is higher. A verdict that reads
+    `all(on_face ...)` stops at the first violator.
 
     Neighbors are looked up in the rank table by position. The points run
     through the axis indices k in lexicographic order, so p ± step·e_d sits
@@ -399,20 +427,16 @@ def _nonsatiation(grid: GridDomain, points: tuple[Vec, ...], ranks: Sequence[int
     axis's last index ((k_d + 1)·step passes hi); off the upper faces
     p + step·e_d is always in the grid and p - step·e_d is when k_d > 0.
     """
-    if not points:  # an empty axis: leave the others, however long, unread
-        return NonsatiationReport(True, (), ())
+    if not ranks:  # an empty axis: leave the others, however long, unread
+        return
     sizes = list(map(len, grid._axis_ranges))
     strides = [prod(sizes[d + 1 :]) for d in range(len(sizes))]
-    violators = []
-    exempt = []
     for i, ks in enumerate(itertools.product(*map(range, sizes))):
-        if any(k == n - 1 for k, n in zip(ks, sizes)):
-            exempt.append(points[i])
-            continue
+        on_face = any(k == n - 1 for k, n in zip(ks, sizes))
         up = ranks[i]
-        if not any(ranks[i + s] > up or (k > 0 and ranks[i - s] > up) for k, s in zip(ks, strides)):
-            violators.append(points[i])
-    return NonsatiationReport(not violators, tuple(violators), tuple(exempt))
+        improving = (ranks[i + s] > up or (k > 0 and ranks[i - s] > up) for k, s in zip(ks, strides))
+        if on_face or not any(improving):
+            yield i, on_face
 
 
 @dataclass(frozen=True)
@@ -446,7 +470,7 @@ def check_convexification_invariance(
     points = grid.points().points
     ranks = _ranks(tuple(map(utility, points)))
     indices = tuple(grid._index_tuples())
-    budget = _budget_positions(grid, indices, prices)
+    budget = _budget_positions(grid, prices)
     num, den = grid.step.as_integer_ratio()
 
     def inside(hull: Polyhedron, i: int) -> bool:
@@ -462,7 +486,7 @@ def check_convexification_invariance(
         maximals_set=_take(points, tops),
         convexified_set=_take(points, kept),
         equal=tops == kept,
-        nonsatiated=_nonsatiation(grid, points, ranks).satisfied,
+        nonsatiated=all(on_face for _, on_face in _nonsatiation(grid, ranks)),
     )
 
 
@@ -481,7 +505,12 @@ def orthant_cone(dimension: int) -> Cone:
 
 
 def _require_aligned(grid: GridDomain, prices: PriceSystem) -> None:
-    if not any(vdot(prices.price, p) == prices.wealth for p in grid.points()):
+    """Some grid point costs the wealth exactly: B is an integer and some
+    axis index tuple k has w·k = B (`_price_weights`). Above the cap the
+    grid raises `LimitError` before the prices are read."""
+    indices = grid._index_tuples()
+    weights, bound = _price_weights(grid, prices)
+    if bound.denominator != 1 or bound.numerator not in (sum(map(mul, weights, ks)) for ks in indices):
         raise ValueError("budget line misses the grid; pick aligned prices and wealth")
 
 
@@ -513,33 +542,22 @@ def check_maximizer_convexity(utility: Utility, grid: GridDomain, prices: PriceS
     So the demand set also passes `sets.is_grid_antichain_convex` on the
     grid's lattice, under any cone: a lattice point that is a strict convex
     combination of two demand points is a grid point on their segment.
+
+    The walk runs on the demand points' axis index tuples (see the module
+    docstring): between a and b lie a + t·d/g for 0 < t < g. Only the first
+    step a + d/g is looked up for each pair: when it is demanded, the pair
+    (a + d/g, b) has the same direction and g - 1 steps left, so by
+    induction every pair's walk is looked up in full.
     """
     _require_aligned(grid, prices)
-    dset = demand(utility, grid, prices)
-    pts = dset.points
-    others = [q for q in grid.points() if q not in dset]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if any(_on_segment(pts[i], pts[j], q) for q in others):
-                return False
+    _, top = _demand_positions(utility, grid, prices)
+    indices = tuple(grid._index_tuples())
+    demanded = set(map(indices.__getitem__, top))
+    for a, b in itertools.combinations(demanded, 2):
+        g = gcd(*map(sub, b, a))
+        if g > 1 and tuple(k + (j - k) // g for k, j in zip(a, b)) not in demanded:
+            return False
     return True
-
-
-def _on_segment(a: Vec, b: Vec, q: Vec) -> bool:
-    # q strictly between a and b on the segment: q = a + t (b - a), 0 < t < 1.
-    diff = tuple(bi - ai for ai, bi in zip(a, b))
-    t: Fraction | None = None
-    for qa, d in zip((qi - ai for qi, ai in zip(q, a)), diff):
-        if d == 0:
-            if qa != 0:
-                return False
-        else:
-            ratio = qa / d
-            if t is None:
-                t = ratio
-            elif t != ratio:
-                return False
-    return t is not None and 0 < t < 1
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,13 @@ compare the package against them.
 
 import importlib
 import random
+import re
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedom.cones import Cone
 from conedom.linalg import ZERO, LimitError, hull_membership, vdot
@@ -654,6 +657,25 @@ class TestConvexificationInvariance:
         assert rep.equal
         assert len(rep.maximals_set) == 3
 
+    def test_nonsatiation_verdict_stops_at_the_first_violator(self, monkeypatch):
+        # min is flat around the origin, so position 0 is a violator and the
+        # verdict reads no further; `check_local_nonsatiation` reads it all.
+        pulled = []
+        scan = maximals_module._nonsatiation
+
+        def counting(grid, ranks):
+            for item in scan(grid, ranks):
+                pulled.append(item)
+                yield item
+
+        monkeypatch.setattr(maximals_module, "_nonsatiation", counting)
+        grid = unit_grid(4)
+        assert not check_convexification_invariance(min_utility, grid, PriceSystem.build((1, 1), 4)).nonsatiated
+        assert pulled == [(0, False)]
+        pulled.clear()
+        rep = check_local_nonsatiation(min_utility, grid)
+        assert len(pulled) == len(rep.violators) + len(rep.exempt) == 4 + 9
+
 
 class TestBoundaryAndAntichain:
     def test_showcase_report(self):
@@ -677,6 +699,32 @@ class TestBoundaryAndAntichain:
         skew = Cone.build(2, [[1, -1]], True)
         with pytest.raises(ValueError, match="orthant"):
             check_boundary_and_antichain(ratio_utility, grid, price, skew)
+
+
+@st.composite
+def shifted_grid_cases(draw):
+    """A grid in dimension 1 to 3 with step 1/2 or 2/3 and a box whose lower
+    bounds lie above zero (so no axis index range starts at 0), prices with
+    denominators 1 or 2, a wealth that is a grid point's cost, or that cost
+    plus a small fraction (usually leaving wealth·m/step off the integers,
+    with its floor still a grid point's w·k), and a tied table utility with
+    values 0 and 1."""
+    dimension = draw(st.integers(1, 3))
+    step = draw(st.sampled_from((F(1, 2), F(2, 3))))
+    most = (7, 4, 3)[dimension - 1]
+    box = []
+    for _ in range(dimension):
+        lo = F(draw(st.integers(1, 6)), 3)
+        box.append((lo, lo + step * draw(st.integers(0, most))))
+    grid = GridDomain(step, tuple(box))
+    points = grid.points().points
+    price = tuple(F(draw(st.integers(1, 4)), draw(st.integers(1, 2))) for _ in range(dimension))
+    anchor = draw(st.sampled_from(points)) if points else (ZERO,) * dimension
+    extra = draw(st.sampled_from((ZERO, ZERO, ZERO, F(1, 7), F(1, 5))))
+    prices = PriceSystem(price, vdot(price, anchor) + extra)
+    values = draw(st.lists(st.integers(0, 1), min_size=len(points), max_size=len(points)))
+    table = dict(zip(points, map(F, values)))
+    return grid, prices, table.__getitem__
 
 
 class TestMaximizerConvexity:
@@ -755,6 +803,47 @@ class TestMaximizerConvexity:
             verdicts.append((got, antichain))
         assert verdicts.count((True, True)) > 100 and verdicts.count((False, True)) > 100
         assert (False, False) in verdicts
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=shifted_grid_cases())
+    def test_the_lattice_walk_matches_the_reference_on_shifted_grids(self, case):
+        grid, prices, utility = case
+        try:
+            expected = reference_check_maximizer_convexity(
+                utility, grid, prices, orthant_cone(grid.dimension), 2
+            )
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                check_maximizer_convexity(utility, grid, prices)
+            return
+        assert check_maximizer_convexity(utility, grid, prices) == expected
+        budget = [p for p in grid.points() if vdot(prices.price, p) <= prices.wealth]
+        best = max(map(utility, budget))
+        assert demand(utility, grid, prices).points == tuple(p for p in budget if utility(p) == best)
+
+    def test_tied_demand_at_the_cap_passes_in_bounded_time(self):
+        # 64 tied points on x1 + x2 = 63: 2,016 pairs, and 4,032 grid points
+        # outside the demand that the walk never reads.
+        grid = GridDomain.build(1, [(0, 63), (0, 63)])
+        assert grid.point_count == maximals_module._MAX_GRID_POINTS
+        start = time.process_time()
+        assert check_maximizer_convexity(linear_utility, grid, PriceSystem.build((1, 1), 63))
+        assert time.process_time() - start < 5.0
+
+    def test_one_midpoint_left_out_at_the_cap_fails(self):
+        # The same tied line with (32, 31) valued one lower: it lies between
+        # (31, 32) and (33, 30), which stay demanded.
+        gap = (F(32), F(31))
+
+        def dented(x):
+            return linear_utility(x) - (x == gap)
+
+        grid = GridDomain.build(1, [(0, 63), (0, 63)])
+        prices = PriceSystem.build((1, 1), 63)
+        assert len(demand(dented, grid, prices)) == 63
+        start = time.process_time()
+        assert not check_maximizer_convexity(dented, grid, prices)
+        assert time.process_time() - start < 5.0
 
 
 class TestQuasiconcavity:
