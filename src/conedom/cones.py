@@ -23,12 +23,15 @@ question of the other modules (chains and antichains, Pareto optima,
 support tops, the domination matrix) goes through it. It runs the same
 test in batch: each point is mapped once to (E.p, H.p), and each
 comparison is then a componentwise one. Only a cone above the facet work
-bound asks `cone_contains` pair by pair. Its Pareto maxima come from a
-sorted sweep on any pointed cone with no zero generator: by the sum of the
-normal coordinates on independent generators, or else by one integer
-functional positive on every generator (`Cone.positive_functional`, one
-certified LP per cone). `relate` asks `cone_contains` of both differences
-of its two points, so all three read one test.
+bound asks `cone_contains` pair by pair. Its Pareto maxima come from one
+sorted sweep on every cone with facets, keyed by the sum of the normal
+coordinates; points with equal coordinates (a class along the lineality
+space, each above the other) are no maxima and are dropped after it. A
+pointed cone with dependent generators and no zero generator keys by one
+integer functional positive on every generator instead
+(`Cone.positive_functional`, one certified LP per cone). `relate` asks
+`cone_contains` of both differences of its two points, so all three read
+one test.
 
 For independent generators `Cone.facets` are the elimination's own rows.
 Otherwise they are `cone_facets`: the left-null rows of the same
@@ -46,6 +49,7 @@ containment verdicts read them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -414,7 +418,10 @@ class ConeOrder:
 
     The points' integer view (`view`, from `integer_points`) is built once,
     here, and serves every integer key read from the order: the facet
-    coordinates and the sweep key of `maxima`.
+    coordinates and the sweep key of `maxima`. That key is the sum of the
+    normal coordinates on every cone with facets, and `maxima` drops the
+    points whose coordinates another point shares; only a pointed cone with
+    dependent generators and no zero generator keys by phi.p instead.
     """
 
     def __init__(self, cone: Cone, points: Sequence[Vec]):
@@ -443,29 +450,38 @@ class ConeOrder:
         """Positions of the points that no other point lies above, ascending.
 
         This is the maxima of vectors problem (Kung, Luccio & Preparata
-        1975), solved by a sorted sweep whenever a key strictly increases
-        along the order: on independent generators the sum of the normal
-        coordinates (the scaled generator coefficients, not all zero on a
-        nonzero vector of the span), or else phi.p, read from `view`, for the
-        cone's `positive_functional` phi (y - x in C minus the origin gives
-        phi.(y - x) > 0). Points are visited by that key, descending, and a
-        point is kept unless a point kept before it lies above it (`above`).
-        The order is transitive, and antisymmetric on distinct points (a key
-        that rises along it rules out cycles), so every point below another
-        lies below a kept one with a larger key. A cone without either key
-        (a zero generator, or not pointed) compares every pair.
+        1975), solved by one sorted sweep on a key that never falls along
+        the order: phi.p, read from `view`, on a pointed cone with dependent
+        generators and no zero generator, for its `positive_functional` phi;
+        on any other cone with facets, the sum of the normal coordinates.
+        For y - x in C, phi.(y - x) > 0, and H(y - x) >= 0 sums to zero only
+        on the lineality space {Ex = 0, Hx = 0}: the sum rises strictly
+        unless x and y share their coordinates (one class), and then each
+        lies above the other. Points are visited by the key, descending, and
+        a point is kept unless a kept point lies above it (`above`): every
+        point below a point of another class lies below a kept one with a
+        larger key, and a class keeps at most its first point. A class of two
+        or more has no maximum, so the kept points whose coordinates another
+        point shares are dropped; the classes are counted only where one can
+        hold two points, on cones that are neither independent nor phi cones
+        (the others are pointed). Only a cone above the facet work bound with
+        no phi compares every pair.
         """
-        n = len(self.points)
-        if self.cone.span_solver.unique:
-            key = [sum(h) for _, h in self.coordinates]
-        elif (phi := self.cone.positive_functional) is not None:
+        n, coords, unique = len(self.points), self.coordinates, self.cone.span_solver.unique
+        phi = None if unique else self.cone.positive_functional
+        if phi is not None:
             key = [sum(map(mul, phi, q)) for q in self.view.points]
+        elif coords is not None:
+            key = [sum(h) for _, h in coords]
         else:
             return [i for i in range(n) if not any(k != i and self.above(i, k) for k in range(n))]
         kept: list[int] = []
         for i in sorted(range(n), key=lambda i: -key[i]):
             if not any(self.above(i, k) for k in kept):
                 kept.append(i)
+        if phi is None and not unique:
+            classes = Counter(coords)
+            kept = [i for i in kept if classes[coords[i]] == 1]
         return sorted(kept)
 
     def support_end(self, coefficients: Sequence[Fraction], up: bool) -> Vec:

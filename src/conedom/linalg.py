@@ -328,11 +328,13 @@ _MAX_LP_SIZE = 200_000
 # relation matrix: at the cap (64 x 64, ratio utility, prices (1, 2), wealth
 # 90) it takes 0.024 s with a tracemalloc peak of 1 MB (2 cores, Python
 # 3.11.7). `maximals.check_maximizer_convexity` makes one lookup per pair of
-# demand points: at the cap with 64 tied points (64 x 64, linear utility,
-# prices (1, 1), wealth 63) it takes well under a second. Only the
-# exhaustive pair search `find_quasiconcavity_violation` grows with the
-# square of the grid. The demand grids of the tests, suite, benchmark and
-# README have at most 81 points.
+# demand points, so it grows with the square of the demand: at the cap with
+# 64 tied points (64 x 64, linear utility, prices (1, 1), wealth 63) it
+# takes 0.01 s, but with every grid point demanded (a constant utility,
+# wealth 126) it makes 8.4 million lookups and takes 6-7 s. The exhaustive
+# pair search `find_quasiconcavity_violation` grows with the square of the
+# grid by design. The demand grids of the tests, suite, benchmark and README
+# have at most 81 points.
 _MAX_GRID_POINTS = 4096
 
 # Largest sum of chains `sets.materialize` builds, counted as the product of

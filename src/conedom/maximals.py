@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .cones import Cone, ConeOrder
 from .linalg import _MAX_GRID_POINTS, ZERO, LimitError, Vec, frac, fvec
-from .linalg import vadd, vdot, vscale
+from .linalg import vadd, vscale
 from .sets import FinitePointSet, Polyhedron, is_antichain, poly_contains
 
 Utility = Callable[[Vec], Fraction]
@@ -120,13 +120,13 @@ class TotalPreorder(FiniteRelation):
             if tuple(map(tuple, self.related)) != _rank_matrix(_ranks(self.utility_values)):
                 raise ValueError("relation matrix disagrees with its utility")
             return
-        for i in range(k):
-            for j in range(k):
-                if not (self.related[i][j] or self.related[j][i]):
-                    raise ValueError("relation is not total")
-                for t in range(k):
-                    if self.related[i][j] and self.related[j][t] and not self.related[i][t]:
-                        raise ValueError("relation is not transitive")
+        # A total relation is transitive exactly when it is the order of its
+        # row sums (`_preorder_ranks`), so both checks are O(k^2).
+        rows = tuple(map(tuple, self.related))
+        if not all(rows[i][j] or rows[j][i] for i in range(k) for j in range(i + 1)):
+            raise ValueError("relation is not total")
+        if rows != _rank_matrix(tuple(map(sum, rows))):
+            raise ValueError("relation is not transitive")
 
     @classmethod
     def from_utility(cls, ground: FinitePointSet, utility: Utility) -> "TotalPreorder":
@@ -504,14 +504,17 @@ def orthant_cone(dimension: int) -> Cone:
     return Cone.build(dimension, units, True)
 
 
-def _require_aligned(grid: GridDomain, prices: PriceSystem) -> None:
+def _require_aligned(grid: GridDomain, prices: PriceSystem) -> tuple[tuple[tuple[int, ...], ...], list[int], int]:
     """Some grid point costs the wealth exactly: B is an integer and some
-    axis index tuple k has w·k = B (`_price_weights`). Above the cap the
-    grid raises `LimitError` before the prices are read."""
-    indices = grid._index_tuples()
+    axis index tuple k has w·k = B (`_price_weights`). Returns the grid's
+    axis index tuples, w and B: a point is on the budget line exactly when
+    w·k = B. Above the cap the grid raises `LimitError` before the prices
+    are read."""
+    indices = tuple(grid._index_tuples())
     weights, bound = _price_weights(grid, prices)
     if bound.denominator != 1 or bound.numerator not in (sum(map(mul, weights, ks)) for ks in indices):
         raise ValueError("budget line misses the grid; pick aligned prices and wealth")
+    return indices, weights, bound.numerator
 
 
 def check_boundary_and_antichain(
@@ -523,12 +526,15 @@ def check_boundary_and_antichain(
     under the supplied sub-cone, whose generators must be nonnegative.
     Refuses misaligned instances: some grid point must price out to the
     wealth exactly, otherwise the boundary claim is vacuous on the lattice.
+    A demand point spends the wealth exactly when w·k = B on its axis index
+    tuple k (`_require_aligned`).
     """
-    _require_aligned(grid, prices)
+    indices, weights, bound = _require_aligned(grid, prices)
     if any(c < 0 for g in cone.generators for c in g):
         raise ValueError("the supplied cone must sit inside the nonnegative orthant")
-    dset = demand(utility, grid, prices)
-    on_boundary = all(vdot(prices.price, p) == prices.wealth for p in dset.points)
+    points, top = _demand_positions(utility, grid, prices)
+    on_boundary = all(sum(map(mul, weights, indices[i])) == bound for i in top)
+    dset = _take(points, top)
     orthant = orthant_cone(grid.dimension)
     return BoundaryReport(
         on_boundary, is_antichain(dset, orthant), is_antichain(dset, cone), dset
@@ -549,9 +555,8 @@ def check_maximizer_convexity(utility: Utility, grid: GridDomain, prices: PriceS
     (a + d/g, b) has the same direction and g - 1 steps left, so by
     induction every pair's walk is looked up in full.
     """
-    _require_aligned(grid, prices)
+    indices, _, _ = _require_aligned(grid, prices)
     _, top = _demand_positions(utility, grid, prices)
-    indices = tuple(grid._index_tuples())
     demanded = set(map(indices.__getitem__, top))
     for a, b in itertools.combinations(demanded, 2):
         g = gcd(*map(sub, b, a))

@@ -20,7 +20,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedom.cones import Cone
@@ -30,6 +30,7 @@ from conedom.maximals import (
     GridDomain,
     NonsatiationReport,
     PriceSystem,
+    QuasiconcavityReport,
     TotalPreorder,
     UTILITIES,
     budget_set,
@@ -68,6 +69,38 @@ def reference_from_utility(ground, utility) -> TotalPreorder:
         tuple(values[i] >= values[j] for j in range(len(values))) for i in range(len(values))
     )
     return TotalPreorder(ground, related, values)
+
+
+def reference_preorder_defect(related, totality=True, transitivity=True):
+    """The former O(k^3) check of a `TotalPreorder` given by its matrix alone:
+    the message of the first defect the loop meets, or None. `totality` and
+    `transitivity` switch each test off."""
+    k = len(related)
+    for i in range(k):
+        for j in range(k):
+            if totality and not (related[i][j] or related[j][i]):
+                return "relation is not total"
+            for t in range(k):
+                if transitivity and related[i][j] and related[j][t] and not related[i][t]:
+                    return "relation is not transitive"
+    return None
+
+
+@st.composite
+def matrices(draw):
+    """k-by-k boolean matrices, k <= 6: the order of drawn integer ranks (a
+    total preorder) with up to three entries flipped, which can break
+    totality, transitivity or both, or a matrix drawn entry by entry."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    if draw(st.booleans()):
+        rows = [[draw(st.booleans()) for _ in range(k)] for _ in range(k)]
+    else:
+        ranks = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=k, max_size=k))
+        rows = [[a >= b for b in ranks] for a in ranks]
+        for _ in range(draw(st.integers(min_value=0, max_value=3)) if k else 0):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            rows[i][j] = not rows[i][j]
+    return tuple(map(tuple, rows))
 
 
 def reference_convexified_maximals(relation, subset, hull=hull_membership):
@@ -250,6 +283,27 @@ class TestRelations:
         pre = TotalPreorder.from_utility(ground, values.__getitem__)
         assert pre.holds((F(0),), (F(1),)) and pre.holds((F(1),), (F(0),))
         assert pre.holds((F(0),), (F(2),)) and not pre.holds((F(2),), (F(0),))
+
+    @settings(max_examples=400, deadline=None)
+    @given(related=matrices())
+    @example(related=((True, True, False), (False, True, True), (True, False, True)))  # total, intransitive
+    @example(related=((True, False), (False, True)))  # transitive, not total
+    @example(related=((True, True, False), (False, True, True), (False, False, True)))  # neither
+    @example(related=((False,),))  # an empty diagonal entry
+    def test_the_rank_rule_matches_the_triple_loop(self, related):
+        ground = FinitePointSet.build([(i,) for i in range(len(related))])
+        expected = reference_preorder_defect(related)
+        try:
+            TotalPreorder(ground, related)
+        except ValueError as exc:
+            assert expected is not None and type(exc) is ValueError
+            total = reference_preorder_defect(related, transitivity=False) is None
+            transitive = reference_preorder_defect(related, totality=False) is None
+            # With both defects the totality pass runs first; the loop could
+            # meet either one first.
+            assert str(exc) == (expected if total or transitive else "relation is not total")
+        else:
+            assert expected is None
 
 
 class TestMaximals:
@@ -515,6 +569,13 @@ class TestBudgetAndDemand:
             (F(1), F(0)), (F(1), F(1)), (F(2), F(0)),
         }
         assert set(budget_set(grid, price).points) == expected
+
+    def test_a_price_of_another_dimension_is_refused(self):
+        grid, prices = unit_grid(4), PriceSystem.build((1,), 2)
+        with pytest.raises(ValueError, match="^price dimension does not match the grid$"):
+            budget_set(grid, prices)
+        with pytest.raises(ValueError, match="^price dimension does not match the grid$"):
+            check_boundary_and_antichain(linear_utility, grid, prices, orthant_cone(2))
 
     def test_integer_pricing_matches_the_fraction_filter(self):
         # Rational prices, steps and wealth, boxes with negative and
@@ -846,6 +907,22 @@ class TestMaximizerConvexity:
         assert time.process_time() - start < 5.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=shifted_grid_cases())
+def test_the_boundary_verdict_matches_the_price_dot_product_on_shifted_grids(case):
+    # On the budget line exactly when price . p = wealth, one `Fraction` dot
+    # product per demand point: the form the integer rule w.k = B replaced.
+    grid, prices, utility = case
+    cone = orthant_cone(grid.dimension)
+    if not any(vdot(prices.price, p) == prices.wealth for p in grid.points()):
+        with pytest.raises(ValueError, match="^budget line misses the grid; pick aligned prices and wealth$"):
+            check_boundary_and_antichain(utility, grid, prices, cone)
+        return
+    report = check_boundary_and_antichain(utility, grid, prices, cone)
+    assert report.demand_set == demand(utility, grid, prices)
+    assert report.on_boundary == all(vdot(prices.price, p) == prices.wealth for p in report.demand_set.points)
+
+
 class TestQuasiconcavity:
     def test_incomparable_sampling_holds_on_the_orthant(self):
         grid = GridDomain(F(1, 2), ((F(0), F(4)), (F(0), F(4))))
@@ -889,3 +966,20 @@ class TestQuasiconcavity:
             min_utility, grid, Cone(2, (), True), 300, random.Random(3)
         )
         assert rep.holds
+
+    @pytest.mark.parametrize("low", [F(1, 2), F(0)])
+    def test_a_grid_of_fewer_than_two_points_holds_without_a_sample(self, low):
+        # No multiple of 1 in [1/2, 1/2], then the one point (0, 0): no pair to draw.
+        grid = GridDomain(F(1), ((low, low), (F(0), F(0))))
+        assert grid.point_count == (low == 0)
+        rep = check_antichain_quasiconcavity(
+            ratio_utility, grid, orthant_cone(2), 10, random.Random(0)
+        )
+        assert rep == QuasiconcavityReport(True, None)
+
+    def test_exhaustive_search_finds_nothing_on_a_quasiconcave_utility(self):
+        # min and the coordinate sum are quasiconcave, so no mix of two grid
+        # points falls below both ends.
+        grid = GridDomain(F(1, 2), ((F(0), F(2)), (F(0), F(2))))
+        for utility in (min_utility, linear_utility):
+            assert find_quasiconcavity_violation(utility, grid) is None

@@ -9,7 +9,8 @@ facet coordinates (`ConeOrder.coordinates`): on independent generators the
 elimination's own rows, on dependent ones `cone_facets`. Only a cone above
 the facet work bound keeps the pairwise path, which the tests check too.
 Pareto optima on a pointed cone with dependent generators sweep by its
-positive functional. Points include ties in the generator-coordinate sum
+positive functional, and on every other cone with facets by the sum of the
+normal coordinates. Points include ties in the generator-coordinate sum
 and in that functional, denominators 1, 2 and 3, and numerators around 10^20.
 
 The facet coordinates of a whole list are checked against one dot product
@@ -19,8 +20,11 @@ which reads the cone's facets on dependent generators, against the LP
 (`_solve_membership`): the verdicts, the origin without the flag (decided
 by pointedness, with no LP), the certificates, the LP kept above the facet
 work bound, and the public entry points against a pairwise LP reference.
-The last section draws point sets near an antichain (many optima) on every
-cone kind and checks their optima against the pairwise reference.
+The last two sections draw point sets near an antichain (many optima) on
+every cone kind, and point sets with classes of two or three points along
+the lineality space of a cone that is not pointed (equal coordinates, so
+each point lies above the others), and check their optima against the
+pairwise reference.
 """
 
 import random
@@ -404,6 +408,40 @@ def test_maxima_under_a_single_top_ask_one_question_per_other_point(kind, monkey
         assert cone.positive_functional is not None
         pts = materialize(chain_sum(rng, cone, (3, 2, 2))).points
         top = max(range(len(pts)), key=lambda i: vdot(cone.positive_functional, pts[i]))
+        calls.clear()
+        assert ConeOrder(cone, pts).maxima() == [top]
+        assert len(calls) == len(pts) - 1
+
+
+def leaving_chain_sum(rng, cone, sizes):
+    """A sum of chains whose every step has a positive normal coordinate, so
+    it leaves the lineality space {Ex = 0, Hx = 0}: the sum of the chain tops
+    then lies strictly above every other point, in a class of its own."""
+    normals = cone.facets.normals
+    chains = []
+    for size in sizes:
+        pts = [rand_point(rng, cone.dimension)]
+        while len(pts) < size:
+            step = rand_cone_member(rng, k_closure(cone), strict=False)
+            _, q = integer_multiple(step)
+            if any(sum(map(mul, h, q)) for h in normals):
+                pts.append(vadd(pts[-1], step))
+        chains.append(ChainSet.build(pts, cone))
+    return DecomposableSet(tuple(chains))
+
+
+@pytest.mark.parametrize("kind", ["nonsimplicial_not_pointed", "rank_deficient_not_pointed", "zero_generator"])
+def test_maxima_without_phi_under_a_single_top_ask_one_question_per_other_point(kind, monkeypatch):
+    # These cones have no positive functional and sweep on the sum of their
+    # normal coordinates; comparing every pair would ask at least 2(n - 1).
+    make, _ = KINDS[kind]
+    rng = random.Random(f"single-top-without-phi-{kind}")
+    calls = counting_questions(monkeypatch, over_bound=False)
+    for t in range(4):
+        cone = make(rng, 3 + t % 2, contains_zero=t % 2 == 0)
+        assert cone.positive_functional is None and cone.facets is not None
+        pts = materialize(leaving_chain_sum(rng, cone, (3, 2, 2))).points
+        (top,) = [pts.index(p) for p in ref_optima(pts, cone)]
         calls.clear()
         assert ConeOrder(cone, pts).maxima() == [top]
         assert len(calls) == len(pts) - 1
@@ -833,5 +871,55 @@ def test_optima_of_points_near_an_antichain_match_the_reference(kind, seed, dim,
             pts[i] = vadd(pts[i], tuple(F(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(dim)))
     pts = tuple(dict.fromkeys(pts))
     expected = ref_optima(pts, cone)
+    assert pareto_optima_finite(FinitePointSet(pts), cone).points == expected
+    assert tuple(pts[i] for i in ConeOrder(cone, pts).maxima()) == expected
+
+
+# --- classes of tied coordinates: points along the lineality space -------------------
+
+
+def all_pairs_optima(pts, cone):
+    """The points that no other point lies above, one `cone_contains`
+    question per ordered pair."""
+    return tuple(y for y in pts if not any(t != y and cone_contains(cone, vsub(t, y)) for t in pts))
+
+
+@st.composite
+def cones_with_tied_classes(draw):
+    """A cone of a `KINDS` kind, with the origin flag drawn, or a `shaped_cones`
+    draw (not pointed, rank deficient, with a zero generator, or several);
+    then distinct points: a few base points, each with a cone step on top,
+    and, on a cone that is not pointed, its twins p + l (a class of two) or
+    p + l and p - l (a class of three) for a lineality vector l, some of
+    them shifted by the same cone step."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()):
+        cone = KINDS[draw(st.sampled_from(list(KINDS)))][0](rng, draw(st.integers(2, 4)), draw(st.booleans()))
+    else:
+        cone = draw(shaped_cones())
+    dim = cone.dimension
+    steps = [g for g in cone.generators if any(g)]
+    lines = [g for g in steps if cone_contains(cone, vneg(g))]
+    pts = []
+    for t in range(draw(st.integers(min_value=1, max_value=4))):
+        p = rand_point(rng, dim)
+        step = rand_cone_member(rng, k_closure(cone), strict=False) if steps else None
+        group = [p]
+        if lines:
+            line = vscale(F(rng.randint(1, 3), rng.choice((1, 2))), rng.choice(lines))
+            group.append(vadd(p, line))
+            if t == 0 or draw(st.booleans()):
+                group.append(vsub(p, line))
+        pts += group
+        if step is not None:
+            pts += [vadd(q, step) for q in group[: draw(st.integers(min_value=1, max_value=len(group)))]]
+    return cone, tuple(dict.fromkeys(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_with_tied_classes())
+def test_optima_with_tied_classes_match_the_all_pairs_reference(case):
+    cone, pts = case
+    expected = all_pairs_optima(pts, cone)
     assert pareto_optima_finite(FinitePointSet(pts), cone).points == expected
     assert tuple(pts[i] for i in ConeOrder(cone, pts).maxima()) == expected

@@ -5,8 +5,12 @@ payloads; exactness is checked by re-reading emitted rationals.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from conedom.scene import Scene, SceneError, _Parser, parse_scene, serialize_sce
 from conedom.separation import DisjointnessResult, SeparationResult
 from conedom.linalg import vdot
 from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, materialize
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 GOOD_SCENE = """
 {
@@ -621,3 +627,103 @@ class TestCliErrors:
         assert out == ""
         assert err == f"internal error: {message}\n"
         assert "Traceback" not in err
+
+
+def scene_with(tmp_path, **sections):
+    """GOOD_SCENE with the given top-level sections replaced, written to a file."""
+    doc = json.loads(GOOD_SCENE)
+    doc.update(sections)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestCliInputChecks:
+    """Each refused scene or argument exits 2 with its path-addressed message."""
+
+    CONES, SETS = json.loads(GOOD_SCENE)["cones"], json.loads(GOOD_SCENE)["sets"]
+    POINTS = {"P": SETS["P"]}  # a set that names no cone
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"cones": [], "sets": POINTS}, "cones: must be an object of named cones"),
+            ({"sets": "P"}, "sets: must be an object of named sets"),
+            ({"prices": 1}, "prices: must be an object of named price systems"),
+            ({"grids": None}, "grids: must be an object of named grids"),
+            ({"cones": {"c": ["1", "0"]}, "sets": POINTS}, "cones.c: must be an object"),
+            ({"sets": {**SETS, "s": []}}, "sets.s: must be an object"),
+            ({"prices": {"p": "1"}}, "prices.p: must be an object"),
+            ({"grids": {"g": 2}}, "grids.g: must be an object"),
+            ({"grids": {"g": {"box": [["0", "4"]]}}}, "grids.g.box: expected 2 [lo, hi] pairs"),
+            ({"grids": {"g": {"box": "0,4"}}}, "grids.g.box: expected 2 [lo, hi] pairs"),
+            ({"grids": {"g": {"box": [["0", "4"], ["0"]]}}}, "grids.g.box[1]: expected a [lo, hi] pair"),
+            ({"grids": {"g": {"box": ["0", ["0", "4"]]}}}, "grids.g.box[0]: expected a [lo, hi] pair"),
+            (
+                {"sets": {**SETS, "S": {"type": "sum", "summands": []}}},
+                "sets.S.summands: must be a nonempty array of chain names",
+            ),
+            ({"cones": {"c": {"contains_zero": "yes"}}, "sets": POINTS}, "cones.c.contains_zero: must be a boolean"),
+            ({"sets": {**SETS, "s": {"type": "cloud"}}}, "sets.s.type: unknown set type 'cloud'"),
+            (
+                {
+                    "cones": {**CONES, "axis": {"generators": [["1", "0"]]}},
+                    "sets": {
+                        **SETS,
+                        "A": {"type": "chain", "points": [["0", "0"]], "cone": "axis"},
+                        "S": {"type": "sum", "summands": ["C1", "A"]},
+                    },
+                },
+                "sets.S: summands must share one cone",
+            ),
+            ({"prices": {"p": {"price": ["0", "1"], "wealth": "1"}}}, "prices.p: prices must be strictly positive"),
+            ({"prices": {"p": {"price": ["1"], "wealth": "1"}}}, "prices.p.price: expected 2 coordinates, got 1"),
+            ({"grids": {"g": {"box": [["2", "1"], ["0", "1"]]}}}, "grids.g: box bounds are inverted"),
+        ],
+    )
+    def test_a_malformed_scene_is_refused_with_its_path(self, capsys, tmp_path, sections, message):
+        path = scene_with(tmp_path, **sections)
+        code, out, err = run(capsys, "pareto", "--scene", path, "--set", "P", "--cone", "orthant")
+        assert code == 2 and out == ""
+        assert err == f"scene error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "sections, argv, message",
+        [
+            ({}, ["relate", "--cone", "nope", "--from", "0,0", "--to", "1,1"], "unknown cone 'nope'"),
+            ({}, ["demand", "--grid", "nope", "--price", "p", "--utility", "linear"], "unknown grid 'nope'"),
+            ({}, ["demand", "--grid", "g", "--price", "nope", "--utility", "linear"], "unknown price system 'nope'"),
+            (
+                # No scene cone is named orthant, and an empty set gives no dimension.
+                {"cones": {}, "sets": {"E": {"type": "points", "points": []}}},
+                ["pareto", "--set", "E", "--cone", "orthant"],
+                "cannot infer the dimension for the built-in orthant",
+            ),
+            ({}, ["pareto", "--set", "X", "--cone", "orthant"], "set 'X' must be points, a chain, or a sum"),
+            (
+                {},
+                ["separate", "--kind", "strict", "--x-set", "Y", "--y-set", "P"],
+                "set 'Y' must be a polyhedron (or a bounded point set)",
+            ),
+            (
+                {},
+                ["hulls-disjoint", "--x-set", "P", "--y-set", "X"],
+                "the second set must be points, a chain, or a sum",
+            ),
+        ],
+    )
+    def test_a_refused_argument_is_a_usage_error(self, capsys, tmp_path, sections, argv, message):
+        path = scene_with(tmp_path, **sections)
+        code, out, err = run(capsys, argv[0], "--scene", path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+
+
+def test_python_m_conedom_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "conedom", "relate", "--cone", "orthant", "--from", "0,0"]
+    done = subprocess.run([*command, "--to", "1,1/2"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, json.loads(done.stdout), done.stderr) == (0, {"relation": "Up"}, "")
+    done = subprocess.run([*command, "--to", "1,x"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "usage error: unreadable vector '1,x'; write rationals like 3/2,-1\n"
