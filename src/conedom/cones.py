@@ -126,17 +126,21 @@ class Cone:
     def positive_functional(self) -> tuple[int, ...] | None:
         """An integer phi with phi.g > 0 on every generator, built on first use.
 
-        It is the Farkas vector of the unit-mass origin program, re-checked
-        in integers. None when there are no generators or that program is
-        feasible: 0 in conv G, which means a zero generator or a cone that
-        is not pointed.
+        It exists exactly when 0 is not in conv G, the origin's verdict on
+        the cone without its flag, which `_membership` gives by its one
+        origin rule: a zero generator admits the origin, and otherwise the
+        facets decide, with no LP (0 in conv G exactly when the cone is not
+        pointed). Only then is phi read, as the Farkas vector of the
+        unit-mass origin program that certifies the verdict, re-checked in
+        integers; above the facet work bound that one LP both decides and
+        certifies. None when there are no generators or 0 is in conv G.
         """
         if not self.generators:
             return None
-        m = _solve_membership(self, (ZERO,) * self.dimension, unit_mass=True)
-        if m.member:
+        member, certificate = _membership(with_origin(self, False), (ZERO,) * self.dimension)
+        if member:
             return None
-        _, phi = integer_multiple(m.functional)
+        _, phi = integer_multiple(certificate().functional)
         if not all(sum(map(mul, phi, g)) > 0 for g in self.generator_view.points):
             raise RuntimeError("the origin program's Farkas vector is not positive on every generator")
         return phi

@@ -4,6 +4,12 @@ Numbers are serialized as strings, either an integer like "3" or a ratio
 like "3/2"; JSON floats are rejected so exactness survives round trips.
 Validation collects every problem it finds and reports them with a path
 into the document, e.g. `sets.Y.points[1][0]: unreadable rational '3/0'`.
+Every section goes through one entry walker (`_entries`): a section that is
+not an object, or an entry of it that is not one, is reported and skipped,
+and each object entry comes with its path. Every object is made by one
+guarded constructor (`_build`), which reports the constructor's ValueError
+at the entry's path and skips the entry, so the rest of the document is
+still read. Sums are read after the other sets, whose chains they name.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Iterator, TypeVar
 
 from .cones import Cone
 from .linalg import Vec, frac
@@ -19,6 +25,7 @@ from .maximals import GridDomain, PriceSystem
 from .sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron
 
 SceneSet = FinitePointSet | ChainSet | DecomposableSet | Polyhedron
+T = TypeVar("T")
 
 
 class SceneError(ValueError):
@@ -74,12 +81,30 @@ class _Parser:
         return tuple(self.vector(p, dimension, f"{path}[{i}]") for i, p in enumerate(raw))
 
     def point_set(self, raw: Any, dimension: int, path: str) -> FinitePointSet | None:
-        pts = self.vectors(raw, dimension, path)
-        try:
-            return FinitePointSet(pts)
-        except ValueError as exc:
-            self.fail(path, str(exc))
-            return None
+        return _build(self, path, FinitePointSet, self.vectors(raw, dimension, path))
+
+
+def _entries(p: _Parser, raw: Any, section: str, noun: str) -> Iterator[tuple[str, dict, str]]:
+    """(name, spec, path) for each entry of a section that is an object; a
+    section or an entry of another type is reported, and the entry skipped."""
+    if not isinstance(raw, dict):
+        p.fail(section, f"must be an object of named {noun}")
+        return
+    for name, spec in raw.items():
+        path = f"{section}.{name}"
+        if isinstance(spec, dict):
+            yield name, spec, path
+        else:
+            p.fail(path, "must be an object")
+
+
+def _build(p: _Parser, path: str, make: Callable[..., T], *args: Any) -> T | None:
+    """make(*args), or None after reporting its ValueError at `path`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        p.fail(path, str(exc))
+        return None
 
 
 def parse_scene(text: str) -> Scene:
@@ -114,86 +139,53 @@ def parse_scene(text: str) -> Scene:
 
 
 def _parse_cones(p: _Parser, raw: Any, scene: Scene) -> None:
-    if not isinstance(raw, dict):
-        p.fail("cones", "must be an object of named cones")
-        return
-    for name, spec in raw.items():
-        path = f"cones.{name}"
-        if not isinstance(spec, dict):
-            p.fail(path, "must be an object")
-            continue
+    for name, spec, path in _entries(p, raw, "cones", "cones"):
         gens = p.vectors(spec.get("generators", []), scene.dimension, f"{path}.generators")
         contains_zero = spec.get("contains_zero", True)
         if not isinstance(contains_zero, bool):
             p.fail(f"{path}.contains_zero", "must be a boolean")
             contains_zero = True
-        before = len(p.errors)
-        try:
-            cone = Cone(scene.dimension, gens, contains_zero)
-        except ValueError as exc:
-            p.fail(path, str(exc))
-            continue
-        if len(p.errors) == before:
+        cone = _build(p, path, Cone, scene.dimension, gens, contains_zero)
+        if cone is not None:
             scene.cones[name] = cone
 
 
 def _parse_sets(p: _Parser, raw: Any, scene: Scene) -> None:
-    if not isinstance(raw, dict):
-        p.fail("sets", "must be an object of named sets")
-        return
     pending_sums = []
-    for name, spec in raw.items():
-        path = f"sets.{name}"
-        if not isinstance(spec, dict):
-            p.fail(path, "must be an object")
-            continue
+    for name, spec, path in _entries(p, raw, "sets", "sets"):
         kind = spec.get("type")
+        built: SceneSet | None = None
         if kind == "points":
-            pts = p.point_set(spec.get("points", []), scene.dimension, f"{path}.points")
-            if pts is not None:
-                scene.sets[name] = pts
+            built = p.point_set(spec.get("points", []), scene.dimension, f"{path}.points")
         elif kind == "chain":
             pts = p.point_set(spec.get("points", []), scene.dimension, f"{path}.points")
             cone = _cone_ref(p, spec.get("cone"), scene, f"{path}.cone")
-            if pts is None or cone is None:
-                continue
-            try:
-                scene.sets[name] = ChainSet(pts, cone)
-            except ValueError as exc:
-                p.fail(path, str(exc))
+            if pts is not None and cone is not None:
+                built = _build(p, path, ChainSet, pts, cone)
         elif kind == "sum":
             pending_sums.append((name, spec, path))
         elif kind == "polyhedron":
             pts = p.point_set(spec.get("vertices", []), scene.dimension, f"{path}.vertices")
             rays = p.vectors(spec.get("rays", []), scene.dimension, f"{path}.rays")
-            if pts is None:
-                continue
-            try:
-                scene.sets[name] = Polyhedron(pts, rays)
-            except ValueError as exc:
-                p.fail(path, str(exc))
+            if pts is not None:
+                built = _build(p, path, Polyhedron, pts, rays)
         else:
             p.fail(f"{path}.type", f"unknown set type {kind!r}")
+        if built is not None:
+            scene.sets[name] = built
     for name, spec, path in pending_sums:
         summands = spec.get("summands")
         if not isinstance(summands, list) or not summands:
             p.fail(f"{path}.summands", "must be a nonempty array of chain names")
             continue
-        chains = []
-        ok = True
-        for i, ref in enumerate(summands):
-            got = scene.sets.get(ref) if isinstance(ref, str) else None
-            if not isinstance(got, ChainSet):
-                p.fail(f"{path}.summands[{i}]", f"{ref!r} is not a declared chain")
-                ok = False
-            else:
-                chains.append(got)
-        if not ok:
-            continue
-        try:
-            scene.sets[name] = DecomposableSet(tuple(chains))
-        except ValueError as exc:
-            p.fail(path, str(exc))
+        chains = [scene.sets.get(ref) if isinstance(ref, str) else None for ref in summands]
+        bad = [i for i, chain in enumerate(chains) if not isinstance(chain, ChainSet)]
+        for i in bad:
+            p.fail(f"{path}.summands[{i}]", f"{summands[i]!r} is not a declared chain")
+        if not bad:
+            total = _build(p, path, DecomposableSet, tuple(chains))
+            if total is not None:
+                scene.sets[name] = total
 
 
 def _cone_ref(p: _Parser, ref: Any, scene: Scene, path: str) -> Cone | None:
@@ -204,31 +196,16 @@ def _cone_ref(p: _Parser, ref: Any, scene: Scene, path: str) -> Cone | None:
 
 
 def _parse_prices(p: _Parser, raw: Any, scene: Scene) -> None:
-    if not isinstance(raw, dict):
-        p.fail("prices", "must be an object of named price systems")
-        return
-    for name, spec in raw.items():
-        path = f"prices.{name}"
-        if not isinstance(spec, dict):
-            p.fail(path, "must be an object")
-            continue
+    for name, spec, path in _entries(p, raw, "prices", "price systems"):
         price = p.vector(spec.get("price", []), scene.dimension, f"{path}.price")
         wealth = p.rational(spec.get("wealth", "0"), f"{path}.wealth")
-        try:
-            scene.prices[name] = PriceSystem(price, wealth)
-        except ValueError as exc:
-            p.fail(path, str(exc))
+        system = _build(p, path, PriceSystem, price, wealth)
+        if system is not None:
+            scene.prices[name] = system
 
 
 def _parse_grids(p: _Parser, raw: Any, scene: Scene) -> None:
-    if not isinstance(raw, dict):
-        p.fail("grids", "must be an object of named grids")
-        return
-    for name, spec in raw.items():
-        path = f"grids.{name}"
-        if not isinstance(spec, dict):
-            p.fail(path, "must be an object")
-            continue
+    for name, spec, path in _entries(p, raw, "grids", "grids"):
         step = p.rational(spec.get("step", "1"), f"{path}.step")
         box_raw = spec.get("box")
         if not isinstance(box_raw, list) or len(box_raw) != scene.dimension:
@@ -236,20 +213,14 @@ def _parse_grids(p: _Parser, raw: Any, scene: Scene) -> None:
             continue
         box = []
         for i, pair in enumerate(box_raw):
-            if not isinstance(pair, list) or len(pair) != 2:
+            if isinstance(pair, list) and len(pair) == 2:
+                box.append(p.vector(pair, 2, f"{path}.box[{i}]"))
+            else:
                 p.fail(f"{path}.box[{i}]", "expected a [lo, hi] pair")
                 box.append((Fraction(0), Fraction(0)))
-                continue
-            box.append(
-                (
-                    p.rational(pair[0], f"{path}.box[{i}][0]"),
-                    p.rational(pair[1], f"{path}.box[{i}][1]"),
-                )
-            )
-        try:
-            scene.grids[name] = GridDomain(step, tuple(box))
-        except ValueError as exc:
-            p.fail(path, str(exc))
+        grid = _build(p, path, GridDomain, step, tuple(box))
+        if grid is not None:
+            scene.grids[name] = grid
 
 
 class _FloatError(Exception):
@@ -275,6 +246,14 @@ def _cone_name(scene: Scene, cone: Cone) -> str:
     raise SceneError(["$: a set references a cone that is not named in the scene"])
 
 
+def _chain_doc(scene: Scene, chain: ChainSet) -> dict[str, Any]:
+    return {
+        "type": "chain",
+        "points": [fmt_vec(v) for v in chain.base.points],
+        "cone": _cone_name(scene, chain.cone),
+    }
+
+
 def serialize_scene(scene: Scene) -> str:
     doc: dict[str, Any] = {"dimension": scene.dimension}
     if scene.cones:
@@ -287,17 +266,10 @@ def serialize_scene(scene: Scene) -> str:
         }
     if scene.sets:
         out: dict[str, Any] = {}
-        chain_names: dict[int, str] = {}
+        chain_names = {id(s): name for name, s in sorted(scene.sets.items()) if isinstance(s, ChainSet)}
         for name, s in sorted(scene.sets.items()):
             if isinstance(s, ChainSet):
-                chain_names[id(s)] = name
-        for name, s in sorted(scene.sets.items()):
-            if isinstance(s, ChainSet):
-                out[name] = {
-                    "type": "chain",
-                    "points": [fmt_vec(v) for v in s.base.points],
-                    "cone": _cone_name(scene, s.cone),
-                }
+                out[name] = _chain_doc(scene, s)
             elif isinstance(s, FinitePointSet):
                 out[name] = {"type": "points", "points": [fmt_vec(v) for v in s.points]}
             elif isinstance(s, Polyhedron):
@@ -309,13 +281,11 @@ def serialize_scene(scene: Scene) -> str:
             elif isinstance(s, DecomposableSet):
                 refs = []
                 for summand in s.summands:
-                    ref = chain_names.get(id(summand))
-                    if ref is None:
-                        ref = _anonymous_chain_name(out, scene, summand, name)
-                        chain_names[id(summand)] = ref
-                    refs.append(ref)
+                    if id(summand) not in chain_names:
+                        chain_names[id(summand)] = _anonymous_chain_name(out, scene, summand, name)
+                    refs.append(chain_names[id(summand)])
                 out[name] = {"type": "sum", "summands": refs}
-        doc["sets"] = dict(sorted(out.items()))
+        doc["sets"] = out
     if scene.prices:
         doc["prices"] = {
             name: {"price": fmt_vec(ps.price), "wealth": fmt(ps.wealth)}
@@ -335,13 +305,11 @@ def serialize_scene(scene: Scene) -> str:
 def _anonymous_chain_name(
     out: dict[str, Any], scene: Scene, summand: ChainSet, owner: str
 ) -> str:
+    """The first free name `owner`_part1, _part2, ... for a summand no set
+    names, its chain document written under it in `out`."""
     i = 1
     while f"{owner}_part{i}" in out or f"{owner}_part{i}" in scene.sets:
         i += 1
     name = f"{owner}_part{i}"
-    out[name] = {
-        "type": "chain",
-        "points": [fmt_vec(v) for v in summand.base.points],
-        "cone": _cone_name(scene, summand.cone),
-    }
+    out[name] = _chain_doc(scene, summand)
     return name

@@ -35,6 +35,11 @@ ORTHANT_NO_ZERO = Cone.build(2, [[1, 0], [0, 1]], False)
 
 
 class TestMembership:
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_a_cone_of_dimension_below_one_is_refused(self, dimension):
+        with pytest.raises(ValueError, match="cone dimension must be at least 1"):
+            Cone(dimension, (), False)
+
     def test_member_with_reconstruction(self):
         res = cone_membership(ORTHANT, (F(1), F(2)))
         assert res.member

@@ -232,6 +232,21 @@ class TestRelations:
         with pytest.raises(ValueError):
             rel.index((F(5),))
 
+    @pytest.mark.parametrize("related", [((True,),), ((True, False), (True,)), ((True, True), (True, True), (True, True))])
+    def test_a_matrix_of_the_wrong_shape_is_refused(self, related):
+        ground = FinitePointSet.build([(0,), (1,)])
+        for kind in (FiniteRelation, TotalPreorder):
+            with pytest.raises(ValueError, match="relation matrix shape does not match the ground set"):
+                kind(ground, related)
+
+    def test_a_utility_value_count_other_than_the_ground_sets_is_refused(self):
+        ground = FinitePointSet.build([(0,), (1,)])
+        related = ((True, False), (True, True))
+        for values in ((F(0),), (F(0), F(1), F(2))):
+            with pytest.raises(ValueError, match="utility value count does not match the ground set"):
+                TotalPreorder(ground, related, values)
+        assert TotalPreorder(ground, related, (F(0), F(1))).holds((F(1),), (F(0),))
+
     def test_total_preorder_rejects_a_partial_matrix(self):
         ground = FinitePointSet.build([(0,), (1,)])
         with pytest.raises(ValueError, match="total"):
@@ -484,6 +499,12 @@ class TestGridDomain:
         assert (F(1, 2), F(1)) in grid
         assert (F(1, 3), F(0)) not in grid  # off the lattice
         assert (F(2), F(0)) not in grid  # outside the box
+
+    def test_a_point_of_another_dimension_is_not_in_the_grid(self):
+        grid = GridDomain(F(1), ((F(0), F(2)), (F(0), F(1))))
+        assert (F(1), F(1)) in grid
+        for p in ((F(1),), (F(1), F(1), F(0)), ()):
+            assert p not in grid
 
     def test_axis_values(self):
         grid = GridDomain(F(1), ((F(0), F(2)), (F(0), F(1))))

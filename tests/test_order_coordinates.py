@@ -388,6 +388,63 @@ def test_a_functional_not_positive_on_every_generator_is_refused(monkeypatch):
         cone.positive_functional
 
 
+def reference_positive_functional(cone):
+    """phi as the unit-mass origin LP gives it, solved on every cone with
+    generators, and re-read in integers."""
+    if not cone.generators:
+        return None
+    m = _solve_membership(cone, (F(0),) * cone.dimension, unit_mass=True)
+    return None if m.member else integer_multiple(m.functional)[1]
+
+
+def uncached(cone):
+    """The same cone with nothing built yet: no span solver, facets or phi."""
+    return Cone(cone.dimension, cone.generators, cone.contains_zero)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_phi_asks_the_origin_rule_and_solves_an_lp_only_when_it_exists(kind, monkeypatch):
+    # A zero generator admits the origin and the facets decide the rest, so
+    # a cone without phi solves no LP; a pointed cone with dependent
+    # generators solves the one LP whose Farkas vector is phi.
+    builds_phi = kind in ("nonsimplicial_pointed", "planar_pointed")
+    for cone, pts in cases(kind, 3):
+        expected = reference_positive_functional(cone)
+        cone = uncached(cone)
+        solved = recording_lps(monkeypatch)
+        ConeOrder(cone, pts.points).maxima()
+        assert len(solved) == (1 if builds_phi else 0)
+        monkeypatch.undo()
+        assert ("positive_functional" in vars(cone)) == (not cone.span_solver.unique)  # maxima asked phi
+        assert cone.positive_functional == expected
+
+
+def test_above_the_work_bound_phi_is_read_from_the_one_lp_that_decides(monkeypatch):
+    rng = random.Random("phi-above-the-bound")
+    pointed = above_the_work_bound(rng, contains_zero=True)
+    line = Cone(4, pointed.generators + (vneg(pointed.generators[0]),), True)
+    for cone, has_phi in ((pointed, True), (line, False)):
+        expected = reference_positive_functional(cone)
+        assert (expected is not None) == has_phi
+        cone = uncached(cone)
+        solved = recording_lps(monkeypatch)
+        assert cone.positive_functional == expected
+        assert len(solved) == 1
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("extra", ["negation", "zero generator"])
+def test_above_the_work_bound_without_phi_maxima_compare_every_pair(extra):
+    rng = random.Random(f"all-pairs-{extra}")
+    gens = above_the_work_bound(rng).generators
+    added = vneg(gens[0]) if extra == "negation" else (F(0),) * 4
+    cone = Cone(4, gens + (added,), False)
+    assert cone.facets is None and cone.positive_functional is None
+    pts = rand_points(rng, cone, big=False).points
+    assert len(pts) >= 8
+    assert tuple(pts[i] for i in ConeOrder(cone, pts).maxima()) == ref_optima(pts, cone)
+
+
 @pytest.mark.parametrize("kind", [kind for kind, (_, independent) in KINDS.items() if independent])
 def test_the_positive_functional_is_never_built_for_independent_generators(kind):
     for cone, pts in cases(kind):
