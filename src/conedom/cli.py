@@ -56,11 +56,13 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_vec(text: str) -> Vec:
-    try:
-        return tuple(frac(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"unreadable vector {text!r}; write rationals like 3/2,-1")
+def _parse_vec(text: str | list[str]) -> Vec:
+    if isinstance(text, str):  # argparse hands the value `--` over as an empty list
+        try:
+            return tuple(frac(part.strip()) for part in text.split(","))
+        except ValueError:
+            pass
+    raise UsageError(f"unreadable vector {text!r}; write rationals like 3/2,-1")
 
 
 def _load_scene(path: str | None) -> Scene:

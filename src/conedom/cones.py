@@ -39,12 +39,13 @@ elimination and one normal per facet, found among the null vectors of the
 (rank - 1)-subsets of the generators stacked with those rows, and
 re-checked against every generator. The generators and each subset are
 eliminated by the same routine, `linalg._eliminate`, which the LP presolve
-runs too. The homogenized cone of a polygon takes its normals from the
-polygon's edges instead, found by Andrew's monotone chain in integers, with
-no elimination and no work bound; homogenized points on one line, in any
-dimension, take theirs from the two ends of their segment. `Polyhedron.facets`
-holds them for a polyhedron's homogenized cone, whose relative-interior and
-containment verdicts read them.
+runs too. Homogenized points on a line or a plane, in any dimension, take
+their candidates from their outline instead (`_outline`): the two ends of
+their segment, or the edges of their polygon, found by Andrew's monotone
+chain in integers on a coordinate projection, with no work bound; the same
+outline names the vertices `sets.convex_hull` keeps. `Polyhedron.facets`
+holds the facets for a polyhedron's homogenized cone, whose relative-interior
+and containment verdicts read them.
 """
 
 from __future__ import annotations
@@ -334,16 +335,28 @@ def _homogenized(generators: Sequence[Sequence[int]]) -> bool:
     return s > 0 and all(g[-1] == s for g in generators)
 
 
-def _polygon_edges(
-    dimension: int, generators: Sequence[Sequence[int]]
-) -> list[tuple[Sequence[int], Sequence[int]]] | None:
-    """The edges of the polygon when the generators are its homogenized
-    vertices (`_homogenized`, dimension 3) and have at least three hull
-    vertices, so not all on one line (rank 3). None otherwise."""
-    if dimension != 3 or not _homogenized(generators):
+def _outline(generators: Sequence[Sequence[int]], rank: int) -> list[tuple[Sequence[int], ...]] | None:
+    """The generators that outline homogenized points (`_homogenized`) on a
+    line or a plane, in any dimension; None for every other cone.
+
+    Points on one line (rank 2) are outlined by the two ends of their
+    segment, each a one-generator tuple: the least and the greatest point in
+    lexicographic order, which is monotone along a line. Points on a plane
+    (rank 3) are outlined by the edges of their polygon, as pairs of
+    generators. The polygon is `_hull_edges` of the points projected on the
+    first coordinate pair (i, j) whose projection keeps three hull vertices:
+    a projection that is not one to one on the plane flattens it onto a line,
+    and one that is maps the polygon's edges onto the projection's. Some
+    pair is one to one, since the plane meets a coordinate plane that way.
+    """
+    if rank not in (2, 3) or not _homogenized(generators):
         return None
-    edges = _hull_edges(generators)
-    return edges if len(edges) >= 3 else None
+    if rank == 2:
+        return [(min(generators),), (max(generators),)]
+    for i, j in combinations(range(len(generators[0]) - 1), 2):
+        edges = _hull_edges([(g[i], g[j], g) for g in generators])
+        if len(edges) >= 3:
+            return [(a[2], b[2]) for a, b in edges]
 
 
 def cone_facets(
@@ -362,34 +375,22 @@ def cone_facets(
     independent. Such a row is a facet normal exactly when it is one-signed
     on the generators.
 
-    The homogenized cone of a polygon (`_polygon_edges`) spans R^3, so it
-    has no equations and no elimination is needed, and it has one facet per
-    edge of the polygon. So its candidates are the pairs of consecutive
-    vertices of the generators' hull, not every pair, and no work bound
-    applies: O(n log n) for the hull and O(h n) for the checks, for h hull
-    vertices among n generators. Homogenized points on one line, in any
-    dimension, span a cone of rank 2 with one facet per end of their
-    segment, so the two ends are its only candidates, again with no work
-    bound. Every kept row is re-checked against every generator before it
-    is returned.
+    Homogenized points on a line or a plane, in any dimension, have one
+    facet per end of their segment or per edge of their polygon, so
+    `_outline`'s ends or edges are their only candidates, and no work bound
+    applies: O(n log n) for the polygon and O(h n) for the checks, for h
+    candidates among n generators. Every kept row is re-checked against
+    every generator before it is returned.
     """
-    edges = _polygon_edges(dimension, generators)
-    if edges is not None:
-        equations, candidates = (), edges
-    else:
-        if solver is None:
-            solver = _SpanSolver(dimension, generators)
-        rank = solver.rank
-        equations = tuple(solver.integer_elim[rank:])
-        if rank == 2 and _homogenized(generators):
-            # Points on one line: lexicographic order is monotone along a
-            # line, so its first and last points are the ends, and each
-            # spans one facet.
-            candidates = [(min(generators),), (max(generators),)]
-        elif rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
+    if solver is None:
+        solver = _SpanSolver(dimension, generators)
+    rank = solver.rank
+    equations = tuple(solver.integer_elim[rank:])
+    candidates = _outline(generators, rank)
+    if candidates is None:
+        if rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
             return None
-        else:
-            candidates = combinations(generators, rank - 1) if rank else ()
+        candidates = combinations(generators, rank - 1) if rank else ()
     normals = set()
     for subset in candidates:
         h = _null_vector((*subset, *equations), dimension)

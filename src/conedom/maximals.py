@@ -208,9 +208,11 @@ def maximals(relation: FiniteRelation, subset: FinitePointSet) -> FinitePointSet
 def convexified_maximals(relation: TotalPreorder, subset: FinitePointSet) -> FinitePointSet:
     """Maximals after replacing each upper set with its convex hull
     (`_convexified_positions`). Each point below the top is asked
-    `poly_contains`: integer dot products with the hull's facets, which a
-    polygon (every 2-D upper set not on one line) gets at any size, or one
-    hull program per point above the facet work bound.
+    `poly_contains`: integer dot products with the hull's facets, which an
+    upper set on a line or a plane gets at any size and in any dimension
+    (`cones._outline`), or one hull program per point above the facet work
+    bound, which only an upper set that fills three dimensions or more can
+    reach.
     """
     points = relation.ground.points
     idx = [relation.index(p) for p in subset.points]

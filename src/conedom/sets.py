@@ -10,11 +10,12 @@ compared through one `conedom.cones.ConeOrder` per scan; a `ChainSet`
 keeps one for its dominance scans. A polyhedron's containment and
 relative-interior verdicts are integer dot products with the facets of its
 homogenized cone (`Polyhedron.facets`), built once on first use; above the
-facet routine's candidate cap they stay one LP per point. Two kinds of
-sets with no rays have no cap: a polygon's facets are its edges, and points
-on one line, in any dimension, have the two ends of their segment. The
-same monotone chain gives a planar set's convex hull without an LP; in
-other dimensions `convex_hull` asks one LP per point.
+facet routine's candidate cap they stay one LP per point. Points with no
+rays on a line or a plane, in any dimension, have no cap: their facets come
+from the two ends of their segment or the edges of their polygon
+(`cones._outline`). The same outline gives their convex hull without an LP;
+only a set that fills three dimensions or more asks one LP per point in
+`convex_hull`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .cones import Cone, ConeOrder, Facets, _hull_edges, cone_contains, cone_facets
+from .cones import Cone, ConeOrder, Facets, _outline, _SpanSolver, cone_contains, cone_facets
 from .linalg import (
     _MAX_SUM_POINTS,
     IntegerPoints,
@@ -303,20 +304,24 @@ def convex_hull(s: FinitePointSet) -> Polyhedron:
     """Bounded hull of a finite set: keep exactly the extreme points, in
     input order.
 
-    In the plane the extreme points are the ends of the hull's edges
-    (`cones._hull_edges`, Andrew's monotone chain on the integer view, which
-    drops points on an edge), found in O(n log n) without an LP; points on
-    one line keep their two ends. In any other dimension a point is extreme
-    iff it is outside the hull of the others, so one membership program per
-    point decides the vertex list.
+    The points lifted to (q, scale), from the integer view, span a cone of
+    rank r, one more than the dimension of their affine hull. On a line or a
+    plane (r <= 3), in any dimension, the extreme points are the ones
+    `cones._outline` names: the two ends of the segment, or the ends of the
+    polygon's edges (Andrew's monotone chain, which drops points on an
+    edge), found in O(n log n) without an LP. A set that fills three
+    dimensions or more keeps one membership program per point: a point is
+    extreme iff it is outside the hull of the others.
     """
     pts = s.points
     if len(pts) == 1:
         return Polyhedron(s, ())
-    if s.dimension == 2:
-        view = s.integer_view.points
-        ends = {a for a, _ in _hull_edges(view)}
-        keep = [p for p, q in zip(pts, view) if q in ends]
+    scale, view = s.integer_view
+    lifted = [(*q, scale) for q in view]
+    outline = _outline(lifted, _SpanSolver(s.dimension + 1, lifted).rank)
+    if outline is not None:
+        ends = {g for candidate in outline for g in candidate}
+        keep = [p for p, q in zip(pts, lifted) if q in ends]
     else:
         keep = [p for i, p in enumerate(pts) if not hull_membership(p, pts[:i] + pts[i + 1 :]).member]
     if not keep:  # all points coincide after deduplication; cannot happen

@@ -170,3 +170,9 @@ def test_an_exponent_is_a_usage_error_at_once(capsys, text):
     code, out = run(capsys, ["relate", "--cone", "orthant", "--from=0,0", f"--to={text},0"])
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out.startswith("usage error: unreadable vector")
+
+
+def test_a_double_dash_vector_is_a_usage_error(capsys):
+    # argparse hands the value `--` over as an empty list, not as text.
+    code, out = run(capsys, ["relate", "--cone", "orthant", "--from=--", "--to=--"])
+    assert code == 2 and out.startswith("usage error: unreadable vector")

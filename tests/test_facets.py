@@ -9,7 +9,9 @@ that form a line, a whole subspace or the zero vector, and fractional
 vertices and probes. Probes include random points, the vertices, strict
 and boundary combinations, and points just off the affine hull. Polygons,
 whose facets come from the monotone chain of their vertices, are also
-compared with the facets of every pair of vertices.
+compared with the facets of every pair of vertices, and points on a line
+or a plane in R^3 and R^4 (`cones._outline`) with the facets of every
+subset and the LP's convex hull.
 
 The last section checks the facet normals themselves against the former
 cofactor path: the null vector of one elimination (`cones._null_vector`)
@@ -31,8 +33,9 @@ import conedom.sets
 from conedom import cones
 from conedom.cones import Cone, Facets, cone_facets
 from conedom.linalg import hull_membership, relative_interior_membership, vadd, vscale
-from conedom.sets import Polyhedron, in_relative_interior, poly_contains
+from conedom.sets import Polyhedron, convex_hull, in_relative_interior, poly_contains
 from test_cones import reference_span_solver
+from test_sets import reference_hull_vertices
 
 # --- polyhedra of every kind ----------------------------------------------------
 
@@ -198,26 +201,31 @@ def test_polygons_agree_with_the_lp(data, vertices):
 @given(vertices=polygons())
 def test_the_polygon_branch_gives_the_facets_of_every_subset(vertices):
     # Up to 12 vertices, the subsets of every pair stay under the work bound,
-    # so both paths apply; with the branch patched off, the subsets decide.
+    # so both paths apply; with no generators read as homogenized points, the
+    # outline is off and the subsets decide.
     found = []
-    original = cones._polygon_edges
+    original = cones._outline
 
-    def recording(dimension, generators):
-        found.append(original(dimension, generators))
+    def recording(generators, rank):
+        found.append(original(generators, rank))
         return found[-1]
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cones, "_polygon_edges", recording)
+        m.setattr(cones, "_outline", recording)
         facets = Polyhedron.build(vertices).facets
-        m.setattr(cones, "_polygon_edges", lambda *args: None)
+        m.setattr(cones, "_homogenized", lambda generators: False)
         p = Polyhedron.build(vertices)
         assert comb(len(p.vertices), 2) * 3**3 <= cones._MAX_FACET_WORK
         assert p.facets == facets
-    # The branch is taken exactly when the polygon has an interior, and then
-    # each of its edges gives one facet.
-    [edges] = found
-    assert (edges is not None) == (not facets.equations)
-    assert edges is None or len(edges) == len(facets.normals)
+    # The outline is the polygon's edges exactly when the polygon has an
+    # interior, and then each edge gives one facet; points on one line give
+    # their two ends, and a single point none. Patched off, it names none.
+    outline, off = found
+    assert off is None
+    edges = outline is not None and len(outline[0]) == 2
+    assert edges == (not facets.equations)
+    assert outline is None or len(outline) == len(facets.normals)
+    assert (outline is None) == (len(p.vertices) == 1)
 
 
 def test_a_half_step_grid_far_over_the_bound_gets_facets_and_no_lp(monkeypatch):
@@ -235,6 +243,51 @@ def test_a_half_step_grid_far_over_the_bound_gets_facets_and_no_lp(monkeypatch):
     # The square [0, 4]^2 as rows on (x, y, 1): 4 - x, 4 - y, y and x >= 0.
     assert p.facets == Facets((), ((-1, 0, 4), (0, -1, 4), (0, 1, 0), (1, 0, 0)))
     assert expected[-5:] == [(True, True), (False, True), (False, False), (False, False), (False, False)]
+
+
+# --- points on a line or a plane in any dimension: the outline ------------------
+
+
+@st.composite
+def flat_sets(draw):
+    """1-16 points of R^3 or R^4 on a line or a plane: a base point plus
+    small integer combinations of one or two directions."""
+    n, r = draw(st.sampled_from((3, 4))), draw(st.sampled_from((1, 2)))
+    base, directions = draw(vectors(n)), [draw(vectors(n, 2).filter(any)) for _ in range(r)]
+    steps = st.tuples(*[st.integers(-3, 3)] * r)
+    return [vadd(base, combos(directions, ks)) for ks in draw(st.lists(steps, min_size=1, max_size=16, unique=True))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=flat_sets())
+def test_points_on_a_line_or_a_plane_get_every_subsets_facets_and_their_hull_without_an_lp(points):
+    # Sixteen points on a plane in R^4 would cost C(16, 2) * 5**3 = 15,000,
+    # far over the bound; the outline has no bound, and the reference none.
+    p = Polyhedron.build(points)
+    vs = p.vertices.integer_view
+    assert p.facets == reference_cone_facets(p.dimension + 1, [(*v, vs.scale) for v in vs.points])
+    expected = reference_hull_vertices(p.vertices.points)
+    with pytest.MonkeyPatch.context() as m:
+        forbid_lps(m)
+        assert convex_hull(p.vertices).vertices.points == expected
+
+
+def test_a_tilted_16_by_16_layer_gets_its_facets_and_its_hull_without_an_lp(monkeypatch):
+    # The 256 points (i, j, i + j): a plane in R^3, whose pairs would cost
+    # C(256, 2) * 4**3 against the bound. Its square [0, 15]^2 reads, on
+    # (x, y, z, 1) with x + y - z = 0, as 45 - 3x, 3y, 45 - 3y and 3x >= 0.
+    layer = [(i, j, i + j) for i in range(16) for j in range(16)]
+    p = Polyhedron.build(layer)
+    assert p.facets == Facets(((1, 1, -1, 0),), ((-2, 1, -1, 45), (-1, 2, 1, 0), (1, -2, -1, 45), (2, -1, 1, 0)))
+    probes_ = [(F(1, 2), F(7), F(15, 2)), (F(29, 2), F(1, 3), F(89, 6)), (F(0), F(0), F(0)), (F(15), F(7), F(22)),
+               (F(1), F(1), F(3)), (F(16), F(0), F(16)), (F(-1, 2), F(3), F(5, 2))]
+    vs = p.vertices.points
+    expected = [(relative_interior_membership(z, vs, ()), hull_membership(z, vs).member) for z in probes_]
+    assert expected == [(True, True)] * 2 + [(False, True)] * 2 + [(False, False)] * 3
+    forbid_lps(monkeypatch)
+    assert [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_] == expected
+    corners = ((F(0), F(0), F(0)), (F(0), F(15), F(15)), (F(15), F(0), F(15)), (F(15), F(15), F(30)))
+    assert convex_hull(p.vertices).vertices.points == corners
 
 
 # --- the facet path itself ------------------------------------------------------
