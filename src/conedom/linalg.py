@@ -24,6 +24,14 @@ would hold, and results are converted to `Fraction` only where they are
 written out. A program with a zero objective carries no phase-2 cost row
 and stops after phase 1 and its drive-out: phase 2 on a zero cost row
 would not pivot, so the basis is optimal, with value 0 and the zero dual.
+The tableau holds only the columns that can enter: one per variable and
+one per slack, then the right-hand side. A free variable's two halves are
+one column stored up to sign, negated in place when the other half enters,
+and the phase-1 artificials are basis labels with no column, since Bland's
+rule never lets one enter (Bland 1977). The multipliers that a dual or a
+Farkas vector reads are pi = c_B B^-1 on the final basis B, from one
+elimination of B's transpose (Chvatal 1983, ch. 10); a zero-objective
+optimum, whose dual is zero, needs none.
 The solver returns certificates (primal witness, dual vector, Farkas
 vector or improving ray) that can be re-checked with plain dot products,
 and `check_certificates` does exactly that re-check, in integer arithmetic
@@ -64,8 +72,8 @@ equations, inconsistent rows, a negative coordinate) and every other
 program shape comes from the simplex, and `check_certificates` re-checks
 the results of both paths (`lp_solve` validates each program once, before
 it solves it). That elimination, `_eliminate`, is the package's one
-fraction-free Gauss-Jordan routine: the cone module's span solver and
-facet normals run it too. It takes the simplex's own row step
+fraction-free Gauss-Jordan routine: the simplex's multipliers, the cone
+module's span solver and its facet normals run it too. It takes the simplex's own row step
 (`_bareiss_step`), which keeps the determinant positive.
 
 `frac` reads a string only as an integer or a ratio p/q with a positive
@@ -315,7 +323,8 @@ class LpResult:
 _MAX_PIVOTS = 200_000
 
 # Largest program `lp_solve` accepts, counted as rows x (variables + rows),
-# the size of its simplex tableau without the free-variable columns.
+# which bounds both its simplex tableau, rows x (variables + inequality rows
+# + 1), and the multipliers' solve, rows x (rows + 1).
 # Measured largest programs: 16,758 in the tests (126 rows, 7 variables: a
 # proper separator's program over three chains), 176 in the suite and the
 # full-size benchmark (11 rows, 5 variables; 112 on `dominate`, 77 on
@@ -481,27 +490,27 @@ def _factor(n: int, a: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...
 
 
 def _lp_solve_core(lp: LinearProgram) -> LpResult:
-    # Internal columns: a nonnegative variable maps to one column, a free
-    # variable to a positive and a negative column.
-    var_cols: list[tuple[int, int]] = []
-    for j in range(lp.num_vars):
-        var_cols.append((j, 1))
-        if not lp.nonneg[j]:
-            var_cols.append((j, -1))
-    n_var = len(var_cols)
-
+    n = lp.num_vars
     sign = -1 if lp.maximize else 1  # internally always minimize sign * objective
 
-    # Column order: the variables, then one slack per inequality row in row
-    # order, then one artificial, in row order, per row whose slack does not
-    # enter with +1 once its right-hand side is made >= 0 (an equation, a
-    # "<=" row with b < 0, a ">=" row with b >= 0). Bland's rule picks the
+    # Column order: one column per variable, then one slack per inequality
+    # row in row order, then the right-hand side. Bland's rule picks the
     # lowest eligible column, so this order decides the pivot path and with
-    # it every certificate.
+    # it every certificate. A free variable x_j is x_j+ - x_j- with two
+    # columns, each the other negated, that never both have a negative
+    # reduced cost nor are both basic: column j stores the one whose stored
+    # sign `signs[j]` says, and is negated in place (`negate`) when the other
+    # enters. A row whose slack does not enter with +1 once its right-hand
+    # side is made >= 0 (an equation, a "<=" row with b < 0, a ">=" row with
+    # b >= 0) starts with an artificial basic: a basis label >= `art_base`,
+    # in row order, with no column, since Bland's rule never lets an
+    # artificial enter. Labels keep the order of the columns they stand for,
+    # so ratio ties leave by the same rule as with every column stored.
     n_slack = sum(rel != REL_EQ for _, rel, _ in lp.rows)
-    n_art = sum(rel != (REL_LE if b >= 0 else REL_GE) for _, rel, b in lp.rows)
-    art_base = n_var + n_slack
-    width = art_base + n_art + 1  # +1 for the right-hand side cell
+    art_base = n + n_slack
+    rhs = art_base  # the right-hand side cell
+    free = frozenset(j for j in range(n) if not lp.nonneg[j])
+    signs = [1] * n
 
     # The rows come scaled by one common denominator `scale` (the program's
     # integer form) and the objective is scaled by its own `obj_scale`. A
@@ -517,34 +526,36 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     # is written with its right-hand side made >= 0 (flipped by f), and
     # each row's unit column, its +1 slack or its artificial, starts the
     # basis. The phase-1 cost row is the sum of the artificials reduced
-    # against their rows: minus each artificial row, whose own artificial
-    # entry cancels that artificial's cost of one.
+    # against their rows: minus each artificial row.
     tableau: list[list[int]] = []
-    units: list[tuple[int, int]] = []  # each row's unit column and its flip f
-    cost1 = [0] * width
-    slack, art = n_var, art_base
-    for coeffs, rel, b in lp.rows:
+    units: list[tuple[int, int]] = []  # each row's unit label and its flip f
+    unit_rows: dict[int, int] = {}  # each slack's and artificial's row
+    cost1 = [0] * (rhs + 1)
+    slack, art = n, art_base
+    for i, (coeffs, rel, b) in enumerate(lp.rows):
         f = -1 if b < 0 else 1
-        row = [f * s * coeffs[j] for j, s in var_cols] + [0] * (width - n_var - 1) + [f * b]
-        unit_col = None
+        row = [f * c for c in coeffs] + [0] * n_slack + [f * b]
+        unit = None
         if rel != REL_EQ:
             row[slack] = f if rel == REL_LE else -f
+            unit_rows[slack] = i
             if row[slack] == 1:
-                unit_col = slack
+                unit = slack
             slack += 1
-        if unit_col is None:
+        if unit is None:
             cost1 = [c - x for c, x in zip(cost1, row)]
-            row[art] = 1
-            unit_col = art
+            unit_rows[art] = i
+            unit = art
             art += 1
         tableau.append(row)
-        units.append((unit_col, f))
-    basis = [col for col, _ in units]
+        units.append((unit, f))
+    basis = [label for label, _ in units]
+    dropped: list[int] = []  # the artificials of the rows dropped as redundant
     det = 1
     # A zero objective's phase-2 cost row would stay zero through every
     # pivot, so it is not carried, and phase 2 is not run (see below).
     zero_objective = not any(obj)
-    cost2 = [sign * s * obj[j] for j, s in var_cols] + [0] * (width - n_var)
+    cost2 = [sign * c for c in obj] + [0] * (n_slack + 1)
     costs = (cost1,) if zero_objective else (cost1, cost2)
 
     pivots = 0
@@ -557,54 +568,96 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
         det = _bareiss_step((*tableau, *costs), tableau[r], j, det)
         basis[r] = j
 
+    def negate(j: int) -> None:
+        """Store free column j's other half, the column negated."""
+        for row in (*tableau, *costs):
+            row[j] = -row[j]
+        signs[j] = -signs[j]
+
     def run_phase(cost: list[int]) -> int | None:
-        """Bland's rule loop over the non-artificial columns; returns the
-        entering column when unbounded, else None."""
+        """Bland's rule loop over the columns; returns the entering column
+        when unbounded, else None. A free column whose reduced cost is
+        positive enters on its other half."""
         while True:
             enter = -1
             for j in range(art_base):
-                if cost[j] < 0:
+                c = cost[j]
+                if c < 0 or (c and j in free):
                     enter = j
                     break
             if enter < 0:
                 return None
+            if cost[enter] > 0:
+                negate(enter)
             leave = -1
             best_rhs = best_a = 0
             for r in range(len(tableau)):
                 a = tableau[r][enter]
                 if a > 0:
                     # rhs_r / a < best_rhs / best_a, cross-multiplied.
-                    key = tableau[r][width - 1] * best_a - best_rhs * a
+                    key = tableau[r][rhs] * best_a - best_rhs * a
                     if leave < 0 or key < 0 or (key == 0 and basis[r] < basis[leave]):
-                        best_rhs = tableau[r][width - 1]
+                        best_rhs = tableau[r][rhs]
                         best_a = a
                         leave = r
             if leave < 0:
                 return enter
             pivot(leave, enter)
 
+    def multipliers(costs: Sequence[int], art_cost: int) -> tuple[list[int], int]:
+        """The simplex multipliers pi, with pi B = c_B on the final basis B,
+        as integers over one positive denominator, for the costs `costs` of
+        the variables (of a free one's positive half), `art_cost` on each
+        artificial and zero on each slack. B's columns are the program's
+        flipped rows read down one column, a dropped row's artificial
+        included. A basic slack or artificial is +-1 in its one row i, so its
+        equation gives pi_i outright. A variable's equation does not depend
+        on the half it is stored as; with the known pi_i moved to the right,
+        these equations are a square system in the other rows' pi, which is
+        eliminated (`_eliminate`) with its right-hand side beside it."""
+        known: list[int | None] = [None] * len(units)
+        variables = []
+        for label in (*basis, *dropped):
+            if label < n:
+                variables.append(label)
+            else:
+                known[unit_rows[label]] = art_cost if label >= art_base else 0
+        unknown = [i for i, p in enumerate(known) if p is None]
+        system = []
+        for j in variables:
+            equation, right = [], costs[j]
+            for (a, _, _), (_, f), p in zip(lp.rows, units, known):
+                if p is None:
+                    equation.append(f * a[j])
+                elif p:
+                    right -= f * a[j] * p
+            equation.append(right)
+            system.append(equation)
+        found, d = _eliminate(system, len(unknown))
+        pi = [0 if p is None else p * d for p in known]
+        for r, c in found:
+            pi[unknown[c]] = system[r][-1]
+        return pi, d
+
     def witness_point() -> Vec:
-        values = [0] * lp.num_vars
+        values = [0] * n
         for r, col in enumerate(basis):
-            if col < n_var:
-                j, s = var_cols[col]
-                values[j] += s * tableau[r][width - 1]
+            if col < n:
+                values[col] = signs[col] * tableau[r][rhs]
         return tuple(Fraction(v, det) for v in values)
 
-    if n_art > 0:
+    if art > art_base:
         unb = run_phase(cost1)
         if unb is not None:  # phase-1 objective is bounded below by zero
             raise RuntimeError("phase-1 simplex reported unbounded")
-        if sum(tableau[r][width - 1] for r in range(len(tableau)) if basis[r] >= art_base) > 0:
-            # Every original row keeps a unit column (its slack or
-            # artificial); the multiplier is that column's objective cost
-            # minus its reduced cost. Artificials cost one in phase 1.
-            farkas = tuple(
-                Fraction(-f * ((det if rcol >= art_base else 0) - cost1[rcol]), det)
-                for rcol, f in units
-            )
+        if sum(tableau[r][rhs] for r in range(len(tableau)) if basis[r] >= art_base) > 0:
+            # The multipliers of the phase-1 costs (one on each artificial)
+            # refute the program, read back through each row's flip.
+            pi, d = multipliers([0] * n, 1)
+            farkas = tuple(Fraction(-f * p, d) for p, (_, f) in zip(pi, units))
             return LpResult(status=LpStatus.INFEASIBLE, farkas=farkas)
-        # Feasible: drive remaining artificials out, drop redundant rows.
+        # Feasible: drive remaining artificials out, drop redundant rows. A
+        # free column enters the drive-out on its positive half.
         drop: list[int] = []
         for r in range(len(tableau)):
             if basis[r] >= art_base:
@@ -612,8 +665,11 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
                 if col is None:
                     drop.append(r)
                 else:
+                    if col < n and signs[col] < 0:
+                        negate(col)
                     pivot(r, col)
         for r in reversed(drop):
+            dropped.append(basis[r])
             del tableau[r]
             del basis[r]
 
@@ -626,15 +682,13 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     if unb is not None:
         # One unit of a slack column is 1/scale of a unit of the original
         # slack, so a ray entered by a slack is scaled back up.
-        unit = scale if unb >= n_var else 1
-        ray = [0] * lp.num_vars
-        if unb < n_var:
-            j, s = var_cols[unb]
-            ray[j] += s * det
+        unit = scale if unb >= n else 1
+        ray = [0] * n
+        if unb < n:
+            ray[unb] = signs[unb] * det
         for r, col in enumerate(basis):
-            if col < n_var:
-                j, s = var_cols[col]
-                ray[j] -= s * tableau[r][unb] * unit
+            if col < n:
+                ray[col] -= signs[col] * tableau[r][unb] * unit
         return LpResult(
             status=LpStatus.UNBOUNDED,
             witness=witness_point(),
@@ -642,14 +696,12 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
         )
 
     # The right-hand cell of cost2 is minus the scaled internal objective;
-    # the multipliers are phase-2 costs (zero on slacks and artificials)
-    # minus reduced costs, rescaled from the scaled rows and objective back
-    # to the program as given.
-    value = Fraction(-sign * cost2[width - 1], det * obj_scale)
-    dual = tuple(
-        Fraction(sign * f * -cost2[rcol] * scale, det * obj_scale)
-        for rcol, f in units
-    )
+    # the multipliers of the phase-2 costs (zero on slacks and artificials)
+    # are rescaled from the scaled rows and objective back to the program
+    # as given.
+    value = Fraction(-sign * cost2[rhs], det * obj_scale)
+    pi, d = multipliers([sign * c for c in obj], 0)
+    dual = tuple(Fraction(sign * f * p * scale, d * obj_scale) for p, (_, f) in zip(pi, units))
     return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)
 
 

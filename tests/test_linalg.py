@@ -1204,21 +1204,39 @@ def reference_lp_solve_core(lp: LinearProgram, paths: Counter | None = None) -> 
     return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)
 
 
-def _counting_steps(solve, lp: LinearProgram) -> tuple[LpResult, int]:
-    """`solve(lp)` and the number of `_bareiss_step` calls it made: one per
-    pivot, so equal counts on equal results mean the same pivot path."""
-    real, calls = linalg_module._bareiss_step, 0
+def _simplex_steps(solve, lp: LinearProgram, record) -> LpResult:
+    """`solve(lp)`, with `record(rows, j)` called on the rows and the column
+    of each simplex pivot's `_bareiss_step`. The steps of `_eliminate`, which
+    solves for the multipliers and pivots no tableau, are not recorded."""
+    real_step, real_eliminate = linalg_module._bareiss_step, linalg_module._eliminate
+    eliminating = False
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def step(rows, prow, j, det):
+        rows = tuple(rows)
+        if not eliminating:
+            record(rows, j)
+        return real_step(rows, prow, j, det)
 
-    linalg_module._bareiss_step = counted
+    def eliminate(*args):
+        nonlocal eliminating
+        eliminating = True
+        try:
+            return real_eliminate(*args)
+        finally:
+            eliminating = False
+
+    linalg_module._bareiss_step, linalg_module._eliminate = step, eliminate
     try:
-        return solve(lp), calls
+        return solve(lp)
     finally:
-        linalg_module._bareiss_step = real
+        linalg_module._bareiss_step, linalg_module._eliminate = real_step, real_eliminate
+
+
+def _counting_steps(solve, lp: LinearProgram) -> tuple[LpResult, int]:
+    """`solve(lp)` and the number of simplex pivots it made (`_simplex_steps`),
+    so equal counts on equal results mean the same pivot path."""
+    steps = []
+    return _simplex_steps(solve, lp, lambda rows, j: steps.append(j)), len(steps)
 
 
 _build = LinearProgram.build
@@ -1242,6 +1260,21 @@ HAND_PROGRAMS = {
     # the artificial is driven out after phase 1: two pivots, where the
     # artificial leaving would take one.
     "slack-artificial tie": _build([1], True, [([1], "<=", 0), ([1], "=", 0)]),
+    # x free enters on its negative half in phase 1 and on its positive half in phase 2.
+    "negative half, then positive half": _build(
+        [-1, -2], False, [([-1, 2], "=", 1), ([-1, 2], "<=", 1), ([-2, 1], ">=", -2)], nonneg=[False, True]
+    ),
+    # The first equation is the last one negated. Phase 1 drops the first, ahead of the rows it repeats, so the
+    # dual (0, 5/2, -1/2) is solved with the first row's artificial in B.
+    "drop under an objective": _build([2, 1], True, [([-1, 2], "=", 0), ([1, 0], "=", 1), ([1, -2], "=", 0)]),
+    # x_2 free enters on its negative half in phase 1 and leaves; the second drive-out takes its positive
+    # half, which phase 2 pivots out of the basis at level 0 before its negative half enters along a ray.
+    "drive-out on a negated column": _build(
+        [-1, -1, 0, 0],
+        False,
+        [([1, -2, -2, -1], ">=", 1), ([-2, -2, -1, -1], "=", 1), ([2, 0, -1, 1], "=", -1), ([-2, -2, 0, -2], "<=", 2)],
+        nonneg=[True, True, False, False],
+    ),
 }
 BRANCHES = ("infeasible", "drop", "drive-out", "unbounded by a variable", "unbounded by a slack", "slack-artificial tie")
 
@@ -1294,21 +1327,78 @@ class TestOnePassSetUp:
 
 
 def _cost_rows_per_step(solve, lp: LinearProgram) -> tuple[LpResult, list[int]]:
-    """`solve(lp)` and, for each `_bareiss_step` call, the number of rows it
-    updated beyond the program's own: the cost rows carried through the
-    pivot (no row is dropped before the last pivot)."""
-    real, extra = linalg_module._bareiss_step, []
+    """`solve(lp)` and, for each simplex pivot (`_simplex_steps`), the number
+    of rows it updated beyond the program's own: the cost rows carried
+    through the pivot (no row is dropped before the last pivot)."""
+    extra = []
+    return _simplex_steps(solve, lp, lambda rows, j: extra.append(len(rows) - len(lp.rows))), extra
 
-    def recorded(rows, *args):
-        rows = tuple(rows)
-        extra.append(len(rows) - len(lp.rows))
-        return real(rows, *args)
 
-    linalg_module._bareiss_step = recorded
-    try:
-        return solve(lp), extra
-    finally:
-        linalg_module._bareiss_step = real
+def _pivot_paths(lp: LinearProgram) -> tuple[list, list]:
+    """The columns the reference and the kernel pivot on, in order. The
+    reference's variable columns are named (j, "+") and, for a free x_j,
+    then (j, "-"); the kernel's are named j; every slack is "slack"."""
+    halves = [(j, h) for j in range(lp.num_vars) for h in ("+", "-")[: 1 if lp.nonneg[j] else 2]]
+    reference, kernel = [], []
+    _simplex_steps(reference_lp_solve_core, lp, lambda rows, j: reference.append(j))
+    _simplex_steps(_lp_solve_core, lp, lambda rows, j: kernel.append(j))
+    return (
+        [halves[j] if j < len(halves) else "slack" for j in reference],
+        [j if j < lp.num_vars else "slack" for j in kernel],
+    )
+
+
+class TestColumnsThatCanEnter:
+    """The kernel stores one column per variable and per slack, a free
+    variable's up to sign, and no artificial column; it matches the reference,
+    which stores every column, variable for variable along the pivot path."""
+
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("negative half, then positive half", [(0, "-"), "slack", (1, "+"), (0, "+")]),
+            ("drive-out on a negated column", [(2, "-"), (3, "-"), (1, "+"), (0, "+"), (2, "+"), "slack"]),
+        ],
+    )
+    def test_a_free_column_enters_on_either_half(self, name, path):
+        lp = HAND_PROGRAMS[name]
+        reference, kernel = _pivot_paths(lp)
+        assert reference == path
+        assert kernel == [h if h == "slack" else h[0] for h in path]
+        assert _lp_solve_core(lp) == reference_lp_solve_core(lp)
+
+    def test_the_drive_out_takes_a_negated_column_on_its_positive_half(self):
+        lp = HAND_PROGRAMS["drive-out on a negated column"]
+        paths = Counter()
+        reference_lp_solve_core(lp, paths)
+        # The pivots on (0, "+") and (2, "+") are the drive-out's, and x_2's last one before them was its
+        # negative half.
+        assert paths["drive-out"] == 2 and paths["drop"] == 0 and paths["unbounded by a variable"] == 1
+
+    def test_the_dual_reads_a_dropped_rows_label(self):
+        lp = HAND_PROGRAMS["drop under an objective"]
+        paths = Counter()
+        expected = reference_lp_solve_core(lp, paths)
+        assert paths["drop"] == 1
+        # y (0, 5/2, -1/2): y A = (2, 1) = c and y b = 5/2, the value at (1, 1/2).
+        assert expected == LpResult(LpStatus.OPTIMAL, F(5, 2), (ONE, F(1, 2)), (ZERO, F(5, 2), F(-1, 2)))
+        assert _lp_solve_core(lp) == expected and _fields_are_fractions(expected)
+
+    @staticmethod
+    def _assert_tableau_width(lp: LinearProgram) -> None:
+        width = lp.num_vars + sum(rel != REL_EQ for _, rel, _ in lp.rows) + 1
+        widths = set()
+        _simplex_steps(_lp_solve_core, lp, lambda rows, j: widths.update(map(len, rows)))
+        assert widths <= {width}
+
+    @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
+    def test_every_pivot_row_holds_the_variables_the_slacks_and_the_right_hand_side(self, name):
+        self._assert_tableau_width(HAND_PROGRAMS[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(simplex_programs())
+    def test_every_pivot_row_has_the_width_of_the_columns_that_can_enter(self, lp):
+        self._assert_tableau_width(lp)
 
 
 # Hand programs with a zero objective, each named by the branch the reference takes on it.
