@@ -29,9 +29,10 @@ one per slack, then the right-hand side. A free variable's two halves are
 one column stored up to sign, negated in place when the other half enters,
 and the phase-1 artificials are basis labels with no column, since Bland's
 rule never lets one enter (Bland 1977). The multipliers that a dual or a
-Farkas vector reads are pi = c_B B^-1 on the final basis B, from one
-elimination of B's transpose (Chvatal 1983, ch. 10); a zero-objective
-optimum, whose dual is zero, needs none.
+Farkas vector reads are pi = c_B B^-1 on the final basis B (Chvatal
+1983, ch. 10): a basic slack or artificial fixes its row's multiplier, and
+one elimination gives the rest; a zero-objective optimum, whose dual is
+zero, needs none.
 The solver returns certificates (primal witness, dual vector, Farkas
 vector or improving ray) that can be re-checked with plain dot products,
 and `check_certificates` does exactly that re-check, in integer arithmetic
@@ -73,8 +74,9 @@ program shape comes from the simplex, and `check_certificates` re-checks
 the results of both paths (`lp_solve` validates each program once, before
 it solves it). That elimination, `_eliminate`, is the package's one
 fraction-free Gauss-Jordan routine: the simplex's multipliers, the cone
-module's span solver and its facet normals run it too. It takes the simplex's own row step
-(`_bareiss_step`), which keeps the determinant positive.
+module's span solver and its facet normals run it too. It takes the
+simplex's own row step (`_bareiss_step`), which keeps the determinant
+positive.
 
 `frac` reads a string only as an integer or a ratio p/q with a positive
 denominator (`_RATIONAL`); the scene files and the command line read every
@@ -515,8 +517,8 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     # The rows come scaled by one common denominator `scale` (the program's
     # integer form) and the objective is scaled by its own `obj_scale`. A
     # per-row scale would weight the phase-1 artificials differently and
-    # change Bland's choices; a common one only rescales slack and
-    # artificial columns, which moves no sign and no ratio-test winner.
+    # change Bland's choices; a common one only rescales the slacks and the
+    # artificials, which moves no sign and no ratio-test winner.
     scale = lp.scale
     obj_scale, obj = lp.integer_objective
 
