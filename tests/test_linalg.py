@@ -1354,26 +1354,26 @@ class TestColumnsThatCanEnter:
     which stores every column, variable for variable along the pivot path."""
 
     @pytest.mark.parametrize(
-        "name, path",
+        "name, path, branches",
         [
-            ("negative half, then positive half", [(0, "-"), "slack", (1, "+"), (0, "+")]),
-            ("drive-out on a negated column", [(2, "-"), (3, "-"), (1, "+"), (0, "+"), (2, "+"), "slack"]),
+            ("negative half, then positive half", [(0, "-"), "slack", (1, "+"), (0, "+")], {"optimal": 1}),
+            # The drive-out's pivots are (0, "+") and (2, "+"); x_2's last pivot before them was its negative half.
+            (
+                "drive-out on a negated column",
+                [(2, "-"), (3, "-"), (1, "+"), (0, "+"), (2, "+"), "slack"],
+                {"drive-out": 2, "unbounded by a variable": 1},
+            ),
         ],
     )
-    def test_a_free_column_enters_on_either_half(self, name, path):
+    def test_a_free_column_enters_on_either_half(self, name, path, branches):
         lp = HAND_PROGRAMS[name]
+        paths = Counter()
+        expected = reference_lp_solve_core(lp, paths)
+        assert {branch: paths[branch] for branch in branches} == branches
         reference, kernel = _pivot_paths(lp)
         assert reference == path
         assert kernel == [h if h == "slack" else h[0] for h in path]
-        assert _lp_solve_core(lp) == reference_lp_solve_core(lp)
-
-    def test_the_drive_out_takes_a_negated_column_on_its_positive_half(self):
-        lp = HAND_PROGRAMS["drive-out on a negated column"]
-        paths = Counter()
-        reference_lp_solve_core(lp, paths)
-        # The pivots on (0, "+") and (2, "+") are the drive-out's, and x_2's last one before them was its
-        # negative half.
-        assert paths["drive-out"] == 2 and paths["drop"] == 0 and paths["unbounded by a variable"] == 1
+        assert _lp_solve_core(lp) == expected
 
     def test_the_dual_reads_a_dropped_rows_label(self):
         lp = HAND_PROGRAMS["drop under an objective"]
