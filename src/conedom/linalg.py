@@ -24,11 +24,16 @@ would hold, and results are converted to `Fraction` only where they are
 written out. A program with a zero objective carries no phase-2 cost row
 and stops after phase 1 and its drive-out: phase 2 on a zero cost row
 would not pivot, so the basis is optimal, with value 0 and the zero dual.
-The tableau holds only the columns that can enter: one per variable and
-one per slack, then the right-hand side. A free variable's two halves are
-one column stored up to sign, negated in place when the other half enters,
-and the phase-1 artificials are basis labels with no column, since Bland's
-rule never lets one enter (Bland 1977). The multipliers that a dual or a
+The tableau is a dictionary (Avis 2000): each row holds one entry per
+nonbasic label that can enter, a variable or a slack, in label order, then
+the right-hand side. A basic label's column is the determinant times a unit
+vector, so it is not stored: a pivot (`_exchange`) puts the leaving label's
+column, which it computes from the entering one's, in the entering label's
+place in that order. The phase-1 artificials start basic and are never
+stored, since Bland's rule never lets one enter (Bland 1977), and the
+phase-1 cost row is dropped once phase 1 ends. A free variable's two halves
+are one label stored up to sign, negated in place when the other half
+enters. The multipliers that a dual or a
 Farkas vector reads are pi = c_B B^-1 on the final basis B (Chvatal
 1983, ch. 10): a basic slack or artificial fixes its row's multiplier, and
 one elimination gives the rest; a zero-objective optimum, whose dual is
@@ -86,6 +91,7 @@ rational through it, so the size of a number is bounded by its text.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -325,8 +331,8 @@ class LpResult:
 _MAX_PIVOTS = 200_000
 
 # Largest program `lp_solve` accepts, counted as rows x (variables + rows),
-# which bounds both its simplex tableau, rows x (variables + inequality rows
-# + 1), and the multipliers' solve, rows x (rows + 1).
+# which bounds both its simplex tableau, at most rows x (variables +
+# inequality rows + 1), and the multipliers' solve, rows x (rows + 1).
 # Measured largest programs: 16,758 in the tests (126 rows, 7 variables: a
 # proper separator's program over three chains), 176 in the suite and the
 # full-size benchmark (11 rows, 5 variables; 112 on `dominate`, 77 on
@@ -491,26 +497,60 @@ def _factor(n: int, a: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...
     return det, tuple(tuple(row[n:]) for row in rows)
 
 
+def _exchange(
+    rows: Sequence[list[int]], r: int, k: int, det: int, basis: list[int], labels: list[int], keep: bool
+) -> int:
+    """One dictionary pivot, in place: the basic label of row r and the
+    nonbasic label in slot k trade places; returns the new determinant.
+
+    `rows` is the tableau rows, then the cost rows, each with one entry per
+    slot and the right-hand side last; `labels` names the slots' labels in
+    increasing order. The Bareiss step (`_bareiss_step`) on row r and slot
+    k updates every stored column, and the entering label's column becomes
+    the new determinant times e_r, which is not stored. The leaving label's
+    column was det * e_r, which the step makes s * det in row r and -s * f_i
+    in every other row, for s the sign of the pivot and f_i the row's entry
+    in slot k before the step. With `keep` it goes into the slot that keeps
+    `labels` in order; without, the leaving label has no slot.
+    """
+    prow = rows[r]
+    leaving, basis[r] = basis[r], labels.pop(k)
+    if not keep:
+        new = _bareiss_step(rows, prow, k, det)
+        for row in rows:
+            del row[k]
+        return new
+    s = -1 if prow[k] < 0 else 1
+    column = [-s * row[k] for row in rows]
+    new = _bareiss_step(rows, prow, k, det)
+    at = bisect(labels, leaving)
+    labels.insert(at, leaving)
+    for row, f in zip(rows, column):
+        del row[k]
+        row.insert(at, f)
+    prow[at] = s * det
+    return new
+
+
 def _lp_solve_core(lp: LinearProgram) -> LpResult:
     n = lp.num_vars
     sign = -1 if lp.maximize else 1  # internally always minimize sign * objective
 
-    # Column order: one column per variable, then one slack per inequality
-    # row in row order, then the right-hand side. Bland's rule picks the
-    # lowest eligible column, so this order decides the pivot path and with
-    # it every certificate. A free variable x_j is x_j+ - x_j- with two
+    # Labels: one per variable, then one slack per inequality row in row
+    # order, then the artificials. Bland's rule picks the lowest eligible
+    # label, so this order decides the pivot path and with it every
+    # certificate. A row whose slack does not enter with +1 once its
+    # right-hand side is made >= 0 (an equation, a "<=" row with b < 0, a
+    # ">=" row with b >= 0) starts with an artificial basic: a label >=
+    # `art_base`, in row order. A free variable x_j is x_j+ - x_j- with two
     # columns, each the other negated, that never both have a negative
-    # reduced cost nor are both basic: column j stores the one whose stored
-    # sign `signs[j]` says, and is negated in place (`negate`) when the other
-    # enters. A row whose slack does not enter with +1 once its right-hand
-    # side is made >= 0 (an equation, a "<=" row with b < 0, a ">=" row with
-    # b >= 0) starts with an artificial basic: a basis label >= `art_base`,
-    # in row order, with no column, since Bland's rule never lets an
-    # artificial enter. Labels keep the order of the columns they stand for,
-    # so ratio ties leave by the same rule as with every column stored.
+    # reduced cost nor are both basic: label j stands for the half whose
+    # stored sign `signs[j]` says, and its column is negated in place
+    # (`negate`) when the other half enters. Labels keep the order of the
+    # columns of a tableau that stores every column, so the entering scan
+    # and ratio ties choose as that tableau would.
     n_slack = sum(rel != REL_EQ for _, rel, _ in lp.rows)
     art_base = n + n_slack
-    rhs = art_base  # the right-hand side cell
     free = frozenset(j for j in range(n) if not lp.nonneg[j])
     signs = [1] * n
 
@@ -522,70 +562,88 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     scale = lp.scale
     obj_scale, obj = lp.integer_objective
 
-    # Fraction-free tableau (Edmonds 1967; Bareiss 1968): every row,
-    # including both cost rows, holds integers over one shared positive
-    # basis determinant `det`; the exact tableau is `row / det`. Each row
-    # is written with its right-hand side made >= 0 (flipped by f), and
-    # each row's unit column, its +1 slack or its artificial, starts the
-    # basis. The phase-1 cost row is the sum of the artificials reduced
-    # against their rows: minus each artificial row.
-    tableau: list[list[int]] = []
+    # Dictionary tableau (Avis 2000) on integers (Edmonds 1967; Bareiss
+    # 1968): every row, cost rows included, holds integers over one shared
+    # positive basis determinant `det`, one per stored slot and then the
+    # right-hand side. A slot holds the column of a nonbasic label that can
+    # enter: a variable or a slack. A basic label's column is det * e_r for
+    # its row r and is not stored, and neither is an artificial's, since
+    # Bland's rule never lets one enter: when an artificial leaves, its slot
+    # is dropped. The slots are kept in label order (`labels[k]` names slot
+    # k's label), so the entering scan stops at the first eligible label,
+    # and every pivot (`_exchange`) moves the leaving label's column into
+    # its place in that order. Each row is written with its right-hand side
+    # made >= 0 (flipped by f), and each row's unit label, its +1 slack or
+    # its artificial, starts the basis; a slack with -1 starts in a slot.
+    # The phase-1 cost row is the sum of the artificials reduced against
+    # their rows: minus each artificial row.
+    labels = list(range(n))
     units: list[tuple[int, int]] = []  # each row's unit label and its flip f
     unit_rows: dict[int, int] = {}  # each slack's and artificial's row
-    cost1 = [0] * (rhs + 1)
+    tableau: list[list[int]] = []
+    stored = []  # the rows whose slack starts in a slot, in slot order
     slack, art = n, art_base
     for i, (coeffs, rel, b) in enumerate(lp.rows):
         f = -1 if b < 0 else 1
-        row = [f * c for c in coeffs] + [0] * n_slack + [f * b]
         unit = None
         if rel != REL_EQ:
-            row[slack] = f if rel == REL_LE else -f
             unit_rows[slack] = i
-            if row[slack] == 1:
+            if (rel == REL_LE) == (f == 1):
                 unit = slack
+            else:
+                stored.append(i)
+                labels.append(slack)
             slack += 1
         if unit is None:
-            cost1 = [c - x for c, x in zip(cost1, row)]
             unit_rows[art] = i
             unit = art
             art += 1
-        tableau.append(row)
         units.append((unit, f))
+        tableau.append([f * c for c in coeffs] + [f * b])
+    for k, i in enumerate(stored, n):
+        for row in tableau:
+            row.insert(k, 0)
+        tableau[i][k] = -1
+    width = len(labels)
+    cost1 = [0] * (width + 1)
+    for row, (unit, _) in zip(tableau, units):
+        if unit >= art_base:
+            cost1 = [c - x for c, x in zip(cost1, row)]
     basis = [label for label, _ in units]
     dropped: list[int] = []  # the artificials of the rows dropped as redundant
     det = 1
     # A zero objective's phase-2 cost row would stay zero through every
     # pivot, so it is not carried, and phase 2 is not run (see below).
     zero_objective = not any(obj)
-    cost2 = [sign * c for c in obj] + [0] * (n_slack + 1)
+    cost2 = [sign * c for c in obj] + [0] * (width - n + 1)
     costs = (cost1,) if zero_objective else (cost1, cost2)
 
     pivots = 0
 
-    def pivot(r: int, j: int) -> None:
+    def pivot(r: int, k: int) -> None:
         nonlocal pivots, det
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError("simplex pivot limit exceeded")
-        det = _bareiss_step((*tableau, *costs), tableau[r], j, det)
-        basis[r] = j
+        # Bland's rule never lets an artificial enter, so a leaving one keeps no slot.
+        det = _exchange((*tableau, *costs), r, k, det, basis, labels, basis[r] < art_base)
 
-    def negate(j: int) -> None:
-        """Store free column j's other half, the column negated."""
+    def negate(k: int) -> None:
+        """Store slot k's free variable as its other half, the column negated."""
         for row in (*tableau, *costs):
-            row[j] = -row[j]
-        signs[j] = -signs[j]
+            row[k] = -row[k]
+        signs[labels[k]] = -signs[labels[k]]
 
     def run_phase(cost: list[int]) -> int | None:
-        """Bland's rule loop over the columns; returns the entering column
-        when unbounded, else None. A free column whose reduced cost is
-        positive enters on its other half."""
+        """Bland's rule loop over the slots in label order; returns the
+        entering slot when unbounded, else None. A free variable whose
+        reduced cost is positive enters on its other half."""
         while True:
             enter = -1
-            for j in range(art_base):
-                c = cost[j]
-                if c < 0 or (c and j in free):
-                    enter = j
+            for k, label in enumerate(labels):
+                c = cost[k]
+                if c < 0 or (c and label in free):
+                    enter = k
                     break
             if enter < 0:
                 return None
@@ -593,13 +651,13 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
                 negate(enter)
             leave = -1
             best_rhs = best_a = 0
-            for r in range(len(tableau)):
-                a = tableau[r][enter]
+            for r, row in enumerate(tableau):
+                a = row[enter]
                 if a > 0:
                     # rhs_r / a < best_rhs / best_a, cross-multiplied.
-                    key = tableau[r][rhs] * best_a - best_rhs * a
+                    key = row[-1] * best_a - best_rhs * a
                     if leave < 0 or key < 0 or (key == 0 and basis[r] < basis[leave]):
-                        best_rhs = tableau[r][rhs]
+                        best_rhs = row[-1]
                         best_a = a
                         leave = r
             if leave < 0:
@@ -645,31 +703,34 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
         values = [0] * n
         for r, col in enumerate(basis):
             if col < n:
-                values[col] = signs[col] * tableau[r][rhs]
+                values[col] = signs[col] * tableau[r][-1]
         return tuple(Fraction(v, det) for v in values)
 
     if art > art_base:
         unb = run_phase(cost1)
         if unb is not None:  # phase-1 objective is bounded below by zero
             raise RuntimeError("phase-1 simplex reported unbounded")
-        if sum(tableau[r][rhs] for r in range(len(tableau)) if basis[r] >= art_base) > 0:
+        if sum(row[-1] for row, label in zip(tableau, basis) if label >= art_base) > 0:
             # The multipliers of the phase-1 costs (one on each artificial)
             # refute the program, read back through each row's flip.
             pi, d = multipliers([0] * n, 1)
             farkas = tuple(Fraction(-f * p, d) for p, (_, f) in zip(pi, units))
             return LpResult(status=LpStatus.INFEASIBLE, farkas=farkas)
-        # Feasible: drive remaining artificials out, drop redundant rows. A
-        # free column enters the drive-out on its positive half.
+        # Feasible: drive remaining artificials out, drop redundant rows. The
+        # basic labels read zero in an artificial's row, so the lowest label
+        # with a nonzero entry there is in its first such slot. A free
+        # variable enters the drive-out on its positive half.
         drop: list[int] = []
         for r in range(len(tableau)):
             if basis[r] >= art_base:
-                col = next((j for j in range(art_base) if tableau[r][j] != 0), None)
-                if col is None:
+                row = tableau[r]
+                k = next((k for k in range(len(labels)) if row[k]), None)
+                if k is None:
                     drop.append(r)
                 else:
-                    if col < n and signs[col] < 0:
-                        negate(col)
-                    pivot(r, col)
+                    if labels[k] < n and signs[labels[k]] < 0:
+                        negate(k)
+                    pivot(r, k)
         for r in reversed(drop):
             dropped.append(basis[r])
             del tableau[r]
@@ -679,15 +740,19 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
         # Phase 2 on a zero cost row does not pivot: the basis is optimal, with
         # value 0 and the zero dual.
         return LpResult(status=LpStatus.OPTIMAL, value=ZERO, witness=witness_point(), dual=(ZERO,) * len(units))
+    # Nothing reads the phase-1 cost row after phase 1, so phase 2 carries
+    # only its own.
+    costs = (cost2,)
     unb = run_phase(cost2)
 
     if unb is not None:
         # One unit of a slack column is 1/scale of a unit of the original
         # slack, so a ray entered by a slack is scaled back up.
-        unit = scale if unb >= n else 1
+        entering = labels[unb]
+        unit = scale if entering >= n else 1
         ray = [0] * n
-        if unb < n:
-            ray[unb] = signs[unb] * det
+        if entering < n:
+            ray[entering] = signs[entering] * det
         for r, col in enumerate(basis):
             if col < n:
                 ray[col] -= signs[col] * tableau[r][unb] * unit
@@ -701,7 +766,7 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     # the multipliers of the phase-2 costs (zero on slacks and artificials)
     # are rescaled from the scaled rows and objective back to the program
     # as given.
-    value = Fraction(-sign * cost2[rhs], det * obj_scale)
+    value = Fraction(-sign * cost2[-1], det * obj_scale)
     pi, d = multipliers([sign * c for c in obj], 0)
     dual = tuple(Fraction(sign * f * p * scale, d * obj_scale) for p, (_, f) in zip(pi, units))
     return LpResult(status=LpStatus.OPTIMAL, value=value, witness=witness_point(), dual=dual)

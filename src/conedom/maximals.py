@@ -167,6 +167,27 @@ def _top_positions(ranks: Sequence[int] | dict[int, Fraction], subset: Sequence[
     return [i for i in subset if ranks[i] == best]
 
 
+def _axis_extremes(points: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The distinct points, in their order, that are the least or the
+    greatest of `points` on every axis-parallel line through them.
+
+    A point strictly between two others on such a line is a convex
+    combination of them, so it is no vertex of the hull, and the kept points
+    have the same hull as all of them. Each axis groups the points by their
+    other coordinates, one dict pass.
+    """
+    inner: set[int] = set()
+    for d in range(len(points[0]) if points else 0):
+        lines: dict[Vec, list[int]] = {}
+        for i, p in enumerate(points):
+            lines.setdefault(p[:d] + p[d + 1 :], []).append(i)
+        for line in lines.values():
+            if len(line) > 2:
+                line.sort(key=lambda i: points[i][d])
+                inner.update(line[1:-1])
+    return tuple(p for i, p in enumerate(points) if i not in inner)
+
+
 def _convexified_positions(
     points: tuple[Vec, ...],
     ranks: Sequence[int],
@@ -179,13 +200,16 @@ def _convexified_positions(
     The upper sets are nested, and the smallest among the members' is U(s*)
     for any member s* of the highest rank: the points ranked at least as
     high as s*. So m survives iff m ≽ s* (no hull is needed) or m lies in
-    conv(U(s*)). That hull is built once as a `Polyhedron`, and `inside(hull,
-    i)` is asked once for each member below s*, in subset order.
+    conv(U(s*)). That hull is built once as a `Polyhedron`, from the points
+    of U(s*) that no axis-parallel line holds strictly between two others
+    (`_axis_extremes`), and `inside(hull, i)` is asked once for each member
+    below s*, in subset order.
     """
     if not subset:
         return []
     best = max(map(ranks.__getitem__, subset))
-    hull = Polyhedron(FinitePointSet._of_distinct(tuple(p for p, r in zip(points, ranks) if r >= best)), ())
+    upper = [p for p, r in zip(points, ranks) if r >= best]
+    hull = Polyhedron(FinitePointSet._of_distinct(_axis_extremes(upper)), ())
     return [i for i in subset if ranks[i] >= best or inside(hull, i)]
 
 

@@ -22,7 +22,7 @@ from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from conedom.cones import Cone
@@ -45,7 +45,9 @@ from conedom.linalg import (
     _unique_point,
     check_certificates,
     frac,
+    fvec,
     hull_membership,
+    hull_program,
     integer_multiple,
     integer_points,
     is_zero_vec,
@@ -1205,38 +1207,61 @@ def reference_lp_solve_core(lp: LinearProgram, paths: Counter | None = None) -> 
 
 
 def _simplex_steps(solve, lp: LinearProgram, record) -> LpResult:
-    """`solve(lp)`, with `record(rows, j)` called on the rows and the column
-    of each simplex pivot's `_bareiss_step`. The steps of `_eliminate`, which
-    solves for the multipliers and pivots no tableau, are not recorded."""
-    real_step, real_eliminate = linalg_module._bareiss_step, linalg_module._eliminate
-    eliminating = False
+    """`solve(lp)`, with `record(label, cost_rows)` called on the label that
+    enters at each simplex pivot and the number of cost rows the pivot
+    updates. The reference pivots with `_bareiss_step`, whose column is the
+    label, and carries both cost rows through every pivot; the kernel pivots
+    with `_exchange`, whose slot holds the label, on its rows, one per basic
+    label, and then its cost rows. The steps that `_exchange` takes with
+    `_bareiss_step`, and those of `_eliminate`, which solves for the
+    multipliers and pivots no tableau, are not recorded again."""
+    real_step, real_exchange, real_eliminate = (
+        linalg_module._bareiss_step,
+        linalg_module._exchange,
+        linalg_module._eliminate,
+    )
+    inside = False
+
+    def unrecorded(real):
+        def run(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return real(*args)
+            finally:
+                inside = False
+
+        return run
 
     def step(rows, prow, j, det):
-        rows = tuple(rows)
-        if not eliminating:
-            record(rows, j)
+        if not inside:
+            record(j, 2)
         return real_step(rows, prow, j, det)
 
-    def eliminate(*args):
-        nonlocal eliminating
-        eliminating = True
-        try:
-            return real_eliminate(*args)
-        finally:
-            eliminating = False
+    def exchange(rows, r, k, det, basis, labels, keep):
+        record(labels[k], len(rows) - len(basis))
+        return unrecorded(real_exchange)(rows, r, k, det, basis, labels, keep)
 
-    linalg_module._bareiss_step, linalg_module._eliminate = step, eliminate
+    linalg_module._bareiss_step, linalg_module._exchange, linalg_module._eliminate = (
+        step,
+        exchange,
+        unrecorded(real_eliminate),
+    )
     try:
         return solve(lp)
     finally:
-        linalg_module._bareiss_step, linalg_module._eliminate = real_step, real_eliminate
+        linalg_module._bareiss_step, linalg_module._exchange, linalg_module._eliminate = (
+            real_step,
+            real_exchange,
+            real_eliminate,
+        )
 
 
 def _counting_steps(solve, lp: LinearProgram) -> tuple[LpResult, int]:
     """`solve(lp)` and the number of simplex pivots it made (`_simplex_steps`),
     so equal counts on equal results mean the same pivot path."""
     steps = []
-    return _simplex_steps(solve, lp, lambda rows, j: steps.append(j)), len(steps)
+    return _simplex_steps(solve, lp, lambda label, cost_rows: steps.append(label)), len(steps)
 
 
 _build = LinearProgram.build
@@ -1328,30 +1353,31 @@ class TestOnePassSetUp:
 
 def _cost_rows_per_step(solve, lp: LinearProgram) -> tuple[LpResult, list[int]]:
     """`solve(lp)` and, for each simplex pivot (`_simplex_steps`), the number
-    of rows it updated beyond the program's own: the cost rows carried
-    through the pivot (no row is dropped before the last pivot)."""
+    of cost rows carried through it."""
     extra = []
-    return _simplex_steps(solve, lp, lambda rows, j: extra.append(len(rows) - len(lp.rows))), extra
+    return _simplex_steps(solve, lp, lambda label, cost_rows: extra.append(cost_rows)), extra
 
 
 def _pivot_paths(lp: LinearProgram) -> tuple[list, list]:
-    """The columns the reference and the kernel pivot on, in order. The
+    """The labels the reference and the kernel pivot in, in order. The
     reference's variable columns are named (j, "+") and, for a free x_j,
-    then (j, "-"); the kernel's are named j; every slack is "slack"."""
+    then (j, "-"); the kernel's variable labels are named j, whatever slot
+    holds them; every slack is "slack"."""
     halves = [(j, h) for j in range(lp.num_vars) for h in ("+", "-")[: 1 if lp.nonneg[j] else 2]]
     reference, kernel = [], []
-    _simplex_steps(reference_lp_solve_core, lp, lambda rows, j: reference.append(j))
-    _simplex_steps(_lp_solve_core, lp, lambda rows, j: kernel.append(j))
+    _simplex_steps(reference_lp_solve_core, lp, lambda label, cost_rows: reference.append(label))
+    _simplex_steps(_lp_solve_core, lp, lambda label, cost_rows: kernel.append(label))
     return (
         [halves[j] if j < len(halves) else "slack" for j in reference],
-        [j if j < lp.num_vars else "slack" for j in kernel],
+        [label if label < lp.num_vars else "slack" for label in kernel],
     )
 
 
 class TestColumnsThatCanEnter:
-    """The kernel stores one column per variable and per slack, a free
-    variable's up to sign, and no artificial column; it matches the reference,
-    which stores every column, variable for variable along the pivot path."""
+    """The kernel stores one column per nonbasic variable and slack, a free
+    variable's up to sign, and no basic or artificial column; it matches the
+    reference, which stores every column, variable for variable along the
+    pivot path."""
 
     @pytest.mark.parametrize(
         "name, path, branches",
@@ -1385,20 +1411,120 @@ class TestColumnsThatCanEnter:
         assert _lp_solve_core(lp) == expected and _fields_are_fractions(expected)
 
     @staticmethod
-    def _assert_tableau_width(lp: LinearProgram) -> None:
-        width = lp.num_vars + sum(rel != REL_EQ for _, rel, _ in lp.rows) + 1
-        widths = set()
-        _simplex_steps(_lp_solve_core, lp, lambda rows, j: widths.update(map(len, rows)))
-        assert widths <= {width}
+    def _assert_stored_slots(lp: LinearProgram) -> None:
+        """Before and after every pivot, the kernel's slots hold exactly the
+        nonbasic labels that can enter (the variables, a free one once, and
+        the slacks; no artificial), in label order, and every row holds one
+        entry per slot and the right-hand side."""
+        can_enter = range(lp.num_vars + sum(rel != REL_EQ for _, rel, _ in lp.rows))
+        real = linalg_module._exchange
+
+        def check(rows, basis, labels):
+            assert labels == [label for label in can_enter if label not in basis]
+            assert {len(row) for row in rows} == {len(labels) + 1}
+
+        def exchange(rows, r, k, det, basis, labels, keep):
+            check(rows, basis, labels)
+            det = real(rows, r, k, det, basis, labels, keep)
+            check(rows, basis, labels)
+            return det
+
+        linalg_module._exchange = exchange
+        try:
+            _lp_solve_core(lp)
+        finally:
+            linalg_module._exchange = real
 
     @pytest.mark.parametrize("name", sorted(HAND_PROGRAMS))
-    def test_every_pivot_row_holds_the_variables_the_slacks_and_the_right_hand_side(self, name):
-        self._assert_tableau_width(HAND_PROGRAMS[name])
+    def test_every_pivot_row_holds_the_nonbasic_labels_that_can_enter_and_the_right_hand_side(self, name):
+        self._assert_stored_slots(HAND_PROGRAMS[name])
 
     @settings(max_examples=200, deadline=None)
     @given(simplex_programs())
     def test_every_pivot_row_has_the_width_of_the_columns_that_can_enter(self, lp):
-        self._assert_tableau_width(lp)
+        self._assert_stored_slots(lp)
+
+    @pytest.mark.parametrize("name", sorted(name for name, lp in HAND_PROGRAMS.items() if any(lp.objective)))
+    def test_each_phase_2_pivot_of_a_hand_program_carries_one_cost_row(self, name):
+        self._assert_one_cost_row_in_phase_2(HAND_PROGRAMS[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(simplex_programs().filter(lambda lp: any(lp.objective)))
+    def test_each_phase_2_pivot_carries_one_cost_row(self, lp):
+        self._assert_one_cost_row_in_phase_2(lp)
+
+    @staticmethod
+    def _assert_one_cost_row_in_phase_2(lp: LinearProgram) -> None:
+        """Phase 1 and the drive-out read no objective, so their pivots are
+        those of the program with its objective zeroed; they carry both cost
+        rows, and every later pivot, in phase 2, carries only its own."""
+        _, rows = _cost_rows_per_step(_lp_solve_core, lp)
+        _, before = _cost_rows_per_step(_lp_solve_core, replace(lp, objective=(ZERO,) * lp.num_vars))
+        assert rows == [2] * len(before) + [1] * (len(rows) - len(before))
+
+
+@st.composite
+def separator_shaped_programs(draw):
+    """Programs shaped like `strict_separator`'s, over free (f, a, b) in
+    dimensions 2 to 4, so 4 to 6 variables: f.v - a <= 0 on points v of X,
+    f.w - b >= 0 on points w of Y and b - a >= 1, 6 to 12 rows in all, every
+    right-hand side but the last zero. Every slack of X's rows starts basic,
+    and every other row starts on an artificial. A third of them carry an
+    objective, so that phase 2 runs on the wide tableau too."""
+    d, m = draw(st.integers(2, 4)), draw(st.integers(6, 12))
+    x_points = draw(st.integers(1, m - 2))
+    point = st.tuples(*[st.integers(-4, 4)] * d)
+    rows = [((*draw(point), -1, 0), "<=", 0) for _ in range(x_points)]
+    rows += [((*draw(point), 0, -1), ">=", 0) for _ in range(m - 1 - x_points)]
+    rows.append(((0,) * d + (-1, 1), ">=", 1))
+    n = d + 2
+    objective = [draw(st.integers(-3, 3)) for _ in range(n)] if draw(st.integers(0, 2)) == 0 else [0] * n
+    return _build(objective, draw(st.booleans()), rows, [False] * n)
+
+
+@st.composite
+def hull_shaped_programs(draw):
+    """`hull_program`s over 6 to 18 nonnegative variables: a target in
+    dimension 2 to 4 as the sum of points of one or two blocks, each block's
+    weights summing to one, plus up to three rays; every row an equation.
+    The objective is zero, the total ray weight, or (with `bound`) a common
+    lower bound on the weights."""
+    d, width = draw(st.integers(2, 4)), draw(st.integers(6, 18))
+    point = st.tuples(*[st.integers(-3, 3)] * d).map(fvec)
+    bound, n_rays = draw(st.booleans()), draw(st.integers(0, 3))
+    n_points = width - n_rays - bound
+    cut = draw(st.integers(0, n_points - 1))
+    sizes = [n_points - cut, cut] if cut else [n_points]
+    blocks = [(1, integer_points([draw(point) for _ in range(size)])) for size in sizes]
+    rays = (1, integer_points([draw(point) for _ in range(n_rays)])) if n_rays else None
+    maximize_rays = not bound and n_rays > 0 and draw(st.booleans())
+    return hull_program(draw(point), blocks, rays, maximize_rays=maximize_rays, bound=bound)
+
+
+class TestWidePrograms:
+    """On programs wider than `simplex_programs` draws, where a slot holds
+    one label after another over many exchanges, the kernel matches the
+    reference field for field and label for label along the pivot path.
+    `target` steers the draws toward long paths."""
+
+    @staticmethod
+    def _assert_matches_reference(lp: LinearProgram) -> None:
+        reference, kernel = _pivot_paths(lp)
+        assert kernel == [h if h == "slack" else h[0] for h in reference]
+        assert _lp_solve_core(lp) == reference_lp_solve_core(lp)
+        target(float(len(kernel)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(separator_shaped_programs())
+    def test_separator_shaped_programs_match_the_reference(self, lp):
+        assert lp.num_vars in range(4, 7) and len(lp.rows) in range(6, 13) and not any(lp.nonneg)
+        self._assert_matches_reference(lp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hull_shaped_programs())
+    def test_hull_shaped_programs_match_the_reference(self, lp):
+        assert lp.num_vars in range(6, 19) and all(lp.nonneg) and {rel for _, rel, _ in lp.rows} == {REL_EQ}
+        self._assert_matches_reference(lp)
 
 
 # Hand programs with a zero objective, each named by the branch the reference takes on it.

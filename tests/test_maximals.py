@@ -48,7 +48,7 @@ from conedom.maximals import (
     orthant_cone,
     ratio_utility,
 )
-from conedom.sets import FinitePointSet, is_grid_antichain_convex, poly_contains
+from conedom.sets import FinitePointSet, Polyhedron, is_grid_antichain_convex, poly_contains
 from test_order_coordinates import KINDS
 
 # The package re-exports the function `maximals` under the module's name.
@@ -398,8 +398,9 @@ class TestAgainstReferences:
     def test_hull_verdicts_below_the_first_top_are_the_hull_programs(self, monkeypatch):
         # Each point below the first top element of the subset is asked about
         # conv(U(top)) once, in subset order, through the polyhedron's facets;
-        # every verdict must be the hull program's, and the kept set the
-        # reference's.
+        # the polyhedron is built from points of U(top), in its order, and
+        # every verdict must be the hull program's on all of U(top), and the
+        # kept set the reference's.
         rng = random.Random(61)
         for _ in range(100):
             pts, values, subset = random_preorder_case(rng)
@@ -417,8 +418,9 @@ class TestAgainstReferences:
             top = max(subset.points, key=values.__getitem__, default=None)
             below = [m for m in subset.points if values[m] < values[top]]
             assert [m for m, _, _ in calls] == below
-            for m, upper, verdict in calls:
-                assert upper == pre.upper_set(top)
+            upper = pre.upper_set(top) if calls else ()
+            for m, vertices, verdict in calls:
+                assert vertices == tuple(p for p in upper if p in vertices)
                 assert verdict == hull_membership(m, upper).member, (m, upper)
             assert got.points == reference_convexified_maximals(pre, subset).points
 
@@ -757,6 +759,59 @@ class TestConvexificationInvariance:
         pulled.clear()
         rep = check_local_nonsatiation(min_utility, grid)
         assert len(pulled) == len(rep.violators) + len(rep.exempt) == 4 + 9
+
+
+@st.composite
+def upper_sets(draw):
+    """A grid of 0..k in dimension 2 or 3 (k at most 4 and 3) and one of its
+    upper sets: the points whose drawn utility value reaches a drawn level.
+    Returns the grid's points and the upper set's, both as `Fraction`s."""
+    d = draw(st.integers(2, 3))
+    high = draw(st.integers(1, 4 if d == 2 else 3))
+    grid = GridDomain.build(1, [(0, high)] * d).points().points
+    values = [draw(st.integers(0, 5)) for _ in grid]
+    level = draw(st.sampled_from(values))
+    return grid, [p for p, v in zip(grid, values) if v >= level]
+
+
+class TestAxisExtremes:
+    """The invariance hull is built from the points of U(s*) that are the
+    least or the greatest of U(s*) on every axis-parallel line through them."""
+
+    def test_a_full_square_keeps_its_corners(self):
+        square = GridDomain.build(1, [(0, 2), (0, 2)]).points().points
+        assert maximals_module._axis_extremes(square) == ((0, 0), (0, 2), (2, 0), (2, 2))
+
+    def test_a_point_between_two_others_goes_and_every_line_end_stays(self):
+        # x + y >= 2 on 0..2: (1, 2) lies between (0, 2) and (2, 2), and (2, 1)
+        # between (2, 0) and (2, 2); (1, 1) ends both of its lines, so it stays
+        # although it is no vertex.
+        upper = [(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+        assert maximals_module._axis_extremes(upper) == ((0, 2), (1, 1), (2, 0), (2, 2))
+        assert maximals_module._axis_extremes([(3,), (1,), (2,)]) == ((3,), (1,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(upper_sets())
+    def test_the_filtered_hull_gives_every_verdict_of_the_whole_upper_set(self, case):
+        grid, upper = case
+        kept = maximals_module._axis_extremes(upper)
+        assert set(kept) <= set(upper) and (not upper or kept)
+        if not upper:
+            return
+        whole = Polyhedron(FinitePointSet(tuple(upper)), ())
+        filtered = Polyhedron(FinitePointSet(kept), ())
+        assert [poly_contains(filtered, p) for p in grid] == [poly_contains(whole, p) for p in grid]
+
+    @pytest.mark.parametrize(
+        "utility, dimension, prices",
+        [(linear_utility, 3, ((1, 2, 1), 5)), (min_utility, 3, ((1, 2, 1), 5)), (ratio_utility, 2, ((1, 2), 6))],
+    )
+    def test_the_invariance_report_is_the_unfiltered_hulls(self, utility, dimension, prices, monkeypatch):
+        grid = GridDomain.build(1, [(0, 4)] * dimension)
+        prices = PriceSystem.build(*prices)
+        report = check_convexification_invariance(utility, grid, prices)
+        monkeypatch.setattr(maximals_module, "_axis_extremes", tuple)
+        assert check_convexification_invariance(utility, grid, prices) == report
 
 
 class TestBoundaryAndAntichain:
