@@ -508,10 +508,13 @@ def _exchange(
     increasing order. The Bareiss step (`_bareiss_step`) on row r and slot
     k updates every stored column, and the entering label's column becomes
     the new determinant times e_r, which is not stored. The leaving label's
-    column was det * e_r, which the step makes s * det in row r and -s * f_i
-    in every other row, for s the sign of the pivot and f_i the row's entry
-    in slot k before the step. With `keep` it goes into the slot that keeps
-    `labels` in order; without, the leaving label has no slot.
+    column was det * e_r, which the step makes det in row r and -f_i in
+    every other row, for f_i the row's entry in slot k before the step, when
+    the pivot is positive. With `keep` it goes into the slot that keeps
+    `labels` in order; without, the leaving label has no slot. A kept
+    label's pivot is positive: the ratio test pivots only on a positive
+    entry, and the drive-out, which may pivot on a negative one, only moves
+    artificials out, which are not kept.
     """
     prow = rows[r]
     leaving, basis[r] = basis[r], labels.pop(k)
@@ -520,15 +523,14 @@ def _exchange(
         for row in rows:
             del row[k]
         return new
-    s = -1 if prow[k] < 0 else 1
-    column = [-s * row[k] for row in rows]
+    column = [-row[k] for row in rows]
     new = _bareiss_step(rows, prow, k, det)
     at = bisect(labels, leaving)
     labels.insert(at, leaving)
     for row, f in zip(rows, column):
         del row[k]
         row.insert(at, f)
-    prow[at] = s * det
+    prow[at] = det
     return new
 
 

@@ -177,7 +177,7 @@ def _axis_extremes(points: Sequence[Vec]) -> tuple[Vec, ...]:
     other coordinates, one dict pass.
     """
     inner: set[int] = set()
-    for d in range(len(points[0]) if points else 0):
+    for d in range(len(points[0])):
         lines: dict[Vec, list[int]] = {}
         for i, p in enumerate(points):
             lines.setdefault(p[:d] + p[d + 1 :], []).append(i)
