@@ -578,39 +578,38 @@ def _lp_solve_core(lp: LinearProgram) -> LpResult:
     # made >= 0 (flipped by f), and each row's unit label, its +1 slack or
     # its artificial, starts the basis; a slack with -1 starts in a slot.
     # The phase-1 cost row is the sum of the artificials reduced against
-    # their rows: minus each artificial row.
+    # their rows: minus each artificial row. The slots are counted first, so
+    # each row is written once at its full width, in one pass that also
+    # builds the basis and the phase-1 cost row.
+    width = n + sum(rel != REL_EQ and (rel == REL_LE) != (b >= 0) for _, rel, b in lp.rows)
+    pad = [0] * (width - n)
     labels = list(range(n))
     units: list[tuple[int, int]] = []  # each row's unit label and its flip f
     unit_rows: dict[int, int] = {}  # each slack's and artificial's row
     tableau: list[list[int]] = []
-    stored = []  # the rows whose slack starts in a slot, in slot order
+    cost1 = [0] * (width + 1)
     slack, art = n, art_base
     for i, (coeffs, rel, b) in enumerate(lp.rows):
         f = -1 if b < 0 else 1
+        row = [f * c for c in coeffs]
+        row += pad
+        row.append(f * b)
         unit = None
         if rel != REL_EQ:
             unit_rows[slack] = i
             if (rel == REL_LE) == (f == 1):
                 unit = slack
             else:
-                stored.append(i)
+                row[len(labels)] = -1
                 labels.append(slack)
             slack += 1
         if unit is None:
             unit_rows[art] = i
             unit = art
             art += 1
-        units.append((unit, f))
-        tableau.append([f * c for c in coeffs] + [f * b])
-    for k, i in enumerate(stored, n):
-        for row in tableau:
-            row.insert(k, 0)
-        tableau[i][k] = -1
-    width = len(labels)
-    cost1 = [0] * (width + 1)
-    for row, (unit, _) in zip(tableau, units):
-        if unit >= art_base:
             cost1 = [c - x for c, x in zip(cost1, row)]
+        units.append((unit, f))
+        tableau.append(row)
     basis = [label for label, _ in units]
     dropped: list[int] = []  # the artificials of the rows dropped as redundant
     det = 1

@@ -203,7 +203,9 @@ def _convexified_positions(
     conv(U(s*)). That hull is built once as a `Polyhedron`, from the points
     of U(s*) that no axis-parallel line holds strictly between two others
     (`_axis_extremes`), and `inside(hull, i)` is asked once for each member
-    below s*, in subset order.
+    below s*, in subset order. The filter pays when U(s*) fills 3-D and the
+    hull asks one program over its points per member; on a planar grid the
+    hull's outline already keeps only the vertices.
     """
     if not subset:
         return []

@@ -1210,11 +1210,13 @@ def _simplex_steps(solve, lp: LinearProgram, record) -> LpResult:
     """`solve(lp)`, with `record(label, cost_rows)` called on the label that
     enters at each simplex pivot and the number of cost rows the pivot
     updates. The reference pivots with `_bareiss_step`, whose column is the
-    label, and carries both cost rows through every pivot; the kernel pivots
-    with `_exchange`, whose slot holds the label, on its rows, one per basic
-    label, and then its cost rows. The steps that `_exchange` takes with
-    `_bareiss_step`, and those of `_eliminate`, which solves for the
-    multipliers and pivots no tableau, are not recorded again."""
+    label, on the program's rows and then its cost rows (it drops no row
+    before its last pivot); the kernel pivots with `_exchange`, whose slot
+    holds the label, on its rows, one per basic label, and then its cost
+    rows. Each counts the rows it was given beyond those. The steps that
+    `_exchange` takes with `_bareiss_step`, and those of `_eliminate`, which
+    solves for the multipliers and pivots no tableau, are not recorded
+    again."""
     real_step, real_exchange, real_eliminate = (
         linalg_module._bareiss_step,
         linalg_module._exchange,
@@ -1234,8 +1236,9 @@ def _simplex_steps(solve, lp: LinearProgram, record) -> LpResult:
         return run
 
     def step(rows, prow, j, det):
+        rows = tuple(rows)
         if not inside:
-            record(j, 2)
+            record(j, len(rows) - len(lp.rows))
         return real_step(rows, prow, j, det)
 
     def exchange(rows, r, k, det, basis, labels, keep):
