@@ -35,17 +35,16 @@ one test.
 
 For independent generators `Cone.facets` are the elimination's own rows.
 Otherwise they are `cone_facets`: the left-null rows of the same
-elimination and one normal per facet, found among the null vectors of the
-(rank - 1)-subsets of the generators stacked with those rows, and
-re-checked against every generator. The generators and each subset are
-eliminated by the same routine, `linalg._eliminate`, which the LP presolve
-runs too. Homogenized points on a line or a plane, in any dimension, take
-their candidates from their outline instead (`_outline`): the two ends of
-their segment, or the edges of their polygon, found by Andrew's monotone
-chain in integers on a coordinate projection, with no work bound; the same
-outline names the vertices `sets.convex_hull` keeps. `Polyhedron.facets`
+elimination and one primitive normal per facet, from an integer double
+description that starts at the pivot generators' simplicial cone and
+inserts the other generators one at a time, and re-checked against every
+generator. It serves every shape (points on a line or a plane, sets that
+fill the space, cones that are not pointed) and gives up, for the LP, only
+once its own work passes `_MAX_FACET_WORK`. The generators are eliminated
+by `linalg._eliminate`, which the LP presolve runs too. `Polyhedron.facets`
 holds the facets for a polyhedron's homogenized cone, whose relative-interior
-and containment verdicts read them.
+and containment verdicts read them; `sets.convex_hull` keeps the points
+that no other point shares every facet with.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from operator import le, mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -213,20 +211,24 @@ class _SpanSolver:
         """The cone's `Facets`, built on first use: for independent generators
         the rows of E itself (see `Facets`), else `cone_facets` of the
         generators over one common denominator, which reads this solver's
-        rank and left-null rows; None above `_MAX_FACET_WORK`."""
+        pivots and left-null rows; None above `_MAX_FACET_WORK`."""
         if self.unique:
             return Facets(self.integer_elim[self.rank :], self.integer_elim[: self.rank])
         return cone_facets(self.dimension, self.view.points, self)
 
 
-# `cone_facets` gives up, and its callers keep their LP, when the number of
-# (rank - 1)-subsets of the generators times dimension**3 exceeds this. Each
-# subset costs one elimination of dimension - 1 rows by dimension columns
-# (`_null_vector`), which grows as dimension**3. Under the bound a measured
-# build cost at most 9 solves of the relative-interior LP (3.2 ms), so a
-# caller who asks about a polyhedron once loses little, and one who asks ten
-# times gains.
-_MAX_FACET_WORK = 2048
+# `cone_facets` gives up, and its callers keep their LP, once its work passes
+# this: for each generator inserted, the rows it is dotted with plus the
+# (+, -) pairs it tests for adjacency, counted before the pairs are tested.
+# The facets of a cyclic polytope grow as its points to the power
+# floor(d / 2), so that count, not the generator count, is what can explode.
+# Measured (2 cores, Python 3.11.7): a unit of work cost 0.2-1 µs, the most
+# on a grid, whose rows are few. The 29 points (t, t^2, t^3, t^4) of R^4
+# (work just under the bound, 377 facets) took 18-22 ms to build, about 14
+# solves of the relative-interior LP on them; the 4,096 points of a 64 x 64
+# grid took 31-66 ms, where that LP takes 3 s. So a caller who asks about a
+# polyhedron once may lose a little, and one who asks a dozen times gains.
+_MAX_FACET_WORK = 65536
 
 
 class Facets(NamedTuple):
@@ -298,105 +300,67 @@ def _oriented(h: tuple[int, ...], generators: Sequence[Sequence[int]]) -> tuple[
     return tuple(c // unit for c in h)
 
 
-def _turn(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
-    """Twice the signed area of the triangle o, a, b in the plane: positive
-    when o -> a -> b turns left, zero when the three are collinear."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_edges(points: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], Sequence[int]]]:
-    """The edges of the convex hull of integer points in the plane (read from
-    each point's first two entries), as pairs of consecutive hull vertices.
-
-    Andrew's monotone chain (Andrew 1979): sort the points, then build the
-    lower and the upper chain, popping the last vertex while it does not
-    turn left. Collinear points and repeats (points equal in both entries,
-    which sort next to each other) are popped too, so only extreme points
-    remain. O(n log n), all in integers.
-    """
-
-    def chain(ordered):
-        out: list[Sequence[int]] = []
-        for p in ordered:
-            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    ordered = sorted(points)
-    cycle = chain(ordered) + chain(reversed(ordered))
-    return list(zip(cycle, cycle[1:] + cycle[:1]))
-
-
-def _homogenized(generators: Sequence[Sequence[int]]) -> bool:
-    """Whether the generators are homogenized points (v, s): one positive
-    last coordinate s on all of them."""
-    s = generators[0][-1] if generators else 0
-    return s > 0 and all(g[-1] == s for g in generators)
-
-
-def _outline(generators: Sequence[Sequence[int]], rank: int) -> list[tuple[Sequence[int], ...]] | None:
-    """The generators that outline homogenized points (`_homogenized`) on a
-    line or a plane, in any dimension; None for every other cone.
-
-    Points on one line (rank 2) are outlined by the two ends of their
-    segment, each a one-generator tuple: the least and the greatest point in
-    lexicographic order, which is monotone along a line. Points on a plane
-    (rank 3) are outlined by the edges of their polygon, as pairs of
-    generators. The polygon is `_hull_edges` of the points projected on the
-    first coordinate pair (i, j) whose projection keeps three hull vertices:
-    a projection that is not one to one on the plane flattens it onto a line,
-    and one that is maps the polygon's edges onto the projection's. Some
-    pair is one to one, since the plane meets a coordinate plane that way.
-    """
-    if rank not in (2, 3) or not _homogenized(generators):
-        return None
-    if rank == 2:
-        return [(min(generators),), (max(generators),)]
-    for i, j in combinations(range(len(generators[0]) - 1), 2):
-        edges = _hull_edges([(g[i], g[j], g) for g in generators])
-        if len(edges) >= 3:
-            return [(a[2], b[2]) for a, b in edges]
-
-
 def cone_facets(
     dimension: int, generators: Sequence[Sequence[int]], solver: _SpanSolver | None = None
 ) -> Facets | None:
     """The equations and facet normals of the cone of integer generators, or
-    None when the candidate subsets would cost more than `_MAX_FACET_WORK`.
+    None once the double description's work passes `_MAX_FACET_WORK`.
 
     The equations are the left-null rows of the generators' elimination:
     `solver`'s, when the caller has one for these generators, else a new
-    `_SpanSolver`'s. A cone of rank r has each facet spanned by r - 1
-    independent generators on it, so its normals are found among the
-    (r - 1)-subsets: the null vector of a subset stacked with the equations
-    (`_null_vector`) is orthogonal to both, so it lies in the span and
-    vanishes on the subset, and it exists exactly when the subset is
-    independent. Such a row is a facet normal exactly when it is one-signed
-    on the generators.
-
-    Homogenized points on a line or a plane, in any dimension, have one
-    facet per end of their segment or per edge of their polygon, so
-    `_outline`'s ends or edges are their only candidates, and no work bound
-    applies: O(n log n) for the polygon and O(h n) for the checks, for h
-    candidates among n generators. Every kept row is re-checked against
-    every generator before it is returned.
+    `_SpanSolver`'s. The normals come from the double description method
+    (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon 1996), run in
+    integers inside the span. The r pivot generators span it, and their cone
+    has one row per pivot g: the null vector of the other pivots stacked with
+    the equations (`_null_vector`), oriented positive on g. Each other
+    generator g is then inserted. The rows with h.g >= 0 stay, and every
+    combinatorially adjacent pair h+ and h- on either side of g gives the row
+    (h+.g) h- - (h-.g) h+, which vanishes on g, divided by its gcd. The pair
+    is adjacent when no third row vanishes on every inserted generator that
+    both vanish on; each row keeps those generators as an int bitmask, and a
+    pair needs r - 2 of them in common. Every row stays a primitive normal of
+    one facet of the generators inserted so far, so the result equals the
+    facets read from every (r - 1)-subset. Every kept row is re-checked
+    against every generator before it is returned.
     """
     if solver is None:
         solver = _SpanSolver(dimension, generators)
     rank = solver.rank
     equations = tuple(solver.integer_elim[rank:])
-    candidates = _outline(generators, rank)
-    if candidates is None:
-        if rank and comb(len(generators), rank - 1) * dimension**3 > _MAX_FACET_WORK:
+    pivots = [c for _, c in solver.pivots]
+    basis = [generators[c] for c in pivots]
+    spanned = sum(1 << c for c in pivots)
+    rows = []
+    for i, c in enumerate(pivots):
+        h = _null_vector((*basis[:i], *basis[i + 1 :], *equations), dimension)
+        rows.append((_oriented(h, [generators[c]]), spanned ^ 1 << c))
+    work = 0
+    for j, g in enumerate(generators):
+        if spanned >> j & 1:
+            continue
+        kept, up, down = [], [], []
+        for h, zeros in rows:
+            value = sum(map(mul, h, g))
+            if value > 0:
+                up.append((h, zeros, value))
+                kept.append((h, zeros))
+            elif value < 0:
+                down.append((h, zeros, value))
+            else:
+                kept.append((h, zeros | 1 << j))
+        work += len(rows) + len(up) * len(down)
+        if work > _MAX_FACET_WORK:
             return None
-        candidates = combinations(generators, rank - 1) if rank else ()
-    normals = set()
-    for subset in candidates:
-        h = _null_vector((*subset, *equations), dimension)
-        if h is not None and (oriented := _oriented(h, generators)) is not None:
-            normals.add(oriented)
-    facets = Facets(equations, tuple(sorted(normals)))
+        for hp, zp, vp in up:
+            for hn, zn, vn in down:
+                common = zp & zn
+                if common.bit_count() < rank - 2 or sum(z & common == common for _, z in rows) > 2:
+                    continue
+                h = [vp * a - vn * b for a, b in zip(hn, hp)]
+                unit = gcd(*h)
+                kept.append((tuple(c // unit for c in h), common | 1 << j))
+        rows = kept
+    facets = Facets(equations, tuple(sorted(h for h, _ in rows)))
     for e in facets.equations:
         if any(sum(map(mul, e, g)) for g in generators):
             raise RuntimeError("an equation row does not vanish on every generator")

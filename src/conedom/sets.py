@@ -10,24 +10,22 @@ compared through one `conedom.cones.ConeOrder` per scan; a `ChainSet`
 keeps one for its dominance scans. A polyhedron's containment and
 relative-interior verdicts are integer dot products with the facets of its
 homogenized cone (`Polyhedron.facets`), built once on first use; above the
-facet routine's candidate cap they stay one LP per point. Points with no
-rays on a line or a plane, in any dimension, have no cap: their facets come
-from the two ends of their segment or the edges of their polygon
-(`cones._outline`). The same outline gives their convex hull without an LP;
-only a set that fills three dimensions or more asks one LP per point in
-`convex_hull`.
+facet routine's work bound they stay one LP per point. `convex_hull` reads
+the facets of the same cone: it keeps the points that share their facets
+with no other point, and asks one LP per point only above that bound.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
-from .cones import Cone, ConeOrder, Facets, _outline, _SpanSolver, cone_contains, cone_facets
+from .cones import Cone, ConeOrder, Facets, cone_contains, cone_facets
 from .linalg import (
     _MAX_SUM_POINTS,
     IntegerPoints,
@@ -268,7 +266,7 @@ class Polyhedron:
 
         The polyhedron is that cone's slice at last coordinate one, and its
         relative interior the slice of the cone's relative interior. None
-        when `cone_facets` finds too many candidate subsets.
+        when the double description of `cone_facets` passes its work bound.
         """
         vs = self.vertices.integer_view
         generators = [(*v, vs.scale) for v in vs.points] + [(*r, 0) for r in self.ray_view.points]
@@ -304,26 +302,25 @@ def convex_hull(s: FinitePointSet) -> Polyhedron:
     """Bounded hull of a finite set: keep exactly the extreme points, in
     input order.
 
-    The points lifted to (q, scale), from the integer view, span a cone of
-    rank r, one more than the dimension of their affine hull. On a line or a
-    plane (r <= 3), in any dimension, the extreme points are the ones
-    `cones._outline` names: the two ends of the segment, or the ends of the
-    polygon's edges (Andrew's monotone chain, which drops points on an
-    edge), found in O(n log n) without an LP. A set that fills three
-    dimensions or more keeps one membership program per point: a point is
-    extreme iff it is outside the hull of the others.
+    The points, lifted to (q, scale) from the integer view, generate a
+    cone one dimension up, described by its `Cone.facets`, one normal per
+    facet. The smallest face of the hull that holds a point p is the hull of
+    the points on every facet through p, so p is extreme exactly when no
+    other point lies on all of p's facets. Each point's facets are one int
+    bitmask, and the distinct bitmasks are counted once. Only above the
+    facet work bound, with no facets, is each point asked one membership
+    program: it is extreme iff it is outside the hull of the others.
     """
     pts = s.points
-    if len(pts) == 1:
-        return Polyhedron(s, ())
     scale, view = s.integer_view
-    lifted = [(*q, scale) for q in view]
-    outline = _outline(lifted, _SpanSolver(s.dimension + 1, lifted).rank)
-    if outline is not None:
-        ends = {g for candidate in outline for g in candidate}
-        keep = [p for p, q in zip(pts, lifted) if q in ends]
-    else:
+    lifts = tuple((*q, scale) for q in view)
+    facets = Cone(s.dimension + 1, lifts, False).facets
+    if facets is None:
         keep = [p for i, p in enumerate(pts) if not hull_membership(p, pts[:i] + pts[i + 1 :]).member]
+    else:
+        tight = [sum(1 << i for i, h in enumerate(facets.normals) if not sum(map(mul, h, x))) for x in lifts]
+        faces = Counter(tight)
+        keep = [p for p, z in zip(pts, tight) if sum(n for w, n in faces.items() if w & z == z) == 1]
     if not keep:  # all points coincide after deduplication; cannot happen
         raise RuntimeError("hull lost every point")
     return Polyhedron(FinitePointSet._of_distinct(tuple(keep)), ())

@@ -8,22 +8,21 @@ degenerate ones (a single vertex, a vertex with one ray, a segment), rays
 that form a line, a whole subspace or the zero vector, and fractional
 vertices and probes. Probes include random points, the vertices, strict
 and boundary combinations, and points just off the affine hull. Polygons,
-whose facets come from the monotone chain of their vertices, are also
-compared with the facets of every pair of vertices, and points on a line
-or a plane in R^3 and R^4 (`cones._outline`) with the facets of every
-subset and the LP's convex hull.
+points on a line or a plane in R^3 and R^4, and sets that fill R^3 or R^4
+are also compared with the facets of every subset of their generators and
+with the LP's convex hull, which `convex_hull` now reads from the facets.
 
 The last section checks the facet normals themselves against the former
 cofactor path: the null vector of one elimination (`cones._null_vector`)
-against the cofactor vector of D determinants, and `cone_facets` against a
-subset path built on that cofactor, on every cone kind and on lifted
-polyhedra with rays. It also checks that a dependent cone eliminates its
-generators once.
+against the cofactor vector of D determinants, and `cone_facets`, the
+double description, against a subset path built on that cofactor, on every
+cone kind, on drawn cones of dimension 1 to 6 and on lifted polyhedra with
+rays. It also checks that a dependent cone eliminates its generators once.
 """
 
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +32,7 @@ import conedom.sets
 from conedom import cones
 from conedom.cones import Cone, Facets, cone_facets
 from conedom.linalg import hull_membership, relative_interior_membership, vadd, vscale
-from conedom.sets import Polyhedron, convex_hull, in_relative_interior, poly_contains
+from conedom.sets import FinitePointSet, Polyhedron, convex_hull, in_relative_interior, poly_contains
 from test_cones import reference_span_solver
 from test_sets import reference_hull_vertices
 
@@ -199,40 +198,24 @@ def test_polygons_agree_with_the_lp(data, vertices):
 
 @settings(max_examples=120, deadline=None)
 @given(vertices=polygons())
-def test_the_polygon_branch_gives_the_facets_of_every_subset(vertices):
-    # Up to 12 vertices, the subsets of every pair stay under the work bound,
-    # so both paths apply; with no generators read as homogenized points, the
-    # outline is off and the subsets decide.
-    found = []
-    original = cones._outline
-
-    def recording(generators, rank):
-        found.append(original(generators, rank))
-        return found[-1]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(cones, "_outline", recording)
-        facets = Polyhedron.build(vertices).facets
-        m.setattr(cones, "_homogenized", lambda generators: False)
-        p = Polyhedron.build(vertices)
-        assert comb(len(p.vertices), 2) * 3**3 <= cones._MAX_FACET_WORK
-        assert p.facets == facets
-    # The outline is the polygon's edges exactly when the polygon has an
-    # interior, and then each edge gives one facet; points on one line give
-    # their two ends, and a single point none. Patched off, it names none.
-    outline, off = found
-    assert off is None
-    edges = outline is not None and len(outline[0]) == 2
-    assert edges == (not facets.equations)
-    assert outline is None or len(outline) == len(facets.normals)
-    assert (outline is None) == (len(p.vertices) == 1)
+def test_a_polygon_has_the_facets_of_every_subset_one_per_edge(vertices):
+    p = Polyhedron.build(vertices)
+    vs = p.vertices.integer_view
+    facets = p.facets
+    assert facets == reference_cone_facets(3, [(*v, vs.scale) for v in vs.points])
+    # A polygon with an interior has one facet per edge, as many as it has
+    # vertices; points on one line have one per end, and a single point one.
+    corners = len(reference_hull_vertices(p.vertices.points))
+    if not facets.equations:
+        assert len(facets.normals) == corners >= 3
+    else:
+        assert len(facets.normals) == corners == min(len(p.vertices), 2)
 
 
-def test_a_half_step_grid_far_over_the_bound_gets_facets_and_no_lp(monkeypatch):
-    # 81 points: the pairs alone would cost C(81, 2) * 3**3 = 87,480, far over
-    # the bound; the chain finds the square's four edges among them.
+def test_a_half_step_grid_gets_facets_and_no_lp(monkeypatch):
+    # 81 points: the double description holds the square's four edges as
+    # it inserts them, where the former subset path gave up on 3,240 pairs.
     grid = [(F(i, 2), F(j, 2)) for i in range(9) for j in range(9)]
-    assert comb(len(grid), 2) * 3**3 > cones._MAX_FACET_WORK
     probes_ = grid + [(F(7, 3), F(1, 3)), (F(1, 3), F(4)), (F(9, 2), F(0)), (F(-1, 4), F(2)), (F(2), F(17, 4))]
     expected = [
         (relative_interior_membership(z, grid, ()), hull_membership(z, grid).member) for z in probes_
@@ -245,7 +228,7 @@ def test_a_half_step_grid_far_over_the_bound_gets_facets_and_no_lp(monkeypatch):
     assert expected[-5:] == [(True, True), (False, True), (False, False), (False, False), (False, False)]
 
 
-# --- points on a line or a plane in any dimension: the outline ------------------
+# --- points on a line or a plane in any dimension, and sets that fill R^3 or R^4 --
 
 
 @st.composite
@@ -261,8 +244,8 @@ def flat_sets(draw):
 @settings(max_examples=100, deadline=None)
 @given(points=flat_sets())
 def test_points_on_a_line_or_a_plane_get_every_subsets_facets_and_their_hull_without_an_lp(points):
-    # Sixteen points on a plane in R^4 would cost C(16, 2) * 5**3 = 15,000,
-    # far over the bound; the outline has no bound, and the reference none.
+    # Sixteen points on a plane in R^4 hold at most sixteen rows at a time,
+    # far under the work bound; the reference has no bound.
     p = Polyhedron.build(points)
     vs = p.vertices.integer_view
     assert p.facets == reference_cone_facets(p.dimension + 1, [(*v, vs.scale) for v in vs.points])
@@ -273,8 +256,8 @@ def test_points_on_a_line_or_a_plane_get_every_subsets_facets_and_their_hull_wit
 
 
 def test_a_tilted_16_by_16_layer_gets_its_facets_and_its_hull_without_an_lp(monkeypatch):
-    # The 256 points (i, j, i + j): a plane in R^3, whose pairs would cost
-    # C(256, 2) * 4**3 against the bound. Its square [0, 15]^2 reads, on
+    # The 256 points (i, j, i + j): a plane in R^3, where the double
+    # description holds at most a few rows. Its square [0, 15]^2 reads, on
     # (x, y, z, 1) with x + y - z = 0, as 45 - 3x, 3y, 45 - 3y and 3x >= 0.
     layer = [(i, j, i + j) for i in range(16) for j in range(16)]
     p = Polyhedron.build(layer)
@@ -288,6 +271,31 @@ def test_a_tilted_16_by_16_layer_gets_its_facets_and_its_hull_without_an_lp(monk
     assert [(in_relative_interior(p, z), poly_contains(p, z)) for z in probes_] == expected
     corners = ((F(0), F(0), F(0)), (F(0), F(15), F(15)), (F(15), F(0), F(15)), (F(15), F(15), F(30)))
     assert convex_hull(p.vertices).vertices.points == corners
+
+
+@st.composite
+def filling_sets(draw):
+    """5-16 points that fill R^3 or R^4, shuffled: the corners of a simplex,
+    midpoints of some of its edges (on an edge of the hull, unless a drawn
+    point takes the hull past it), and points drawn around it."""
+    n = draw(st.sampled_from((3, 4)))
+    base = draw(vectors(n))
+    legs = draw(st.tuples(*[st.integers(1, 4)] * n))
+    corners = [base] + [tuple(c + (legs[i] if i == j else 0) for j, c in enumerate(base)) for i in range(n)]
+    pairs = draw(st.lists(st.tuples(*[st.integers(0, n)] * 2), max_size=4))
+    edges = [combos((corners[i], corners[j]), (F(1, 2), F(1, 2))) for i, j in pairs if i != j]
+    around = [vadd(base, v) for v in draw(st.lists(vectors(n, 3), max_size=16 - len(corners) - len(edges)))]
+    return draw(st.permutations(corners + edges + around))
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=filling_sets())
+def test_the_hull_of_a_set_that_fills_r3_or_r4_is_read_from_its_facets_without_an_lp(points):
+    s = FinitePointSet.build(points)
+    expected = reference_hull_vertices(s.points)
+    with pytest.MonkeyPatch.context() as m:
+        forbid_lps(m)
+        assert convex_hull(s).vertices.points == expected
 
 
 # --- the facet path itself ------------------------------------------------------
@@ -323,49 +331,63 @@ def test_a_lower_dimensional_polyhedron_has_its_equations():
     assert poly_contains(p, (F(0), F(0), F(1)))
 
 
+def moment_curve(m):
+    """m points on the moment curve in R^4, all vertices of their hull (a
+    cyclic polytope, whose facet count grows as m squared), with one ray."""
+    return Polyhedron.build([(t, t**2, t**3, t**4) for t in range(1, m + 1)], [(0, 0, 0, 1)])
+
+
 def test_over_the_cap_a_many_vertex_polyhedron_keeps_the_lp(monkeypatch):
-    # Points on the moment curve are all vertices of their hull in R^3; with
-    # one ray, the homogenized cone has m + 1 generators and rank 4 in R^4, so
-    # C(m + 1, 3) candidate subsets of 4**3 work each.
-    m = next(m for m in range(4, 100) if comb(m + 1, 3) * 4**3 > cones._MAX_FACET_WORK)
-    p = Polyhedron.build([(t, t * t, t * t * t) for t in range(m)], [(0, 0, 1)])
-    assert p.facets is None
+    # The double description gives up once the rows it holds and the pairs
+    # it tests pass the bound: somewhere under 40 points on the moment curve.
+    m = next(m for m in range(6, 40) if moment_curve(m).facets is None)
+    p = moment_curve(m)
     calls = []
     for name in ("relative_interior_membership", "hull_membership"):
         original = getattr(conedom.sets, name)
         monkeypatch.setattr(
             conedom.sets, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
         )
-    inside = (F(1), F(2), F(100))
-    on_the_boundary = (F(0), F(0), F(0))
-    outside = (F(1), F(2), F(0))
+    # The centroid of the first five vertices (3, 11, 45, 979/5) is interior,
+    # and so is any point above it along the ray; nothing of the hull is below
+    # the hyperplane x_4 = 0.
+    inside = (F(3), F(11), F(45), F(10**6))
+    on_the_boundary = (F(1), F(1), F(1), F(1))
+    outside = (F(3), F(11), F(45), F(0))
     assert [in_relative_interior(p, z) for z in (inside, on_the_boundary, outside)] == [True, False, False]
     assert [poly_contains(p, z) for z in (inside, on_the_boundary, outside)] == [True, True, False]
     assert calls == ["relative_interior_membership"] * 3 + ["hull_membership"] * 3
-    # One vertex fewer is at most the cap: the facets are built.
-    assert comb(m, 3) * 4**3 <= cones._MAX_FACET_WORK
-    assert Polyhedron.build([(t, t * t, t * t * t) for t in range(m - 1)], [(0, 0, 1)]).facets is not None
+    # One vertex fewer is under the cap: the facets are built, and the same
+    # questions solve no LP.
+    fewer = moment_curve(m - 1)
+    assert fewer.facets is not None
+    monkeypatch.undo()
+    forbid_lps(monkeypatch)
+    assert [in_relative_interior(fewer, z) for z in (inside, on_the_boundary, outside)] == [True, False, False]
+    assert [poly_contains(fewer, z) for z in (inside, on_the_boundary, outside)] == [True, True, False]
 
 
-def test_the_work_bound_grows_with_the_dimension():
-    # A simplex in R^6 has only 7 candidate subsets, but each costs 7**3 in
-    # the homogenized R^7: over the bound, so its verdicts come from the LP.
+def test_the_work_bound_follows_the_rows_not_the_subsets(monkeypatch):
+    # A simplex in R^6 has independent lifted generators: its 7 facets are
+    # the elimination's rows, with nothing inserted, where the former subset
+    # bound (7 subsets at 7**3 each) sent it to the LP.
     simplex = Polyhedron.build([tuple(int(i == j) for j in range(6)) for i in range(6)] + [(0,) * 6])
-    assert 7 * 7**3 > cones._MAX_FACET_WORK and simplex.facets is None
-    assert in_relative_interior(simplex, (F(1, 7),) * 6) and not in_relative_interior(simplex, (F(1, 6),) * 6)
-    # Twelve points on a parabola in R^2 have 66 subsets at 3**3 each: under it.
+    assert simplex.facets is not None and len(simplex.facets.normals) == 7
+    # Twelve points on a parabola in R^2: one facet per edge.
     parabola = Polyhedron.build([(t, t * t) for t in range(12)])
-    assert comb(12, 2) * 3**3 <= cones._MAX_FACET_WORK and parabola.facets is not None
+    assert parabola.facets is not None and len(parabola.facets.normals) == 12
+    forbid_lps(monkeypatch)
+    assert in_relative_interior(simplex, (F(1, 7),) * 6) and not in_relative_interior(simplex, (F(1, 6),) * 6)
+    assert poly_contains(parabola, (F(1), F(2))) and not poly_contains(parabola, (F(1), F(0)))
 
 @pytest.mark.parametrize("direction", [(1, 2), (1, 2, 3), (1, 2, 3, -1)], ids=["2d", "3d", "4d"])
 def test_a_segment_of_any_length_gets_the_facets_of_its_two_ends(direction, monkeypatch):
-    # 80 points on one line in R^2, R^3 or R^4: their 80 one-point subsets
-    # would cost 80 * (n + 1)**3 >= 2,160, over the bound; the two ends are
-    # the only candidates.
+    # 80 points on one line in R^2, R^3 or R^4: the double description holds
+    # the two ends' rows as it inserts them, where the former subset bound
+    # (80 one-point subsets at (n + 1)**3 each) sent the line to the LP.
     n = len(direction)
     d = tuple(map(F, direction))
     points = [tuple(k * c for c in d) for k in range(80)]
-    assert comb(len(points), 1) * (n + 1) ** 3 > cones._MAX_FACET_WORK
     p = Polyhedron.build(points)
     vs = p.vertices.integer_view
     assert p.facets == reference_cone_facets(n + 1, [(*v, vs.scale) for v in vs.points])
@@ -538,6 +560,46 @@ def test_cone_facets_match_the_cofactor_subsets_on_every_cone_kind():
             assert cone_facets(cone.dimension, generators) == expected, kind
             if not cone.span_solver.unique:
                 assert cone.facets == expected, kind
+
+
+@st.composite
+def drawn_cones(draw):
+    """Up to 10 integer generators in R^1 to R^6: free draws, draws inside a
+    subspace of lower rank, or homogenized points (v, s) on a line or a
+    plane; then, at random, a generator's negation (not pointed), a zero
+    generator and a repeat."""
+    kind = draw(st.sampled_from(("free", "subspace", "line", "plane")))
+    small = st.integers(-3, 3)
+    if kind in ("free", "subspace"):
+        n = draw(st.integers(1, 6))
+        k = n if kind == "free" else draw(st.integers(1, n))
+        basis = [tuple(draw(small) for _ in range(n)) for _ in range(k)]
+    else:
+        n = draw(st.integers(2, 6))
+        s = draw(st.integers(1, 3))
+        base = (*(s * draw(small) for _ in range(n - 1)), s)
+        basis = [base] + [(*(draw(small) for _ in range(n - 1)), 0) for _ in range(1 if kind == "line" else 2)]
+    weights = st.lists(small, min_size=len(basis), max_size=len(basis))
+    if kind in ("line", "plane"):
+        weights = weights.map(lambda w: [1, *w[1:]])
+    generators = [
+        tuple(sum(w * b[i] for w, b in zip(combination, basis)) for i in range(n))
+        for combination in draw(st.lists(weights, max_size=7))
+    ]
+    if generators and draw(st.booleans()):
+        generators.append(tuple(-c for c in draw(st.sampled_from(generators))))
+    if draw(st.booleans()):
+        generators.insert(draw(st.integers(0, len(generators))), (0,) * n)
+    if generators and draw(st.booleans()):
+        generators.insert(draw(st.integers(0, len(generators))), draw(st.sampled_from(generators)))
+    return n, generators
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=drawn_cones())
+def test_cone_facets_match_the_cofactor_subsets_on_drawn_cones(case):
+    dimension, generators = case
+    assert cone_facets(dimension, generators) == reference_cone_facets(dimension, generators)
 
 
 @settings(max_examples=150, deadline=None)

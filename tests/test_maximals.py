@@ -53,6 +53,7 @@ from test_order_coordinates import KINDS
 
 # The package re-exports the function `maximals` under the module's name.
 maximals_module = importlib.import_module("conedom.maximals")
+linalg_module = importlib.import_module("conedom.linalg")
 
 
 def unit_grid(high: int) -> GridDomain:
@@ -799,6 +800,25 @@ class TestAxisExtremes:
         whole = Polyhedron(FinitePointSet(tuple(upper)), ())
         filtered = Polyhedron(FinitePointSet(kept), ())
         assert [poly_contains(filtered, p) for p in grid] == [poly_contains(whole, p) for p in grid]
+
+    def test_the_invariance_check_on_a_3d_grid_solves_no_lp(self, monkeypatch):
+        # U(s*) on 0..7^3 fills R^3 (52 axis-extreme points); its hull gets
+        # facets, so no budget point below the top asks a program.
+        grid = GridDomain.build(1, [(0, 7)] * 3)
+        prices = PriceSystem.build((1, 1, 1), 10)
+        ground = grid.points()
+        budget = FinitePointSet(tuple(p for p in ground if vdot(prices.price, p) <= prices.wealth))
+        ref = reference_from_utility(ground, linear_utility)
+        expected = reference_convexified_maximals(ref, budget)
+
+        def no_lp(lp):
+            raise AssertionError("the invariance check solved a linear program")
+
+        monkeypatch.setattr(linalg_module, "lp_solve", no_lp)
+        report = check_convexification_invariance(linear_utility, grid, prices)
+        assert report.budget.points == budget.points
+        assert report.convexified_set.points == expected.points == report.maximals_set.points
+        assert report.equal and len(expected) == 48
 
     @pytest.mark.parametrize(
         "utility, dimension, prices",

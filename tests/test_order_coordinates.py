@@ -174,11 +174,13 @@ def no_generators(rng, dim, contains_zero):
 
 
 def above_the_work_bound(rng, contains_zero=False):
-    """A pointed cone in dimension 4 with 7 generators: C(7, 3) * 4**3 =
-    2,240 is over the facet work bound of 2,048, while C(6, 3) * 4**3 =
-    1,280 for its first 6 generators is under it."""
-    gens = simplicial(rng, 4, contains_zero).generators
-    return Cone(4, gens + tuple(vadd(gens[i], gens[i + 1]) for i in range(3)), contains_zero)
+    """A pointed cone in dimension 5 with 30 generators (1, t, t^2, t^3, t^4),
+    for distinct t in increasing order: the cone over a cyclic polytope, whose
+    facet count grows as the square of its points. The double description on
+    all 30 passes the facet work bound, and on the first 29 stays under it;
+    its counts depend on the order of the t alone."""
+    ts = sorted(rng.sample(range(-20, 20), 30))
+    return Cone(5, tuple(tuple(F(t**k) for k in range(5)) for t in ts), contains_zero)
 
 
 KINDS = {
@@ -422,7 +424,7 @@ def test_phi_asks_the_origin_rule_and_solves_an_lp_only_when_it_exists(kind, mon
 def test_above_the_work_bound_phi_is_read_from_the_one_lp_that_decides(monkeypatch):
     rng = random.Random("phi-above-the-bound")
     pointed = above_the_work_bound(rng, contains_zero=True)
-    line = Cone(4, pointed.generators + (vneg(pointed.generators[0]),), True)
+    line = Cone(pointed.dimension, pointed.generators + (vneg(pointed.generators[0]),), True)
     for cone, has_phi in ((pointed, True), (line, False)):
         expected = reference_positive_functional(cone)
         assert (expected is not None) == has_phi
@@ -436,9 +438,10 @@ def test_above_the_work_bound_phi_is_read_from_the_one_lp_that_decides(monkeypat
 @pytest.mark.parametrize("extra", ["negation", "zero generator"])
 def test_above_the_work_bound_without_phi_maxima_compare_every_pair(extra):
     rng = random.Random(f"all-pairs-{extra}")
-    gens = above_the_work_bound(rng).generators
-    added = vneg(gens[0]) if extra == "negation" else (F(0),) * 4
-    cone = Cone(4, gens + (added,), False)
+    over = above_the_work_bound(rng)
+    gens = over.generators
+    added = vneg(gens[0]) if extra == "negation" else (F(0),) * over.dimension
+    cone = Cone(over.dimension, gens + (added,), False)
     assert cone.facets is None and cone.positive_functional is None
     pts = rand_points(rng, cone, big=False).points
     assert len(pts) >= 8
@@ -761,15 +764,15 @@ def test_pointedness_from_the_facets_is_the_lps_and_asks_no_membership(kind, mon
 def test_above_the_work_bound_pointedness_asks_one_membership_per_generator(monkeypatch):
     rng = random.Random("pointed-over-bound")
     cone = above_the_work_bound(rng)
-    line = Cone(4, cone.generators + (vneg(cone.generators[0]),), False)
+    line = Cone(cone.dimension, cone.generators + (vneg(cone.generators[0]),), False)
     for c, pointed in ((cone, True), (line, False)):
         assert c.facets is None and lp_pointed(c) == pointed
         calls = counting_memberships(monkeypatch)
         assert is_pointed(c) == pointed
-        # The generators' negations in order, all 7 on the pointed cone, up
+        # The generators' negations in order, all 30 on the pointed cone, up
         # to the first member on the other.
         assert calls and calls == [vneg(g) for g in c.generators][: len(calls)]
-        assert (len(calls) == 7) == pointed
+        assert (len(calls) == len(cone.generators)) == pointed
         monkeypatch.undo()
 
 
@@ -824,15 +827,15 @@ def test_a_certificate_contradicting_the_facet_verdict_is_refused(monkeypatch):
 def test_a_cone_above_the_facet_work_bound_keeps_the_lp(monkeypatch):
     rng = random.Random("facet-work-bound")
     gens = above_the_work_bound(rng).generators
-    for count, over in ((7, True), (6, False)):
-        cone = Cone(4, gens[:count], False)
+    for count, over in ((30, True), (29, False)):
+        cone = Cone(5, gens[:count], False)
         assert (cone.facets is None) == over
         pts = rand_points(rng, cone, big=False)
         probes = probe_vectors(cone, pts)  # the origin included, without the flag
         expected = [lp_contains(cone, v) for v in probes]
         solved = recording_lps(monkeypatch)
         assert [cone_contains(cone, v) for v in probes] == expected
-        assert solved == (probes if over else [])  # rank 4: every probe is on the span
+        assert solved == (probes if over else [])  # rank 5: every probe is on the span
         assert True in expected and False in expected
         monkeypatch.undo()
 
