@@ -10,14 +10,26 @@ The sampling distribution is pinned so oracle runs are reproducible:
   path;
 - chains are built by walking a pool of random points along the guard
   direction and greedily keeping a subset in which all pairs are
-  comparable, with one `ConeOrder` on the pool for both the guard keys and
-  the comparisons.
+  comparable, with one `ConeOrder` on the pool for the guard keys, the
+  comparisons and the integer test that two pool points differ.
 
 Every generator takes an explicit `random.Random`; identical seeds give
-identical instances. The coordinate draws hand out values from one table of
-the 57 rationals n/d the distribution allows, and the draws that combine
-points (hull, cone and relative-interior points) sum in integers over the
-sets' cached integer views, with one `Fraction` per output coordinate.
+identical instances. Each integer is drawn from the generator's 32-bit
+outputs by one rule, `Random._randbelow`'s on Python 3.10-3.13: a draw
+below n takes k = n.bit_length() bits, `rng.getrandbits(k)`, and draws
+again while the value is n or more. That is the draw `randint(a, b)`
+(a plus a draw below b - a + 1), `randrange(n)` and `choice(seq)` (seq at a
+draw below len(seq)) make, so the instances, and the state the generator
+is left in, are the ones those calls gave; the rule lives here because Python
+promises a stable sequence across versions for `random()` only, not for
+`randint` or `choice`. The state matters as much as the values: the
+benchmark's workloads and the suite interleave their own `rng.random()`,
+`randrange` and `shuffle` calls with these draws, so one extra or missing
+32-bit output would change every later instance and every pinned digest.
+The draws index one table of the 57 rationals n/d the distribution
+allows, and the draws that combine points (hull, cone and
+relative-interior points) sum in integers over the sets' cached integer
+views, with one `Fraction` per output coordinate.
 """
 
 from __future__ import annotations
@@ -46,23 +58,58 @@ Rng = random.Random
 NUMERATORS = range(-9, 10)
 DENOMINATORS = (1, 2, 3)
 
-# Every value n/d with n in NUMERATORS and d in DENOMINATORS, made once.
-_FRACTIONS = {(n, d): Fraction(n, d) for n in NUMERATORS for d in DENOMINATORS}
+# Every value n/d with n in NUMERATORS and d in DENOMINATORS, made once:
+# `_FRACTIONS[j][n + 9]` is n / DENOMINATORS[j], indexed by the two draws.
+_FRACTIONS = tuple(tuple(Fraction(n, d) for n in NUMERATORS) for d in DENOMINATORS)
+
+# The distinct values among them (41), so the distinct points of a dimension.
+_DISTINCT_VALUES = len({f for row in _FRACTIONS for f in row})
 
 # Pool points `rand_chain` draws per point it keeps.
 _POOL_FACTOR = 8
 
 
+def _below(rng: Rng, n: int) -> int:
+    """A draw from range(n) by `Random._randbelow`'s rule: k = n.bit_length()
+    bits at a time, drawn again while the value is n or more."""
+    if n <= 0:
+        raise ValueError(f"no integer to draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _rand_value(rng: Rng, lo: int, hi: int) -> Fraction:
+    """n/d for n drawn from [lo, hi] (within NUMERATORS) and d from
+    DENOMINATORS, as `randint(lo, hi)` then `choice(DENOMINATORS)`."""
+    n = lo + _below(rng, hi - lo + 1)
+    return _FRACTIONS[_below(rng, 3)][n + 9]
+
+
 def rand_frac(rng: Rng) -> Fraction:
-    return _FRACTIONS[rng.randint(-9, 9), rng.choice(DENOMINATORS)]
+    return _rand_value(rng, -9, 9)
 
 
 def rand_point(rng: Rng, dimension: int) -> Vec:
-    return tuple(rand_frac(rng) for _ in range(dimension))
+    # `rand_frac` per coordinate, its two draws inlined: the numerator's
+    # index below 19 in 5 bits, the denominator's below 3 in 2.
+    bits = rng.getrandbits
+    point = []
+    for _ in range(dimension):
+        n = bits(5)
+        while n >= 19:
+            n = bits(5)
+        d = bits(2)
+        while d == 3:
+            d = bits(2)
+        point.append(_FRACTIONS[d][n])
+    return tuple(point)
 
 
 def rand_positive_frac(rng: Rng) -> Fraction:
-    return _FRACTIONS[rng.randint(1, 9), rng.choice(DENOMINATORS)]
+    return _rand_value(rng, 1, 9)
 
 
 def rand_direction(rng: Rng, dimension: int) -> Vec:
@@ -100,9 +147,9 @@ def rand_pointed_cone(rng: Rng, dimension: int, contains_zero: bool) -> ConeDraw
 def _rand_weights(rng: Rng, k: int, strict: bool) -> list[int]:
     """k integer weights in [0, 9] ([1, 9] when strict), not all zero."""
     lo = 1 if strict else 0
-    weights = [rng.randint(lo, 9) for _ in range(k)]
+    weights = [lo + _below(rng, 10 - lo) for _ in range(k)]
     if sum(weights) == 0:
-        weights[rng.randrange(k)] = 1
+        weights[_below(rng, k)] = 1
     return weights
 
 
@@ -130,23 +177,25 @@ def rand_chain(rng: Rng, draw: ConeDraw, size: int) -> ChainSet:
     pool = [rand_point(rng, dimension) for _ in range(_POOL_FACTOR * size)]
     order = ConeOrder(draw.cone, pool)
     # guard.p in integers, read from the order's view of the pool: one positive scale for the guard and one for the
-    # pool keep every comparison.
+    # pool keep every comparison. The same view, over one scale, tells two pool points apart in `int`s, so the
+    # kept points are known distinct.
     _, guard = integer_multiple(draw.guard)
-    keys = [sum(map(mul, guard, q)) for q in order.view.points]
+    points = order.view.points
+    keys = [sum(map(mul, guard, q)) for q in points]
     kept: list[int] = []
     for i in sorted(range(len(pool)), key=keys.__getitem__):
         if len(kept) == size:
             break
-        if all(pool[i] != pool[k] and order.comparable(k, i) for k in kept):
+        if all(points[i] != points[k] and order.comparable(k, i) for k in kept):
             kept.append(i)
-    return ChainSet(FinitePointSet(tuple(pool[k] for k in kept)), draw.cone)
+    return ChainSet(FinitePointSet._of_distinct(tuple(pool[k] for k in kept)), draw.cone)
 
 
 def rand_decomposable(
     rng: Rng, draw: ConeDraw, summands: int, max_points: int
 ) -> DecomposableSet:
     chains = tuple(
-        rand_chain(rng, draw, rng.randint(1, max_points)) for _ in range(summands)
+        rand_chain(rng, draw, 1 + _below(rng, max_points)) for _ in range(summands)
     )
     return DecomposableSet(chains)
 
@@ -234,7 +283,7 @@ def rand_cone_member(rng: Rng, cone: Cone, strict: bool = True) -> Vec:
     each with a positive coefficient when `strict`."""
     if strict and not cone.generators:
         raise ValueError("a strict cone member needs a cone with at least one generator")
-    coeffs = [_FRACTIONS[rng.randint(1 if strict else 0, 6), rng.choice(DENOMINATORS)] for _ in cone.generators]
+    coeffs = [_rand_value(rng, 1 if strict else 0, 6) for _ in cone.generators]
     view = cone.generator_view
     return _combination(
         [(c.denominator * view.scale, [c.numerator * x for x in g]) for c, g in zip(coeffs, view.points)],
@@ -244,11 +293,15 @@ def rand_cone_member(rng: Rng, cone: Cone, strict: bool = True) -> Vec:
 
 def rand_utility_table(rng: Rng, ground: FinitePointSet) -> dict[Vec, Fraction]:
     """Random rational utility values with deliberate ties (small value pool)."""
-    pool = [Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS)) for _ in range(5)]
-    return {p: rng.choice(pool) for p in ground.points}
+    pool = [_rand_value(rng, -4, 4) for _ in range(5)]
+    return {p: pool[_below(rng, 5)] for p in ground.points}
 
 
 def rand_ground_set(rng: Rng, dimension: int, size: int) -> FinitePointSet:
+    """`size` distinct random points; `ValueError`, before any draw, when
+    there are fewer distinct points of the dimension to draw."""
+    if size > _DISTINCT_VALUES**dimension:
+        raise ValueError(f"only {_DISTINCT_VALUES}**{dimension} distinct points can be drawn, not {size}")
     pts: dict[Vec, None] = {}
     while len(pts) < size:
         pts[rand_point(rng, dimension)] = None

@@ -142,7 +142,9 @@ class ChainSet:
 
     `order` is the cone order on the chain's points, built once by the
     validating scan and kept; its verdicts serve any cone with the chain's
-    generators.
+    generators. Its integer view of the points becomes the base's
+    `integer_view` when the base has none yet, so one view serves the
+    order, the hull programs and the sums.
     """
 
     base: FinitePointSet
@@ -159,6 +161,7 @@ class ChainSet:
         if bad is not None:
             raise ValueError(f"points {bad[0]} and {bad[1]} are incomparable under the cone")
         object.__setattr__(self, "order", order)
+        vars(self.base).setdefault("integer_view", order.view)  # fills the cached_property
 
     @classmethod
     def build(cls, points: Iterable[Sequence[object]], cone: Cone) -> "ChainSet":

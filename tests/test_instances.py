@@ -5,16 +5,21 @@ really are chains, cones really are pointed, constructed pairs really
 are disjoint) get their own direct tests here.
 """
 
+import importlib
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conedom.cones import Comparability, Cone, cone_contains, is_pointed, k_closure, relate, with_origin
+from conedom.cones import Comparability, Cone, ConeOrder, cone_contains, is_pointed, k_closure, relate, with_origin
 from conedom.instances import (
     DENOMINATORS,
     NUMERATORS,
     ConeDraw,
+    lowered_below,
     rand_bounded_disjoint_pair,
     rand_chain,
     rand_cone_member,
@@ -22,16 +27,30 @@ from conedom.instances import (
     rand_direction,
     rand_disjoint_pair,
     rand_frac,
+    rand_ground_set,
     rand_hull_point,
     rand_point,
     rand_pointed_cone,
     rand_positive_frac,
     rand_relative_interior_point,
     rand_upward_polyhedron,
+    rand_utility_table,
 )
-from conedom.linalg import ONE, ZERO, hull_membership, vadd, vdot, vscale
+from conedom.linalg import ONE, ZERO, hull_membership, integer_multiple, vadd, vdot, vscale
 from conedom.separation import hulls_disjoint
-from conedom.sets import ChainSet, DecomposableSet, FinitePointSet, Polyhedron, in_relative_interior, is_chain, materialize
+from conedom.sets import (
+    ChainSet,
+    DecomposableSet,
+    FinitePointSet,
+    Polyhedron,
+    convex_hull,
+    in_relative_interior,
+    is_chain,
+    materialize,
+    upward_hull,
+)
+
+instances_module = importlib.import_module("conedom.instances")
 
 
 def test_rand_frac_respects_the_pinned_distribution():
@@ -307,3 +326,132 @@ def test_every_draw_keeps_its_values_and_its_random_stream():
         for cone in cones:
             for strict in (False, True):
                 same_draw(seed, rand_cone_member, reference_rand_cone_member, cone, strict)
+
+
+# --- the draws as randint, choice and randrange made them -----------------------
+# A test-only reference, kept unedited: each drawing function as it read when
+# its integers came from `randint`, `choice` and `randrange`, drawing through
+# the reference draws above. `instances` now draws from `getrandbits` by
+# `Random._randbelow`'s rule; the values and the generator's state afterwards
+# must be the same.
+
+
+def randint_rand_chain(rng, draw, size):
+    dimension = draw.cone.dimension
+    pool = [reference_rand_point(rng, dimension) for _ in range(8 * size)]
+    order = ConeOrder(draw.cone, pool)
+    _, guard = integer_multiple(draw.guard)
+    keys = [sum(map(mul, guard, q)) for q in order.view.points]
+    kept = []
+    for i in sorted(range(len(pool)), key=keys.__getitem__):
+        if len(kept) == size:
+            break
+        if all(pool[i] != pool[k] and order.comparable(k, i) for k in kept):
+            kept.append(i)
+    return ChainSet(FinitePointSet(tuple(pool[k] for k in kept)), draw.cone)
+
+
+def randint_rand_decomposable(rng, draw, summands, max_points):
+    return DecomposableSet(tuple(randint_rand_chain(rng, draw, rng.randint(1, max_points)) for _ in range(summands)))
+
+
+def randint_rand_upward_polyhedron(rng, draw, n_vertices):
+    pts = FinitePointSet.build(reference_rand_point(rng, draw.cone.dimension) for _ in range(n_vertices))
+    return upward_hull(pts, draw.cone)
+
+
+def randint_rand_disjoint_pair(rng, dimension, chain_points, summands, y_points):
+    draw = reference_rand_pointed_cone(rng, dimension, contains_zero=True)
+    chain = randint_rand_chain(rng, draw, chain_points)
+    x_poly = upward_hull(chain.base, draw.cone)
+    floor = min(vdot(draw.guard, v) for v in x_poly.vertices.points)
+    y = randint_rand_decomposable(rng, draw, summands, y_points)
+    shift = lowered_below(materialize(y), draw.guard, floor)
+    first = ChainSet(FinitePointSet(tuple(vadd(p, shift) for p in y.summands[0].base.points)), draw.cone)
+    return x_poly, DecomposableSet((first,) + y.summands[1:]), draw
+
+
+def randint_rand_bounded_disjoint_pair(rng, dimension, chain_points, y_points):
+    draw = reference_rand_pointed_cone(rng, dimension, contains_zero=True)
+    chain = randint_rand_chain(rng, draw, chain_points)
+    x_poly = upward_hull(chain.base, draw.cone)
+    floor = min(vdot(draw.guard, v) for v in x_poly.vertices.points)
+    pts = FinitePointSet.build(reference_rand_point(rng, dimension) for _ in range(y_points))
+    shift = lowered_below(pts, draw.guard, floor)
+    return x_poly, convex_hull(FinitePointSet.build(vadd(p, shift) for p in pts)), draw
+
+
+def randint_rand_utility_table(rng, ground):
+    pool = [F(rng.randint(-4, 4), rng.choice(DENOMINATORS)) for _ in range(5)]
+    return {p: rng.choice(pool) for p in ground.points}
+
+
+def randint_rand_ground_set(rng, dimension, size):
+    pts = {}
+    while len(pts) < size:
+        pts[reference_rand_point(rng, dimension)] = None
+    return FinitePointSet(tuple(pts))
+
+
+def same_stream(seed, ours, theirs, *args):
+    """Both draws from generators seeded alike: equal results, or the same
+    error type, and the same generator state afterwards."""
+    mine, yours = random.Random(seed), random.Random(seed)
+    try:
+        expected = theirs(yours, *args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ours(mine, *args)
+    else:
+        assert ours(mine, *args) == expected, (ours.__name__, seed)
+    assert mine.getstate() == yours.getstate(), (ours.__name__, seed)
+
+
+def test_a_draw_below_n_is_randranges_and_leaves_the_same_state():
+    for n in [*range(1, 200), 255, 256, 257, 2**31 - 1, 2**32, 2**32 + 1, 3**40]:
+        same_stream(n, instances_module._below, random.Random.randrange, n)
+    for n in (0, -1):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            instances_module._below(rng, n)
+        assert rng.getstate() == state
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64), inputs_seed=st.integers(0, 2**32), dim=st.integers(1, 3), size=st.integers(0, 5))
+def test_every_draw_gives_what_randint_and_choice_gave_and_the_same_state(seed, inputs_seed, dim, size):
+    inputs = random.Random(inputs_seed)
+    draw = rand_pointed_cone(inputs, dim, inputs.random() < 0.5)
+    d, polyhedra, cones = stream_inputs(inputs, max(dim, 2))
+    ground = FinitePointSet.build(rand_point(inputs, dim) for _ in range(1 + size))
+    same_stream(seed, rand_frac, reference_rand_frac)
+    same_stream(seed, rand_point, reference_rand_point, dim)
+    same_stream(seed, rand_positive_frac, reference_rand_positive_frac)
+    same_stream(seed, rand_direction, reference_rand_direction, dim)
+    same_stream(seed, rand_pointed_cone, reference_rand_pointed_cone, dim, size % 2 == 0)
+    same_stream(seed, rand_chain, randint_rand_chain, draw, size)
+    same_stream(seed, rand_decomposable, randint_rand_decomposable, draw, 1 + size % 3, size)
+    same_stream(seed, rand_hull_point, reference_rand_hull_point, d)
+    same_stream(seed, rand_upward_polyhedron, randint_rand_upward_polyhedron, draw, 1 + size)
+    for poly in polyhedra:
+        same_stream(seed, rand_relative_interior_point, reference_rand_relative_interior_point, poly)
+    same_stream(seed, rand_disjoint_pair, randint_rand_disjoint_pair, 1 + dim, 1 + size % 3, 1 + size % 2, 1 + size)
+    same_stream(seed, rand_bounded_disjoint_pair, randint_rand_bounded_disjoint_pair, 1 + dim, 1 + size % 3, 1 + size)
+    for cone in cones:
+        for strict in (False, True):
+            same_stream(seed, rand_cone_member, reference_rand_cone_member, cone, strict)
+    same_stream(seed, rand_utility_table, randint_rand_utility_table, ground)
+    same_stream(seed, rand_ground_set, randint_rand_ground_set, dim, 3 * size)
+
+
+def test_a_ground_set_larger_than_the_distinct_points_is_refused_before_any_draw():
+    # Each coordinate takes one of 41 distinct values.
+    assert len({reference_rand_frac(random.Random(s)) for s in range(2000)}) == 41
+    assert len(rand_ground_set(random.Random(0), 1, 41)) == 41
+    for dimension, size in ((1, 42), (2, 41**2 + 1)):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="distinct points"):
+            rand_ground_set(rng, dimension, size)
+        assert rng.getstate() == state

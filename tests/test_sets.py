@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conedom.cones import Comparability, Cone, ConeOrder, k_closure, relate
 from conedom.dominance import pareto_optima_finite
 from conedom.instances import rand_chain, rand_point, rand_pointed_cone
-from conedom.linalg import LimitError, hull_membership, vadd
+from conedom.linalg import LimitError, hull_membership, integer_points, vadd
 from conedom.sets import (
     ChainSet,
     DecomposableSet,
@@ -124,6 +124,15 @@ class TestChainAndAntichain:
             chain = rand_chain(rng, draw, rng.randint(2, 6))
             assert is_chain(chain.base, chain.cone)
 
+    def test_a_chain_shares_its_orders_integer_view_with_its_base(self):
+        base = FinitePointSet.build([(0, F(1, 2)), (F(1, 3), 1), (2, 3)])
+        chain = ChainSet(base, ORTHANT)
+        assert chain.base.integer_view is chain.order.view
+        assert chain.base.integer_view == integer_points(base.points) == (6, ((0, 3), (2, 6), (12, 18)))
+        # A base that has its view already keeps it.
+        again = ChainSet(base, ORTHANT)
+        assert again.order.view is not chain.order.view and again.base.integer_view is chain.order.view
+
 
 def reference_minkowski_sum(a, b):
     """The former `minkowski_sum`: `Fraction` sums, deduplicated by `build`."""
@@ -173,8 +182,11 @@ class TestMinkowskiAndMaterialize:
         smaller = DecomposableSet(d.summands[:2])
         assert len(materialize(smaller)) == len({vadd(p, q) for p in d.summands[0].base for q in d.summands[1].base})
 
-    def test_a_sum_above_the_cap_forms_no_point_and_no_integer_view(self, monkeypatch):
+    def test_a_sum_above_the_cap_forms_no_point_and_leaves_its_summands_alone(self, monkeypatch):
         d = DecomposableSet(tuple(ChainSet.build([(i, 2 * i + s) for i in range(60)], ORTHANT) for s in range(3)))
+        # Each chain hands its order's integer view to its base when it is built,
+        # so the refusal is seen in the summands' caches staying as they were.
+        before = [dict(vars(s.base)) for s in d.summands]
 
         def refuse(*args):
             raise AssertionError("a sum above the cap was started")
@@ -183,7 +195,7 @@ class TestMinkowskiAndMaterialize:
         monkeypatch.setattr(FinitePointSet, "_of_distinct", refuse)
         with pytest.raises(LimitError):
             materialize(d)
-        assert not any("integer_view" in vars(s.base) for s in d.summands)
+        assert [vars(s.base) for s in d.summands] == before
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
